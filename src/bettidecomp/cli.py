@@ -11,7 +11,8 @@ Diagrams are read from a file path or stdin (``-``); the input format is
 sniffed (JSON starts with ``{``) unless ``--input-format`` forces it.
 ``--format json|table`` selects the output flavour and defaults to json
 when stdout is a pipe, table on a terminal.  ``BS_DECOMP_MAX_ENUM`` caps
-enumeration sizes (default 1000000 chains).
+enumeration sizes (default 1000000 chains); any value other than a positive
+integer is a usage error.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ _NEGATIVE = 1
 
 def _max_enum() -> int:
     raw = os.environ.get("BS_DECOMP_MAX_ENUM", "")
-    try:
-        return int(raw) if raw else 1_000_000
-    except ValueError:
+    if not raw:
         return 1_000_000
+    if not raw.isascii() or not raw.isdigit() or int(raw) < 1:
+        raise BettiError(f"BS_DECOMP_MAX_ENUM must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _read_text(path: str) -> str:
@@ -235,15 +237,11 @@ def _cmd_expand(args, fmt):
             file=sys.stderr,
         )
         return _USAGE_ERROR
-    # the minimal codimension of the window is encoded in the numbering
-    chain = None
-    for s_min in range(0, n + 1):
-        try:
-            chain = chain_from_tableau(t, Window(n, M, N, s_min))
-            break
-        except InvalidTableau:
-            continue
-    if chain is None:
+    # a numbering valid at any s_min is valid at 0: its survivors carry the
+    # numbers of the drops that continue the chain down to pi(N)
+    try:
+        chain = chain_from_tableau(t, Window(n, M, N, 0))
+    except InvalidTableau:
         print("error: numbering does not describe a maximal chain", file=sys.stderr)
         return _USAGE_ERROR
     coords = expand_in_chain(b, chain)

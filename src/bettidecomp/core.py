@@ -17,12 +17,13 @@ diagrams solve the Herzog-Kuhl equations
 
 and are the extremal rays of the cone of Betti diagrams of graded modules.
 
-All arithmetic is exact: entries are :class:`fractions.Fraction`, floats are
-rejected at the door.
+All arithmetic is exact: entries are :class:`fractions.Fraction`; floats,
+booleans and strings other than ``p`` or ``p/q`` are rejected at the door.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -40,17 +41,34 @@ from .errors import (
 Rational = Fraction
 
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(token: str) -> Fraction:
+    """Exact rational from 'p' or 'p/q'; anything else (floats included) fails."""
+    if not _RATIONAL_RE.fullmatch(token):
+        raise ValueError(f"{token!r} is not an exact rational literal")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"{token!r} has a zero denominator") from None
+
+
 def as_rational(value) -> Fraction:
-    """Coerce to an exact rational.  Floats are refused: they would silently
-    poison exact computations downstream."""
-    if isinstance(value, float):
-        raise InvalidDiagram(f"float entry {value!r} not allowed; use an exact rational")
+    """Coerce to an exact rational.  Floats and booleans are refused, and
+    strings must be 'p' or 'p/q': anything else would silently poison exact
+    computations downstream."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise InvalidDiagram(str(exc)) from None
+    if isinstance(value, float):
+        raise InvalidDiagram(f"float entry {value!r} not allowed; use an exact rational")
     raise InvalidDiagram(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -130,16 +148,19 @@ class LaurentPolynomial:
                 out[d] = running
         return LaurentPolynomial(out)
 
+    def peel_one_minus_t(self, cap: int | None = None) -> tuple[int, "LaurentPolynomial"]:
+        """(s, Q) with self = (1 - t)^s Q and s maximal, or s = cap if smaller."""
+        s, q = 0, self
+        while (cap is None or s < cap) and not q.is_zero and q(1) == 0:
+            q = q.exact_div_one_minus_t()
+            s += 1
+        return s, q
+
     def one_minus_t_order(self) -> int:
         """Largest s with (1 - t)^s dividing the polynomial (zero poly -> error)."""
         if self.is_zero:
             raise UndefinedOnZero("order undefined for the zero polynomial")
-        s = 0
-        p = self
-        while not p.is_zero and p(1) == 0:
-            p = p.exact_div_one_minus_t()
-            s += 1
-        return s
+        return self.peel_one_minus_t()[0]
 
     def __call__(self, point) -> Fraction:
         x = as_rational(point)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import BettiDiagram, PureDiagram, pure_diagram
-from .errors import InvalidDiagram, NotInCone
+from .errors import BettiError, InvalidDiagram, NotInCone
 from .functionals import coefficient_functional, derived_window
-from .poset import Chain, Window, leq
+from .poset import Chain, _walk, leq
 
 
 @dataclass(frozen=True)
@@ -151,26 +151,17 @@ def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationRes
             return VerificationResult(False, "chain_order")
     if any(coeff <= 0 for coeff in dec.coefficients()):
         return VerificationResult(False, "positivity")
-    from .errors import BettiError
-    from .poset import complete_chain
-
     try:
         w = derived_window(b)
-        chain = Chain(tuple(elems), w)
-        maximal = next(iter(complete_chain(chain)), None)
-        if maximal is None:
-            return VerificationResult(False, "no_maximal_refinement")
-        index = {p: k for k, p in enumerate(maximal.elements)}
-        K = len(maximal.elements)
+        # any refinement works: b lies in the span of the decomposition's
+        # elements, so every coefficient functional reads the same value
+        seqs, _ = next(_walk(w, Chain(tuple(elems), w).degree_sequences()))
+        index = {s: k for k, s in enumerate(seqs)}
         for coeff, p in dec.terms:
-            k = index[p]
-            f = coefficient_functional(
-                maximal[k - 1] if k > 0 else None,
-                maximal[k],
-                maximal[k + 1] if k < K - 1 else None,
-                w,
-            )
-            if f(b) != coeff:
+            k = index[tuple(p.degrees)]
+            below = pure_diagram(seqs[k - 1], w.n) if k > 0 else None
+            above = pure_diagram(seqs[k + 1], w.n) if k + 1 < len(seqs) else None
+            if coefficient_functional(below, p, above, w)(b) != coeff:
                 return VerificationResult(False, "functional_mismatch")
     except BettiError:
         return VerificationResult(False, "window_error")

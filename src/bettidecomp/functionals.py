@@ -49,7 +49,7 @@ from .errors import (
     NotInSubspace,
     WindowMismatch,
 )
-from .poset import Chain, Window, chain_length, covers, maximal_chains
+from .poset import Chain, Window, chain_length, maximal_chains
 from .poset import _moves as _cover_moves
 
 
@@ -116,14 +116,11 @@ def evaluate(f: Functional, b: BettiDiagram) -> Fraction:
 
 
 def _step(down: PureDiagram, up: PureDiagram, w: Window):
-    """Classify the cover move down -> up as ("raise", col) or ("drop", None)."""
+    """The cover move down -> up as ("raise" or "drop", column it vacates)."""
     a, b = tuple(down.degrees), tuple(up.degrees)
-    if len(b) == len(a):
-        diffs = [i for i in range(len(a)) if a[i] != b[i]]
-        if len(diffs) == 1 and b[diffs[0]] == a[diffs[0]] + 1:
-            return "raise", diffs[0]
-    elif len(b) == len(a) - 1 and b == a[:-1] and a[-1] == w.N + len(a) - 1:
-        return "drop", None
+    for nd, (_, col) in _cover_moves(a, w):
+        if nd == b:
+            return ("drop" if len(nd) < len(a) else "raise"), col
     raise NotACoverTriple(f"{down!r} -> {up!r} is not a cover move in {w}")
 
 
@@ -186,9 +183,8 @@ def coefficient_functional(
             return _indicator(p1, (0, d[0]), w, anchor)
         if not w.contains(p2):
             raise WindowMismatch(f"{p2!r} is not a valid diagram of {w}")
-        kind, col = _step(p1, p2, w)
-        pos = (col, d[col]) if kind == "raise" else (m, d[m])
-        return _indicator(p1, pos, w, anchor)
+        _, col = _step(p1, p2, w)
+        return _indicator(p1, (col, d[col]), w, anchor)
 
     if not w.contains(p0):
         raise WindowMismatch(f"{p0!r} is not a valid diagram of {w}")
@@ -230,21 +226,20 @@ def coefficient_functional(
     return _from_formula(FunctionalCase.FOURTH, p1, 1, range(m), limits, w, anchor)
 
 
-def _vacated_positions(c: Chain) -> list[tuple[int, int]]:
-    """For element k of a maximal chain, an (i, j) where it is nonzero and
-    all later elements vanish.  Drives the triangular back-substitution."""
-    w = c.window
-    seqs = c.degree_sequences()
-    out = []
-    for k in range(len(seqs) - 1):
-        a, b = seqs[k], seqs[k + 1]
-        if len(b) == len(a):
-            i = next(i for i in range(len(a)) if a[i] != b[i])
-        else:
-            i = len(a) - 1
-        out.append((i, a[i]))
-    out.append((0, w.N))  # the maximum's column-0 entry
-    return out
+def _check_in_subspace(b: BettiDiagram, w: Window) -> list[Fraction]:
+    """Raise unless b lives in w's rows and satisfies its s_min Herzog-Kuhl
+    equations; returns the (zero) residuals."""
+    if b.n != w.n:
+        raise WindowMismatch(f"diagram has n={b.n}, window has n={w.n}")
+    for i, j in b.support():
+        if not w.M <= j - i <= w.N:
+            raise WindowMismatch(f"entry at ({i}, {j}) lies outside rows [{w.M}, {w.N}]")
+    residuals = hk_residuals(b, w.s_min)
+    if any(residuals):
+        raise NotInSubspace(
+            f"diagram violates the first {w.s_min} Herzog-Kuhl equations", residuals
+        )
+    return residuals
 
 
 def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
@@ -259,19 +254,13 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
     w = c.window
     if not c.is_maximal():
         raise ChainNotMaximal("expansion needs a maximal chain (a basis)")
-    if b.n != w.n:
-        raise WindowMismatch(f"diagram has n={b.n}, window has n={w.n}")
-    for i, j in b.support():
-        if not w.M <= j - i <= w.N:
-            raise WindowMismatch(f"entry at ({i}, {j}) lies outside rows [{w.M}, {w.N}]")
-    residuals = hk_residuals(b, w.s_min)
-    if any(residuals):
-        raise NotInSubspace(
-            f"diagram violates the first {w.s_min} Herzog-Kuhl equations", residuals
-        )
+    residuals = _check_in_subspace(b, w)
+    # element k is nonzero on the cell its step vacates, where all later
+    # elements vanish; the maximum is last, read at its column-0 entry
+    positions = [(i, w.M + i + r) for r, i in c.vacated] + [(0, w.N)]
     coords = []
     residual = b
-    for element, pos in zip(c.elements, _vacated_positions(c)):
+    for element, pos in zip(c.elements, positions):
         lam = residual[pos] / element.betti[pos]
         coords.append(lam)
         if lam:
@@ -304,15 +293,9 @@ def classify_facet(c: Chain) -> FacetKind:
     w = c.window
     if len(c) != chain_length(w) - 1:
         raise ChainNotMaximal("expected a maximal chain minus exactly one element")
-    if c[0] != w.min_element():
+    if not c or c[0] != w.min_element() or c[-1] != w.max_element():
         return FacetKind.EXTREMAL
-    if c[-1] != w.max_element():
-        return FacetKind.EXTREMAL
-    gaps = [
-        k
-        for k in range(len(c) - 1)
-        if not covers(c[k], c[k + 1], w)
-    ]
+    gaps = [k for k, cell in enumerate(c.vacated) if cell is None]
     if len(gaps) != 1:
         raise ChainNotMaximal("chain does not have exactly one removed element")
     a, b = c[gaps[0]], c[gaps[0] + 1]
@@ -361,8 +344,6 @@ def _boundary_facets_cached(w: Window, limit: int | None) -> tuple[BoundaryFacet
     out = []
     for chain in maximal_chains(w, limit):
         K = len(chain)
-        if K == 1:
-            continue  # a single ray has no codimension-one faces to support
         for r in range(K):
             if 0 < r < K - 1:
                 kind = _is_boundary_triple(chain[r - 1], chain[r], chain[r + 1], w)
@@ -442,16 +423,7 @@ def membership_by_inequalities(
     nonnegative; otherwise the first violated facet (in enumeration order)
     is returned as certificate.
     """
-    if b.n != w.n:
-        raise WindowMismatch(f"diagram has n={b.n}, window has n={w.n}")
-    for i, j in b.support():
-        if not w.M <= j - i <= w.N:
-            raise WindowMismatch(f"entry at ({i}, {j}) lies outside rows [{w.M}, {w.N}]")
-    residuals = hk_residuals(b, w.s_min)
-    if any(residuals):
-        raise NotInSubspace(
-            f"diagram violates the first {w.s_min} Herzog-Kuhl equations", residuals
-        )
+    _check_in_subspace(b, w)
     for facet in boundary_facets(w, limit):
         value = facet.functional(b)
         if value < 0:

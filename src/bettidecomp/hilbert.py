@@ -65,11 +65,8 @@ class HilbertSeries:
 
     def reduced(self) -> "HilbertSeries":
         """Cancel all common (1 - t) factors between numerator and denominator."""
-        num, n = self.numerator, self.n
-        while n > 0 and not num.is_zero and num(1) == 0:
-            num = num.exact_div_one_minus_t()
-            n -= 1
-        return HilbertSeries(num, n)
+        s, num = self.numerator.peel_one_minus_t(self.n)
+        return HilbertSeries(num, self.n - s)
 
     def expand(self, depth: int) -> list[Fraction]:
         """Power-series coefficients of t^0 .. t^depth."""
@@ -133,10 +130,7 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     """
     if b.is_zero:
         raise UndefinedOnZero("multiplicity undefined for the zero diagram")
-    q = numerator_polynomial(b)
-    while not q.is_zero and q(1) == 0:
-        q = q.exact_div_one_minus_t()
-    return q(1)
+    return numerator_polynomial(b).peel_one_minus_t()[1](1)
 
 
 @dataclass(frozen=True)

@@ -26,24 +26,12 @@ import re
 from enum import Enum
 from fractions import Fraction
 
-from .core import BettiDiagram, LaurentPolynomial
+from .core import BettiDiagram, LaurentPolynomial, parse_rational
 from .decompose import Decomposition
 from .errors import DuplicateEntry, ParseError
 from .functionals import Functional
 from .hilbert import HilbertSeries
 from .poset import Chain, Tableau, Window
-
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
-
-
-def parse_rational(token: str) -> Fraction:
-    """Exact rational from 'p' or 'p/q'; anything else (floats included) fails."""
-    if not _RATIONAL_RE.match(token):
-        raise ValueError(f"{token!r} is not an exact rational literal")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"{token!r} has a zero denominator") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -30,6 +30,7 @@ is a bijection between maximal chains and such numberings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .core import DegreeSequence, PureDiagram, pure_diagram
@@ -101,42 +102,31 @@ class Window:
                 yield pure_diagram(seq, self.n)
 
 
+def _below(d: tuple, e: tuple) -> bool:
+    """pi(d) <= pi(e) on degree sequences."""
+    return len(d) >= len(e) and all(a <= b for a, b in zip(d, e))
+
+
 def leq(p: PureDiagram, q: PureDiagram) -> bool:
     """Partial-order test; incomparable pairs fail in both directions."""
-    s, t = p.codimension, q.codimension
-    if s < t:
-        return False
-    return all(p.degrees[i] <= q.degrees[i] for i in range(t + 1))
-
-
-def _raise_moves(d: tuple, w: Window):
-    """Indices i where d_i can be raised by one inside w."""
-    last = len(d) - 1
-    for i in range(last + 1):
-        if d[i] + 1 > w.N + i:
-            continue
-        if i < last and d[i] + 1 >= d[i + 1]:
-            continue
-        yield i
-
-
-def _can_drop(d: tuple, w: Window) -> bool:
-    s = len(d) - 1
-    return s - 1 >= w.s_min and d[s] == w.N + s
+    return _below(p.degrees, q.degrees)
 
 
 def _moves(d: tuple, w: Window):
     """All covers of pi(d) in w, as (new_degrees, vacated_cell) pairs.
 
-    The vacated cell is (row, column) on the display grid, row = j - i - M.
+    The only place that knows the cover rules: raise d_i by one while it
+    stays below the ceiling N + i and below d_{i+1}, or drop the last degree
+    once it sits on its ceiling and the codimension stays >= s_min.  The
+    vacated cell is (row, column) on the display grid, row = j - i - M.
     """
     out = []
-    for i in _raise_moves(d, w):
-        nd = d[:i] + (d[i] + 1,) + d[i + 1:]
-        out.append((nd, (d[i] - i - w.M, i)))
-    if _can_drop(d, w):
-        s = len(d) - 1
-        out.append((d[:-1], (d[s] - s - w.M, s)))
+    last = len(d) - 1
+    for i, di in enumerate(d):
+        if di < w.N + i and (i == last or di + 1 < d[i + 1]):
+            out.append((d[:i] + (di + 1,) + d[i + 1:], (di - i - w.M, i)))
+    if last > w.s_min and d[last] == w.N + last:
+        out.append((d[:-1], (d[last] - last - w.M, last)))
     return out
 
 
@@ -155,14 +145,16 @@ def chain_length(w: Window) -> int:
 
 @dataclass(frozen=True)
 class Chain:
-    """Strictly increasing tuple of pure diagrams inside a window."""
+    """Strictly increasing tuple of pure diagrams inside a window.
+
+    The empty chain is allowed: it spans the zero cone, the one facet of the
+    fan of a window holding a single pure diagram.
+    """
 
     elements: tuple[PureDiagram, ...]
     window: Window
 
     def __post_init__(self):
-        if not self.elements:
-            raise NotAChain("chain must be nonempty")
         for p in self.elements:
             if not self.window.contains(p):
                 raise WindowMismatch(f"{p!r} is not a valid diagram of {self.window}")
@@ -182,14 +174,23 @@ class Chain:
     def degree_sequences(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(p.degrees) for p in self.elements)
 
+    @cached_property
+    def vacated(self) -> tuple[tuple[int, int] | None, ...]:
+        """Grid cell vacated by each step, or None where the step is not a cover."""
+        w = self.window
+        seqs = self.degree_sequences()
+        return tuple(
+            next((cell for nd, cell in _moves(a, w) if nd == b), None)
+            for a, b in zip(seqs, seqs[1:])
+        )
+
     def is_maximal(self) -> bool:
         w = self.window
-        if len(self.elements) != chain_length(w):
-            return False
-        if self.elements[0] != w.min_element() or self.elements[-1] != w.max_element():
-            return False
-        return all(
-            covers(a, b, w) for a, b in zip(self.elements, self.elements[1:])
+        return (
+            len(self.elements) == chain_length(w)
+            and self.elements[0] == w.min_element()
+            and self.elements[-1] == w.max_element()
+            and None not in self.vacated
         )
 
 
@@ -234,9 +235,10 @@ def chain_from_tableau(t: Tableau, w: Window) -> Chain:
     """Rebuild the maximal chain whose k-th move vacates the cell numbered k.
 
     Inverse of :func:`tableau_from_chain`.  Raises ``InvalidTableau`` when
-    the numbering does not describe a chain of the window (wrong shape, a
-    numbered cell that is not the current position of its column, or
-    survivors of the maximum not numbered last, bottom row right to left).
+    the numbering does not describe a chain of the window: a wrong shape, or
+    a step whose numbered cell no cover move vacates.  Once every step is a
+    move, the chain ends at the window maximum and the row order of the
+    tableau numbers the surviving cells right to left.
     """
     if t.shape != (w.rows, w.n + 1):
         raise InvalidTableau(f"tableau shape {t.shape} does not match window grid {(w.rows, w.n + 1)}")
@@ -244,29 +246,29 @@ def chain_from_tableau(t: Tableau, w: Window) -> Chain:
     for r, row in enumerate(t.rows):
         for c, x in enumerate(row):
             position[x] = (r, c)
-    steps = chain_length(w) - 1
-    cur = list(range(w.M, w.M + w.n + 1))
-    seqs = [tuple(cur)]
-    for k in range(1, steps + 1):
-        r, i = position[k]
-        if i >= len(cur) or cur[i] != w.M + i + r:
+    cur = tuple(range(w.M, w.M + w.n + 1))
+    seqs = [cur]
+    for k in range(1, chain_length(w)):
+        cur = next((nd for nd, cell in _moves(cur, w) if cell == position[k]), None)
+        if cur is None:
             raise InvalidTableau(f"cell numbered {k} is not vacated at step {k}")
-        last = len(cur) - 1
-        if i == last and cur[i] == w.N + i:
-            if last - 1 < w.s_min:
-                raise InvalidTableau(f"step {k} would drop codimension below s_min")
-            cur.pop()
-        else:
-            if cur[i] + 1 > w.N + i or (i < last and cur[i] + 1 >= cur[i + 1]):
-                raise InvalidTableau(f"step {k} is not a valid raise")
-            cur[i] += 1
-        seqs.append(tuple(cur))
-    if cur != list(range(w.N, w.N + w.s_min + 1)):
-        raise InvalidTableau("chain does not end at the window maximum")
-    for c in range(w.s_min + 1):
-        if position[steps + 1 + (w.s_min - c)] != (w.rows - 1, c):
-            raise InvalidTableau("surviving cells must carry the last numbers, right to left")
+        seqs.append(cur)
     return Chain(tuple(pure_diagram(s, w.n) for s in seqs), w)
+
+
+def _row_major(cells, w: Window) -> tuple[int, ...]:
+    """Row-major numbering of the grid of a maximal chain from its vacated cells.
+
+    The survivors of the maximum are numbered last, bottom row right to left.
+    """
+    cols = w.n + 1
+    flat = [0] * w.grid_size
+    for k, (r, c) in enumerate(cells, 1):
+        flat[r * cols + c] = k
+    top = len(cells) + 1 + w.s_min
+    for c in range(w.s_min + 1):
+        flat[(w.rows - 1) * cols + c] = top - c
+    return tuple(flat)
 
 
 def tableau_from_chain(c: Chain) -> Tableau:
@@ -274,41 +276,59 @@ def tableau_from_chain(c: Chain) -> Tableau:
     if not c.is_maximal():
         raise ChainNotMaximal("tableau is defined for maximal chains only")
     w = c.window
-    grid = [[0] * (w.n + 1) for _ in range(w.rows)]
-    seqs = c.degree_sequences()
-    for k in range(1, len(seqs)):
-        a, b = seqs[k - 1], seqs[k]
-        if len(b) == len(a):
-            i = next(i for i in range(len(a)) if a[i] != b[i])
-        else:
-            i = len(a) - 1
-        grid[a[i] - i - w.M][i] = k
-    steps = len(seqs) - 1
-    for col in range(w.s_min + 1):
-        grid[w.rows - 1][col] = steps + 1 + (w.s_min - col)
-    return Tableau(tuple(tuple(r) for r in grid))
+    flat = _row_major(c.vacated, w)
+    cols = w.n + 1
+    return Tableau(tuple(flat[r * cols:(r + 1) * cols] for r in range(w.rows)))
 
 
-def _enumerate_chain_seqs(w: Window, limit: int | None):
-    start = tuple(range(w.M, w.M + w.n + 1))
-    found = []
-    stack = [(start, (start,))]
-    while stack:
-        cur, acc = stack.pop()
-        nxt = _moves(cur, w)
-        if not nxt:
-            found.append(acc)
-            if limit is not None and len(found) > limit:
-                raise WindowTooLarge(f"window has more than {limit} maximal chains")
+def _walk(w: Window, targets=(), limit: int | None = None):
+    """Lazily walk the maximal chains of w that pass through every target.
+
+    Depth-first over the moves of :func:`_moves`; yields the degree
+    sequences and the vacated cells of each chain.  ``targets`` is a chain
+    of degree sequences in w, and a branch is entered only while it lies
+    below the next target.  That pruning never dead-ends: an element x
+    strictly below a target t has a cover still below t (raise the largest
+    index with x_i < t_i when the lengths agree, otherwise raise the last
+    degree of x, or drop it on its ceiling).  So the first chain costs one
+    walk up the poset.  ``WindowTooLarge`` once more than ``limit`` chains
+    are found.
+    """
+    length = chain_length(w)
+    seqs, cells, passed = [None] * length, [None] * length, [0] * (length + 1)
+    pending = [iter(((tuple(range(w.M, w.M + w.n + 1)), None),))]
+    found = 0
+    while pending:
+        depth = len(pending) - 1
+        move = next(pending[-1], None)
+        if move is None:
+            pending.pop()
             continue
-        for nd, _ in nxt:
-            stack.append((nd, acc + (nd,)))
-    return found
+        d, cell = move
+        k = passed[depth]
+        if k < len(targets):
+            if not _below(d, targets[k]):
+                continue
+            if d == targets[k]:
+                k += 1
+        seqs[depth], cells[depth], passed[depth + 1] = d, cell, k
+        if depth + 1 < length:
+            pending.append(iter(_moves(d, w)))
+            continue
+        found += 1
+        if limit is not None and found > limit:
+            raise WindowTooLarge(f"more than {limit} maximal chains")
+        yield tuple(seqs), tuple(cells[1:])
+
+
+def _in_tableau_order(walk, w: Window) -> Iterator[Chain]:
+    for seqs, _ in sorted(walk, key=lambda item: _row_major(item[1], w)):
+        yield Chain(tuple(pure_diagram(s, w.n) for s in seqs), w)
 
 
 def count_maximal_chains(w: Window, limit: int | None = None) -> int:
     """Number of maximal chains, without materializing Chain objects."""
-    return len(_enumerate_chain_seqs(w, limit))
+    return sum(1 for _ in _walk(w, limit=limit))
 
 
 def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
@@ -318,45 +338,9 @@ def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     reading of their tableau numbering, lexicographically.  ``limit`` guards
     the enumeration (``WindowTooLarge`` beyond it).
     """
-    seqs = _enumerate_chain_seqs(w, limit)
-    chains = [Chain(tuple(pure_diagram(s, w.n) for s in seq), w) for seq in seqs]
-    chains.sort(key=lambda c: tableau_from_chain(c).row_major())
-    yield from chains
+    yield from _in_tableau_order(_walk(w, limit=limit), w)
 
 
 def complete_chain(c: Chain, limit: int | None = None) -> Iterator[Chain]:
     """All maximal chains of c's window containing c, in tableau order."""
-    w = c.window
-    targets = c.degree_sequences()
-    start = tuple(range(w.M, w.M + w.n + 1))
-    found = []
-
-    def admissible(seq, idx):
-        # still able to pass through targets[idx:]
-        if idx >= len(targets):
-            return True
-        t = targets[idx]
-        # seq must be <= t in the order
-        if len(seq) < len(t):
-            return False
-        return all(seq[i] <= t[i] for i in range(len(t)))
-
-    stack = [(start, (start,), 0)]
-    while stack:
-        cur, acc, idx = stack.pop()
-        if idx < len(targets) and cur == targets[idx]:
-            idx += 1
-        if not admissible(cur, idx):
-            continue
-        nxt = _moves(cur, w)
-        if not nxt:
-            if idx == len(targets):
-                found.append(acc)
-                if limit is not None and len(found) > limit:
-                    raise WindowTooLarge(f"more than {limit} completions")
-            continue
-        for nd, _ in nxt:
-            stack.append((nd, acc + (nd,), idx))
-    chains = [Chain(tuple(pure_diagram(s, w.n) for s in seq), w) for seq in found]
-    chains.sort(key=lambda ch: tableau_from_chain(ch).row_major())
-    yield from chains
+    yield from _in_tableau_order(_walk(c.window, c.degree_sequences(), limit), c.window)

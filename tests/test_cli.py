@@ -128,6 +128,11 @@ class TestChains:
         code, _, err = run_cli(capsys, "chains", "--n", "2", "--M", "0", "--N", "1")
         assert code == 2
         assert "BS_DECOMP_MAX_ENUM" in err
+        for bad in ("-5", "0", "abc"):
+            monkeypatch.setenv("BS_DECOMP_MAX_ENUM", bad)
+            code, _, err = run_cli(capsys, "chains", "--n", "2", "--M", "0", "--N", "1")
+            assert code == 2
+            assert f"BS_DECOMP_MAX_ENUM must be a positive integer, got {bad!r}" in err
 
 
 class TestFacets:
@@ -213,6 +218,13 @@ class TestMembership:
         doc = json.loads(out)
         assert doc["member"] is False
         assert doc["certificate"]["value"].startswith("-")
+
+    def test_negative_multiple_of_single_window_diagram_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "negative.json"
+        path.write_text('{"n": 2, "entries": [[0, 0, "-1"], [1, 1, "-2"], [2, 2, "-1"]]}')
+        code, out, _ = run_cli(capsys, "membership", str(path), "--format", "json")
+        assert code == 1
+        assert json.loads(out)["certificate"]["value"] == "-2"
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "membership", "/nonexistent/d.json")

@@ -229,6 +229,20 @@ class TestBettiDiagram:
         with pytest.raises(InvalidDiagram):
             BettiDiagram(2, {(0, 0): 0.5})
 
+    @pytest.mark.parametrize("value", ["1.5", "1e3", True, False])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: BettiDiagram(2, {(0, 0): v}),
+            lambda v: LaurentPolynomial({0: v}),
+            lambda v: BettiDiagram(2, {(0, 0): 1}).scaled(v),
+        ],
+        ids=["BettiDiagram", "LaurentPolynomial", "scaled"],
+    )
+    def test_rejects_inexact_scalars(self, make, value):
+        with pytest.raises(InvalidDiagram):
+            make(value)
+
     def test_rejects_out_of_range_column(self):
         with pytest.raises(IndexError):
             BettiDiagram(2, {(3, 3): 1})

@@ -167,6 +167,14 @@ class TestVerifyDecomposition:
             dec = greedy_decompose(b)
             assert verify_decomposition(dec, b)
 
+    def test_refines_without_enumerating_completions(self):
+        # window (4, 0, 3, 0) has 1,662,804 maximal chains through both terms
+        b = pure_diagram((0, 1, 2, 3, 4), 4).betti.scaled(24) + pure_diagram((3,), 4).betti
+        dec = greedy_decompose(b)
+        assert derived_window(b) == Window(4, 0, 3, 0)
+        assert len(dec) == 2
+        assert verify_decomposition(dec, b)
+
     def test_wrong_diagram_fails(self, quotient_diagram):
         dec = greedy_decompose(quotient_diagram)
         other = BettiDiagram(3, {(0, 0): 1})

@@ -238,8 +238,12 @@ class TestBoundaryFacets:
             grid = tuple(map(tuple, dual_functionals["matrices"][key]))
             assert grid in grids, f"matrix {key} missing from boundary facets"
 
-    def test_single_diagram_window_has_no_facets(self):
-        assert boundary_facets(Window(0, 0, 0, 0)) == []
+    def test_single_diagram_window_has_one_extremal_facet(self):
+        # the empty chain spans the zero cone, the facet of a one-ray fan
+        (facet,) = boundary_facets(Window(0, 0, 0, 0))
+        assert len(facet.remaining) == 0
+        assert facet.kind is FacetKind.EXTREMAL
+        assert classify_facet(facet.remaining) is FacetKind.EXTREMAL
 
     def test_facet_count_matches_brute_force(self):
         w = Window(2, 0, 1, 0)
@@ -265,9 +269,9 @@ class TestConvexity:
             report = verify_fan_convexity(w)
             assert report.passed, report.counterexample
 
-    def test_degenerate_window_passes_vacuously(self):
+    def test_degenerate_window_checks_its_one_facet(self):
         report = verify_fan_convexity(Window(0, 0, 0, 0))
-        assert report.passed and report.facets_checked == 0
+        assert report.passed and report.facets_checked == 1
 
     def test_translation_invariance_spot_check(self):
         for M in (-2, 1):
@@ -296,6 +300,14 @@ class TestMembership:
         assert not result.member
         assert result.value < 0
         assert evaluate(result.violated.functional, broken) == result.value
+
+    def test_negative_multiple_of_single_window_diagram_is_not_member(self):
+        b = BettiDiagram(2, {(0, 0): -1, (1, 1): -2, (2, 2): -1})  # -2 * pi(0, 1, 2)
+        w = derived_window(b)
+        assert w == Window(2, 0, 0, 2)
+        result = membership_by_inequalities(b, w)
+        assert not result.member
+        assert result.value == -2
 
     def test_requires_subspace(self, quotient_diagram):
         with pytest.raises(NotInSubspace):

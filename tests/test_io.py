@@ -210,7 +210,9 @@ class TestRationalTokens:
     def test_round_trip(self, token):
         assert format_rational(parse_rational(token)) == token
 
-    @pytest.mark.parametrize("token", ["1.5", "1e3", "1/0x2", "", "/3", "2/", "1/0"])
+    @pytest.mark.parametrize(
+        "token", ["1.5", "1e3", "1/0x2", "", "/3", "2/", "1/0", "5\n", "\u0663"]
+    )
     def test_rejects_non_rationals(self, token):
         with pytest.raises(ValueError):
             parse_rational(token)

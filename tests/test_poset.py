@@ -210,6 +210,19 @@ class TestTableauBijection:
                         t = tableau_from_chain(c)
                         assert seqs(chain_from_tableau(t, w)) == seqs(c)
 
+    def test_every_numbering_fits_codimension_zero(self):
+        # the survivors at s_min carry the numbers of the drops down to pi(N)
+        checked = 0
+        for n in range(0, 4):
+            for width in range(0, 3):
+                for s_min in range(0, n + 1):
+                    full = Window(n, 0, width, 0)
+                    for c in maximal_chains(Window(n, 0, width, s_min)):
+                        longer = chain_from_tableau(tableau_from_chain(c), full)
+                        assert seqs(longer)[: len(c)] == seqs(c)
+                        checked += 1
+        assert checked == 939
+
     def test_invalid_numberings_rejected(self):
         w = Window(2, 0, 1)
         with pytest.raises(InvalidTableau):
