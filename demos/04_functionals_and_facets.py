@@ -15,7 +15,6 @@ from bettidecomp import (
     boundary_facets,
     chain_from_tableau,
     coefficient_functional,
-    evaluate,
     membership_by_inequalities,
     parse_diagram,
     verify_fan_convexity,
@@ -34,9 +33,9 @@ for row in f5.grid():
 
 fixture = Path(__file__).resolve().parent.parent / "fixtures" / "quotient_x2_xy_xz2.json"
 quotient = parse_diagram(fixture.read_text(), "json")
-print("applied to the quotient diagram:", evaluate(f5, quotient))  # 6
+print("applied to the quotient diagram:", f5(quotient))  # 6
 
-# Boundary facets of the fan, by kind:
+# Boundary facets of the fan, one per distinct hyperplane, by kind:
 facets = boundary_facets(w)
 by_kind = {}
 for facet in facets:

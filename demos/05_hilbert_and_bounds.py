@@ -11,7 +11,6 @@ from pathlib import Path
 from bettidecomp import (
     BettiDiagram,
     check_monotonicity,
-    expand_series,
     hilbert_series,
     multiplicity,
     multiplicity_bounds,
@@ -26,7 +25,7 @@ quotient = parse_diagram(fixture.read_text(), "json")
 
 h = hilbert_series(quotient)
 print("numerator:", h.numerator)
-print("hilbert function:", [str(v) for v in expand_series(h, 8)])
+print("hilbert function:", [str(v) for v in h.expand(8)])
 print("multiplicity:", multiplicity(quotient))
 
 sb = shift_bounds(quotient)

@@ -36,7 +36,6 @@ from .functionals import (
     classify_facet,
     coefficient_functional,
     derived_window,
-    evaluate,
     expand_in_chain,
     membership_by_inequalities,
     verify_fan_convexity,
@@ -47,7 +46,6 @@ from .hilbert import (
     MonotonicityReport,
     ShiftBounds,
     check_monotonicity,
-    expand_series,
     hilbert_series,
     multiplicity,
     multiplicity_bounds,
@@ -108,9 +106,7 @@ __all__ = [
     "emit_diagram",
     "emit_report",
     "errors",
-    "evaluate",
     "expand_in_chain",
-    "expand_series",
     "greedy_decompose",
     "hilbert_series",
     "hk_residuals",

@@ -11,8 +11,8 @@ Diagrams are read from a file path or stdin (``-``); the input format is
 sniffed (JSON starts with ``{``) unless ``--input-format`` forces it.
 ``--format json|table`` selects the output flavour and defaults to json
 when stdout is a pipe, table on a terminal.  ``BS_DECOMP_MAX_ENUM`` caps
-enumeration sizes (default 1000000 chains); any value other than a positive
-integer is a usage error.
+only the maximal chains of ``chains`` (default 1000000); any value other
+than a positive integer is a usage error.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_window_args(p)
     p.add_argument("--count-only", action="store_true")
 
-    p = sub.add_parser("facets", parents=[common], help="boundary facets of the fan of a window")
+    p = sub.add_parser("facets", parents=[common], help="distinct boundary hyperplanes of the fan of a window")
     _add_window_args(p)
 
     p = sub.add_parser("verify-fan", parents=[common], help="check convexity of the fan of a window")
@@ -273,7 +273,7 @@ def _cmd_facets(args, fmt):
             "case": facet.functional.case,
             "grid": facet.functional.grid(),
         }
-        for facet in boundary_facets(w, _max_enum())
+        for facet in boundary_facets(w)
     ]
     _print_struct(payload, fmt)
     return 0
@@ -281,7 +281,7 @@ def _cmd_facets(args, fmt):
 
 def _cmd_verify_fan(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
-    report = verify_fan_convexity(w, _max_enum())
+    report = verify_fan_convexity(w)
     _print_struct(report, fmt)
     return 0 if report.passed else _NEGATIVE
 
@@ -320,7 +320,7 @@ def _cmd_check_hk(args, fmt):
 def _cmd_membership(args, fmt):
     b = _load_diagram(args.diagram, args.input_format)
     w = derived_window(b)
-    result = membership_by_inequalities(b, w, _max_enum())
+    result = membership_by_inequalities(b, w)
     payload = {
         "window": w,
         "member": result.member,

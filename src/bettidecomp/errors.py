@@ -62,6 +62,10 @@ class NotAChain(BettiError):
     """Elements are not totally ordered."""
 
 
+class InvariantViolated(BettiError):
+    """A construction broke one of its own invariants (a defect, not bad input)."""
+
+
 class NotInCone(BettiError):
     """Diagram is not a positive combination of a chain of pure diagrams.
 

@@ -22,10 +22,13 @@ above ``pi2`` from the truncation.  Degenerate configurations (extremal
 followed by a drop) collapse to a single scaled Betti number.
 
 Every coefficient is an integer, so integer diagrams expand with integer
-coordinates.  The boundary facets of the simplicial fan spanned by the
-chains are the triples with a unique completion; their functionals are
-nonnegative on the whole fan (convexity), which turns cone membership into
-a finite list of inequalities with an explicit violation certificate.
+coordinates.  A maximal chain minus one element is a boundary facet of the
+fan spanned by the chains when the cover triple around the gap has a unique
+middle.  Every cover triple lies on some maximal chain, so the facet
+hyperplanes are the functionals of the boundary cover triples, found
+without enumerating chains.  They are nonnegative on the whole fan
+(convexity): cone membership is a finite list of inequalities with an
+explicit violation certificate.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ from .core import (
 )
 from .errors import (
     ChainNotMaximal,
+    InvariantViolated,
     NotACoverTriple,
     NotInSubspace,
     WindowMismatch,
 )
-from .poset import Chain, Window, chain_length, maximal_chains
+from .poset import Chain, Window, chain_length
 from .poset import _moves as _cover_moves
 
 
@@ -110,11 +114,6 @@ class Functional:
         return total
 
 
-def evaluate(f: Functional, b: BettiDiagram) -> Fraction:
-    """Pair a functional with a diagram; exact, integer on integer diagrams."""
-    return f(b)
-
-
 def _step(down: PureDiagram, up: PureDiagram, w: Window):
     """The cover move down -> up as ("raise" or "drop", column it vacates)."""
     a, b = tuple(down.degrees), tuple(up.degrees)
@@ -132,9 +131,9 @@ def _truncation_limits(p0: PureDiagram, w: Window) -> list[int]:
 
 def _indicator(p1: PureDiagram, pos: tuple[int, int], w: Window, anchor):
     value = p1.betti[pos]
-    scale = Fraction(1) / value
-    assert scale.denominator == 1 and scale > 0
-    return Functional(w, ((pos, int(scale)),), FunctionalCase.ENTRY, anchor)
+    if value <= 0 or value.numerator != 1:
+        raise InvariantViolated(f"entry {pos} of {p1!r} is {value}, not a unit fraction")
+    return Functional(w, ((pos, value.denominator),), FunctionalCase.ENTRY, anchor)
 
 
 def _from_formula(case, p1, prefactor, product_indices, limits, w, anchor):
@@ -150,7 +149,8 @@ def _from_formula(case, p1, prefactor, product_indices, limits, w, anchor):
             if value:
                 coeffs.append(((i, deg), value))
     f = Functional(w, tuple(sorted(coeffs)), case, anchor)
-    assert f(p1.betti) == 1
+    if f(p1.betti) != 1:
+        raise InvariantViolated(f"{case.value} formula is {f(p1.betti)} on {p1!r}, not 1")
     return f
 
 
@@ -305,15 +305,15 @@ def classify_facet(c: Chain) -> FacetKind:
     if not middles:
         raise ChainNotMaximal(f"no element fits between {a!r} and {b!r}")
     kind = _is_boundary_triple(a, middles[0], b, w)
-    assert kind is not FacetKind.INTERIOR
+    if kind is FacetKind.INTERIOR:
+        raise InvariantViolated(f"{a!r} < {middles[0]!r} < {b!r} has one middle but reads interior")
     return kind
 
 
 @dataclass(frozen=True)
 class BoundaryFacet:
-    """A boundary facet of the fan: a maximal chain minus one element."""
+    """A boundary hyperplane of the fan and the triple middle it is read from."""
 
-    remaining: Chain
     removed: PureDiagram
     kind: FacetKind
     functional: Functional
@@ -338,43 +338,43 @@ def _is_boundary_triple(a, mid, b, w) -> FacetKind:
     return FacetKind.CODIMENSION_TWICE
 
 
-@lru_cache(maxsize=None)
-def _boundary_facets_cached(w: Window, limit: int | None) -> tuple[BoundaryFacet, ...]:
-    seen = set()
-    out = []
-    for chain in maximal_chains(w, limit):
-        K = len(chain)
-        for r in range(K):
-            if 0 < r < K - 1:
-                kind = _is_boundary_triple(chain[r - 1], chain[r], chain[r + 1], w)
-                if kind is FacetKind.INTERIOR:
-                    continue
-            else:
-                kind = FacetKind.EXTREMAL
-            remaining = chain.elements[:r] + chain.elements[r + 1:]
-            key = frozenset(p.degrees for p in remaining)
-            if key in seen:
-                continue
-            seen.add(key)
-            f = coefficient_functional(
-                chain[r - 1] if r > 0 else None,
-                chain[r],
-                chain[r + 1] if r < K - 1 else None,
-                w,
-            )
-            out.append(
-                BoundaryFacet(Chain(remaining, w), chain[r], kind, f)
-            )
-    return tuple(out)
+@lru_cache(maxsize=64)
+def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
+    # None stands below min and above max: the extremal triples are
+    # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
+    facets = {}
+
+    def keep(p0, p1, p2, kind):
+        f = coefficient_functional(p0, p1, p2, w)
+        facets.setdefault(f.coefficients, BoundaryFacet(p1, kind, f))
+
+    lo, hi = w.min_element(), w.max_element()
+    if lo == hi:
+        keep(None, lo, None, FacetKind.EXTREMAL)
+    for p0 in w.pure_diagrams():
+        for d1, _ in _cover_moves(tuple(p0.degrees), w):
+            p1 = pure_diagram(d1, w.n)
+            if p0 == lo:
+                keep(None, p0, p1, FacetKind.EXTREMAL)
+            if p1 == hi:
+                keep(p0, p1, None, FacetKind.EXTREMAL)
+            for d2, _ in _cover_moves(d1, w):
+                p2 = pure_diagram(d2, w.n)
+                kind = _is_boundary_triple(p0, p1, p2, w)
+                if kind is not FacetKind.INTERIOR:
+                    keep(p0, p1, p2, kind)
+    return tuple(facets.values())
 
 
-def boundary_facets(w: Window, limit: int | None = 1_000_000) -> list[BoundaryFacet]:
-    """All boundary facets of the fan of the window, deduplicated.
+def boundary_facets(w: Window) -> list[BoundaryFacet]:
+    """One boundary facet per distinct hyperplane of the fan of the window.
 
-    Order is deterministic: maximal chains in tableau order, removal
-    position ascending, first occurrence kept.
+    Read off the cover triples with a unique middle, without enumerating
+    chains.  Order is deterministic: p0 over ``w.pure_diagrams()``, then its
+    covers p1 (the extremal triples of p1 first), then the covers p2 of p1;
+    the first triple of each hyperplane supplies ``removed`` and ``kind``.
     """
-    return list(_boundary_facets_cached(w, limit))
+    return list(_boundary_facets_cached(w))
 
 
 @dataclass(frozen=True)
@@ -386,14 +386,15 @@ class ConvexityReport:
     counterexample: tuple[BoundaryFacet, PureDiagram, Fraction] | None
 
 
-def verify_fan_convexity(w: Window, limit: int | None = 1_000_000) -> ConvexityReport:
+def verify_fan_convexity(w: Window) -> ConvexityReport:
     """Check that every boundary functional is >= 0 on every pure diagram.
 
-    This is the desk-scale, extensional form of convexity of the fan; it
-    enumerates boundary facets and window diagrams exhaustively, so the
-    window must be small (``WindowTooLarge`` beyond ``limit`` chains).
+    This is the extensional form of convexity of the fan: each distinct
+    hyperplane of :func:`boundary_facets` is evaluated on each pure diagram
+    of the window, no chain is enumerated, and ``facets_checked`` counts
+    distinct hyperplanes.
     """
-    facets = boundary_facets(w, limit)
+    facets = boundary_facets(w)
     diagrams = list(w.pure_diagrams())
     for facet in facets:
         for p in diagrams:
@@ -413,18 +414,16 @@ class MembershipResult:
         return self.member
 
 
-def membership_by_inequalities(
-    b: BettiDiagram, w: Window, limit: int | None = 1_000_000
-) -> MembershipResult:
+def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
     """Decide cone membership by the boundary-facet inequalities.
 
     The diagram must be supported in the window and satisfy its ``s_min``
-    Herzog-Kuhl equations.  Member exactly when every boundary functional is
-    nonnegative; otherwise the first violated facet (in enumeration order)
-    is returned as certificate.
+    Herzog-Kuhl equations.  Member exactly when every distinct hyperplane of
+    :func:`boundary_facets` (no chain is enumerated) is nonnegative on it;
+    otherwise the first violated facet in that order is the certificate.
     """
     _check_in_subspace(b, w)
-    for facet in boundary_facets(w, limit):
+    for facet in boundary_facets(w):
         value = facet.functional(b)
         if value < 0:
             return MembershipResult(False, facet, value)

@@ -117,11 +117,6 @@ def hilbert_series(b: BettiDiagram) -> HilbertSeries:
     return HilbertSeries(numerator_polynomial(b), b.n)
 
 
-def expand_series(h: HilbertSeries, depth: int) -> list[Fraction]:
-    """Coefficients h_0 .. h_depth of the power-series expansion at 0."""
-    return h.expand(depth)
-
-
 def multiplicity(b: BettiDiagram) -> Fraction:
     """e = Q(1) where S(b, t) = (1 - t)^s Q(t) with s maximal.
 

@@ -1,4 +1,5 @@
-"""Independent oracles: exact linear algebra and translation equivariance.
+"""Independent oracles: exact linear algebra, translation equivariance and
+three routes to cone membership.
 
 In a full window (s_min = 0) a maximal chain is a basis of the whole grid
 space, so its dual basis is unique.  Solving for it with plain Gaussian
@@ -11,14 +12,22 @@ from fractions import Fraction
 
 from bettidecomp import (
     BettiDiagram,
+    Chain,
     Window,
     chain_from_tableau,
+    chain_length,
     coefficient_functional,
+    derived_window,
+    expand_in_chain,
     greedy_decompose,
+    leq,
     maximal_chains,
+    membership_by_inequalities,
     pure_diagram,
     tableau_from_chain,
 )
+from bettidecomp.errors import InvalidDiagram, NotInCone
+from bettidecomp.poset import _moves
 
 
 def invert_exact(matrix):
@@ -136,3 +145,58 @@ class TestTranslationEquivariance:
                         )
                         sink.append(tuple(map(tuple, f.grid())))
             assert base_grids == shifted_grids
+
+
+def random_maximal_chain(rng, w, through=()):
+    """A random walk up the covers of w from its minimum to its maximum,
+    passing through the increasing pure diagrams ``through``."""
+    cur = w.min_element()
+    elements = [cur]
+    for target in [*through, w.max_element()]:
+        while cur != target:
+            ups = [pure_diagram(d, w.n) for d, _ in _moves(tuple(cur.degrees), w)]
+            cur = rng.choice([p for p in ups if leq(p, target)])
+            elements.append(cur)
+    assert len(elements) == chain_length(w)
+    return Chain(tuple(elements), w)
+
+
+def greedy_verdict(b):
+    try:
+        return greedy_decompose(b)
+    except (NotInCone, InvalidDiagram):  # a negative entry is not in the cone
+        return None
+
+
+class TestMembershipRoutesAgree:
+    def test_greedy_inequalities_and_chain_expansion_up_to_n6(self):
+        """Greedy decomposition, the boundary-hyperplane inequalities (in the
+        sampling window and in the diagram's own window) and expansion in a
+        maximal chain through the greedy chain agree on random members and
+        on near-misses that push one chain coordinate below zero."""
+        rng = random.Random(2008)
+        verdicts = {True: 0, False: 0}
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            M = rng.randint(-1, 1)
+            w = Window(n, M, M + rng.randint(1, 2), rng.randint(0, n))
+            chain = random_maximal_chain(rng, w)
+            picked = sorted(rng.sample(range(len(chain)), rng.randint(1, min(4, len(chain)))))
+            coeffs = {k: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for k in picked}
+            b = BettiDiagram(n, {})
+            for k, c in coeffs.items():
+                b = b + chain[k].betti.scaled(c)
+            assert list(greedy_decompose(b).terms) == [(coeffs[k], chain[k]) for k in picked]
+            k = rng.randrange(len(chain))
+            near = b - chain[k].betti.scaled(coeffs.get(k, 0) + Fraction(1, rng.randint(1, 5)))
+            assert expand_in_chain(near, chain)[k] < 0
+            for x in (b, near):
+                dec = greedy_verdict(x)
+                for window in (w, derived_window(x)):
+                    assert membership_by_inequalities(x, window).member == (dec is not None)
+                if dec is not None:
+                    refined = random_maximal_chain(rng, w, dec.diagrams())
+                    expected = dict(zip(dec.diagrams(), dec.coefficients()))
+                    assert expand_in_chain(x, refined) == [expected.get(p, 0) for p in refined]
+                verdicts[dec is not None] += 1
+        assert verdicts[True] >= 60 and verdicts[False] >= 30  # both sides exercised

@@ -17,15 +17,16 @@ from bettidecomp import (
     classify_facet,
     coefficient_functional,
     complete_chain,
-    evaluate,
     expand_in_chain,
     leq,
     maximal_chains,
     membership_by_inequalities,
+    normalize,
     pure_diagram,
     verify_fan_convexity,
 )
-from bettidecomp.errors import NotACoverTriple, NotInSubspace, WindowMismatch
+from bettidecomp import functionals
+from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace, WindowMismatch
 from bettidecomp.functionals import derived_window
 
 
@@ -45,6 +46,26 @@ def triple_functionals(chain, w):
             chain[k] if k <= K - 1 else None,
             w,
         )
+    return out
+
+
+def chain_sweep(w):
+    """Functional coefficients -> {(removed, kind)} over all boundary facets
+    found by removing each element of each maximal chain."""
+    out = {}
+    for chain in maximal_chains(w):
+        K = len(chain)
+        for r in range(K):
+            kind = classify_facet(Chain(chain.elements[:r] + chain.elements[r + 1 :], w))
+            if kind is FacetKind.INTERIOR:
+                continue
+            f = coefficient_functional(
+                chain[r - 1] if r > 0 else None,
+                chain[r],
+                chain[r + 1] if r < K - 1 else None,
+                w,
+            )
+            out.setdefault(f.coefficients, set()).add((chain[r], kind))
     return out
 
 
@@ -136,12 +157,12 @@ class TestEvaluate:
         funcs = triple_functionals(chain, w)
         expected = dual_functionals["example_evaluations"]["values"]
         for key, value in expected.items():
-            assert evaluate(funcs[int(key)], quotient_diagram) == Fraction(value)
+            assert funcs[int(key)](quotient_diagram) == Fraction(value)
 
     def test_zero_diagram(self, dual_functionals):
         chain, w = chain12(dual_functionals)
         f = triple_functionals(chain, w)[7]
-        assert evaluate(f, BettiDiagram(3, {})) == 0
+        assert f(BettiDiagram(3, {})) == 0
 
 
 class TestExpandInChain:
@@ -240,27 +261,29 @@ class TestBoundaryFacets:
 
     def test_single_diagram_window_has_one_extremal_facet(self):
         # the empty chain spans the zero cone, the facet of a one-ray fan
-        (facet,) = boundary_facets(Window(0, 0, 0, 0))
-        assert len(facet.remaining) == 0
+        w = Window(0, 0, 0, 0)
+        (facet,) = boundary_facets(w)
         assert facet.kind is FacetKind.EXTREMAL
-        assert classify_facet(facet.remaining) is FacetKind.EXTREMAL
+        assert facet.removed == w.min_element() == w.max_element()
+        assert facet.functional(facet.removed.betti) == 1
+        assert classify_facet(Chain((), w)) is FacetKind.EXTREMAL
 
-    def test_facet_count_matches_brute_force(self):
-        w = Window(2, 0, 1, 0)
-        seen = set()
-        for chain in maximal_chains(w):
-            for k in range(len(chain)):
-                partial = Chain(chain.elements[:k] + chain.elements[k + 1 :], w)
-                if len(list(complete_chain(partial))) == 1:
-                    seen.add(partial.degree_sequences())
-        facets = boundary_facets(w)
-        assert len(facets) == len(seen)
-        assert {f.remaining.degree_sequences() for f in facets} == seen
+    def test_local_hyperplanes_match_chain_sweep(self):
+        """Oracle: every maximal chain minus each element, classified by
+        counting middles, gives exactly the local hyperplane set."""
+        windows = [Window(n, 0, width, s) for n in range(4) for width in range(3) for s in range(n + 1)]
+        windows += [Window(4, 0, width, s) for width in range(2) for s in range(5)]
+        for w in windows:
+            facets = boundary_facets(w)
+            swept = chain_sweep(w)
+            assert {f.functional.coefficients for f in facets} == set(swept), w
+            assert len({f.functional.coefficients for f in facets}) == len(facets), w
+            for f in facets:
+                assert (f.removed, f.kind) in swept[f.functional.coefficients], w
 
-    def test_deduplicated(self):
-        w = Window(2, 0, 1, 0)
-        keys = [f.remaining.degree_sequences() for f in boundary_facets(w)]
-        assert len(keys) == len(set(keys))
+    def test_window_with_24024_chains(self):
+        # the chain sweep took about 40 s here
+        assert len(boundary_facets(Window(3, 0, 3, 0))) == 119
 
 
 class TestConvexity:
@@ -277,6 +300,12 @@ class TestConvexity:
         for M in (-2, 1):
             report = verify_fan_convexity(Window(2, M, M + 1, 0))
             assert report.passed
+
+    def test_window_beyond_chain_enumeration(self):
+        # 1,662,804 maximal chains: more than the old enumeration cap
+        report = verify_fan_convexity(Window(4, 0, 3, 0))
+        assert report.passed, report.counterexample
+        assert report.facets_checked == 242
 
 
 class TestMembership:
@@ -299,7 +328,7 @@ class TestMembership:
         result = membership_by_inequalities(broken, w)
         assert not result.member
         assert result.value < 0
-        assert evaluate(result.violated.functional, broken) == result.value
+        assert result.violated.functional(broken) == result.value
 
     def test_negative_multiple_of_single_window_diagram_is_not_member(self):
         b = BettiDiagram(2, {(0, 0): -1, (1, 1): -2, (2, 2): -1})  # -2 * pi(0, 1, 2)
@@ -316,3 +345,37 @@ class TestMembership:
     def test_requires_window_support(self, quotient_diagram):
         with pytest.raises(WindowMismatch):
             membership_by_inequalities(quotient_diagram, Window(3, 0, 1, 1))
+
+
+class TestInvariantsRaise:
+    """Internal invariants raise under ``python -O`` too."""
+
+    def test_indicator_needs_a_unit_fraction(self):
+        w = Window(3, 0, 5, 0)
+        normalized = normalize(pure_diagram((0, 2, 3, 5), 3))  # entry 5 at (1, 2)
+        with pytest.raises(InvariantViolated):
+            functionals._indicator(normalized, (1, 2), w, (None, None, None))
+        with pytest.raises(InvariantViolated):
+            functionals._indicator(pure_diagram((0, 2, 3, 5), 3), (1, 3), w, (None, None, None))
+
+    def test_formula_must_be_one_on_its_element(self):
+        # pi(2, 3, 4, 5) < pi(2, 3, 4) < pi(2, 3): two drops, the fourth formula
+        w = Window(3, 0, 2, 0)
+        p0, p1, p2 = pure_diagram((2, 3, 4, 5), 3), pure_diagram((2, 3, 4), 3), pure_diagram((2, 3), 3)
+        limits = functionals._truncation_limits(p0, w)
+        args = (FunctionalCase.FOURTH, p1, 1, range(2), limits, w, (p0, p1, p2))
+        assert functionals._from_formula(*args)(p1.betti) == 1
+        with pytest.raises(InvariantViolated):
+            functionals._from_formula(FunctionalCase.FOURTH, p1, 2, *args[3:])
+
+    def test_unique_middle_must_not_read_interior(self, monkeypatch):
+        # pi(0, 2, 3, 4) < pi(1, 2, 3) has two middles, an interior gap;
+        # reporting only one of them breaks the classification invariant
+        w = Window(3, 0, 1, 0)
+        chain = next(c for c in maximal_chains(w) if c[4].degrees == (1, 2, 3, 4) and c[5].degrees == (1, 2, 3))
+        partial = Chain(chain.elements[:4] + chain.elements[5:], w)
+        assert classify_facet(partial) is FacetKind.INTERIOR
+        real = functionals._middles
+        monkeypatch.setattr(functionals, "_middles", lambda a, c, w: real(a, c, w)[:1])
+        with pytest.raises(InvariantViolated):
+            classify_facet(partial)

@@ -13,7 +13,6 @@ from bettidecomp import (
     LaurentPolynomial,
     Window,
     check_monotonicity,
-    expand_series,
     hilbert_series,
     maximal_chains,
     multiplicity,
@@ -89,7 +88,7 @@ class TestExpandSeries:
         gens = [(2, 0, 0), (1, 1, 0), (1, 0, 2)]
         expected = [monomial_count_oracle(gens, d) for d in range(9)]
         assert expected[:4] == [1, 3, 4, 4]
-        assert expand_series(hilbert_series(quotient_diagram), 8) == expected
+        assert hilbert_series(quotient_diagram).expand(8) == expected
 
     def test_geometric_series(self):
         h = HilbertSeries(LaurentPolynomial({0: 1}), 1)
@@ -97,7 +96,7 @@ class TestExpandSeries:
 
     def test_normalized_pure_convolution(self):
         nd = normalize(pure_diagram((0, 2, 3, 5), 3))
-        coeffs = expand_series(hilbert_series(nd.betti), 8)
+        coeffs = hilbert_series(nd.betti).expand(8)
         # direct convolution oracle of 1 - 5t^2 + 5t^3 - t^5 with C(k+2, 2)
         poly = {0: 1, 2: -5, 3: 5, 5: -1}
         expected = [
