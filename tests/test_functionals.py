@@ -268,6 +268,32 @@ class TestBoundaryFacets:
         assert facet.functional(facet.removed.betti) == 1
         assert classify_facet(Chain((), w)) is FacetKind.EXTREMAL
 
+    def test_facet_count_matches_brute_force(self):
+        # a partial chain with one completion spans a boundary facet; its
+        # hyperplane is the dual functional of the element it lacks
+        w = Window(2, 0, 1, 0)
+        seen = set()
+        for chain in maximal_chains(w):
+            K = len(chain)
+            for k in range(K):
+                partial = Chain(chain.elements[:k] + chain.elements[k + 1 :], w)
+                if len(list(complete_chain(partial))) == 1:
+                    f = coefficient_functional(
+                        chain[k - 1] if k > 0 else None,
+                        chain[k],
+                        chain[k + 1] if k < K - 1 else None,
+                        w,
+                    )
+                    seen.add(f.coefficients)
+        facets = boundary_facets(w)
+        assert len(facets) == len(seen)
+        assert {f.functional.coefficients for f in facets} == seen
+
+    def test_deduplicated(self):
+        w = Window(2, 0, 1, 0)
+        keys = [f.functional.coefficients for f in boundary_facets(w)]
+        assert len(keys) == len(set(keys))
+
     def test_local_hyperplanes_match_chain_sweep(self):
         """Oracle: every maximal chain minus each element, classified by
         counting middles, gives exactly the local hyperplane set."""
