@@ -4,7 +4,8 @@
 # a unique minimum and maximum.  Maximal chains all have the same length,
 # and correspond bijectively to numberings of the display grid that
 # increase to the left and downwards (the order in which grid cells are
-# vacated on the way up).
+# vacated on the way up).  So the chains are counted by the hook-length
+# formula, without listing them.
 
 from bettidecomp import (
     Window,
@@ -43,3 +44,7 @@ print("round trip ok:", tableau_from_chain(chain) == t)
 big = Window(n=3, M=0, N=2, s_min=0)
 print("n=3, rows [0, 2]: chain length", chain_length(big),
       "with", count_maximal_chains(big), "maximal chains")
+
+# The count needs no enumeration, however many chains there are:
+huge = Window(n=6, M=0, N=5, s_min=0)
+print("n=6, rows [0, 5]:", count_maximal_chains(huge), "maximal chains")  # 9490348077234178440

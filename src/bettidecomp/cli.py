@@ -11,13 +11,15 @@ Diagrams are read from a file path or stdin (``-``); the input format is
 sniffed (JSON starts with ``{``) unless ``--input-format`` forces it.
 ``--format json|table`` selects the output flavour and defaults to json
 when stdout is a pipe, table on a terminal.  ``BS_DECOMP_MAX_ENUM`` caps
-only the maximal chains of ``chains`` (default 1000000); any value other
-than a positive integer is a usage error.
+only the maximal chains that ``chains`` lists (default 1000000); any value
+other than a positive integer is a usage error.  ``chains --count-only``
+prints the hook-length count, enumerates nothing and reads no cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -127,7 +129,10 @@ def _add_window_args(sub, with_s=True):
         sub.add_argument("--s", type=int, default=0, help="minimal codimension (default 0)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args returns a fresh namespace per call,
+    # and argparse looks up sys.stdout/sys.stderr only when it prints
     parser = argparse.ArgumentParser(
         prog="bettidecomp",
         description="Exact decomposition of Betti diagrams into chains of pure diagrams.",
@@ -160,7 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chains", parents=[common], help="enumerate the maximal chains of a window")
     _add_window_args(p)
-    p.add_argument("--count-only", action="store_true")
+    p.add_argument(
+        "--count-only", action="store_true", help="print the hook-length count, list no chain"
+    )
 
     p = sub.add_parser("facets", parents=[common], help="distinct boundary hyperplanes of the fan of a window")
     _add_window_args(p)
@@ -255,11 +262,10 @@ def _cmd_expand(args, fmt):
 
 def _cmd_chains(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
-    cap = _max_enum()
     if args.count_only:
-        print(count_maximal_chains(w, cap))
+        print(count_maximal_chains(w))
         return 0
-    chains = [[list(p.degrees) for p in c.elements] for c in maximal_chains(w, cap)]
+    chains = [[list(p.degrees) for p in c.elements] for c in maximal_chains(w, _max_enum())]
     _print_struct(chains, fmt)
     return 0
 

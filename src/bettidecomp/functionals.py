@@ -114,12 +114,20 @@ class Functional:
         return total
 
 
+def _steps(d: tuple, w: Window):
+    """Covers of pi(d) as (degrees, ("raise" or "drop", column it vacates))."""
+    return [
+        (nd, ("drop" if len(nd) < len(d) else "raise", col))
+        for nd, (_, col) in _cover_moves(d, w)
+    ]
+
+
 def _step(down: PureDiagram, up: PureDiagram, w: Window):
     """The cover move down -> up as ("raise" or "drop", column it vacates)."""
-    a, b = tuple(down.degrees), tuple(up.degrees)
-    for nd, (_, col) in _cover_moves(a, w):
+    b = tuple(up.degrees)
+    for nd, move in _steps(tuple(down.degrees), w):
         if nd == b:
-            return ("drop" if len(nd) < len(a) else "raise"), col
+            return move
     raise NotACoverTriple(f"{down!r} -> {up!r} is not a cover move in {w}")
 
 
@@ -170,41 +178,41 @@ def coefficient_functional(
         raise NotACoverTriple("middle element of the triple must be a pure diagram")
     if not w.contains(p1):
         raise WindowMismatch(f"{p1!r} is not a valid diagram of {w}")
+    if p0 is None:
+        if p1 != w.min_element():
+            raise NotACoverTriple("bottom sentinel is only valid below the window minimum")
+    elif not w.contains(p0):
+        raise WindowMismatch(f"{p0!r} is not a valid diagram of {w}")
+    if p2 is None:
+        if p1 != w.max_element():
+            raise NotACoverTriple("top sentinel is only valid above the window maximum")
+    elif not w.contains(p2):
+        raise WindowMismatch(f"{p2!r} is not a valid diagram of {w}")
+    down = None if p0 is None else _step(p0, p1, w)
+    up = None if p2 is None else _step(p1, p2, w)
+    return _functional(p0, p1, p2, down, up, w)
+
+
+def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
+    """Dual functional of p1 from its cover moves ``down`` (p0 -> p1) and
+    ``up`` (p1 -> p2), each ("raise" or "drop", column) or None at a sentinel."""
     anchor = (p0, p1, p2)
     m = p1.codimension
     d = p1.degrees
 
-    if p0 is None:
-        if p1 != w.min_element():
-            raise NotACoverTriple("bottom sentinel is only valid below the window minimum")
-        if p2 is None:
-            if p1 != w.max_element():
-                raise NotACoverTriple("top sentinel is only valid above the window maximum")
-            return _indicator(p1, (0, d[0]), w, anchor)
-        if not w.contains(p2):
-            raise WindowMismatch(f"{p2!r} is not a valid diagram of {w}")
-        _, col = _step(p1, p2, w)
+    if down is None:
+        col = 0 if up is None else up[1]
         return _indicator(p1, (col, d[col]), w, anchor)
+    down_kind, down_col = down
 
-    if not w.contains(p0):
-        raise WindowMismatch(f"{p0!r} is not a valid diagram of {w}")
-
-    if p2 is None:
-        if p1 != w.max_element():
-            raise NotACoverTriple("top sentinel is only valid above the window maximum")
-        kind, col = _step(p0, p1, w)
-        if kind == "raise":
+    if up is None:
+        if down_kind == "raise":
             # a raise into the maximum is only possible in column 0
             return _indicator(p1, (0, d[0]), w, anchor)
         return _from_formula(
             FunctionalCase.FOURTH, p1, 1, range(m), _truncation_limits(p0, w), w, anchor
         )
-
-    if not w.contains(p2):
-        raise WindowMismatch(f"{p2!r} is not a valid diagram of {w}")
-
-    down_kind, down_col = _step(p0, p1, w)
-    up_kind, up_col = _step(p1, p2, w)
+    up_kind, up_col = up
     limits = _truncation_limits(p0, w)
 
     if down_kind == "raise" and up_kind == "raise":
@@ -304,9 +312,10 @@ def classify_facet(c: Chain) -> FacetKind:
         return FacetKind.INTERIOR
     if not middles:
         raise ChainNotMaximal(f"no element fits between {a!r} and {b!r}")
-    kind = _is_boundary_triple(a, middles[0], b, w)
+    mid = middles[0]
+    kind = _triple_kind(a.degrees, _step(a, mid, w), _step(mid, b, w))
     if kind is FacetKind.INTERIOR:
-        raise InvariantViolated(f"{a!r} < {middles[0]!r} < {b!r} has one middle but reads interior")
+        raise InvariantViolated(f"{a!r} < {mid!r} < {b!r} has one middle but reads interior")
     return kind
 
 
@@ -319,18 +328,20 @@ class BoundaryFacet:
     functional: Functional
 
 
-def _is_boundary_triple(a, mid, b, w) -> FacetKind:
-    """Fast combinatorial classification of the triple around a removed element."""
-    down_kind, down_col = _step(a, mid, w)
-    up_kind, up_col = _step(mid, b, w)
+def _triple_kind(d0, down, up) -> FacetKind:
+    """Fast combinatorial classification of a triple from the degrees d0 of
+    its bottom and its two cover moves, each ("raise" or "drop", column)."""
+    down_kind, down_col = down
+    up_kind, up_col = up
     if down_kind == "raise" and up_kind == "raise":
         if down_col == up_col:
             return FacetKind.SAME_COLUMN_TWICE
-        if down_col == up_col + 1 and a.degrees[up_col] + 1 == a.degrees[up_col + 1]:
+        if down_col == up_col + 1 and d0[up_col] + 1 == d0[up_col + 1]:
             return FacetKind.ADJACENT_COLUMNS
         return FacetKind.INTERIOR
     if down_kind == "raise" and up_kind == "drop":
-        if down_col == mid.codimension:
+        # the middle's codimension is its last column, the one the drop vacates
+        if down_col == up_col:
             return FacetKind.SAME_COLUMN_TWICE
         return FacetKind.INTERIOR
     if down_kind == "drop" and up_kind == "raise":
@@ -342,27 +353,28 @@ def _is_boundary_triple(a, mid, b, w) -> FacetKind:
 def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
     # None stands below min and above max: the extremal triples are
     # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
+    # the walk holds each cover move with its column, so no move is re-derived
     facets = {}
 
-    def keep(p0, p1, p2, kind):
-        f = coefficient_functional(p0, p1, p2, w)
+    def keep(p0, p1, p2, down, up, kind):
+        f = _functional(p0, p1, p2, down, up, w)
         facets.setdefault(f.coefficients, BoundaryFacet(p1, kind, f))
 
     lo, hi = w.min_element(), w.max_element()
     if lo == hi:
-        keep(None, lo, None, FacetKind.EXTREMAL)
+        keep(None, lo, None, None, None, FacetKind.EXTREMAL)
     for p0 in w.pure_diagrams():
-        for d1, _ in _cover_moves(tuple(p0.degrees), w):
+        d0 = tuple(p0.degrees)
+        for d1, down in _steps(d0, w):
             p1 = pure_diagram(d1, w.n)
             if p0 == lo:
-                keep(None, p0, p1, FacetKind.EXTREMAL)
+                keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
             if p1 == hi:
-                keep(p0, p1, None, FacetKind.EXTREMAL)
-            for d2, _ in _cover_moves(d1, w):
-                p2 = pure_diagram(d2, w.n)
-                kind = _is_boundary_triple(p0, p1, p2, w)
+                keep(p0, p1, None, down, None, FacetKind.EXTREMAL)
+            for d2, up in _steps(d1, w):
+                kind = _triple_kind(d0, down, up)
                 if kind is not FacetKind.INTERIOR:
-                    keep(p0, p1, p2, kind)
+                    keep(p0, p1, pure_diagram(d2, w.n), down, up, kind)
     return tuple(facets.values())
 
 

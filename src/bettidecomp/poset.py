@@ -12,7 +12,14 @@ the poset has a unique minimum ``pi(M, M+1, ..., M+n)`` and maximum
     (n + 1)(N - M) + n - s_min + 1
 
 elements: each of the n + 1 degrees climbs N - M steps, and the codimension
-drops n - s_min times.
+drops n - s_min times.  There are
+
+    F! / prod_{cells x} hook(x),   F = (n + 1)(N - M) + n - s_min,
+
+maximal chains (Frame-Robinson-Thrall hook-length formula) for the Young
+diagram of N - M rows of n + 1 cells over one row of n - s_min cells: the
+display grid below, mirrored left to right, minus the s_min + 1 cells that
+survive in the maximum.
 
 The cover relation is one of two elementary moves:
 
@@ -24,11 +31,13 @@ Walking up a maximal chain, each move permanently vacates one cell of the
 (N - M + 1) x (n + 1) display grid.  Numbering the cells in vacating order
 (survivors of the maximum last, bottom row right to left) yields a numbering
 that increases to the left along rows and downwards along columns, and this
-is a bijection between maximal chains and such numberings.
+is a bijection between maximal chains and such numberings.  Counting the
+chains therefore needs no walk; listing them does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -292,7 +301,8 @@ def _walk(w: Window, targets=(), limit: int | None = None):
     index with x_i < t_i when the lengths agree, otherwise raise the last
     degree of x, or drop it on its ceiling).  So the first chain costs one
     walk up the poset.  ``WindowTooLarge`` once more than ``limit`` chains
-    are found.
+    are found; only :func:`complete_chain` passes one, since the count of
+    completions has no closed form here.
     """
     length = chain_length(w)
     seqs, cells, passed = [None] * length, [None] * length, [0] * (length + 1)
@@ -326,19 +336,31 @@ def _in_tableau_order(walk, w: Window) -> Iterator[Chain]:
         yield Chain(tuple(pure_diagram(s, w.n) for s in seqs), w)
 
 
-def count_maximal_chains(w: Window, limit: int | None = None) -> int:
-    """Number of maximal chains, without materializing Chain objects."""
-    return sum(1 for _ in _walk(w, limit=limit))
+def count_maximal_chains(w: Window) -> int:
+    """Number of maximal chains by the hook-length formula; walks no chain."""
+    shape = [w.n + 1] * (w.N - w.M)
+    if w.n > w.s_min:
+        shape.append(w.n - w.s_min)
+    heights = [sum(1 for length in shape if length > c) for c in range(w.n + 1)]
+    hooks = math.prod(
+        length - c + heights[c] - r - 1 for r, length in enumerate(shape) for c in range(length)
+    )
+    return math.factorial(sum(shape)) // hooks
 
 
 def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     """Enumerate every maximal chain once, ordered by row-major tableau.
 
     The order is part of the contract: chains are sorted by the row-major
-    reading of their tableau numbering, lexicographically.  ``limit`` guards
-    the enumeration (``WindowTooLarge`` beyond it).
+    reading of their tableau numbering, lexicographically.  When the window
+    has more than ``limit`` chains, the first ``next()`` raises
+    ``WindowTooLarge`` with the count before any move is walked.
     """
-    yield from _in_tableau_order(_walk(w, limit=limit), w)
+    if limit is not None:
+        count = count_maximal_chains(w)
+        if count > limit:
+            raise WindowTooLarge(f"window has {count} maximal chains, more than {limit}")
+    yield from _in_tableau_order(_walk(w), w)
 
 
 def complete_chain(c: Chain, limit: int | None = None) -> Iterator[Chain]:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bettidecomp import cli
 from bettidecomp.cli import run
 
 
@@ -123,6 +124,12 @@ class TestChains:
         ]
         assert chains == expected
 
+    def test_count_only_is_closed_form_and_uncapped(self, capsys, monkeypatch):
+        monkeypatch.setenv("BS_DECOMP_MAX_ENUM", "3")
+        code, out, _ = run_cli(capsys, "chains", "--count-only", "--n", "4", "--M", "0", "--N", "3")
+        assert code == 0
+        assert out == "1662804\n"
+
     def test_enum_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BS_DECOMP_MAX_ENUM", "3")
         code, _, err = run_cli(capsys, "chains", "--n", "2", "--M", "0", "--N", "1")
@@ -232,6 +239,23 @@ class TestMembership:
 
 
 class TestUsage:
+    def test_reused_parser_matches_fresh(self, capsys):
+        calls = [
+            ("chains", "--n", "2", "--bogus"),
+            ("chains", "--count-only", "--n", "2", "--M", "0", "--N", "1"),
+            ("--format", "table", "facets", "--n", "2", "--M", "0", "--N", "1"),
+            ("--format", "json", "facets", "--n", "2", "--M", "0", "--N", "1"),
+            ("--help",),
+        ]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        parser = cli._build_parser()
+        assert [run_cli(capsys, *argv) for argv in calls] == fresh
+        assert cli._build_parser() is parser
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0]
+
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 

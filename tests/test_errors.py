@@ -1,7 +1,9 @@
 """Error surface: every domain exception is reachable and well-formed."""
 
+import ast
 import doctest
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,17 @@ class TestErrorHierarchy:
         ]
         for name in names:
             assert issubclass(getattr(errors, name), BettiError), name
+
+
+class TestNoAssertInLibrary:
+    def test_no_invariant_relies_on_assert(self):
+        # python -O strips assert statements, so a check must raise instead
+        sources = sorted(Path(bettidecomp.__file__).parent.glob("*.py"))
+        assert sources
+        for path in sources:
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not lines, f"{path.name} uses assert on lines {lines}"
 
 
 class TestWindowValidation:

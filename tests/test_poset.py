@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from bettidecomp import poset
 from bettidecomp import (
     Chain,
     Tableau,
@@ -179,6 +180,27 @@ class TestMaximalChains:
     def test_limit_guard(self):
         with pytest.raises(WindowTooLarge):
             list(maximal_chains(Window(3, 0, 2), limit=10))
+
+    def test_closed_form_matches_walk(self):
+        # the walk is the oracle: every window with n <= 4, width <= 2
+        for n in range(5):
+            for width in range(3):
+                for s_min in range(n + 1):
+                    w = Window(n, 0, width, s_min)
+                    assert count_maximal_chains(w) == sum(1 for _ in poset._walk(w)), w
+        for w, count in ((Window(3, 0, 3, 0), 24_024), (Window(4, 0, 3, 3), 60_060)):
+            assert count_maximal_chains(w) == sum(1 for _ in poset._walk(w)) == count
+
+    def test_closed_form_walks_no_chain(self, monkeypatch):
+        monkeypatch.setattr(poset, "_walk", lambda *a, **k: pytest.fail("walked the poset"))
+        monkeypatch.setattr(poset, "_moves", lambda *a: pytest.fail("walked the poset"))
+        assert count_maximal_chains(Window(4, 0, 3, 0)) == 1_662_804
+        assert count_maximal_chains(Window(6, 0, 5, 0)) == 9_490_348_077_234_178_440
+
+    def test_limit_reports_count_before_walking(self, monkeypatch):
+        monkeypatch.setattr(poset, "_moves", lambda *a: pytest.fail("walked the poset"))
+        with pytest.raises(WindowTooLarge, match="window has 9490348077234178440 maximal chains, more than 10"):
+            next(maximal_chains(Window(6, 0, 5, 0), limit=10))
 
 
 class TestTableauBijection:
