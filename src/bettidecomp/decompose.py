@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BettiDiagram, PureDiagram, pure_diagram
+from .core import BettiDiagram, PureDiagram, pure_diagram, window_of
 from .errors import BettiError, InvalidDiagram, NotInCone
 from .functionals import coefficient_functional, derived_window
 from .poset import Chain, _walk, leq
@@ -105,8 +105,8 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
             raise InvalidDiagram(f"negative entry {v} at ({i}, {j})")
     terms: list[tuple[Fraction, PureDiagram]] = []
     residual = b
-    max_steps = (b.n + 1) * (max(j - i for i, j in b.support()) - min(j - i for i, j in b.support()) + 1) + 1
-    for _ in range(max_steps):
+    M, N = window_of(b)
+    for _ in range((b.n + 1) * (N - M + 1) + 1):
         if residual.is_zero:
             return Decomposition(tuple(terms), b.n)
         degs = _leading_sequence(residual, terms)

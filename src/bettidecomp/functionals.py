@@ -24,11 +24,13 @@ followed by a drop) collapse to a single scaled Betti number.
 Every coefficient is an integer, so integer diagrams expand with integer
 coordinates.  A maximal chain minus one element is a boundary facet of the
 fan spanned by the chains when the cover triple around the gap has a unique
-middle.  Every cover triple lies on some maximal chain, so the facet
-hyperplanes are the functionals of the boundary cover triples, found
-without enumerating chains.  They are nonnegative on the whole fan
-(convexity): cone membership is a finite list of inequalities with an
-explicit violation certificate.
+middle, that is, when the two grid cells vacated around the gap share an
+edge, so the numbers k and k + 1 on them cannot be swapped.  Every cover
+triple lies on some maximal chain, so the facet hyperplanes are the
+functionals of the boundary cover triples, found without enumerating
+chains.  They are nonnegative on the whole fan (convexity): cone
+membership is a finite list of inequalities with an explicit violation
+certificate.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import (
     NotInSubspace,
     WindowMismatch,
 )
-from .poset import Chain, Window, chain_length
+from .poset import Chain, Window, _cell, chain_length
 from .poset import _moves as _cover_moves
 
 
@@ -114,21 +116,12 @@ class Functional:
         return total
 
 
-def _steps(d: tuple, w: Window):
-    """Covers of pi(d) as (degrees, ("raise" or "drop", column it vacates))."""
-    return [
-        (nd, ("drop" if len(nd) < len(d) else "raise", col))
-        for nd, (_, col) in _cover_moves(d, w)
-    ]
-
-
-def _step(down: PureDiagram, up: PureDiagram, w: Window):
-    """The cover move down -> up as ("raise" or "drop", column it vacates)."""
-    b = tuple(up.degrees)
-    for nd, move in _steps(tuple(down.degrees), w):
-        if nd == b:
-            return move
-    raise NotACoverTriple(f"{down!r} -> {up!r} is not a cover move in {w}")
+def _step(down: PureDiagram, up: PureDiagram, w: Window) -> tuple[int, int]:
+    """The grid cell that the cover move down -> up vacates."""
+    cell = _cell(tuple(down.degrees), tuple(up.degrees), w)
+    if cell is None:
+        raise NotACoverTriple(f"{down!r} -> {up!r} is not a cover move in {w}")
+    return cell
 
 
 def _truncation_limits(p0: PureDiagram, w: Window) -> list[int]:
@@ -194,8 +187,9 @@ def coefficient_functional(
 
 
 def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
-    """Dual functional of p1 from its cover moves ``down`` (p0 -> p1) and
-    ``up`` (p1 -> p2), each ("raise" or "drop", column) or None at a sentinel."""
+    """Dual functional of p1 from the grid cells vacated by its cover moves
+    ``down`` (p0 -> p1) and ``up`` (p1 -> p2), None at a sentinel.  A cell
+    in the bottom row N - M is a drop, any other a raise."""
     anchor = (p0, p1, p2)
     m = p1.codimension
     d = p1.degrees
@@ -203,31 +197,32 @@ def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
     if down is None:
         col = 0 if up is None else up[1]
         return _indicator(p1, (col, d[col]), w, anchor)
-    down_kind, down_col = down
+    down_row, down_col = down
+    bottom = w.N - w.M
 
     if up is None:
-        if down_kind == "raise":
+        if down_row < bottom:
             # a raise into the maximum is only possible in column 0
             return _indicator(p1, (0, d[0]), w, anchor)
         return _from_formula(
             FunctionalCase.FOURTH, p1, 1, range(m), _truncation_limits(p0, w), w, anchor
         )
-    up_kind, up_col = up
+    up_row, up_col = up
     limits = _truncation_limits(p0, w)
 
-    if down_kind == "raise" and up_kind == "raise":
+    if down_row < bottom and up_row < bottom:
         if down_col == up_col:
             return _indicator(p1, (up_col, d[up_col]), w, anchor)
         k, l = up_col, down_col
         product = [j for j in range(m + 1) if j not in (k, l)]
         return _from_formula(FunctionalCase.THIRD, p1, d[l] - d[k], product, limits, w, anchor)
-    if down_kind == "raise" and up_kind == "drop":
+    if down_row < bottom:
         k = down_col
         if k == m:
             return _indicator(p1, (m, d[m]), w, anchor)
         product = [j for j in range(m) if j != k]
         return _from_formula(FunctionalCase.SECOND, p1, d[k] - d[m], product, limits, w, anchor)
-    if down_kind == "drop" and up_kind == "raise":
+    if up_row < bottom:
         k = up_col
         product = [j for j in range(m + 1) if j != k]
         return _from_formula(FunctionalCase.FIRST, p1, 1, product, limits, w, anchor)
@@ -281,11 +276,11 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
 def _middles(a: PureDiagram, c: PureDiagram, w: Window) -> list[PureDiagram]:
     """Elements x with a covered-by x covered-by c."""
     target = tuple(c.degrees)
-    out = []
-    for nd, _ in _cover_moves(tuple(a.degrees), w):
-        if target in {seq for seq, _ in _cover_moves(nd, w)}:
-            out.append(pure_diagram(nd, w.n))
-    return out
+    return [
+        pure_diagram(nd, w.n)
+        for nd, _ in _cover_moves(tuple(a.degrees), w)
+        if _cell(nd, target, w) is not None
+    ]
 
 
 def classify_facet(c: Chain) -> FacetKind:
@@ -313,7 +308,7 @@ def classify_facet(c: Chain) -> FacetKind:
     if not middles:
         raise ChainNotMaximal(f"no element fits between {a!r} and {b!r}")
     mid = middles[0]
-    kind = _triple_kind(a.degrees, _step(a, mid, w), _step(mid, b, w))
+    kind = _triple_kind(_step(a, mid, w), _step(mid, b, w), w)
     if kind is FacetKind.INTERIOR:
         raise InvariantViolated(f"{a!r} < {mid!r} < {b!r} has one middle but reads interior")
     return kind
@@ -328,32 +323,28 @@ class BoundaryFacet:
     functional: Functional
 
 
-def _triple_kind(d0, down, up) -> FacetKind:
-    """Fast combinatorial classification of a triple from the degrees d0 of
-    its bottom and its two cover moves, each ("raise" or "drop", column)."""
-    down_kind, down_col = down
-    up_kind, up_col = up
-    if down_kind == "raise" and up_kind == "raise":
-        if down_col == up_col:
-            return FacetKind.SAME_COLUMN_TWICE
-        if down_col == up_col + 1 and d0[up_col] + 1 == d0[up_col + 1]:
-            return FacetKind.ADJACENT_COLUMNS
-        return FacetKind.INTERIOR
-    if down_kind == "raise" and up_kind == "drop":
-        # the middle's codimension is its last column, the one the drop vacates
-        if down_col == up_col:
-            return FacetKind.SAME_COLUMN_TWICE
-        return FacetKind.INTERIOR
-    if down_kind == "drop" and up_kind == "raise":
-        return FacetKind.INTERIOR
-    return FacetKind.CODIMENSION_TWICE
+def _triple_kind(down, up, w: Window) -> FacetKind:
+    """Classify a cover triple by the grid cells its two moves vacate.
+
+    The triple is a boundary triple exactly when the two cells share an
+    edge: one above the other (kind ii), or side by side, in the bottom row
+    N - M for two drops (kind iv) and above it for two raises (kind iii).
+    """
+    (down_row, down_col), (up_row, up_col) = down, up
+    if down_col == up_col and abs(down_row - up_row) == 1:
+        return FacetKind.SAME_COLUMN_TWICE
+    if down_row == up_row and abs(down_col - up_col) == 1:
+        if down_row == w.N - w.M:
+            return FacetKind.CODIMENSION_TWICE
+        return FacetKind.ADJACENT_COLUMNS
+    return FacetKind.INTERIOR
 
 
 @lru_cache(maxsize=64)
 def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
     # None stands below min and above max: the extremal triples are
     # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
-    # the walk holds each cover move with its column, so no move is re-derived
+    # the walk holds each cover move with its cell, so no move is re-derived
     facets = {}
 
     def keep(p0, p1, p2, down, up, kind):
@@ -365,14 +356,14 @@ def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
         keep(None, lo, None, None, None, FacetKind.EXTREMAL)
     for p0 in w.pure_diagrams():
         d0 = tuple(p0.degrees)
-        for d1, down in _steps(d0, w):
+        for d1, down in _cover_moves(d0, w):
             p1 = pure_diagram(d1, w.n)
             if p0 == lo:
                 keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
             if p1 == hi:
                 keep(p0, p1, None, down, None, FacetKind.EXTREMAL)
-            for d2, up in _steps(d1, w):
-                kind = _triple_kind(d0, down, up)
+            for d2, up in _cover_moves(d1, w):
+                kind = _triple_kind(down, up, w)
                 if kind is not FacetKind.INTERIOR:
                     keep(p0, p1, pure_diagram(d2, w.n), down, up, kind)
     return tuple(facets.values())

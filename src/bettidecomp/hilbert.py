@@ -212,8 +212,8 @@ def check_monotonicity(chain, depth: int) -> MonotonicityReport:
         pa, pb = pure_diagram(a.degrees, n), pure_diagram(b.degrees, n)
         if not leq(pa, pb):
             raise NotAChain(f"{a!r} and {b!r} are not comparable in order")
-        ha = HilbertSeries(numerator_polynomial(a.betti), n).expand(depth)
-        hb = HilbertSeries(numerator_polynomial(b.betti), n).expand(depth)
+        ha = hilbert_series(a.betti).expand(depth)
+        hb = hilbert_series(b.betti).expand(depth)
         diff = [x - y for x, y in zip(hb, ha)]
         bad = next((k for k, v in enumerate(diff) if v < 0), None)
         pairs.append(
@@ -293,8 +293,8 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     low = normalize(pure_diagram((0,) + sb.minimal, b.n))
     high = normalize(pure_diagram((0,) + sb.maximal, b.n))
     h = hilbert_series(b).expand(depth)
-    h_low = HilbertSeries(numerator_polynomial(low.betti), b.n).expand(depth)
-    h_high = HilbertSeries(numerator_polynomial(high.betti), b.n).expand(depth)
+    h_low = hilbert_series(low.betti).expand(depth)
+    h_high = hilbert_series(high.betti).expand(depth)
     lower_slack = tuple(x - beta0 * y for x, y in zip(h, h_low))
     upper_slack = tuple(beta0 * y - x for x, y in zip(h, h_high))
     e = multiplicity(b)

@@ -221,8 +221,6 @@ def encode(obj):
         for f in dataclasses.fields(obj):
             out[f.name] = encode(getattr(obj, f.name))
         return out
-    if hasattr(obj, "degrees") and hasattr(obj, "n"):  # pure / normalized diagrams
-        return list(obj.degrees)
     if isinstance(obj, dict):
         return {str(k): encode(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):

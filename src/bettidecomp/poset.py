@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .core import DegreeSequence, PureDiagram, pure_diagram
@@ -95,20 +96,8 @@ class Window:
         lexicographically ascending.
         """
         for s in range(self.n, self.s_min - 1, -1):
-            stack = [()]
-            seqs = []
-
-            def extend(prefix, i, s=s, seqs=seqs):
-                if i == s + 1:
-                    seqs.append(prefix)
-                    return
-                lo = max(self.M + i, (prefix[-1] + 1) if prefix else self.M + i)
-                for v in range(lo, self.N + i + 1):
-                    extend(prefix + (v,), i + 1)
-
-            extend((), 0)
-            for seq in seqs:
-                yield pure_diagram(seq, self.n)
+            for rows in combinations_with_replacement(range(self.M, self.N + 1), s + 1):
+                yield pure_diagram([r + i for i, r in enumerate(rows)], self.n)
 
 
 def _below(d: tuple, e: tuple) -> bool:
@@ -127,7 +116,10 @@ def _moves(d: tuple, w: Window):
     The only place that knows the cover rules: raise d_i by one while it
     stays below the ceiling N + i and below d_{i+1}, or drop the last degree
     once it sits on its ceiling and the codimension stays >= s_min.  The
-    vacated cell is (row, column) on the display grid, row = j - i - M.
+    vacated cell is (row, column) on the display grid, row = j - i - M.  A
+    drop's cell lies in the bottom row N - M, since the dropped degree sits
+    on its ceiling; a raise's lies above it, since the raised degree is
+    below its ceiling.  So the cell alone tells the two kinds apart.
     """
     out = []
     last = len(d) - 1
@@ -139,12 +131,17 @@ def _moves(d: tuple, w: Window):
     return out
 
 
+def _cell(d: tuple, e: tuple, w: Window) -> tuple[int, int] | None:
+    """The grid cell that the cover pi(d) -> pi(e) vacates, or None."""
+    return next((cell for nd, cell in _moves(d, w) if nd == e), None)
+
+
 def covers(p: PureDiagram, q: PureDiagram, w: Window) -> bool:
     """True when q is obtained from p by a single raise or ceiling drop."""
     for diag in (p, q):
         if not w.contains(diag):
             raise WindowMismatch(f"{diag!r} is not a valid diagram of {w}")
-    return tuple(q.degrees) in {nd for nd, _ in _moves(tuple(p.degrees), w)}
+    return _cell(tuple(p.degrees), tuple(q.degrees), w) is not None
 
 
 def chain_length(w: Window) -> int:
@@ -188,10 +185,7 @@ class Chain:
         """Grid cell vacated by each step, or None where the step is not a cover."""
         w = self.window
         seqs = self.degree_sequences()
-        return tuple(
-            next((cell for nd, cell in _moves(a, w) if nd == b), None)
-            for a, b in zip(seqs, seqs[1:])
-        )
+        return tuple(_cell(a, b, w) for a, b in zip(seqs, seqs[1:]))
 
     def is_maximal(self) -> bool:
         w = self.window
@@ -228,13 +222,6 @@ class Tableau:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.rows[0])
-
-    def position_of(self, number: int) -> tuple[int, int]:
-        for r, row in enumerate(self.rows):
-            for c, x in enumerate(row):
-                if x == number:
-                    return r, c
-        raise KeyError(number)
 
     def row_major(self) -> tuple[int, ...]:
         return tuple(x for r in self.rows for x in r)

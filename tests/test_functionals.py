@@ -28,6 +28,7 @@ from bettidecomp import (
 from bettidecomp import functionals
 from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace, WindowMismatch
 from bettidecomp.functionals import derived_window
+from bettidecomp.poset import _moves
 
 
 def chain12(dual_functionals):
@@ -249,6 +250,22 @@ class TestClassifyFacet:
                             kind = classify_facet(partial)
                             completions = len(list(complete_chain(partial)))
                             assert (completions == 1) == (kind != FacetKind.INTERIOR)
+
+    def test_cell_adjacency_matches_middle_count(self):
+        """A cover triple reads interior by its cells exactly when it has two
+        or more middles, and a move vacates the bottom row exactly when it drops."""
+        for n in range(5):
+            for M, width in ((0, 0), (0, 1), (0, 2), (0, 3), (-1, 2)):
+                for s_min in range(n + 1):
+                    w = Window(n, M, M + width, s_min)
+                    for p0 in w.pure_diagrams():
+                        d0 = tuple(p0.degrees)
+                        for d1, down in _moves(d0, w):
+                            assert (down[0] == width) == (len(d1) < len(d0)), (w, d0, d1)
+                            for d2, up in _moves(d1, w):
+                                p2 = pure_diagram(d2, n)
+                                interior = functionals._triple_kind(down, up, w) is FacetKind.INTERIOR
+                                assert interior == (len(functionals._middles(p0, p2, w)) >= 2), (w, d0, d1, d2)
 
 
 class TestBoundaryFacets:

@@ -1,6 +1,6 @@
 """Partial order, covers, maximal chains, tableau bijection."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -60,6 +60,20 @@ class TestLeq:
                 upsets[a.degrees] = {b.degrees for b in elems if (a.degrees, b.degrees) in rel}
             for a, b in rel:
                 assert upsets[b] <= upsets[a]  # transitivity
+
+    def test_pure_diagrams_are_every_window_element_in_documented_order(self):
+        for n in range(4):
+            for M, N in ((-1, 1), (0, 2), (2, 4)):
+                for s_min in range(n + 1):
+                    w = Window(n, M, N, s_min)
+                    listed = [p.degrees for p in w.pure_diagrams()]
+                    every = [
+                        d
+                        for s in range(s_min, n + 1)
+                        for d in combinations(range(M, N + s + 1), s + 1)
+                        if all(M + i <= x <= N + i for i, x in enumerate(d))
+                    ]
+                    assert listed == sorted(every, key=lambda d: (-len(d), d)), w
 
 
 class TestCovers:
