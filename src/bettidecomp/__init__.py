@@ -58,7 +58,6 @@ from .poset import (
     Window,
     chain_from_tableau,
     chain_length,
-    complete_chain,
     count_maximal_chains,
     covers,
     leq,
@@ -98,7 +97,6 @@ __all__ = [
     "classify_facet",
     "codimension",
     "coefficient_functional",
-    "complete_chain",
     "count_maximal_chains",
     "covers",
     "derived_window",

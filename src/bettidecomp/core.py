@@ -19,6 +19,7 @@ and are the extremal rays of the cone of Betti diagrams of graded modules.
 
 All arithmetic is exact: entries are :class:`fractions.Fraction`; floats,
 booleans and strings other than ``p`` or ``p/q`` are rejected at the door.
+Integer fields (degrees, indices, ``n``) take an ``int`` and nothing else.
 """
 
 from __future__ import annotations
@@ -54,13 +55,18 @@ def parse_rational(token: str) -> Fraction:
         raise ValueError(f"{token!r} has a zero denominator") from None
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: the only value an integer field accepts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def as_rational(value) -> Fraction:
     """Coerce to an exact rational.  Floats and booleans are refused, and
     strings must be 'p' or 'p/q': anything else would silently poison exact
     computations downstream."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -86,9 +92,11 @@ class LaurentPolynomial:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, Fraction] = {}
         for degree, value in items:
+            if not _is_int(degree):
+                raise InvalidDiagram(f"degree {degree!r} is not an integer")
             v = as_rational(value)
             if v:
-                acc[int(degree)] = acc.get(int(degree), Fraction(0)) + v
+                acc[degree] = acc.get(degree, Fraction(0)) + v
         self._coeffs = {d: v for d, v in acc.items() if v}
 
     def coefficient(self, degree: int) -> Fraction:
@@ -202,12 +210,13 @@ class BettiDiagram:
     __slots__ = ("_n", "_entries", "_hash")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int], object] | Iterable = ()):
-        if n < 0:
-            raise InvalidDiagram("ambient variable count must be >= 0")
+        if not _is_int(n) or n < 0:
+            raise InvalidDiagram(f"ambient variable count must be an integer >= 0, got {n!r}")
         items = entries.items() if isinstance(entries, Mapping) else entries
         acc: dict[tuple[int, int], Fraction] = {}
         for (i, j), value in items:
-            i, j = int(i), int(j)
+            if not (_is_int(i) and _is_int(j)):
+                raise InvalidDiagram(f"position {(i, j)!r} is not a pair of integers")
             if not 0 <= i <= n:
                 raise IndexError(f"homological index {i} outside [0, {n}]")
             v = as_rational(value)
@@ -285,7 +294,10 @@ class DegreeSequence(tuple):
     """Strictly increasing tuple of integers d_0 < d_1 < ... < d_s."""
 
     def __new__(cls, degrees: Iterable[int]):
-        vals = tuple(int(d) for d in degrees)
+        vals = tuple(degrees)
+        for d in vals:
+            if not _is_int(d):
+                raise InvalidDegreeSequence(f"degree {d!r} is not an integer")
         if not vals:
             raise InvalidDegreeSequence("degree sequence must be nonempty")
         if any(b <= a for a, b in zip(vals, vals[1:])):

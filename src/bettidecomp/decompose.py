@@ -24,7 +24,7 @@ from fractions import Fraction
 from .core import BettiDiagram, PureDiagram, pure_diagram, window_of
 from .errors import BettiError, InvalidDiagram, NotInCone
 from .functionals import coefficient_functional, derived_window
-from .poset import Chain, _walk, leq
+from .poset import Chain, _climb, leq
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationRes
         w = derived_window(b)
         # any refinement works: b lies in the span of the decomposition's
         # elements, so every coefficient functional reads the same value
-        seqs, _ = next(_walk(w, Chain(tuple(elems), w).degree_sequences()))
+        seqs = _climb(w, Chain(tuple(elems), w).degree_sequences())
         index = {s: k for k, s in enumerate(seqs)}
         for coeff, p in dec.terms:
             k = index[tuple(p.degrees)]

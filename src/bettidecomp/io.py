@@ -26,7 +26,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 
-from .core import BettiDiagram, LaurentPolynomial, parse_rational
+from .core import BettiDiagram, LaurentPolynomial, _is_int, as_rational, parse_rational
 from .decompose import Decomposition
 from .errors import DuplicateEntry, ParseError
 from .functionals import Functional
@@ -35,8 +35,7 @@ from .poset import Chain, Tableau, Window
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    return str(value)
+    return str(as_rational(value))
 
 
 def _parse_json_diagram(text: str) -> BettiDiagram:
@@ -47,14 +46,16 @@ def _parse_json_diagram(text: str) -> BettiDiagram:
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise ParseError("diagram document must be an object with 'n' and 'entries'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParseError(f"'n' must be a nonnegative integer, got {n!r}")
+    if not isinstance(doc["entries"], list):
+        raise ParseError(f"'entries' must be a list, got {doc['entries']!r}")
     entries = {}
     for item in doc["entries"]:
         if not (isinstance(item, list) and len(item) == 3):
             raise ParseError(f"entry {item!r} must be [i, j, value]")
         i, j, raw = item
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not (_is_int(i) and _is_int(j)):
             raise ParseError(f"entry indices must be integers, got {item!r}")
         if not isinstance(raw, str):
             raise ParseError(f"entry value must be a rational string, got {raw!r}")

@@ -32,7 +32,8 @@ Walking up a maximal chain, each move permanently vacates one cell of the
 (survivors of the maximum last, bottom row right to left) yields a numbering
 that increases to the left along rows and downwards along columns, and this
 is a bijection between maximal chains and such numberings.  Counting the
-chains therefore needs no walk; listing them does.
+chains therefore needs no walk; listing them does.  Refining a chain to a
+maximal one takes a single greedy climb.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .core import DegreeSequence, PureDiagram, pure_diagram
+from .core import DegreeSequence, PureDiagram, _is_int, pure_diagram
 from .errors import (
     ChainNotMaximal,
     InvalidTableau,
+    InvariantViolated,
     NotAChain,
     WindowMismatch,
     WindowTooLarge,
@@ -63,6 +65,8 @@ class Window:
     s_min: int = 0
 
     def __post_init__(self):
+        if not all(_is_int(v) for v in (self.n, self.M, self.N, self.s_min)):
+            raise WindowMismatch(f"window bounds must be integers, got {self}")
         if self.n < 0:
             raise WindowMismatch("n must be >= 0")
         if self.M > self.N:
@@ -204,13 +208,17 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        try:
+            rows = tuple(map(tuple, self.rows))
+        except TypeError:
+            raise InvalidTableau("tableau must be a sequence of rows") from None
         object.__setattr__(self, "rows", rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise InvalidTableau("tableau must be rectangular and nonempty")
         size = len(rows) * len(rows[0])
-        if sorted(x for r in rows for x in r) != list(range(1, size + 1)):
-            raise InvalidTableau(f"entries must be a permutation of 1..{size}")
+        entries = [x for r in rows for x in r]
+        if not all(map(_is_int, entries)) or sorted(entries) != list(range(1, size + 1)):
+            raise InvalidTableau(f"entries must be the integers 1..{size}, each once")
         for r in rows:
             if any(r[c] <= r[c + 1] for c in range(len(r) - 1)):
                 raise InvalidTableau("rows must increase to the left")
@@ -277,50 +285,47 @@ def tableau_from_chain(c: Chain) -> Tableau:
     return Tableau(tuple(flat[r * cols:(r + 1) * cols] for r in range(w.rows)))
 
 
-def _walk(w: Window, targets=(), limit: int | None = None):
-    """Lazily walk the maximal chains of w that pass through every target.
+def _walk(w: Window):
+    """Lazily walk every maximal chain of w, depth first over :func:`_moves`.
 
-    Depth-first over the moves of :func:`_moves`; yields the degree
-    sequences and the vacated cells of each chain.  ``targets`` is a chain
-    of degree sequences in w, and a branch is entered only while it lies
-    below the next target.  That pruning never dead-ends: an element x
-    strictly below a target t has a cover still below t (raise the largest
-    index with x_i < t_i when the lengths agree, otherwise raise the last
-    degree of x, or drop it on its ceiling).  So the first chain costs one
-    walk up the poset.  ``WindowTooLarge`` once more than ``limit`` chains
-    are found; only :func:`complete_chain` passes one, since the count of
-    completions has no closed form here.
+    Yields the degree sequences and the vacated cells of each chain, in
+    move order; :func:`maximal_chains` sorts them into tableau order.
     """
     length = chain_length(w)
-    seqs, cells, passed = [None] * length, [None] * length, [0] * (length + 1)
+    seqs, cells = [None] * length, [None] * length
     pending = [iter(((tuple(range(w.M, w.M + w.n + 1)), None),))]
-    found = 0
     while pending:
         depth = len(pending) - 1
         move = next(pending[-1], None)
         if move is None:
             pending.pop()
             continue
-        d, cell = move
-        k = passed[depth]
-        if k < len(targets):
-            if not _below(d, targets[k]):
-                continue
-            if d == targets[k]:
-                k += 1
-        seqs[depth], cells[depth], passed[depth + 1] = d, cell, k
+        seqs[depth], cells[depth] = move
         if depth + 1 < length:
-            pending.append(iter(_moves(d, w)))
+            pending.append(iter(_moves(move[0], w)))
             continue
-        found += 1
-        if limit is not None and found > limit:
-            raise WindowTooLarge(f"more than {limit} maximal chains")
         yield tuple(seqs), tuple(cells[1:])
 
 
-def _in_tableau_order(walk, w: Window) -> Iterator[Chain]:
-    for seqs, _ in sorted(walk, key=lambda item: _row_major(item[1], w)):
-        yield Chain(tuple(pure_diagram(s, w.n) for s in seqs), w)
+def _climb(w: Window, targets) -> tuple[tuple[int, ...], ...]:
+    """One maximal chain of w through a chain of targets, as degree sequences.
+
+    From the window minimum, for each target and then the maximum, take the
+    first move of :func:`_moves` still below it.  This never dead-ends: an
+    element x strictly below a target t has a cover still below t (raise
+    the largest index with x_i < t_i when the lengths agree, otherwise
+    raise the last degree of x, or drop it on its ceiling).  The targets
+    must form a chain in w; ``InvariantViolated`` if the climb is stuck.
+    """
+    cur = tuple(range(w.M, w.M + w.n + 1))
+    seqs = [cur]
+    for t in (*targets, tuple(w.max_element().degrees)):
+        while cur != t:
+            cur = next((d for d, _ in _moves(cur, w) if _below(d, t)), None)
+            if cur is None:
+                raise InvariantViolated(f"no cover of {seqs[-1]} in {w} lies below {t}")
+            seqs.append(cur)
+    return tuple(seqs)
 
 
 def count_maximal_chains(w: Window) -> int:
@@ -347,9 +352,5 @@ def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
         count = count_maximal_chains(w)
         if count > limit:
             raise WindowTooLarge(f"window has {count} maximal chains, more than {limit}")
-    yield from _in_tableau_order(_walk(w), w)
-
-
-def complete_chain(c: Chain, limit: int | None = None) -> Iterator[Chain]:
-    """All maximal chains of c's window containing c, in tableau order."""
-    yield from _in_tableau_order(_walk(c.window, c.degree_sequences(), limit), c.window)
+    for seqs, _ in sorted(_walk(w), key=lambda item: _row_major(item[1], w)):
+        yield Chain(tuple(pure_diagram(s, w.n) for s in seqs), w)

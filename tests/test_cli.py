@@ -103,6 +103,20 @@ class TestExpand:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("[[10.9, 4, 3, true], [8, 7, 6, 5]]", "error: entries must be the integers 1..8, each once\n"),
+            ("5", "error: tableau must be a sequence of rows\n"),
+            ("[[2, 1], [4, 3]]", "error: tableau shape (2, 2) does not match window grid (3, 4)\n"),
+        ],
+    )
+    def test_library_message_exit_2(self, capsys, quotient_path, tmp_path, rows, message):
+        tab = tmp_path / "numbering.json"
+        tab.write_text(rows)
+        code, out, err = run_cli(capsys, "expand", quotient_path, "--tableau", str(tab))
+        assert (code, out, err) == (2, "", message)
+
 
 class TestChains:
     def test_count_only(self, capsys):
@@ -270,6 +284,31 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[0] == ["6", [0, 2, 3, 5]]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("check-hk", "--s", "-1"), "--s"),
+            (("hilbert", "--truncate", "-1"), "--truncate"),
+            (("bounds", "--truncate", "-1"), "--truncate"),
+            (("check-hk", "--s", "1.5"), "--s"),
+        ],
+    )
+    def test_count_flags_take_nonnegative_integers(self, capsys, quotient_path, argv, flag):
+        code, out, err = run_cli(capsys, argv[0], quotient_path, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: expected an integer >= 0, got {argv[2]!r}\n")
+
+    def test_boolean_ambient_size_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bools.json"
+        path.write_text('{"n": true, "entries": [[false, true, "1"], [true, 2, "1"]]}')
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert (code, out, err) == (2, "", "error: 'n' must be a nonnegative integer, got True\n")
+
+    def test_directory_path_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "decompose", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "directory" in err
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"

@@ -262,6 +262,27 @@ class TestBettiDiagram:
         assert a == b and hash(a) == hash(b)
 
 
+class TestIntegerFields:
+    """An integer field takes an int; a float or a bool is never truncated."""
+
+    @pytest.mark.parametrize("degrees", [(0, 1.5, 3), (True, 2), (0, 2.0), (Fraction(1), 2), ("0", 1)])
+    def test_degree_sequence(self, degrees):
+        with pytest.raises(InvalidDegreeSequence, match="is not an integer"):
+            pure_diagram(degrees, 2)
+
+    @pytest.mark.parametrize(
+        "n, key", [(2, (0, 0.5)), (2, (True, 1)), (2, (0, False)), (2.0, (0, 0)), (True, (0, 0))]
+    )
+    def test_betti_diagram(self, n, key):
+        with pytest.raises(InvalidDiagram, match="integer"):
+            BettiDiagram(n, {key: 1})
+
+    @pytest.mark.parametrize("degree", [1.5, 1.0, True, Fraction(1)])
+    def test_laurent_polynomial(self, degree):
+        with pytest.raises(InvalidDiagram, match="is not an integer"):
+            LaurentPolynomial({degree: 1})
+
+
 class TestLaurentPolynomial:
     def test_exact_division(self):
         p = LaurentPolynomial({0: 1, 2: -2, 4: 2, 5: -1})

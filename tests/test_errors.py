@@ -67,6 +67,11 @@ class TestWindowValidation:
         with pytest.raises(WindowMismatch):
             Window(-1, 0, 0)
 
+    @pytest.mark.parametrize("fields", [(2, 0.0, 1.0), (2.0, 0, 1), (2, 0, 1, True), (True, 0, 1), (2, "0", 1)])
+    def test_non_integer_fields(self, fields):
+        with pytest.raises(WindowMismatch, match="must be integers"):
+            Window(*fields)
+
 
 class TestChainValidation:
     def test_not_increasing(self):

@@ -19,7 +19,7 @@ from bettidecomp import (
     greedy_decompose,
     parse_diagram,
 )
-from bettidecomp.errors import DuplicateEntry, ParseError
+from bettidecomp.errors import DuplicateEntry, InvalidDiagram, ParseError
 from bettidecomp.io import format_rational, parse_rational
 
 
@@ -88,6 +88,24 @@ class TestParseJson:
         with pytest.raises(ParseError):
             parse_diagram('{"n": 1, "entries": [[0, 0, "0.5"]]}', "json")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": true, "entries": [[false, true, "1"], [true, 2, "1"]]}',
+            '{"n": 2, "entries": [[false, true, "1"]]}',
+            '{"n": 2, "entries": [[0, 1.0, "1"]]}',
+            '{"n": 2.0, "entries": []}',
+        ],
+    )
+    def test_non_integer_fields_rejected(self, doc):
+        with pytest.raises(ParseError, match="integer"):
+            parse_diagram(doc, "json")
+
+    @pytest.mark.parametrize("entries", ["5", "null", '{"0": "1"}'])
+    def test_entries_must_be_a_list(self, entries):
+        with pytest.raises(ParseError, match="'entries' must be a list"):
+            parse_diagram('{"n": 1, "entries": %s}' % entries, "json")
+
     def test_malformed_json_has_position(self):
         with pytest.raises(ParseError) as info:
             parse_diagram('{"n": 1,', "json")
@@ -141,12 +159,12 @@ diagram_strategy = st.builds(
 
 
 class TestFuzzRoundTrip:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(diagram_strategy)
     def test_json(self, b):
         assert parse_diagram(emit_diagram(b, "json"), "json") == b
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(diagram_strategy)
     def test_table(self, b):
         assert parse_diagram(emit_diagram(b, "table"), "table") == b
@@ -219,3 +237,8 @@ class TestRationalTokens:
 
     def test_unreduced_input_canonicalizes(self):
         assert format_rational(parse_rational("4/6")) == "2/3"
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, "0.5"])
+    def test_format_refuses_inexact_values(self, value):
+        with pytest.raises(InvalidDiagram):
+            format_rational(value)

@@ -11,7 +11,6 @@ from bettidecomp import (
     Window,
     chain_from_tableau,
     chain_length,
-    complete_chain,
     count_maximal_chains,
     covers,
     leq,
@@ -19,7 +18,13 @@ from bettidecomp import (
     pure_diagram,
     tableau_from_chain,
 )
-from bettidecomp.errors import ChainNotMaximal, InvalidTableau, NotAChain, WindowTooLarge
+from bettidecomp.errors import (
+    ChainNotMaximal,
+    InvalidTableau,
+    InvariantViolated,
+    NotAChain,
+    WindowTooLarge,
+)
 
 
 def seqs(chain):
@@ -273,6 +278,11 @@ class TestTableauBijection:
             # does not describe a chain (6 must be bottom-left)
             chain_from_tableau(Tableau(((6, 3, 1), (5, 4, 2))), w)
 
+    @pytest.mark.parametrize("rows", [((2.9, 1.2),), ((2, True),), ((2.0, 1),), 5, (None,)])
+    def test_non_integer_entries_rejected(self, rows):
+        with pytest.raises(InvalidTableau):
+            Tableau(rows)
+
     def test_non_maximal_chain_rejected(self):
         w = Window(2, 0, 1)
         chain = Chain((pure_diagram((0, 1, 2), 2), pure_diagram((0, 1), 2)), w)
@@ -281,10 +291,16 @@ class TestTableauBijection:
 
 
 class TestCompleteChain:
+    """The completions of a partial chain are the maximal chains containing it."""
+
+    @staticmethod
+    def completions(partial, pool):
+        return [seqs(c) for c in pool if set(partial) <= set(c)]
+
     def test_already_maximal(self):
-        w = Window(2, 0, 1)
-        full = next(iter(maximal_chains(w)))
-        assert [seqs(c) for c in complete_chain(full)] == [seqs(full)]
+        pool = list(maximal_chains(Window(2, 0, 1)))
+        full = pool[0]
+        assert self.completions(full, pool) == [seqs(full)]
 
     def test_boundary_deletion_has_one_completion(self):
         # delete the second element of a maximal chain whose neighbours
@@ -293,13 +309,14 @@ class TestCompleteChain:
         t = Tableau(((5, 3, 1), (6, 4, 2)))
         full = chain_from_tableau(t, w)
         partial = Chain(full.elements[:1] + full.elements[2:], w)
-        assert [seqs(c) for c in complete_chain(partial)] == [seqs(full)]
+        assert self.completions(partial, maximal_chains(w)) == [seqs(full)]
 
     def test_interior_deletion_has_more_completions(self):
         # neighbours differing in two non-adjacent columns admit two orders
         w = Window(3, 0, 2)
+        pool = list(maximal_chains(w))
         found = 0
-        for c in maximal_chains(w):
+        for c in pool:
             for k in range(1, len(c) - 1):
                 lo, hi = c[k - 1].degrees, c[k + 1].degrees
                 if len(lo) != len(hi):
@@ -307,17 +324,26 @@ class TestCompleteChain:
                 diff = [i for i in range(len(lo)) if lo[i] != hi[i]]
                 if len(diff) == 2 and diff[1] - diff[0] >= 2:
                     partial = Chain(c.elements[:k] + c.elements[k + 1 :], w)
-                    assert len(list(complete_chain(partial))) >= 2
+                    assert len(self.completions(partial, pool)) >= 2
                     found += 1
             if found >= 3:
                 return
         assert found, "no non-adjacent configuration found"
 
-    def test_every_subchain_recovers_supersets(self):
-        w = Window(2, 0, 1)
-        for full in maximal_chains(w):
-            sub = Chain(full.elements[::2], w)
-            completions = [seqs(c) for c in complete_chain(sub)]
-            assert seqs(full) in completions
-            for comp in completions:
-                assert set(seqs(sub)) <= set(comp)
+
+class TestClimb:
+    def test_refines_every_other_element(self):
+        for n in range(4):
+            for width in range(3):
+                for s_min in range(n + 1):
+                    w = Window(n, 0, width, s_min)
+                    for full in maximal_chains(w):
+                        sub = seqs(full)[::2]
+                        climbed = poset._climb(w, sub)
+                        assert Chain(tuple(pure_diagram(d, n) for d in climbed), w).is_maximal(), (w, sub)
+                        assert set(sub) <= set(climbed), (w, sub)
+
+    def test_stuck_climb_raises(self):
+        # a target below the previous one leaves no cover to take
+        with pytest.raises(InvariantViolated, match="no cover of"):
+            poset._climb(Window(2, 0, 1), ((0, 1, 3), (0, 1, 2)))
