@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import io as dio
-from .core import BettiDiagram, hk_residuals, pure_diagram, window_of
+from .core import BettiDiagram, _parse_int, hk_residuals, pure_diagram, window_of
 from .decompose import greedy_decompose
 from .errors import BettiError, NotInCone, ParseError, WindowTooLarge
 from .functionals import (
@@ -52,10 +52,14 @@ def _max_enum() -> int:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise ParseError(f"{source} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_diagram(path: str, forced: str) -> BettiDiagram:
@@ -199,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pure(args, fmt):
     try:
-        degrees = [int(x) for x in args.degrees.split(",") if x.strip() != ""]
+        degrees = [_parse_int(x.strip()) for x in args.degrees.split(",") if x.strip() != ""]
     except ValueError:
         print("--degrees must be comma-separated integers", file=sys.stderr)
         return _USAGE_ERROR
@@ -253,8 +257,7 @@ def _cmd_chains(args, fmt):
     if args.count_only:
         print(count_maximal_chains(w))
         return 0
-    chains = [[list(p.degrees) for p in c.elements] for c in maximal_chains(w, _max_enum())]
-    _print_struct(chains, fmt)
+    _print_struct(list(maximal_chains(w, _max_enum())), fmt)
     return 0
 
 

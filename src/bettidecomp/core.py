@@ -24,6 +24,7 @@ Integer fields (degrees, indices, ``n``) take an ``int`` and nothing else.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +44,7 @@ Rational = Fraction
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_rational(token: str) -> Fraction:
@@ -53,6 +55,14 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"{token!r} has a zero denominator") from None
+
+
+def _parse_int(token: str) -> int:
+    """Integer from '-?[0-9]+' in ASCII digits; anything else fails, so
+    Unicode digits, underscores and signs like '+' never pass as integers."""
+    if not _INT_RE.fullmatch(token):
+        raise ValueError(f"{token!r} is not an integer literal")
+    return int(token)
 
 
 def _is_int(value) -> bool:
@@ -344,6 +354,17 @@ class PureDiagram:
                     prod *= d[j] - d[i]
             entries[(i, d[i])] = Fraction((-1) ** i, prod)
         return BettiDiagram(self.n, entries)
+
+    @cached_property
+    def _integer_entries(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """The entries times the lcm of their denominators, in column order.
+
+        Every entry is positive, so these are positive integers and a linear
+        functional reads the same sign on them as on :attr:`betti`.
+        """
+        entries = self.betti.items()
+        scale = math.lcm(*(v.denominator for _, v in entries))
+        return tuple((pos, v.numerator * (scale // v.denominator)) for pos, v in entries)
 
     def entry(self, i: int) -> Fraction:
         """The single nonzero value in column i."""

@@ -31,6 +31,12 @@ functionals of the boundary cover triples, found without enumerating
 chains.  They are nonnegative on the whole fan (convexity): cone
 membership is a finite list of inequalities with an explicit violation
 certificate.
+
+Checking convexity needs only the sign of each hyperplane on each pure
+diagram.  A pure diagram's entries are positive, so scaled by the lcm of
+their denominators they are positive integers with the same signs under
+every functional: :func:`verify_fan_convexity` reads the signs in integers
+and computes an exact value only for the counterexample it reports.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import add, mul
 
 from .core import (
     BettiDiagram,
@@ -55,7 +63,7 @@ from .errors import (
     NotInSubspace,
     WindowMismatch,
 )
-from .poset import Chain, Window, _cell, chain_length
+from .poset import Chain, Window, _cell, _diagrams, chain_length
 from .poset import _moves as _cover_moves
 
 
@@ -351,13 +359,13 @@ def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
         f = _functional(p0, p1, p2, down, up, w)
         facets.setdefault(f.coefficients, BoundaryFacet(p1, kind, f))
 
+    table = _diagrams(w)
     lo, hi = w.min_element(), w.max_element()
     if lo == hi:
         keep(None, lo, None, None, None, FacetKind.EXTREMAL)
-    for p0 in w.pure_diagrams():
-        d0 = tuple(p0.degrees)
+    for d0, p0 in table.items():
         for d1, down in _cover_moves(d0, w):
-            p1 = pure_diagram(d1, w.n)
+            p1 = table[d1]
             if p0 == lo:
                 keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
             if p1 == hi:
@@ -365,7 +373,7 @@ def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
             for d2, up in _cover_moves(d1, w):
                 kind = _triple_kind(down, up, w)
                 if kind is not FacetKind.INTERIOR:
-                    keep(p0, p1, pure_diagram(d2, w.n), down, up, kind)
+                    keep(p0, p1, table[d2], down, up, kind)
     return tuple(facets.values())
 
 
@@ -389,22 +397,53 @@ class ConvexityReport:
     counterexample: tuple[BoundaryFacet, PureDiagram, Fraction] | None
 
 
+def _integer_values(facets, diagrams):
+    """Per diagram, every facet's functional on its integer entries.
+
+    Yields one list per diagram, in facet order.  Each value is the exact
+    value times the diagram's lcm scale, a positive integer, so it has the
+    exact value's sign; no ``Fraction`` is built.
+    """
+    # per grid position, the coefficient of every hyperplane, in facet order
+    columns = {}
+    for k, facet in enumerate(facets):
+        for pos, c in facet.functional.coefficients:
+            columns.setdefault(pos, [0] * len(facets))[k] = c
+    for p in diagrams:
+        values = repeat(0, len(facets))
+        for pos, v in p._integer_entries:
+            if pos in columns:
+                values = map(add, values, map(mul, columns[pos], repeat(v)))
+        yield list(values)
+
+
 def verify_fan_convexity(w: Window) -> ConvexityReport:
     """Check that every boundary functional is >= 0 on every pure diagram.
 
     This is the extensional form of convexity of the fan: each distinct
     hyperplane of :func:`boundary_facets` is evaluated on each pure diagram
     of the window, no chain is enumerated, and ``facets_checked`` counts
-    distinct hyperplanes.
+    distinct hyperplanes.  Only signs matter, so they are read in integers,
+    from each diagram's entries times the lcm of their denominators.  On
+    failure the counterexample is the first negative pair, hyperplanes in
+    order and then diagrams, with the exact ``Fraction`` value of the
+    functional on the diagram.
     """
     facets = boundary_facets(w)
     diagrams = list(w.pure_diagrams())
-    for facet in facets:
-        for p in diagrams:
-            value = facet.functional(p.betti)
-            if value < 0:
-                return ConvexityReport(w, False, len(facets), len(diagrams), (facet, p, value))
-    return ConvexityReport(w, True, len(facets), len(diagrams), None)
+    # (hyperplane index, diagram) of the first negative pair: the earliest
+    # hyperplane that reads negative anywhere, then its earliest diagram
+    first = None
+    for p, values in zip(diagrams, _integer_values(facets, diagrams)):
+        if min(values) < 0:
+            k = next(k for k, x in enumerate(values) if x < 0)
+            if first is None or k < first[0]:
+                first = (k, p)
+    if first is None:
+        return ConvexityReport(w, True, len(facets), len(diagrams), None)
+    facet, p = facets[first[0]], first[1]
+    counterexample = (facet, p, facet.functional(p.betti))
+    return ConvexityReport(w, False, len(facets), len(diagrams), counterexample)
 
 
 @dataclass(frozen=True)

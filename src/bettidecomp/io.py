@@ -26,7 +26,14 @@ import re
 from enum import Enum
 from fractions import Fraction
 
-from .core import BettiDiagram, LaurentPolynomial, _is_int, as_rational, parse_rational
+from .core import (
+    BettiDiagram,
+    LaurentPolynomial,
+    _is_int,
+    _parse_int,
+    as_rational,
+    parse_rational,
+)
 from .decompose import Decomposition
 from .errors import DuplicateEntry, ParseError
 from .functionals import Functional
@@ -77,15 +84,18 @@ def _parse_table_diagram(text: str) -> BettiDiagram:
         if not line:
             continue
         if line.startswith("#"):
-            m = re.match(r"#\s*n\s*=\s*(\d+)\s*$", line)
+            m = re.match(r"#\s*n\s*=\s*(\S+)\s*$", line)
             if m:
-                declared_n = int(m.group(1))
+                try:
+                    declared_n = _parse_int(m.group(1))
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from None
             continue
         if ":" not in line:
             raise ParseError("expected 'label: values'", lineno, 1)
         label_part, _, rest = line.partition(":")
         try:
-            label = int(label_part.strip())
+            label = _parse_int(label_part.strip())
         except ValueError:
             raise ParseError(f"bad row label {label_part.strip()!r}", lineno, 1) from None
         tokens = rest.split()

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -97,11 +97,26 @@ class Window:
         """All pure diagrams in the window, smallest codimension last.
 
         Deterministic order: codimension descending, then degrees
-        lexicographically ascending.
+        lexicographically ascending.  The diagrams are built once per window
+        and shared: every call yields the same frozen objects, whose
+        ``betti`` and other cached properties are computed at most once.
         """
-        for s in range(self.n, self.s_min - 1, -1):
-            for rows in combinations_with_replacement(range(self.M, self.N + 1), s + 1):
-                yield pure_diagram([r + i for i, r in enumerate(rows)], self.n)
+        return iter(_diagrams(self).values())
+
+
+@lru_cache(maxsize=64)
+def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
+    """Every pure diagram of w by its degree tuple, in ``pure_diagrams`` order.
+
+    The one table that the whole-window paths read; callers must not
+    mutate it.
+    """
+    table = {}
+    for s in range(w.n, w.s_min - 1, -1):
+        for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):
+            d = tuple(r + i for i, r in enumerate(rows))
+            table[d] = pure_diagram(d, w.n)
+    return table
 
 
 def _below(d: tuple, e: tuple) -> bool:
@@ -171,6 +186,18 @@ class Chain:
         for a, b in zip(self.elements, self.elements[1:]):
             if a == b or not leq(a, b):
                 raise NotAChain(f"{a!r} and {b!r} are not strictly increasing")
+
+    @classmethod
+    def _of_moves(cls, elements, window, vacated):
+        """A chain whose steps are moves of :func:`_moves`, built unchecked.
+
+        Such steps stay in the window and go strictly up, so there is
+        nothing to validate; ``vacated`` holds the cells of the moves.
+        """
+        chain = object.__new__(cls)
+        # a frozen dataclass's fields and cached properties live in __dict__
+        chain.__dict__.update(elements=elements, window=window, vacated=vacated)
+        return chain
 
     def __len__(self):
         return len(self.elements)
@@ -252,12 +279,14 @@ def chain_from_tableau(t: Tableau, w: Window) -> Chain:
             position[x] = (r, c)
     cur = tuple(range(w.M, w.M + w.n + 1))
     seqs = [cur]
-    for k in range(1, chain_length(w)):
-        cur = next((nd for nd, cell in _moves(cur, w) if cell == position[k]), None)
+    cells = tuple(position[k] for k in range(1, chain_length(w)))
+    for k, target in enumerate(cells, 1):
+        cur = next((nd for nd, cell in _moves(cur, w) if cell == target), None)
         if cur is None:
             raise InvalidTableau(f"cell numbered {k} is not vacated at step {k}")
         seqs.append(cur)
-    return Chain(tuple(pure_diagram(s, w.n) for s in seqs), w)
+    # one chain needs far fewer diagrams than the window's table holds
+    return Chain._of_moves(tuple(pure_diagram(s, w.n) for s in seqs), w, cells)
 
 
 def _row_major(cells, w: Window) -> tuple[int, ...]:
@@ -347,10 +376,15 @@ def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     reading of their tableau numbering, lexicographically.  When the window
     has more than ``limit`` chains, the first ``next()`` raises
     ``WindowTooLarge`` with the count before any move is walked.
+
+    Every step of a walked chain is a legal cover move, so the chains are
+    not re-validated; their elements are the shared diagrams of
+    :meth:`Window.pure_diagrams`, and their vacated cells come from the walk.
     """
     if limit is not None:
         count = count_maximal_chains(w)
         if count > limit:
             raise WindowTooLarge(f"window has {count} maximal chains, more than {limit}")
-    for seqs, _ in sorted(_walk(w), key=lambda item: _row_major(item[1], w)):
-        yield Chain(tuple(pure_diagram(s, w.n) for s in seqs), w)
+    table = _diagrams(w)
+    for seqs, cells in sorted(_walk(w), key=lambda item: _row_major(item[1], w)):
+        yield Chain._of_moves(tuple(map(table.__getitem__, seqs)), w, cells)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bettidecomp import cli
+from bettidecomp import Window, cli, functionals, pure_diagram
 from bettidecomp.cli import run
 
 
@@ -42,6 +42,16 @@ class TestPure:
         code, _, err = run_cli(capsys, "pure", "--degrees", "3,1", "--n", "3")
         assert code == 2
         assert "increasing" in err
+
+    @pytest.mark.parametrize("degrees", ["\u0660,\u0661_0", "0,+3", "0,1_0", "0,3.0"])
+    def test_degrees_are_ascii_integers(self, capsys, degrees):
+        code, out, err = run_cli(capsys, "pure", "--degrees", degrees, "--n", "1")
+        assert (code, out, err) == (2, "", "--degrees must be comma-separated integers\n")
+
+    def test_degrees_allow_spaces_and_signs(self, capsys):
+        code, out, _ = run_cli(capsys, "pure", "--degrees", " -1, 2", "--n", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["entries"] == [[0, -1, "1/3"], [1, 2, "1/3"]]
 
 
 class TestDecompose:
@@ -178,6 +188,25 @@ class TestVerifyFan:
         assert doc["counterexample"] is None
 
 
+    def test_failure_exit_1_with_exact_value(self, capsys, monkeypatch):
+        w = Window(3, 0, 2, 0)
+        # the first diagram this hyperplane reads positive on reads 1/6
+        facet = functionals.boundary_facets(w)[3]
+        f = facet.functional
+        negated = functionals.Functional(w, tuple((pos, -c) for pos, c in f.coefficients), f.case, f.anchor)
+        bad = functionals.BoundaryFacet(facet.removed, facet.kind, negated)
+        monkeypatch.setattr(functionals, "boundary_facets", lambda _: [bad])
+        code, out, _ = run_cli(
+            capsys, "verify-fan", "--n", "3", "--M", "0", "--N", "2", "--s", "0", "--format", "json"
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False and doc["facets_checked"] == 1
+        _, diagram, value = doc["counterexample"]
+        exact = negated(pure_diagram(diagram["degrees"], 3).betti)
+        assert value == str(exact) == "-1/6"
+
+
 class TestHilbert:
     def test_quotient(self, capsys, quotient_path):
         code, out, _ = run_cli(capsys, "hilbert", quotient_path, "--truncate", "8", "--format", "json")
@@ -250,6 +279,21 @@ class TestMembership:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "membership", "/nonexistent/d.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["membership", "decompose"])
+    def test_file_not_utf8_exit_2(self, capsys, tmp_path, command):
+        path = tmp_path / "utf16.table"
+        path.write_bytes(b"\xff\xfe0\x00:\x00 \x001\x00")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+
+    def test_tableau_not_utf8_exit_2(self, capsys, tmp_path, quotient_path):
+        path = tmp_path / "numbering.json"
+        path.write_bytes(b"[[1, \xe9]]")
+        code, out, err = run_cli(capsys, "expand", quotient_path, "--tableau", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is not UTF-8 text: invalid continuation byte at byte 5\n"
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 """Dual functionals, expansion, facet classification, convexity, membership."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -332,7 +333,65 @@ class TestBoundaryFacets:
         assert len(boundary_facets(Window(3, 0, 3, 0))) == 119
 
 
+def _negated(facet):
+    f = facet.functional
+    negated = functionals.Functional(f.window, tuple((pos, -c) for pos, c in f.coefficients), f.case, f.anchor)
+    return functionals.BoundaryFacet(facet.removed, facet.kind, negated)
+
+
+def _first_negative_pair(facets, diagrams):
+    """Every pair in exact arithmetic, hyperplanes in order, then diagrams."""
+    for facet in facets:
+        for p in diagrams:
+            value = facet.functional(p.betti)
+            if value < 0:
+                return facet, p, value
+    return None
+
+
 class TestConvexity:
+    def test_integer_values_are_scaled_exact_values(self):
+        # every (hyperplane, pure diagram) pair of the windows with n <= 4, width <= 2
+        for n in range(5):
+            for width in range(3):
+                for s_min in range(n + 1):
+                    w = Window(n, 0, width, s_min)
+                    facets = boundary_facets(w)
+                    diagrams = list(w.pure_diagrams())
+                    rows = functionals._integer_values(facets, diagrams)
+                    for p, values in zip(diagrams, rows, strict=True):
+                        scale = math.lcm(*(v.denominator for _, v in p.betti.items()))
+                        exact = [facet.functional(p.betti) for facet in facets]
+                        assert all(type(v) is int for v in values), (w, p)
+                        assert values == [x * scale for x in exact], (w, p)
+                        assert [v < 0 for v in values] == [x < 0 for x in exact], (w, p)
+
+    def test_failure_reports_exact_value(self, monkeypatch):
+        w = Window(3, 0, 2, 1)
+        bad = _negated(boundary_facets(w)[3])
+        monkeypatch.setattr(functionals, "boundary_facets", lambda _: [bad])
+        report = verify_fan_convexity(w)
+        assert not report.passed
+        assert (report.facets_checked, report.diagrams_checked) == (1, len(list(w.pure_diagrams())))
+        facet, p, value = report.counterexample
+        assert facet is bad
+        assert type(value) is Fraction and value == bad.functional(p.betti) == Fraction(-1, 6)
+        assert report.counterexample == _first_negative_pair([bad], list(w.pure_diagrams()))
+
+    def test_failure_is_first_negative_pair_in_facet_order(self, monkeypatch):
+        for w in (Window(2, 0, 2, 0), Window(3, 0, 2, 1), Window(3, -1, 1, 0)):
+            facets = boundary_facets(w)
+            diagrams = list(w.pure_diagrams())
+            # negate two hyperplanes, the later one positive on an earlier diagram
+            first = [next(i for i, p in enumerate(diagrams) if f.functional(p.betti) > 0) for f in facets]
+            a, b = next((a, b) for b in range(len(facets)) for a in range(b) if first[b] < first[a])
+            mixed = [_negated(f) if k in (a, b) else f for k, f in enumerate(facets)]
+            monkeypatch.setattr(functionals, "boundary_facets", lambda _, m=mixed: m)
+            report = verify_fan_convexity(w)
+            assert not report.passed
+            assert report.counterexample[:2] == (mixed[a], diagrams[first[a]]), w
+            assert report.counterexample == _first_negative_pair(mixed, diagrams), w
+
     def test_small_windows_pass(self):
         for w in (Window(2, 0, 1, 0), Window(3, 0, 2, 0), Window(3, 0, 2, 1)):
             report = verify_fan_convexity(w)

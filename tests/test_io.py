@@ -58,6 +58,21 @@ class TestParseTable:
         with pytest.raises(ParseError):
             parse_diagram("x: 1 -", "table")
 
+    @pytest.mark.parametrize("label", ["\u0663", "+3", "1_0", "\u0661\u0660"])
+    def test_labels_are_ascii_integers(self, label):
+        with pytest.raises(ParseError) as info:
+            parse_diagram(f"{label}: 1", "table")
+        assert (info.value.line, info.value.column) == (1, 1)
+
+    def test_negative_label(self):
+        assert parse_diagram("-2: 1", "table") == BettiDiagram(0, {(0, -2): 1})
+
+    @pytest.mark.parametrize("value", ["\u0663", "+3", "3_0", "x"])
+    def test_declared_n_is_an_ascii_integer(self, value):
+        with pytest.raises(ParseError) as info:
+            parse_diagram(f"# a comment\n# n = {value}\n", "table")
+        assert info.value.line == 2
+
     def test_non_consecutive_labels(self):
         with pytest.raises(ParseError):
             parse_diagram("0: 1 -\n2: - 1", "table")

@@ -196,6 +196,25 @@ class TestMaximalChains:
             for a, b in zip(c.elements, c.elements[1:]):
                 assert covers(a, b, w)
 
+    def test_listed_chains_pass_public_validation(self):
+        # chains are built unchecked from legal moves; the public constructor
+        # and is_maximal are the oracle, on every window with n <= 4, width <= 2
+        for n in range(5):
+            for width in range(3):
+                for s_min in range(n + 1):
+                    w = Window(n, 0, width, s_min)
+                    for c in maximal_chains(w):
+                        checked = Chain(c.elements, w)
+                        assert checked.is_maximal(), (w, seqs(c))
+                        assert checked.vacated == c.vacated, (w, seqs(c))
+
+    def test_chains_share_the_window_diagrams(self):
+        w = Window(3, 0, 1, 1)
+        shared = {p.degrees: p for p in w.pure_diagrams()}
+        assert all(a is b for a, b in zip(w.pure_diagrams(), shared.values()))
+        for c in maximal_chains(w):
+            assert all(p is shared[p.degrees] for p in c)
+
     def test_limit_guard(self):
         with pytest.raises(WindowTooLarge):
             list(maximal_chains(Window(3, 0, 2), limit=10))
@@ -248,8 +267,10 @@ class TestTableauBijection:
                     if w.grid_size > 12:
                         continue
                     for c in maximal_chains(w):
-                        t = tableau_from_chain(c)
-                        assert seqs(chain_from_tableau(t, w)) == seqs(c)
+                        rebuilt = chain_from_tableau(tableau_from_chain(c), w)
+                        assert seqs(rebuilt) == seqs(c)
+                        # built unchecked: the public constructor is the oracle
+                        assert Chain(rebuilt.elements, w).vacated == rebuilt.vacated
 
     def test_every_numbering_fits_codimension_zero(self):
         # the survivors at s_min carry the numbers of the drops down to pi(N)
