@@ -130,12 +130,21 @@ def _nonnegative(text: str) -> int:
     return int(text)
 
 
+def _integer(text: str) -> int:
+    """ASCII '-?[0-9]+' only, like the table parser: int() would also take
+    Unicode digits, underscores and a leading '+'."""
+    try:
+        return _parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_window_args(sub, with_s=True):
-    sub.add_argument("--n", type=int, required=True, help="ambient variable count")
-    sub.add_argument("--M", type=int, required=True, help="lowest degree row")
-    sub.add_argument("--N", type=int, required=True, help="highest degree row")
+    sub.add_argument("--n", type=_integer, required=True, help="ambient variable count")
+    sub.add_argument("--M", type=_integer, required=True, help="lowest degree row")
+    sub.add_argument("--N", type=_integer, required=True, help="highest degree row")
     if with_s:
-        sub.add_argument("--s", type=int, default=0, help="minimal codimension (default 0)")
+        sub.add_argument("--s", type=_integer, default=0, help="minimal codimension (default 0)")
 
 
 @functools.cache
@@ -163,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pure", parents=[common], help="print the pure diagram of a degree sequence")
     p.add_argument("--degrees", required=True, help="comma-separated strictly increasing integers")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
 
     p = sub.add_parser("decompose", parents=[common], help="greedy chain decomposition of a diagram")
     _add_diagram_arg(p)

@@ -20,6 +20,15 @@ and are the extremal rays of the cone of Betti diagrams of graded modules.
 All arithmetic is exact: entries are :class:`fractions.Fraction`; floats,
 booleans and strings other than ``p`` or ``p/q`` are rejected at the door.
 Integer fields (degrees, indices, ``n``) take an ``int`` and nothing else.
+
+The door is the public constructors, which validate every key and value.
+``BettiDiagram._of`` and ``LaurentPolynomial._of`` skip that check and only
+drop zero entries.  They may be used only where every key is an ``int``
+(pair) already in range and every value a ``Fraction``, because both came
+out of library arithmetic on validated objects: sums, differences and
+shifts of existing tables, products with a scalar that went through
+:func:`as_rational`, and entries a library formula computed.  Anything a
+caller hands in goes through the public constructor.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ from .errors import (
 
 #: Exact rational scalar used everywhere in this package.
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -109,6 +120,14 @@ class LaurentPolynomial:
                 acc[degree] = acc.get(degree, Fraction(0)) + v
         self._coeffs = {d: v for d, v in acc.items() if v}
 
+    @classmethod
+    def _of(cls, coeffs: dict[int, Fraction]) -> "LaurentPolynomial":
+        """Trusted constructor: int degrees and Fraction values from library
+        arithmetic, stored unchecked except that zeros are dropped."""
+        p = object.__new__(cls)
+        p._coeffs = {d: v for d, v in coeffs.items() if v}
+        return p
+
     def coefficient(self, degree: int) -> Fraction:
         return self._coeffs.get(degree, Fraction(0))
 
@@ -128,19 +147,24 @@ class LaurentPolynomial:
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out = dict(self._coeffs)
         for d, v in other._coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + v
-        return LaurentPolynomial(out)
+            out[d] = out[d] + v if d in out else v
+        return LaurentPolynomial._of(out)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + other.scaled(-1)
+        out = dict(self._coeffs)
+        for d, v in other._coeffs.items():
+            out[d] = out[d] - v if d in out else -v
+        return LaurentPolynomial._of(out)
 
     def scaled(self, scalar) -> "LaurentPolynomial":
         c = as_rational(scalar)
-        return LaurentPolynomial({d: v * c for d, v in self._coeffs.items()})
+        return LaurentPolynomial._of({d: v * c for d, v in self._coeffs.items()})
 
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
-        return LaurentPolynomial({d + k: v for d, v in self._coeffs.items()})
+        if not _is_int(k):
+            raise InvalidDiagram(f"shift {k!r} is not an integer")
+        return LaurentPolynomial._of({d + k: v for d, v in self._coeffs.items()})
 
     def times_one_minus_t(self, power: int = 1) -> "LaurentPolynomial":
         out = self
@@ -151,28 +175,36 @@ class LaurentPolynomial:
     def exact_div_one_minus_t(self) -> "LaurentPolynomial":
         """Exact quotient by (1 - t); raises if the remainder is nonzero.
 
-        Divisibility by (1 - t) is equivalent to vanishing at t = 1.
+        One synthetic division: the quotient's coefficient at d is the sum
+        of the coefficients up to d, and the last running sum, the value at
+        t = 1, is the remainder.
         """
-        if self.is_zero:
+        coeffs = self._coeffs
+        if not coeffs:
             return self
-        if self(1) != 0:
-            raise ValueError("polynomial is not divisible by (1 - t)")
-        lo, hi = self.support()
+        lo, hi = min(coeffs), max(coeffs)
         out: dict[int, Fraction] = {}
-        running = Fraction(0)
+        running = _ZERO
         for d in range(lo, hi):
-            running += self.coefficient(d)
-            if running:
-                out[d] = running
-        return LaurentPolynomial(out)
+            v = coeffs.get(d)
+            if v is not None:
+                running += v
+            out[d] = running
+        if running + coeffs[hi]:
+            raise ValueError("polynomial is not divisible by (1 - t)")
+        return LaurentPolynomial._of(out)
 
     def peel_one_minus_t(self, cap: int | None = None) -> tuple[int, "LaurentPolynomial"]:
         """(s, Q) with self = (1 - t)^s Q and s maximal, or s = cap if smaller."""
         s, q = 0, self
-        while (cap is None or s < cap) and not q.is_zero and q(1) == 0:
+        while (cap is None or s < cap) and not q.is_zero and not q._coefficient_sum():
             q = q.exact_div_one_minus_t()
             s += 1
         return s, q
+
+    def _coefficient_sum(self) -> Fraction:
+        """The value at t = 1, without powers."""
+        return sum(self._coeffs.values(), _ZERO)
 
     def one_minus_t_order(self) -> int:
         """Largest s with (1 - t)^s dividing the polynomial (zero poly -> error)."""
@@ -236,6 +268,17 @@ class BettiDiagram:
         self._entries = {k: v for k, v in acc.items() if v}
         self._hash = None
 
+    @classmethod
+    def _of(cls, n: int, entries: dict[tuple[int, int], Fraction]) -> "BettiDiagram":
+        """Trusted constructor: a valid n, in-range int positions and Fraction
+        values from library arithmetic, stored unchecked except that zeros
+        are dropped."""
+        b = object.__new__(cls)
+        b._n = n
+        b._entries = {k: v for k, v in entries.items() if v}
+        b._hash = None
+        return b
+
     @property
     def n(self) -> int:
         return self._n
@@ -272,15 +315,31 @@ class BettiDiagram:
             raise InvalidDiagram("cannot add diagrams with different ambient n")
         out = dict(self._entries)
         for k, v in other._entries.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return BettiDiagram(self._n, out)
+            out[k] = out[k] + v if k in out else v
+        return BettiDiagram._of(self._n, out)
 
     def __sub__(self, other: "BettiDiagram") -> "BettiDiagram":
-        return self + other.scaled(-1)
+        if not isinstance(other, BettiDiagram):
+            return NotImplemented
+        if other._n != self._n:
+            raise InvalidDiagram("cannot subtract diagrams with different ambient n")
+        out = dict(self._entries)
+        for k, v in other._entries.items():
+            out[k] = out[k] - v if k in out else -v
+        return BettiDiagram._of(self._n, out)
+
+    def _minus_scaled(self, c: Fraction, other: "BettiDiagram") -> "BettiDiagram":
+        """self - c * other in one pass, for an exact c from library arithmetic
+        and a diagram of the same n: the residual update of a greedy step."""
+        out = dict(self._entries)
+        for k, v in other._entries.items():
+            v = c * v
+            out[k] = out[k] - v if k in out else -v
+        return BettiDiagram._of(self._n, out)
 
     def scaled(self, scalar) -> "BettiDiagram":
         c = as_rational(scalar)
-        return BettiDiagram(self._n, {k: v * c for k, v in self._entries.items()})
+        return BettiDiagram._of(self._n, {k: v * c for k, v in self._entries.items()})
 
     def __rmul__(self, scalar) -> "BettiDiagram":
         return self.scaled(scalar)
@@ -353,7 +412,7 @@ class PureDiagram:
                 if j != i:
                     prod *= d[j] - d[i]
             entries[(i, d[i])] = Fraction((-1) ** i, prod)
-        return BettiDiagram(self.n, entries)
+        return BettiDiagram._of(self.n, entries)
 
     @cached_property
     def _integer_entries(self) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -434,9 +493,11 @@ def numerator_polynomial(b: BettiDiagram) -> LaurentPolynomial:
     Linear in the diagram.
     """
     acc: dict[int, Fraction] = {}
-    for (i, j), v in b.items():
-        acc[j] = acc.get(j, Fraction(0)) + (-1) ** i * v
-    return LaurentPolynomial(acc)
+    for (i, j), v in b._entries.items():
+        if i & 1:
+            v = -v
+        acc[j] = acc[j] + v if j in acc else v
+    return LaurentPolynomial._of(acc)
 
 
 def codimension(b: BettiDiagram) -> int:
@@ -444,9 +505,18 @@ def codimension(b: BettiDiagram) -> int:
 
     Equals the number of leading Herzog-Kuhl equations the diagram satisfies.
     """
+    return _peeled_numerator(b)[0]
+
+
+def _peeled_numerator(b: BettiDiagram) -> tuple[int, LaurentPolynomial]:
+    """(s, Q) with S(b, t) = (1 - t)^s Q and s maximal, from one peel: the
+    codimension, and the quotient whose value at 1 is the multiplicity."""
     if b.is_zero:
         raise UndefinedOnZero("codimension undefined for the zero diagram")
-    return numerator_polynomial(b).one_minus_t_order()
+    num = numerator_polynomial(b)
+    if num.is_zero:
+        raise UndefinedOnZero("order undefined for the zero polynomial")
+    return num.peel_one_minus_t()
 
 
 def window_of(b: BettiDiagram) -> tuple[int, int]:

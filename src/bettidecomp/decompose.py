@@ -113,7 +113,7 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
         element = pure_diagram(degs, b.n)
         coeff = min(residual[pos] / v for pos, v in element.betti.items())
         terms.append((coeff, element))
-        residual = residual - element.betti.scaled(coeff)
+        residual = residual._minus_scaled(coeff, element.betti)
     raise NotInCone(
         NotInCone.RESIDUAL,
         "residual did not reach zero within the chain bound",

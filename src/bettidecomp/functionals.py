@@ -275,7 +275,7 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
         lam = residual[pos] / element.betti[pos]
         coords.append(lam)
         if lam:
-            residual = residual - element.betti.scaled(lam)
+            residual = residual._minus_scaled(lam, element.betti)
     if not residual.is_zero:
         raise NotInSubspace("diagram is not in the span of the chain", residuals)
     return coords

@@ -33,6 +33,7 @@ from .core import (
     BettiDiagram,
     LaurentPolynomial,
     NormalizedPureDiagram,
+    _peeled_numerator,
     codimension,
     normalize,
     numerator_polynomial,
@@ -72,18 +73,22 @@ class HilbertSeries:
         """Power-series coefficients of t^0 .. t^depth."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        out = []
+        # sum in integers: the numerator times the lcm of its denominators
         items = self.numerator.items()
+        scale = math.lcm(*(v.denominator for _, v in items))
+        scaled = [(j, v.numerator * (scale // v.denominator)) for j, v in items]
+        n = self.n
+        out = []
         for k in range(depth + 1):
-            total = Fraction(0)
-            for j, v in items:
+            total = 0
+            for j, v in scaled:
                 if j > k:
                     break
-                if self.n >= 1:
-                    total += v * math.comb(k - j + self.n - 1, self.n - 1)
+                if n >= 1:
+                    total += v * math.comb(k - j + n - 1, n - 1)
                 elif j == k:
                     total += v
-            out.append(total)
+            out.append(Fraction(total, scale))
         return out
 
     def __add__(self, other: "HilbertSeries") -> "HilbertSeries":
@@ -125,7 +130,7 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     """
     if b.is_zero:
         raise UndefinedOnZero("multiplicity undefined for the zero diagram")
-    return numerator_polynomial(b).peel_one_minus_t()[1](1)
+    return numerator_polynomial(b).peel_one_minus_t()[1]._coefficient_sum()
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,11 @@ def shift_bounds(b: BettiDiagram) -> ShiftBounds:
     generated in several degrees, or in a single nonzero degree, are
     rejected rather than silently twisted.
     """
+    _check_generators(b)
+    return _shift_bounds(b, codimension(b))
+
+
+def _check_generators(b: BettiDiagram) -> None:
     if b.is_zero:
         raise UndefinedOnZero("shift bounds undefined for the zero diagram")
     gen_degrees = b.column_degrees(0)
@@ -156,8 +166,11 @@ def shift_bounds(b: BettiDiagram) -> ShiftBounds:
         raise NotSingleDegreeGenerated(
             f"generators sit in degree {gen_degrees[0]}, expected degree 0"
         )
+
+
+def _shift_bounds(b: BettiDiagram, s: int) -> ShiftBounds:
+    """The column reading of :func:`shift_bounds` for codimension s."""
     r = b.projective_dimension()
-    s = codimension(b)
     minimal = []
     maximal = []
     for i in range(1, r + 1):
@@ -274,7 +287,10 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     report comes back ``applicable=False`` with a reason instead of a
     verdict.  Slack vectors are exact coefficient differences.
     """
-    sb = shift_bounds(b)
+    _check_generators(b)
+    # one peel gives both the codimension and the multiplicity e = Q(1)
+    codim, quotient = _peeled_numerator(b)
+    sb = _shift_bounds(b, codim)
     if depth is None:
         _, N = window_of(b)
         depth = N + b.n + 10
@@ -292,12 +308,10 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     s = len(sb.maximal)
     low = normalize(pure_diagram((0,) + sb.minimal, b.n))
     high = normalize(pure_diagram((0,) + sb.maximal, b.n))
-    h = hilbert_series(b).expand(depth)
-    h_low = hilbert_series(low.betti).expand(depth)
-    h_high = hilbert_series(high.betti).expand(depth)
-    lower_slack = tuple(x - beta0 * y for x, y in zip(h, h_low))
-    upper_slack = tuple(beta0 * y - x for x, y in zip(h, h_high))
-    e = multiplicity(b)
+    # the series is linear in the diagram: each slack is the series of a difference
+    lower_slack = tuple(hilbert_series(b - low.betti.scaled(beta0)).expand(depth))
+    upper_slack = tuple(hilbert_series(high.betti.scaled(beta0) - b).expand(depth))
+    e = quotient._coefficient_sum()
     bound = beta0 * Fraction(math.prod(sb.maximal), math.factorial(s))
     return BoundsReport(
         True,

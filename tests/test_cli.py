@@ -343,6 +343,26 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument {flag}: expected an integer >= 0, got {argv[2]!r}\n")
 
+    @pytest.mark.parametrize("value", ["\u0662", "1_0", "+3", "3.0", ""])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("chains", "--count-only", "--n", "{}", "--M", "0", "--N", "1"), "--n"),
+            (("chains", "--count-only", "--n", "2", "--M", "0", "--N", "{}"), "--N"),
+            (("facets", "--n", "2", "--M", "{}", "--N", "1"), "--M"),
+            (("verify-fan", "--n", "2", "--M", "0", "--N", "1", "--s", "{}"), "--s"),
+            (("pure", "--degrees", "0,1", "--n", "{}"), "--n"),
+        ],
+    )
+    def test_integer_flags_are_ascii_integers(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *(a.format(value) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: {value!r} is not an integer literal\n")
+
+    def test_negative_row_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "chains", "--count-only", "--n", "2", "--M", "-1", "--N", "0")
+        assert (code, out) == (0, "5\n")
+
     def test_boolean_ambient_size_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bools.json"
         path.write_text('{"n": true, "entries": [[false, true, "1"], [true, 2, "1"]]}')

@@ -7,6 +7,7 @@ elimination over Fraction is a route entirely disjoint from the closed
 formulas and must agree bit-for-bit.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from bettidecomp import (
     Window,
     chain_from_tableau,
     chain_length,
+    codimension,
     coefficient_functional,
     derived_window,
     expand_in_chain,
@@ -23,6 +25,8 @@ from bettidecomp import (
     leq,
     maximal_chains,
     membership_by_inequalities,
+    multiplicity,
+    multiplicity_bounds,
     pure_diagram,
     tableau_from_chain,
 )
@@ -200,3 +204,32 @@ class TestMembershipRoutesAgree:
                     assert expand_in_chain(x, refined) == [expected.get(p, 0) for p in refined]
                 verdicts[dec is not None] += 1
         assert verdicts[True] >= 60 and verdicts[False] >= 30  # both sides exercised
+
+
+class TestMultiplicityFromDecomposition:
+    def test_peel_equals_codimension_terms_of_greedy(self):
+        """An unnormalized pure diagram of codimension c has multiplicity
+        1/c!, and the multiplicity is additive over the terms of least
+        codimension.  So the (1-t) peel must read the same e as the greedy
+        terms a_k * pi(d^k): the sum of a_k / c! over the terms of
+        codimension c = codim(b), on Cohen-Macaulay diagrams and on
+        non-Cohen-Macaulay ones (codimension < projective dimension)."""
+        rng = random.Random(2009)
+        kinds = {"cm": 0, "non_cm": 0}
+        for _ in range(240):
+            n = rng.randint(1, 6)
+            w = Window(n, 0, rng.randint(1, 3), rng.randint(0, n))
+            chain = random_maximal_chain(rng, w)
+            generated_in_zero = [p for p in chain if p.degrees[0] == 0]
+            b = BettiDiagram(n, {})
+            for p in rng.sample(generated_in_zero, rng.randint(1, min(5, len(generated_in_zero)))):
+                b = b + p.betti.scaled(Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+            c = codimension(b)
+            terms = greedy_decompose(b).terms
+            e = sum((a for a, p in terms if p.codimension == c), Fraction(0)) / math.factorial(c)
+            assert multiplicity(b) == e, b
+            report = multiplicity_bounds(b)
+            assert report.applicable and report.multiplicity_value == e, b
+            assert report.generator_count == sum(a / math.prod(p.degrees[1:]) for a, p in terms)
+            kinds["non_cm" if c < b.projective_dimension() else "cm"] += 1
+        assert kinds["cm"] >= 50 and kinds["non_cm"] >= 50  # both cases exercised

@@ -1,0 +1,200 @@
+"""The exact kernels of the multiplicity path against plain Fraction
+references, and the trusted constructors against the validating ones.
+
+The references are written here from the definitions: long division by
+(1 - t) from the top degree down, and a series as n-fold prefix sums of the
+numerator.  Derandomized, so every run checks the same examples."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bettidecomp import (
+    BettiDiagram,
+    HilbertSeries,
+    LaurentPolynomial,
+    Window,
+    greedy_decompose,
+    pure_diagram,
+)
+from bettidecomp.errors import InvalidDiagram, NotInCone
+from bettidecomp.poset import maximal_chains
+
+exact = settings(max_examples=120, deadline=None, derandomize=True)
+
+degrees = st.integers(min_value=-6, max_value=6)
+# non-integer coefficients included
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool)
+polynomials = st.dictionaries(degrees, coefficients, max_size=7)
+
+
+def dense(coeffs: dict) -> tuple[int, list[Fraction]]:
+    """(lowest degree, coefficients lo..hi) of a nonzero polynomial."""
+    lo, hi = min(coeffs), max(coeffs)
+    return lo, [Fraction(coeffs.get(d, 0)) for d in range(lo, hi + 1)]
+
+
+def long_division(coeffs: dict) -> tuple[dict, Fraction]:
+    """(quotient, remainder) of p = (1 - t) q + r, dividing from the top.
+
+    With p = t^lo P and P = (t - 1) B + r by synthetic division on the
+    coefficients of P from the leading one down, q = -t^lo B.
+    """
+    lo, a = dense(coeffs)
+    b = [Fraction(0)] * (len(a) - 1)
+    carry = Fraction(0)
+    for k in range(len(a) - 1, 0, -1):
+        carry += a[k]
+        b[k - 1] = carry
+    remainder = a[0] + carry
+    return {lo + k: -v for k, v in enumerate(b) if v}, remainder
+
+
+def peel_reference(coeffs: dict, cap=None) -> tuple[int, dict]:
+    s = 0
+    while coeffs and (cap is None or s < cap):
+        q, r = long_division(coeffs)
+        if r:
+            break
+        coeffs, s = q, s + 1
+    return s, coeffs
+
+
+def times_one_minus_t(coeffs: dict, power: int) -> dict:
+    for _ in range(power):
+        out = dict(coeffs)
+        for d, v in coeffs.items():
+            out[d + 1] = out.get(d + 1, 0) - v
+        coeffs = {d: v for d, v in out.items() if v}
+    return coeffs
+
+
+def series_reference(coeffs: dict, n: int, depth: int) -> list[Fraction]:
+    """Coefficients of t^0..t^depth of p / (1 - t)^n: dividing by (1 - t)
+    is one prefix sum over the dense coefficient list."""
+    lo = min([0, *coeffs])
+    values = [Fraction(coeffs.get(d, 0)) for d in range(lo, depth + 1)]
+    for _ in range(n):
+        running = Fraction(0)
+        for k, v in enumerate(values):
+            running += v
+            values[k] = running
+    return values[-lo:] if lo else values
+
+
+class TestDivisionAgainstLongDivision:
+    @exact
+    @given(polynomials, st.integers(0, 3))
+    def test_exact_div_and_peel(self, coeffs, power):
+        p = times_one_minus_t(coeffs, power)
+        poly = LaurentPolynomial(p)
+        if p:
+            q, r = long_division(p)
+            if r:
+                with pytest.raises(ValueError):
+                    poly.exact_div_one_minus_t()
+            else:
+                assert poly.exact_div_one_minus_t() == LaurentPolynomial(q)
+        s, quotient = poly.peel_one_minus_t()
+        ref_s, ref_q = peel_reference(p)
+        assert (s, quotient) == (ref_s, LaurentPolynomial(ref_q))
+        assert s >= power or not p
+        capped = poly.peel_one_minus_t(1)
+        ref_s, ref_q = peel_reference(p, 1)
+        assert capped == (ref_s, LaurentPolynomial(ref_q))
+
+    def test_not_divisible_raises(self):
+        for coeffs in ({0: 1}, {-3: Fraction(1, 2), 2: Fraction(-1, 3)}, {5: 2, 7: -1}):
+            assert long_division(coeffs)[1]
+            with pytest.raises(ValueError):
+                LaurentPolynomial(coeffs).exact_div_one_minus_t()
+
+    def test_zero_polynomial(self):
+        zero = LaurentPolynomial()
+        assert zero.exact_div_one_minus_t() == zero
+        assert zero.peel_one_minus_t() == (0, zero)
+
+
+class TestExpandAgainstPrefixSums:
+    @exact
+    @given(polynomials, st.integers(0, 5), st.integers(0, 12))
+    def test_expand(self, coeffs, n, depth):
+        got = HilbertSeries(LaurentPolynomial(coeffs), n).expand(depth)
+        assert got == series_reference(coeffs, n, depth)
+        assert all(type(v) is Fraction for v in got)
+
+    def test_n_zero_and_negative_degrees(self):
+        p = LaurentPolynomial({-2: Fraction(1, 2), 0: 3, 2: Fraction(-2, 3)})
+        assert HilbertSeries(p, 0).expand(3) == [3, 0, Fraction(-2, 3), 0]
+        # 1/2 t^-2 / (1 - t): every coefficient from t^-2 on reads 1/2
+        assert HilbertSeries(p, 1).expand(3) == [Fraction(7, 2)] * 2 + [Fraction(17, 6)] * 2
+
+
+def assert_clean(b: BettiDiagram):
+    """No stored zero, Fraction values, and the same diagram (with the same
+    hash) as the validating constructor builds from the same entries."""
+    items = b.items()
+    assert all(v and type(v) is Fraction for _, v in items)
+    rebuilt = BettiDiagram(b.n, dict(items))
+    assert b == rebuilt and hash(b) == hash(rebuilt)
+
+
+class TestTrustedPathDoesNotLeak:
+    @pytest.mark.parametrize("value", [0.5, 1.0, True, False, "1.5", "1e3", "٣", None])
+    def test_public_constructors_still_validate(self, value):
+        with pytest.raises(InvalidDiagram):
+            BettiDiagram(2, {(0, 0): value})
+        with pytest.raises(InvalidDiagram):
+            LaurentPolynomial({0: value})
+        with pytest.raises(InvalidDiagram):
+            BettiDiagram(2, {(0, 0): 1}).scaled(value)
+        with pytest.raises(InvalidDiagram):
+            LaurentPolynomial({0: 1}).scaled(value)
+
+    def test_shift_takes_an_int(self):
+        with pytest.raises(InvalidDiagram):
+            LaurentPolynomial({0: 1}).shifted(0.5)
+        with pytest.raises(InvalidDiagram):
+            LaurentPolynomial({0: 1}).shifted(True)
+
+    def test_arithmetic_results_are_clean(self):
+        a = BettiDiagram(2, {(0, 0): 1, (1, 2): Fraction(3, 2), (2, 3): -1})
+        b = BettiDiagram(2, {(1, 2): Fraction(3, 2), (2, 4): Fraction(1, 3)})
+        for result in (a + b, a - b, b - b, a - a.scaled(1), a.scaled(0), a.scaled("2/3"), 3 * b):
+            assert_clean(result)
+        assert (a - b).support() == ((0, 0), (2, 3), (2, 4))
+        assert (b - b).is_zero and a.scaled(0).is_zero
+        with pytest.raises(InvalidDiagram):
+            a - BettiDiagram(3, {})
+
+    def test_polynomial_results_are_clean(self):
+        p = LaurentPolynomial({-1: Fraction(1, 2), 0: 1, 3: -2})
+        q = LaurentPolynomial({-1: Fraction(1, 2), 2: 5})
+        for result in (p + q, p - q, p - p, p.scaled(0), p.shifted(-2), p.times_one_minus_t(2)):
+            rebuilt = LaurentPolynomial(dict(result.items()))
+            assert result == rebuilt and hash(result) == hash(rebuilt)
+            assert all(v and type(v) is Fraction for _, v in result.items())
+
+    def test_greedy_residuals_are_clean(self):
+        rng = random.Random(7)
+        chains = list(maximal_chains(Window(3, 0, 2, 0)))
+        for _ in range(30):
+            chain = rng.choice(chains)
+            b = BettiDiagram(3, {})
+            for p in rng.sample(chain.elements, 3):
+                b = b + p.betti.scaled(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+            residual = b
+            for coeff, p in greedy_decompose(b).terms:
+                assert_clean(p.betti)
+                residual = residual._minus_scaled(coeff, p.betti)
+                assert_clean(residual)
+            assert residual.is_zero
+        # a failing decomposition carries its last residual
+        near = pure_diagram((0, 2, 3, 5), 3).betti - pure_diagram((0, 2, 3), 3).betti.scaled(Fraction(1, 63))
+        with pytest.raises(NotInCone) as caught:
+            greedy_decompose(near)
+        assert_clean(caught.value.residual)
+        assert caught.value.residual.support() == ((1, 2), (2, 3), (3, 5))
