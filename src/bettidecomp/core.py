@@ -296,12 +296,24 @@ class BettiDiagram:
     def support(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._entries))
 
-    def columns(self) -> tuple[int, ...]:
-        """Homological indices with at least one nonzero entry."""
-        return tuple(sorted({i for i, _ in self._entries}))
-
     def column_degrees(self, i: int) -> tuple[int, ...]:
         return tuple(sorted(j for ii, j in self._entries if ii == i))
+
+    def _column_bounds(self) -> list[tuple[int, int] | None]:
+        """(lowest, highest) degree of each column 0..projective dimension,
+        None for an empty column, read in one pass over the entries."""
+        lo: dict[int, int] = {}
+        hi: dict[int, int] = {}
+        for i, j in self._entries:
+            if i not in lo:
+                lo[i] = hi[i] = j
+            elif j < lo[i]:
+                lo[i] = j
+            elif j > hi[i]:
+                hi[i] = j
+        if not lo:
+            raise UndefinedOnZero("column bounds undefined for the zero diagram")
+        return [(lo[i], hi[i]) if i in lo else None for i in range(max(lo) + 1)]
 
     def projective_dimension(self) -> int:
         if self.is_zero:

@@ -64,18 +64,16 @@ class Decomposition:
 
 def _leading_sequence(residual: BettiDiagram, partial):
     """Minimal nonzero degree per column, 0..projective dimension."""
-    top = residual.projective_dimension()
-    degs = []
-    for i in range(top + 1):
-        col = residual.column_degrees(i)
-        if not col:
-            raise NotInCone(
-                NotInCone.INVALID_LEADING_SEQUENCE,
-                f"column {i} is empty below the projective dimension {top}",
-                partial=tuple(partial),
-                residual=residual,
-            )
-        degs.append(col[0])
+    bounds = residual._column_bounds()
+    if None in bounds:
+        i, top = bounds.index(None), len(bounds) - 1
+        raise NotInCone(
+            NotInCone.INVALID_LEADING_SEQUENCE,
+            f"column {i} is empty below the projective dimension {top}",
+            partial=tuple(partial),
+            residual=residual,
+        )
+    degs = [low for low, _ in bounds]
     if any(b <= a for a, b in zip(degs, degs[1:])):
         raise NotInCone(
             NotInCone.INVALID_LEADING_SEQUENCE,

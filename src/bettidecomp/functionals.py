@@ -6,20 +6,24 @@ that evaluates to 1 on ``pi1`` and to 0 on every pure diagram below ``pi0``
 or above ``pi2``.  Expanding a diagram of the window subspace in the chain
 basis, the functional reads off the coefficient of ``pi1``.
 
-Writing ``pi1 = pi(d_0, ..., d_m)``, the functional depends on how ``pi1``
-differs from its neighbours.  With column sums truncated at the degrees of
-``pi0`` (columns above the codimension of ``pi0`` truncate at the window
-ceiling ``N + i``), the four generic shapes are
+Writing ``pi1 = pi(d_0, ..., d_m)``, the functional is read off the two grid
+cells that the cover moves around ``pi1`` vacate.  Let ``D`` be the column
+of the cell that ``pi0 -> pi1`` vacates (``m + 1`` when ``pi0`` drops its
+last degree) and ``U`` the column of the cell that ``pi1 -> pi2`` vacates
+(``m`` for a drop, and ``m`` above the window maximum).  Then
 
-    raise in k above, drop below:   sum (-1)^i prod_{j != k} (d_j - deg) * beta[i, deg]
-    drop above, raise in k below:   sum (-1)^i (d_k - d_m) prod_{j < m, j != k} (d_j - deg) * beta[i, deg]
-    raise in k above, raise in l:   sum (-1)^i (d_l - d_k) prod_{j not in {k, l}} (d_j - deg) * beta[i, deg]
-    drop on both sides:             sum (-1)^i prod_{j < m} (d_j - deg) * beta[i, deg]
+    sum (-1)^i (d_D - d_U) prod_{j <= m, j not in {D, U}} (d_j - deg) * beta[i, deg]
 
-Vanishing below ``pi0`` follows from the Herzog-Kuhl equations, vanishing
-above ``pi2`` from the truncation.  Degenerate configurations (extremal
-``pi1``, two moves in one column, a last-column raise to the ceiling
-followed by a drop) collapse to a single scaled Betti number.
+over ``M + i <= deg <= limit_i``, where the prefactor ``d_D - d_U`` reads
+as 1 when ``D = m + 1``, and the column sums truncate at the degrees of
+``pi0`` (columns above the codimension of ``pi0`` at the window ceiling
+``N + i``).  Vanishing below ``pi0`` follows from the Herzog-Kuhl
+equations, vanishing above ``pi2`` from the truncation.  In three
+configurations the functional is instead a single scaled Betti number of
+``pi1``, the one in column ``D`` when ``D = U`` (two moves in one column)
+or when ``pi0`` raises into the window maximum, and below the window
+minimum the one in column ``U`` (column 0 when the window holds a single
+diagram).
 
 Every coefficient is an integer, so integer diagrams expand with integer
 coordinates.  A maximal chain minus one element is a boundary facet of the
@@ -78,10 +82,14 @@ class FacetKind(Enum):
 
 
 class FunctionalCase(Enum):
-    """Which of the coefficient formulas produced a functional.
+    """The raise/drop shape of the two cover moves around a functional's middle.
 
-    ``ENTRY`` marks the degenerate configurations where the functional is a
-    single scaled Betti number.
+    ``FIRST``: drop below, raise above; ``SECOND``: raise below, drop above;
+    ``THIRD``: two raises; ``FOURTH``: two drops, or a drop into the window
+    maximum.  One rule gives every functional, so the tag selects no
+    formula; it labels the shape for the CLI ``case`` field and the
+    fixtures.  ``ENTRY`` marks the configurations where the functional is
+    a single scaled Betti number.
     """
 
     FIRST = "first"
@@ -133,7 +141,9 @@ def _step(down: PureDiagram, up: PureDiagram, w: Window) -> tuple[int, int]:
 
 
 def _truncation_limits(p0: PureDiagram, w: Window) -> list[int]:
-    """Per-column upper degree limits d_i(pi0); N + i above the codimension."""
+    """Per-column upper degree limits d_i(pi0); N + i above the codimension.
+
+    A p0 in the window has d_i <= N + i, so no limit exceeds the ceiling."""
     c = p0.codimension
     return [p0.degrees[i] if i <= c else w.N + i for i in range(w.n + 1)]
 
@@ -149,8 +159,7 @@ def _from_formula(case, p1, prefactor, product_indices, limits, w, anchor):
     d = p1.degrees
     coeffs = []
     for i in range(w.n + 1):
-        hi = min(limits[i], w.N + i)
-        for deg in range(w.M + i, hi + 1):
+        for deg in range(w.M + i, limits[i] + 1):
             value = prefactor
             for j in product_indices:
                 value *= d[j] - deg
@@ -194,47 +203,34 @@ def coefficient_functional(
     return _functional(p0, p1, p2, down, up, w)
 
 
+# the shape tag by (down is a raise, up is a raise)
+_CASES = {
+    (False, True): FunctionalCase.FIRST,
+    (True, False): FunctionalCase.SECOND,
+    (True, True): FunctionalCase.THIRD,
+    (False, False): FunctionalCase.FOURTH,
+}
+
+
 def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
     """Dual functional of p1 from the grid cells vacated by its cover moves
     ``down`` (p0 -> p1) and ``up`` (p1 -> p2), None at a sentinel.  A cell
-    in the bottom row N - M is a drop, any other a raise."""
+    above the bottom row N - M is a raise, one in it a drop."""
     anchor = (p0, p1, p2)
     m = p1.codimension
     d = p1.degrees
-
     if down is None:
         col = 0 if up is None else up[1]
         return _indicator(p1, (col, d[col]), w, anchor)
-    down_row, down_col = down
+    D = down[1]
+    U = m if up is None else up[1]
+    if D == U or (up is None and D <= m):
+        return _indicator(p1, (D, d[D]), w, anchor)
     bottom = w.N - w.M
-
-    if up is None:
-        if down_row < bottom:
-            # a raise into the maximum is only possible in column 0
-            return _indicator(p1, (0, d[0]), w, anchor)
-        return _from_formula(
-            FunctionalCase.FOURTH, p1, 1, range(m), _truncation_limits(p0, w), w, anchor
-        )
-    up_row, up_col = up
-    limits = _truncation_limits(p0, w)
-
-    if down_row < bottom and up_row < bottom:
-        if down_col == up_col:
-            return _indicator(p1, (up_col, d[up_col]), w, anchor)
-        k, l = up_col, down_col
-        product = [j for j in range(m + 1) if j not in (k, l)]
-        return _from_formula(FunctionalCase.THIRD, p1, d[l] - d[k], product, limits, w, anchor)
-    if down_row < bottom:
-        k = down_col
-        if k == m:
-            return _indicator(p1, (m, d[m]), w, anchor)
-        product = [j for j in range(m) if j != k]
-        return _from_formula(FunctionalCase.SECOND, p1, d[k] - d[m], product, limits, w, anchor)
-    if up_row < bottom:
-        k = up_col
-        product = [j for j in range(m + 1) if j != k]
-        return _from_formula(FunctionalCase.FIRST, p1, 1, product, limits, w, anchor)
-    return _from_formula(FunctionalCase.FOURTH, p1, 1, range(m), limits, w, anchor)
+    case = _CASES[down[0] < bottom, up is not None and up[0] < bottom]
+    prefactor = 1 if D == m + 1 else d[D] - d[U]
+    product = [j for j in range(m + 1) if j not in (D, U)]
+    return _from_formula(case, p1, prefactor, product, _truncation_limits(p0, w), w, anchor)
 
 
 def _check_in_subspace(b: BettiDiagram, w: Window) -> list[Fraction]:

@@ -130,7 +130,7 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     """
     if b.is_zero:
         raise UndefinedOnZero("multiplicity undefined for the zero diagram")
-    return numerator_polynomial(b).peel_one_minus_t()[1]._coefficient_sum()
+    return _peeled_numerator(b)[1]._coefficient_sum()
 
 
 @dataclass(frozen=True)
@@ -170,17 +170,13 @@ def _check_generators(b: BettiDiagram) -> None:
 
 def _shift_bounds(b: BettiDiagram, s: int) -> ShiftBounds:
     """The column reading of :func:`shift_bounds` for codimension s."""
-    r = b.projective_dimension()
-    minimal = []
-    maximal = []
-    for i in range(1, r + 1):
-        col = b.column_degrees(i)
-        if not col:
-            raise InvalidDiagram(f"column {i} is empty below the projective dimension {r}")
-        minimal.append(col[0])
-        if i <= s:
-            maximal.append(col[-1])
-    return ShiftBounds(tuple(minimal), tuple(maximal))
+    bounds = b._column_bounds()
+    if None in bounds[1:]:
+        i, r = bounds.index(None, 1), len(bounds) - 1
+        raise InvalidDiagram(f"column {i} is empty below the projective dimension {r}")
+    minimal = tuple(low for low, _ in bounds[1:])
+    maximal = tuple(high for _, high in bounds[1 : s + 1])
+    return ShiftBounds(minimal, maximal)
 
 
 @dataclass(frozen=True)
@@ -268,15 +264,10 @@ class BoundsReport:
 
 
 def _is_pure(b: BettiDiagram) -> bool:
-    degs = []
-    for i in b.columns():
-        col = b.column_degrees(i)
-        if len(col) != 1:
-            return False
-        degs.append(col[0])
-    return b.columns() == tuple(range(len(degs))) and all(
-        x < y for x, y in zip(degs, degs[1:])
-    )
+    bounds = b._column_bounds()
+    if any(col is None or col[0] != col[1] for col in bounds):
+        return False
+    return all(x < y for (x, _), (y, _) in zip(bounds, bounds[1:]))
 
 
 def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsReport:

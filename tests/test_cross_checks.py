@@ -231,5 +231,17 @@ class TestMultiplicityFromDecomposition:
             report = multiplicity_bounds(b)
             assert report.applicable and report.multiplicity_value == e, b
             assert report.generator_count == sum(a / math.prod(p.degrees[1:]) for a, p in terms)
+            # the bound term by term: each codimension-c term lies under the
+            # maximal shifts, so its share a_k * prod M_j / (c! prod d^k_j)
+            # is at least its a_k / c!, and the shares sum to at most beta_0's
+            top = report.shifts.maximal
+            termwise = Fraction(0)
+            for a, p in terms:
+                if p.codimension == c:
+                    assert all(d <= m for d, m in zip(p.degrees[1:], top)), (b, p)
+                    termwise += a * Fraction(math.prod(top), math.prod(p.degrees[1:]))
+            termwise /= math.factorial(c)
+            assert report.multiplicity_value <= termwise <= report.multiplicity_bound, b
+            assert report.multiplicity_ok
             kinds["non_cm" if c < b.projective_dimension() else "cm"] += 1
         assert kinds["cm"] >= 50 and kinds["non_cm"] >= 50  # both cases exercised

@@ -18,7 +18,6 @@ from bettidecomp import (
     classify_facet,
     coefficient_functional,
     expand_in_chain,
-    leq,
     maximal_chains,
     membership_by_inequalities,
     normalize,
@@ -28,7 +27,7 @@ from bettidecomp import (
 from bettidecomp import functionals
 from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace, WindowMismatch
 from bettidecomp.functionals import derived_window
-from bettidecomp.poset import _moves
+from bettidecomp.poset import _below, _moves
 
 
 def chain12(dual_functionals):
@@ -123,33 +122,39 @@ class TestCoefficientFunctional:
                 None, pure_diagram((0, 1), 1), pure_diagram((0, 2), 1), w
             )
 
-    def test_duality_exhaustive_small_windows(self):
-        """Kronecker delta on the chain; zero below pi0 and above pi2."""
-        for n in range(0, 4):
-            for width in range(0, 3):
+    def test_duality_on_every_cover_triple(self):
+        """Every cover triple, sentinels included, read off the cover moves
+        without enumerating chains: 1 on pi1, 0 on every pure diagram below
+        pi0 or above pi2.  On a maximal chain through the triple that is the
+        Kronecker delta of the chain basis."""
+        triples = 0
+        for n in range(0, 5):
+            for width in range(0, 4):
                 for s_min in range(0, n + 1):
                     w = Window(n, 0, width, s_min)
-                    diagrams = list(w.pure_diagrams())
-                    cache = {}
-                    for chain in maximal_chains(w):
-                        K = len(chain)
-                        for k in range(K):
-                            trip = (
-                                chain[k - 1] if k > 0 else None,
-                                chain[k],
-                                chain[k + 1] if k < K - 1 else None,
-                            )
-                            if trip not in cache:
-                                cache[trip] = coefficient_functional(*trip, w)
-                            f = cache[trip]
-                            for j, other in enumerate(chain):
-                                assert f(other.betti) == (1 if j == k else 0)
-                            p0, _, p2 = trip
-                            for q in diagrams:
-                                if p0 is not None and leq(q, p0):
-                                    assert f(q.betti) == 0
-                                if p2 is not None and leq(p2, q):
-                                    assert f(q.betti) == 0
+                    table = {tuple(p.degrees): p for p in w.pure_diagrams()}
+                    lo, hi = w.min_element(), w.max_element()
+                    trips = [(None, lo, None)] if lo == hi else []
+                    for d0, p0 in table.items():
+                        for d1, _ in _moves(d0, w):
+                            p1 = table[d1]
+                            if p0 == lo:
+                                trips.append((None, p0, p1))
+                            if p1 == hi:
+                                trips.append((p0, p1, None))
+                            trips.extend((p0, p1, table[d2]) for d2, _ in _moves(d1, w))
+                    for p0, p1, p2 in trips:
+                        f = coefficient_functional(p0, p1, p2, w)
+                        assert f(p1.betti) == 1, (p0, p1, p2)
+                        for d, q in table.items():
+                            if (p0 is not None and _below(d, p0.degrees)) or (
+                                p2 is not None and _below(p2.degrees, d)
+                            ):
+                                # zero exactly when zero on the lcm-scaled entries
+                                value = sum(f.coefficient(*pos) * v for pos, v in q._integer_entries)
+                                assert value == 0, (p0, p1, p2, q)
+                    triples += len(trips)
+        assert triples == 5317
 
 
 class TestEvaluate:

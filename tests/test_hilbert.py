@@ -13,6 +13,7 @@ from bettidecomp import (
     LaurentPolynomial,
     Window,
     check_monotonicity,
+    codimension,
     hilbert_series,
     maximal_chains,
     multiplicity,
@@ -131,8 +132,12 @@ class TestMultiplicity:
                     assert multiplicity(nd.betti) == expected
 
     def test_zero_rejected(self):
-        with pytest.raises(UndefinedOnZero):
-            multiplicity(BettiDiagram(2, {}))
+        # the zero diagram, and a nonzero one whose numerator cancels to zero
+        cancelling = BettiDiagram(1, {(0, 0): 1, (1, 0): 1})
+        for b in (BettiDiagram(2, {}), cancelling):
+            for f in (multiplicity, codimension, multiplicity_bounds):
+                with pytest.raises(UndefinedOnZero):
+                    f(b)
 
 
 class TestShiftBounds:
