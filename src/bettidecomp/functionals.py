@@ -215,7 +215,7 @@ _CASES = {
 def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
     """Dual functional of p1 from the grid cells vacated by its cover moves
     ``down`` (p0 -> p1) and ``up`` (p1 -> p2), None at a sentinel.  A cell
-    above the bottom row N - M is a raise, one in it a drop."""
+    in the bottom row N - M is a drop, any other a raise."""
     anchor = (p0, p1, p2)
     m = p1.codimension
     d = p1.degrees
