@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -40,6 +41,7 @@ from .poset import Tableau, Window, chain_from_tableau, count_maximal_chains, ma
 
 _USAGE_ERROR = 2
 _NEGATIVE = 1
+_CHAIN_BATCH = 4096
 
 
 def _max_enum() -> int:
@@ -266,7 +268,19 @@ def _cmd_chains(args, fmt):
     if args.count_only:
         print(count_maximal_chains(w))
         return 0
-    _print_struct(list(maximal_chains(w, _max_enum())), fmt)
+    chains = maximal_chains(w, _max_enum())
+    # written a batch at a time, so a listing of a million chains is never
+    # held encoded; the bytes are those _print_struct prints for the whole
+    # list, and the first batch raises WindowTooLarge before any is written
+    sep = "["
+    while batch := [dio.encode(c) for c in itertools.islice(chains, _CHAIN_BATCH)]:
+        if fmt == "json":
+            sys.stdout.write(sep + json.dumps(batch)[1:-1])
+            sep = ", "
+        else:
+            print(_human(batch))
+    if fmt == "json":
+        print("]")
     return 0
 
 

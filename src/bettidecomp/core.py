@@ -487,8 +487,8 @@ def hk_residuals(b: BettiDiagram, s: int) -> list[Fraction]:
 
     All zero exactly when the diagram lies in the codimension-s subspace.
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    if not _is_int(s) or s < 0:
+        raise ValueError(f"s must be an integer >= 0, got {s!r}")
     out = []
     for m in range(s):
         total = Fraction(0)

@@ -21,25 +21,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BettiDiagram, PureDiagram, pure_diagram, window_of
-from .errors import BettiError, InvalidDiagram, NotInCone
-from .functionals import coefficient_functional, derived_window
-from .poset import Chain, _climb, leq
+from .core import BettiDiagram, PureDiagram, as_rational, pure_diagram, window_of
+from .errors import InvalidDiagram, NotInCone
+from .functionals import _functional, derived_window
+from .poset import _climb, leq
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Ordered positive combination sum coefficient * pi along a chain."""
+    """Ordered positive combination sum coefficient * pi along a chain.
+
+    Coefficients go through ``as_rational`` and must be positive; elements
+    must be ``PureDiagram``s of this ``n``, strictly increasing."""
 
     terms: tuple[tuple[Fraction, PureDiagram], ...]
     n: int
 
     def __post_init__(self):
-        for coeff, _ in self.terms:
+        terms = tuple((as_rational(coeff), p) for coeff, p in self.terms)
+        object.__setattr__(self, "terms", terms)
+        for coeff, p in terms:
+            if not isinstance(p, PureDiagram) or p.n != self.n:
+                raise InvalidDiagram(f"{p!r} is not a pure diagram with n={self.n}")
             if coeff <= 0:
                 raise InvalidDiagram(f"coefficient {coeff} is not positive")
-        elems = [p for _, p in self.terms]
-        for a, b in zip(elems, elems[1:]):
+        for (_, a), (_, b) in zip(terms, terms[1:]):
             if a == b or not leq(a, b):
                 raise InvalidDiagram(f"{a!r}, {b!r} do not form a strictly increasing chain")
 
@@ -132,10 +138,10 @@ class VerificationResult:
 def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationResult:
     """Independently check a decomposition against its claimed input.
 
-    Verifies exact reconstruction, strict chain order and positivity (both
-    enforced by the type, re-checked here on the data), then cross-checks
-    every coefficient through the coefficient functional of its element
-    inside a maximal chain refining the decomposition's chain.
+    Order and positivity hold by construction.  Verifies exact
+    reconstruction, then every coefficient through the dual functional of
+    its element in a maximal chain through the terms.  A failure's reason
+    is ``ambient_mismatch``, ``reconstruction`` or ``functional_mismatch``.
     """
     if dec.n != b.n:
         return VerificationResult(False, "ambient_mismatch")
@@ -143,24 +149,14 @@ def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationRes
         return VerificationResult(b.is_zero, None if b.is_zero else "reconstruction")
     if dec.reconstruct() != b:
         return VerificationResult(False, "reconstruction")
-    elems = dec.diagrams()
-    for a, c in zip(elems, elems[1:]):
-        if a == c or not leq(a, c):
-            return VerificationResult(False, "chain_order")
-    if any(coeff <= 0 for coeff in dec.coefficients()):
-        return VerificationResult(False, "positivity")
-    try:
-        w = derived_window(b)
-        # any refinement works: b lies in the span of the decomposition's
-        # elements, so every coefficient functional reads the same value
-        seqs = _climb(w, Chain(tuple(elems), w).degree_sequences())
-        index = {s: k for k, s in enumerate(seqs)}
-        for coeff, p in dec.terms:
-            k = index[tuple(p.degrees)]
-            below = pure_diagram(seqs[k - 1], w.n) if k > 0 else None
-            above = pure_diagram(seqs[k + 1], w.n) if k + 1 < len(seqs) else None
-            if coefficient_functional(below, p, above, w)(b) != coeff:
-                return VerificationResult(False, "functional_mismatch")
-    except BettiError:
-        return VerificationResult(False, "window_error")
+    # positive pure diagrams cannot cancel: the terms are a chain of w, and
+    # the dual functionals of any maximal chain through them read b's coefficients
+    w = derived_window(b)
+    seqs, cells = _climb(w, [tuple(p.degrees) for _, p in dec.terms])
+    for coeff, p in dec.terms:
+        k = seqs.index(tuple(p.degrees))
+        below, down = (pure_diagram(seqs[k - 1], w.n), cells[k - 1]) if k else (None, None)
+        above, up = (pure_diagram(seqs[k + 1], w.n), cells[k]) if k < len(cells) else (None, None)
+        if _functional(below, p, above, down, up, w)(b) != coeff:
+            return VerificationResult(False, "functional_mismatch")
     return VerificationResult(True)

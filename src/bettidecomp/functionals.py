@@ -233,9 +233,9 @@ def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
     return _from_formula(case, p1, prefactor, product, _truncation_limits(p0, w), w, anchor)
 
 
-def _check_in_subspace(b: BettiDiagram, w: Window) -> list[Fraction]:
-    """Raise unless b lives in w's rows and satisfies its s_min Herzog-Kuhl
-    equations; returns the (zero) residuals."""
+def _check_in_subspace(b: BettiDiagram, w: Window) -> None:
+    """Raise ``WindowMismatch`` unless b lives in w's rows, ``NotInSubspace``
+    unless it satisfies w's s_min Herzog-Kuhl equations."""
     if b.n != w.n:
         raise WindowMismatch(f"diagram has n={b.n}, window has n={w.n}")
     for i, j in b.support():
@@ -246,22 +246,22 @@ def _check_in_subspace(b: BettiDiagram, w: Window) -> list[Fraction]:
         raise NotInSubspace(
             f"diagram violates the first {w.s_min} Herzog-Kuhl equations", residuals
         )
-    return residuals
 
 
 def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
     """Coordinates of a diagram in the basis given by a maximal chain.
 
-    The diagram must be supported inside the window and satisfy its
-    ``s_min`` Herzog-Kuhl equations; coordinates may be negative.  Computed
-    by triangular back-substitution along the vacating order of the chain;
-    :func:`coefficient_functional` provides an independent route for
-    cross-checking.
+    The diagram must lie in the window's rows and satisfy its ``s_min``
+    Herzog-Kuhl equations (``WindowMismatch``, ``NotInSubspace``), checked
+    only on a nonzero residual: a zero one proves both.  Coordinates may be
+    negative.  Triangular back-substitution along the chain's vacating order;
+    :func:`coefficient_functional` is an independent route for cross-checks.
     """
     w = c.window
     if not c.is_maximal():
         raise ChainNotMaximal("expansion needs a maximal chain (a basis)")
-    residuals = _check_in_subspace(b, w)
+    if b.n != w.n:
+        raise WindowMismatch(f"diagram has n={b.n}, window has n={w.n}")
     # element k is nonzero on the cell its step vacates, where all later
     # elements vanish; the maximum is last, read at its column-0 entry
     positions = [(i, w.M + i + r) for r, i in c.vacated] + [(0, w.N)]
@@ -273,7 +273,8 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
         if lam:
             residual = residual._minus_scaled(lam, element.betti)
     if not residual.is_zero:
-        raise NotInSubspace("diagram is not in the span of the chain", residuals)
+        _check_in_subspace(b, w)
+        raise InvariantViolated(f"a maximal chain of {w} is not a basis of its subspace")
     return coords
 
 

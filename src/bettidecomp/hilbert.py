@@ -33,6 +33,7 @@ from .core import (
     BettiDiagram,
     LaurentPolynomial,
     NormalizedPureDiagram,
+    _is_int,
     _peeled_numerator,
     codimension,
     normalize,
@@ -57,8 +58,8 @@ class HilbertSeries:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidDiagram("denominator exponent must be >= 0")
+        if not _is_int(self.n) or self.n < 0:
+            raise InvalidDiagram(f"denominator exponent must be an integer >= 0, got {self.n!r}")
 
     @property
     def is_zero(self) -> bool:
@@ -71,8 +72,8 @@ class HilbertSeries:
 
     def expand(self, depth: int) -> list[Fraction]:
         """Power-series coefficients of t^0 .. t^depth."""
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+        if not _is_int(depth) or depth < 0:
+            raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
         # sum in integers: the numerator times the lcm of its denominators
         items = self.numerator.items()
         scale = math.lcm(*(v.denominator for _, v in items))
@@ -276,8 +277,11 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     Truncation depth defaults to N + n + 10 where (M, N) is the support
     window.  When the shift sequences fail to be strictly increasing the
     report comes back ``applicable=False`` with a reason instead of a
-    verdict.  Slack vectors are exact coefficient differences.
+    verdict.  Slack vectors are exact coefficient differences.  A ``depth``
+    other than None or an integer >= 0 raises ``ValueError`` before any check.
     """
+    if depth is not None and (not _is_int(depth) or depth < 0):
+        raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
     _check_generators(b)
     # one peel gives both the codimension and the multiplicity e = Q(1)
     codim, quotient = _peeled_numerator(b)

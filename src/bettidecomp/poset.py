@@ -336,8 +336,8 @@ def _walk(w: Window):
         yield tuple(seqs), tuple(cells[1:])
 
 
-def _climb(w: Window, targets) -> tuple[tuple[int, ...], ...]:
-    """One maximal chain of w through a chain of targets, as degree sequences.
+def _climb(w: Window, targets):
+    """One maximal chain of w through a chain of targets, as _walk's (seqs, cells).
 
     From the window minimum, for each target and then the maximum, take the
     first move of :func:`_moves` still below it.  This never dead-ends: an
@@ -347,14 +347,15 @@ def _climb(w: Window, targets) -> tuple[tuple[int, ...], ...]:
     must form a chain in w; ``InvariantViolated`` if the climb is stuck.
     """
     cur = tuple(range(w.M, w.M + w.n + 1))
-    seqs = [cur]
+    seqs, cells = [cur], []
     for t in (*targets, tuple(w.max_element().degrees)):
         while cur != t:
-            cur = next((d for d, _ in _moves(cur, w) if _below(d, t)), None)
+            cur, cell = next((m for m in _moves(cur, w) if _below(m[0], t)), (None, None))
             if cur is None:
                 raise InvariantViolated(f"no cover of {seqs[-1]} in {w} lies below {t}")
             seqs.append(cur)
-    return tuple(seqs)
+            cells.append(cell)
+    return tuple(seqs), tuple(cells)
 
 
 def count_maximal_chains(w: Window) -> int:
@@ -382,6 +383,8 @@ def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     :meth:`Window.pure_diagrams`, and their vacated cells come from the walk.
     """
     if limit is not None:
+        if not _is_int(limit):
+            raise ValueError(f"limit must be an integer, got {limit!r}")
         count = count_maximal_chains(w)
         if count > limit:
             raise WindowTooLarge(f"window has {count} maximal chains, more than {limit}")

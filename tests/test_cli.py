@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bettidecomp import Window, cli, functionals, pure_diagram
+from bettidecomp import Window, cli, functionals, maximal_chains, pure_diagram
 from bettidecomp.cli import run
 
 
@@ -154,10 +154,19 @@ class TestChains:
         assert code == 0
         assert out == "1662804\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("batch", [1, 2, 4096])
+    def test_streamed_listing_is_the_whole_document(self, capsys, monkeypatch, fmt, batch):
+        monkeypatch.setattr(cli, "_CHAIN_BATCH", batch)
+        code, out, err = run_cli(capsys, "chains", "--n", "2", "--M", "0", "--N", "2", "--s", "1", "--format", fmt)
+        cli._print_struct(list(maximal_chains(Window(2, 0, 2, 1))), fmt)
+        assert (code, err) == (0, "")
+        assert out == capsys.readouterr().out
+
     def test_enum_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BS_DECOMP_MAX_ENUM", "3")
-        code, _, err = run_cli(capsys, "chains", "--n", "2", "--M", "0", "--N", "1")
-        assert code == 2
+        code, out, err = run_cli(capsys, "chains", "--n", "2", "--M", "0", "--N", "1")
+        assert (code, out) == (2, "")
         assert "BS_DECOMP_MAX_ENUM" in err
         for bad in ("-5", "0", "abc"):
             monkeypatch.setenv("BS_DECOMP_MAX_ENUM", bad)

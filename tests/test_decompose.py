@@ -19,6 +19,7 @@ from bettidecomp import (
     pure_diagram,
     verify_decomposition,
 )
+from bettidecomp import decompose
 from bettidecomp.errors import InvalidDiagram, NotInCone
 from bettidecomp.functionals import derived_window
 from bettidecomp.poset import Chain
@@ -174,6 +175,23 @@ class TestVerifyDecomposition:
         assert derived_window(b) == Window(4, 0, 3, 0)
         assert len(dec) == 2
         assert verify_decomposition(dec, b)
+
+    def test_functional_mismatch(self, quotient_diagram, monkeypatch):
+        # reconstruction holds, so only a dual functional that misreads a
+        # coefficient can fail the check
+        dec = greedy_decompose(quotient_diagram)
+        real = decompose._functional
+        seen = []
+
+        def misread(p0, p1, p2, down, up, w):
+            seen.append((p0, p1, p2))
+            f = real(p0, p1, p2, down, up, w)
+            return f if len(seen) < 3 else (lambda b: f(b) + 1)
+
+        monkeypatch.setattr(decompose, "_functional", misread)
+        result = verify_decomposition(dec, quotient_diagram)
+        assert not result and result.reason == "functional_mismatch"
+        assert [p1 for _, p1, _ in seen] == dec.diagrams()[:3]
 
     def test_wrong_diagram_fails(self, quotient_diagram):
         dec = greedy_decompose(quotient_diagram)

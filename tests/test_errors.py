@@ -117,6 +117,25 @@ class TestDecompositionValidation:
         with pytest.raises(InvalidDiagram):
             Decomposition(((Fraction(0), pure_diagram((0,), 2)),), 2)
 
+    @pytest.mark.parametrize("coeff", [0.5, 1.0, True, "1.5", "1/0", None])
+    def test_inexact_coefficient(self, coeff):
+        with pytest.raises(InvalidDiagram):
+            Decomposition(((coeff, pure_diagram((0,), 2)),), 2)
+
+    @pytest.mark.parametrize(
+        "element",
+        [pure_diagram((0, 1), 1), pure_diagram((0, 1), 3), (0, 1), pure_diagram((0, 1), 2).betti, None],
+    )
+    def test_element_not_a_pure_diagram_of_its_n(self, element):
+        with pytest.raises(InvalidDiagram):
+            Decomposition(((Fraction(1), element),), 2)
+
+    def test_coefficients_stored_as_fractions(self):
+        dec = Decomposition(((1, pure_diagram((0, 1), 2)), ("3/2", pure_diagram((0, 2), 2))), 2)
+        assert dec.coefficients() == [Fraction(1), Fraction(3, 2)]
+        assert all(type(c) is Fraction for c in dec.coefficients())
+        assert isinstance(dec.terms, tuple)
+
     def test_unordered_terms(self):
         with pytest.raises(InvalidDiagram):
             Decomposition(

@@ -18,6 +18,7 @@ from bettidecomp import (
     classify_facet,
     coefficient_functional,
     expand_in_chain,
+    hk_residuals,
     maximal_chains,
     membership_by_inequalities,
     normalize,
@@ -228,8 +229,9 @@ class TestExpandInChain:
         w = Window(3, 0, 2, 1)
         chain = next(iter(maximal_chains(w)))
         bad = BettiDiagram(3, {(0, 0): 1})  # fails the first equation
-        with pytest.raises(NotInSubspace):
+        with pytest.raises(NotInSubspace, match="^diagram violates the first 1 Herzog-Kuhl equations$") as info:
             expand_in_chain(bad, chain)
+        assert info.value.residuals == hk_residuals(bad, w.s_min) == [1]
 
 
 class TestClassifyFacet:
@@ -477,6 +479,15 @@ class TestInvariantsRaise:
         assert functionals._from_formula(*args)(p1.betti) == 1
         with pytest.raises(InvariantViolated):
             functionals._from_formula(FunctionalCase.FOURTH, p1, 2, *args[3:])
+
+    def test_chain_expansion_residual_must_vanish_in_the_subspace(self, monkeypatch):
+        # a maximal chain is a basis, so only a diagram outside the subspace
+        # leaves a residual; with its check skipped that reads as a defect
+        w = Window(3, 0, 2, 1)
+        chain = next(iter(maximal_chains(w)))
+        monkeypatch.setattr(functionals, "_check_in_subspace", lambda b, w: None)
+        with pytest.raises(InvariantViolated, match="not a basis"):
+            expand_in_chain(BettiDiagram(3, {(0, 0): 1}), chain)
 
     def test_unique_middle_must_not_read_interior(self, monkeypatch):
         # pi(0, 2, 3, 4) < pi(1, 2, 3) has two middles, an interior gap;

@@ -360,8 +360,10 @@ class TestClimb:
                     w = Window(n, 0, width, s_min)
                     for full in maximal_chains(w):
                         sub = seqs(full)[::2]
-                        climbed = poset._climb(w, sub)
-                        assert Chain(tuple(pure_diagram(d, n) for d in climbed), w).is_maximal(), (w, sub)
+                        climbed, cells = poset._climb(w, sub)
+                        chain = Chain(tuple(pure_diagram(d, n) for d in climbed), w)
+                        assert chain.is_maximal(), (w, sub)
+                        assert cells == chain.vacated, (w, sub)
                         assert set(sub) <= set(climbed), (w, sub)
 
     def test_stuck_climb_raises(self):

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bettidecomp import BettiDiagram, LaurentPolynomial, Tableau, pure_diagram
+from bettidecomp import (
+    BettiDiagram,
+    HilbertSeries,
+    LaurentPolynomial,
+    Tableau,
+    Window,
+    hilbert_series,
+    hk_residuals,
+    maximal_chains,
+    multiplicity_bounds,
+    pure_diagram,
+)
 from bettidecomp.errors import InvalidDegreeSequence, InvalidDiagram, InvalidTableau
 
 ints = st.integers(min_value=-50, max_value=50)
@@ -72,3 +83,27 @@ def test_tableau_entries(rows, cols, data):
     with pytest.raises(InvalidTableau):
         Tableau(tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
 
+
+
+@exact
+@given(st.integers(0, 5), st.data())
+def test_integer_parameters(k, data):
+    # s, n, depth and limit take an int; the look-alike is refused with the
+    # error of each parameter's range check
+    b = pure_diagram((0, 2, 3), 2).betti.scaled(6)
+    assert len(hk_residuals(b, k)) == k
+    assert HilbertSeries(LaurentPolynomial({0: 1}), k).n == k
+    assert len(hilbert_series(b).expand(k)) == k + 1
+    assert multiplicity_bounds(b, k).depth == k
+    assert len(list(maximal_chains(Window(1, 0, 1), k + 2))) == 2
+    bad = data.draw(inexact(k))
+    with pytest.raises(ValueError):
+        hk_residuals(b, bad)
+    with pytest.raises(InvalidDiagram):
+        HilbertSeries(LaurentPolynomial({0: 1}), bad)
+    with pytest.raises(ValueError):
+        hilbert_series(b).expand(bad)
+    with pytest.raises(ValueError):
+        multiplicity_bounds(b, bad)
+    with pytest.raises(ValueError):
+        next(maximal_chains(Window(1, 0, 1), bad))
