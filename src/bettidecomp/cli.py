@@ -103,7 +103,11 @@ def _human(value, indent=0):
 
 
 def _print_struct(obj, fmt: str) -> None:
-    encoded = dio.encode(obj)
+    _print_encoded(dio.encode(obj), fmt)
+
+
+def _print_encoded(encoded, fmt: str) -> None:
+    """Print data that is already JSON-serializable, as _print_struct does."""
     if fmt == "json":
         print(json.dumps(encoded, sort_keys=True))
     else:
@@ -286,16 +290,18 @@ def _cmd_chains(args, fmt):
 
 def _cmd_facets(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
+    # already JSON data: a grid is lists of ints, which io.encode would
+    # only walk one integer at a time
     payload = [
         {
-            "kind": facet.kind,
+            "kind": facet.kind.value,
             "removed": list(facet.removed.degrees),
-            "case": facet.functional.case,
+            "case": facet.functional.case.value,
             "grid": facet.functional.grid(),
         }
         for facet in boundary_facets(w)
     ]
-    _print_struct(payload, fmt)
+    _print_encoded(payload, fmt)
     return 0
 
 
@@ -348,6 +354,7 @@ def _cmd_membership(args, fmt):
     if not result.member:
         payload["certificate"] = {
             "kind": result.violated.kind,
+            "case": result.violated.functional.case,
             "removed": list(result.violated.removed.degrees),
             "grid": result.violated.functional.grid(),
             "value": result.value,

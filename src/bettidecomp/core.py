@@ -249,7 +249,7 @@ class BettiDiagram:
     by exact rationals, and entries may be negative.
     """
 
-    __slots__ = ("_n", "_entries", "_hash")
+    __slots__ = ("_n", "_entries", "_hash", "_integer")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int], object] | Iterable = ()):
         if not _is_int(n) or n < 0:
@@ -267,6 +267,7 @@ class BettiDiagram:
         self._n = n
         self._entries = {k: v for k, v in acc.items() if v}
         self._hash = None
+        self._integer = None
 
     @classmethod
     def _of(cls, n: int, entries: dict[tuple[int, int], Fraction]) -> "BettiDiagram":
@@ -277,6 +278,7 @@ class BettiDiagram:
         b._n = n
         b._entries = {k: v for k, v in entries.items() if v}
         b._hash = None
+        b._integer = None
         return b
 
     @property
@@ -295,6 +297,22 @@ class BettiDiagram:
 
     def support(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._entries))
+
+    def _integer_form(self) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
+        """(L, ((pos, L * v), ...)): the entries times the lcm L of their
+        denominators, integers, in stored order; computed once.
+
+        A linear functional with integer coefficients sums in ``int`` over
+        them, and its exact value is that sum over L.
+        """
+        if self._integer is None:
+            entries = self._entries
+            scale = math.lcm(*(v.denominator for v in entries.values()))
+            self._integer = (
+                scale,
+                tuple((pos, v.numerator * (scale // v.denominator)) for pos, v in entries.items()),
+            )
+        return self._integer
 
     def column_degrees(self, i: int) -> tuple[int, ...]:
         return tuple(sorted(j for ii, j in self._entries if ii == i))
@@ -402,6 +420,8 @@ class PureDiagram:
     n: int
 
     def __post_init__(self):
+        if not _is_int(self.n) or self.n < 0:
+            raise InvalidDiagram(f"ambient variable count must be an integer >= 0, got {self.n!r}")
         if not isinstance(self.degrees, DegreeSequence):
             object.__setattr__(self, "degrees", DegreeSequence(self.degrees))
         if len(self.degrees) > self.n + 1:
@@ -426,16 +446,14 @@ class PureDiagram:
             entries[(i, d[i])] = Fraction((-1) ** i, prod)
         return BettiDiagram._of(self.n, entries)
 
-    @cached_property
+    @property
     def _integer_entries(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        """The entries times the lcm of their denominators, in column order.
+        """The integer form of :attr:`betti`, in column order.
 
         Every entry is positive, so these are positive integers and a linear
         functional reads the same sign on them as on :attr:`betti`.
         """
-        entries = self.betti.items()
-        scale = math.lcm(*(v.denominator for _, v in entries))
-        return tuple((pos, v.numerator * (scale // v.denominator)) for pos, v in entries)
+        return self.betti._integer_form()[1]
 
     def entry(self, i: int) -> Fraction:
         """The single nonzero value in column i."""
@@ -486,16 +504,14 @@ def hk_residuals(b: BettiDiagram, s: int) -> list[Fraction]:
     """The first s Herzog-Kuhl residuals sum (-1)^i beta[i,j] j^m, m = 0..s-1.
 
     All zero exactly when the diagram lies in the codimension-s subspace.
+    Summed in ``int`` over the diagram's integer form, so each residual is
+    one exact ``Fraction``, the sum over the lcm of the denominators.
     """
     if not _is_int(s) or s < 0:
         raise ValueError(f"s must be an integer >= 0, got {s!r}")
-    out = []
-    for m in range(s):
-        total = Fraction(0)
-        for (i, j), v in b.items():
-            total += (-1) ** i * v * Fraction(j) ** m
-        out.append(total)
-    return out
+    scale, entries = b._integer_form()
+    signed = [(j, -x if i & 1 else x) for (i, j), x in entries]
+    return [Fraction(sum(x * j**m for j, x in signed), scale) for m in range(s)]
 
 
 def numerator_polynomial(b: BettiDiagram) -> LaurentPolynomial:

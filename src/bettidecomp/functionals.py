@@ -36,11 +36,17 @@ chains.  They are nonnegative on the whole fan (convexity): cone
 membership is a finite list of inequalities with an explicit violation
 certificate.
 
-Checking convexity needs only the sign of each hyperplane on each pure
-diagram.  A pure diagram's entries are positive, so scaled by the lcm of
-their denominators they are positive integers with the same signs under
-every functional: :func:`verify_fan_convexity` reads the signs in integers
-and computes an exact value only for the counterexample it reports.
+Functionals are evaluated in integers.  A diagram's entries scaled by the
+lcm L of their denominators are integers, its integer form, computed once
+per diagram; a functional sums in ``int`` over it, and its exact value is
+that sum over L.  ``Functional.__call__`` returns that ``Fraction``.
+:func:`membership_by_inequalities` reads every hyperplane of the window at
+once against coefficient columns built once per window, and builds one
+``Fraction``, the exact value of the violated facet it reports.
+:func:`verify_fan_convexity` needs only signs: a pure diagram's integer
+entries are positive, with the same signs under every functional as its
+exact ones, so it computes an exact value only for the counterexample it
+reports.
 """
 
 from __future__ import annotations
@@ -124,12 +130,14 @@ class Functional:
         ]
 
     def __call__(self, b: BettiDiagram) -> Fraction:
-        total = Fraction(0)
-        for (i, j), v in b.items():
-            c = self._lookup.get((i, j))
+        scale, entries = b._integer_form()
+        lookup = self._lookup
+        total = 0
+        for pos, x in entries:
+            c = lookup.get(pos)
             if c:
-                total += c * v
-        return total
+                total += c * x
+        return Fraction(total, scale)
 
 
 def _step(down: PureDiagram, up: PureDiagram, w: Window) -> tuple[int, int]:
@@ -394,24 +402,36 @@ class ConvexityReport:
     counterexample: tuple[BoundaryFacet, PureDiagram, Fraction] | None
 
 
-def _integer_values(facets, diagrams):
-    """Per diagram, every facet's functional on its integer entries.
-
-    Yields one list per diagram, in facet order.  Each value is the exact
-    value times the diagram's lcm scale, a positive integer, so it has the
-    exact value's sign; no ``Fraction`` is built.
-    """
-    # per grid position, the coefficient of every hyperplane, in facet order
+def _coefficient_columns(facets) -> dict[tuple[int, int], list[int]]:
+    """Per grid position, the coefficient of every facet's functional there,
+    in facet order: the hyperplanes as columns of one integer matrix."""
     columns = {}
     for k, facet in enumerate(facets):
         for pos, c in facet.functional.coefficients:
             columns.setdefault(pos, [0] * len(facets))[k] = c
-    for p in diagrams:
-        values = repeat(0, len(facets))
-        for pos, v in p._integer_entries:
-            if pos in columns:
-                values = map(add, values, map(mul, columns[pos], repeat(v)))
-        yield list(values)
+    return columns
+
+
+def _integer_values(columns, size: int, entries) -> list[int]:
+    """All ``size`` hyperplanes of ``columns`` on integer entries, in facet order.
+
+    On a diagram's integer form ``(L, entries)`` each value is the exact
+    value times L, so it has the exact value's sign and the exact value is
+    ``Fraction(value, L)``; no ``Fraction`` is built.
+    """
+    values = repeat(0, size)
+    for pos, x in entries:
+        column = columns.get(pos)
+        if column is not None:
+            values = map(add, values, map(mul, column, repeat(x)))
+    return list(values)
+
+
+@lru_cache(maxsize=64)
+def _facet_columns(w: Window) -> tuple[tuple[BoundaryFacet, ...], dict[tuple[int, int], list[int]]]:
+    """The window's facets and their coefficient columns, built once."""
+    facets = _boundary_facets_cached(w)
+    return facets, _coefficient_columns(facets)
 
 
 def verify_fan_convexity(w: Window) -> ConvexityReport:
@@ -428,10 +448,12 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
     """
     facets = boundary_facets(w)
     diagrams = list(w.pure_diagrams())
+    columns = _coefficient_columns(facets)
     # (hyperplane index, diagram) of the first negative pair: the earliest
     # hyperplane that reads negative anywhere, then its earliest diagram
     first = None
-    for p, values in zip(diagrams, _integer_values(facets, diagrams)):
+    for p in diagrams:
+        values = _integer_values(columns, len(facets), p._integer_entries)
         if min(values) < 0:
             k = next(k for k, x in enumerate(values) if x < 0)
             if first is None or k < first[0]:
@@ -459,14 +481,18 @@ def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
     The diagram must be supported in the window and satisfy its ``s_min``
     Herzog-Kuhl equations.  Member exactly when every distinct hyperplane of
     :func:`boundary_facets` (no chain is enumerated) is nonnegative on it;
-    otherwise the first violated facet in that order is the certificate.
+    otherwise the first violated facet in that order is the certificate,
+    with its exact value.  All hyperplanes are read at once, in integers,
+    on the diagram's integer form.
     """
     _check_in_subspace(b, w)
-    for facet in boundary_facets(w):
-        value = facet.functional(b)
-        if value < 0:
-            return MembershipResult(False, facet, value)
-    return MembershipResult(True)
+    facets, columns = _facet_columns(w)
+    scale, entries = b._integer_form()
+    values = _integer_values(columns, len(facets), entries)
+    if min(values, default=0) >= 0:
+        return MembershipResult(True)
+    k = next(k for k, x in enumerate(values) if x < 0)
+    return MembershipResult(False, facets[k], Fraction(values[k], scale))
 
 
 def derived_window(b: BettiDiagram) -> Window:

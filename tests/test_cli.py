@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from bettidecomp import Window, cli, functionals, maximal_chains, pure_diagram
+from bettidecomp import io as dio
 from bettidecomp.cli import run
 
 
@@ -186,6 +188,24 @@ class TestFacets:
             assert dual_functionals["matrices"][key] in grids
 
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_grids_go_to_output_unencoded(self, capsys, monkeypatch, fmt):
+        # the bytes io.encode makes of the payload with its enum fields
+        facets = functionals.boundary_facets(Window(3, 0, 2, 0))
+        payload = [
+            {"kind": f.kind, "removed": list(f.removed.degrees), "case": f.functional.case,
+             "grid": f.functional.grid()}
+            for f in facets
+        ]
+        encoded = dio.encode(payload)
+        expected = json.dumps(encoded, sort_keys=True) if fmt == "json" else cli._human(encoded)
+        monkeypatch.setattr(dio, "encode", lambda obj: pytest.fail("facets went through io.encode"))
+        code, out, _ = run_cli(
+            capsys, "facets", "--n", "3", "--M", "0", "--N", "2", "--s", "0", "--format", fmt
+        )
+        assert (code, out) == (0, expected + "\n")
+
+
 class TestVerifyFan:
     def test_passes(self, capsys):
         code, out, _ = run_cli(
@@ -277,6 +297,38 @@ class TestMembership:
         doc = json.loads(out)
         assert doc["member"] is False
         assert doc["certificate"]["value"].startswith("-")
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0, 0, "1"], [1, 3, "1"], [2, 3, "1"], [2, 4, "2"], [3, 5, "1"]],
+            # non-integer and negative entries, s_min = 1, a formula functional
+            [[0, 0, "-11/20"], [0, 2, "1/2"], [1, 3, "2"], [2, 4, "11/4"], [3, 5, "7/10"]],
+            [[0, 1, "19/4"], [0, 2, "-3"], [1, 2, "26/3"], [1, 3, "-5/2"], [2, 3, "9/2"], [3, 5, "1/12"]],
+            [[0, -1, "-1/2"], [1, 0, "-3/2"], [2, 1, "-3/2"], [3, 2, "-1/2"]],
+        ],
+    )
+    def test_certificate_reproduces_its_value(self, capsys, tmp_path, entries):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"n": 3, "entries": entries}))
+        code, out, _ = run_cli(capsys, "membership", str(path), "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        cert, w = doc["certificate"], doc["window"]
+        assert set(cert) == {"kind", "case", "removed", "grid", "value"}
+        # the value is the grid on the input, recomputed in Fractions
+        value = sum(
+            (cert["grid"][j - i - w["M"]][i] * Fraction(v) for i, j, v in entries), Fraction(0)
+        )
+        assert value < 0 and cert["value"] == str(value)
+        # the certificate is a facet of the window, with its kind and case
+        code, out, _ = run_cli(
+            capsys, "facets", "--n", "3", "--M", str(w["M"]), "--N", str(w["N"]),
+            "--s", str(w["s_min"]), "--format", "json",
+        )
+        assert code == 0
+        listed = {k: v for k, v in cert.items() if k != "value"}
+        assert listed in json.loads(out)
 
     def test_negative_multiple_of_single_window_diagram_exit_1(self, capsys, tmp_path):
         path = tmp_path / "negative.json"

@@ -10,6 +10,7 @@ from bettidecomp import (
     BettiDiagram,
     DegreeSequence,
     LaurentPolynomial,
+    PureDiagram,
     codimension,
     hk_residuals,
     normalize,
@@ -79,6 +80,13 @@ class TestPureDiagram:
     def test_rejects_too_long(self):
         with pytest.raises(CodimensionExceedsAmbient):
             pure_diagram((0, 1, 2, 3), 2)
+
+    @pytest.mark.parametrize("n", [2.5, True, 1.0, -1, "2", None])
+    def test_rejects_n_that_is_not_a_count(self, n):
+        with pytest.raises(InvalidDiagram):
+            pure_diagram((0, 1), n)
+        with pytest.raises(InvalidDiagram):
+            PureDiagram(DegreeSequence((0,)), n)
 
 
 class TestNormalize:

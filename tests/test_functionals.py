@@ -365,7 +365,8 @@ class TestConvexity:
                     w = Window(n, 0, width, s_min)
                     facets = boundary_facets(w)
                     diagrams = list(w.pure_diagrams())
-                    rows = functionals._integer_values(facets, diagrams)
+                    columns = functionals._coefficient_columns(facets)
+                    rows = [functionals._integer_values(columns, len(facets), p._integer_entries) for p in diagrams]
                     for p, values in zip(diagrams, rows, strict=True):
                         scale = math.lcm(*(v.denominator for _, v in p.betti.items()))
                         exact = [facet.functional(p.betti) for facet in facets]

@@ -1,9 +1,12 @@
-"""The exact kernels of the multiplicity path against plain Fraction
-references, and the trusted constructors against the validating ones.
+"""The exact kernels of the multiplicity path and of functional evaluation
+against plain Fraction references, and the trusted constructors against the
+validating ones.
 
 The references are written here from the definitions: long division by
-(1 - t) from the top degree down, and a series as n-fold prefix sums of the
-numerator.  Derandomized, so every run checks the same examples."""
+(1 - t) from the top degree down, a series as n-fold prefix sums of the
+numerator, and functionals and Herzog-Kuhl residuals as sums of Fraction
+products, term by term.  Derandomized, so every run checks the same
+examples."""
 
 import random
 from fractions import Fraction
@@ -17,13 +20,17 @@ from bettidecomp import (
     HilbertSeries,
     LaurentPolynomial,
     Window,
+    boundary_facets,
     greedy_decompose,
+    hk_residuals,
+    membership_by_inequalities,
     pure_diagram,
 )
 from bettidecomp.errors import InvalidDiagram, NotInCone
 from bettidecomp.poset import maximal_chains
 
 exact = settings(max_examples=120, deadline=None, derandomize=True)
+fewer = settings(max_examples=50, deadline=None, derandomize=True)
 
 degrees = st.integers(min_value=-6, max_value=6)
 # non-integer coefficients included
@@ -198,3 +205,117 @@ class TestTrustedPathDoesNotLeak:
             greedy_decompose(near)
         assert_clean(caught.value.residual)
         assert caught.value.residual.support() == ((1, 2), (2, 3), (3, 5))
+
+
+def functional_reference(f, b: BettiDiagram) -> Fraction:
+    """sum c[i, j] * beta[i, j] in Fractions, term by term."""
+    total = Fraction(0)
+    for pos, c in f.coefficients:
+        total += Fraction(c) * b[pos]
+    return total
+
+
+def hk_reference(b: BettiDiagram, s: int) -> list[Fraction]:
+    return [
+        sum((Fraction((-1) ** i) * v * Fraction(j) ** m for (i, j), v in b.items()), Fraction(0))
+        for m in range(s)
+    ]
+
+
+def membership_reference(b: BettiDiagram, w: Window):
+    """(member, first violated facet, its value): every facet in order."""
+    for facet in boundary_facets(w):
+        value = functional_reference(facet.functional, b)
+        if value < 0:
+            return False, facet, value
+    return True, None, None
+
+
+# s_min > 0 and a negative M included; (3, 0, 3, 0) has 119 facets
+KERNEL_WINDOWS = [
+    Window(1, 0, 2, 0),
+    Window(2, 0, 2, 0),
+    Window(2, 0, 3, 2),
+    Window(3, 0, 2, 1),
+    Window(3, -1, 1, 2),
+    Window(3, 0, 3, 0),
+    Window(4, 0, 2, 3),
+]
+
+
+def seeded_inputs(w: Window, rng: random.Random, count: int):
+    """Members (positive non-integer combinations of the window's pure
+    diagrams) and near-misses (a member minus a multiple of a pure diagram,
+    so negative entries occur); both lie in the window's subspace."""
+    diagrams = list(w.pure_diagrams())
+    for _ in range(count):
+        member = BettiDiagram(w.n, {})
+        for p in rng.sample(diagrams, min(len(diagrams), rng.randint(1, 4))):
+            member = member + p.betti.scaled(Fraction(rng.randint(1, 30), rng.randint(1, 7)))
+        yield member
+        yield member - rng.choice(diagrams).betti.scaled(Fraction(rng.randint(1, 60), rng.randint(1, 5)))
+
+
+class TestFunctionalKernelAgainstFractionSums:
+    def test_membership_verdict_certificate_and_value(self):
+        rng = random.Random(11)
+        verdicts = {True: 0, False: 0}
+        for w in KERNEL_WINDOWS:
+            for k, b in enumerate(seeded_inputs(w, rng, 12)):
+                result = membership_by_inequalities(b, w)
+                member, facet, value = membership_reference(b, w)
+                assert result.member is member, (w, b)
+                assert result.violated is facet, (w, b)
+                assert result.value == value and type(result.value) is type(value), (w, b)
+                if k % 2 == 0:
+                    assert member, (w, b)  # a positive combination is in the cone
+                verdicts[member] += 1
+        # the near-misses exercise both verdicts
+        assert verdicts[False] >= 20
+        # an integer value of -1, the smallest violation there is
+        b, w = pure_diagram((0, 1), 1).betti.scaled(-1), Window(1, 0, 0, 1)
+        assert b._integer_form() == (1, (((0, 0), -1), ((1, 1), -1)))
+        result = membership_by_inequalities(b, w)
+        assert (result.member, result.violated, result.value) == membership_reference(b, w)
+        assert result.value == -1
+
+    def test_functional_call(self):
+        rng = random.Random(12)
+        for w in KERNEL_WINDOWS:
+            facets = boundary_facets(w)
+            for b in seeded_inputs(w, rng, 3):
+                for facet in facets:
+                    got = facet.functional(b)
+                    assert type(got) is Fraction and got == functional_reference(facet.functional, b)
+
+    @fewer
+    @given(
+        st.integers(0, 4),
+        st.dictionaries(st.tuples(st.integers(0, 4), degrees), coefficients, max_size=8),
+    )
+    def test_functional_call_off_the_window(self, n, entries):
+        # entries anywhere, in or out of the functional's support
+        b = BettiDiagram(n, {(i, j): v for (i, j), v in entries.items() if i <= n})
+        for facet in boundary_facets(Window(n, -1, 1, 0)):
+            got = facet.functional(b)
+            assert type(got) is Fraction and got == functional_reference(facet.functional, b)
+
+    @fewer
+    @given(
+        st.integers(0, 4),
+        st.dictionaries(st.tuples(st.integers(0, 4), degrees), coefficients, max_size=8),
+        st.integers(0, 6),
+    )
+    def test_hk_residuals(self, n, entries, s):
+        b = BettiDiagram(n, {(i, j): v for (i, j), v in entries.items() if i <= n})
+        got = hk_residuals(b, s)
+        assert got == hk_reference(b, s)
+        assert all(type(v) is Fraction for v in got)
+
+    def test_hk_residuals_on_seeded_inputs(self):
+        rng = random.Random(13)
+        for w in KERNEL_WINDOWS:
+            for b in seeded_inputs(w, rng, 4):
+                got = hk_residuals(b, w.n + 1)
+                assert got == hk_reference(b, w.n + 1), (w, b)
+                assert not any(got[: w.s_min]), (w, b)

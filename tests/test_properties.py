@@ -92,6 +92,7 @@ def test_integer_parameters(k, data):
     # error of each parameter's range check
     b = pure_diagram((0, 2, 3), 2).betti.scaled(6)
     assert len(hk_residuals(b, k)) == k
+    assert pure_diagram((0,), k).betti.n == k
     assert HilbertSeries(LaurentPolynomial({0: 1}), k).n == k
     assert len(hilbert_series(b).expand(k)) == k + 1
     assert multiplicity_bounds(b, k).depth == k
@@ -101,6 +102,8 @@ def test_integer_parameters(k, data):
         hk_residuals(b, bad)
     with pytest.raises(InvalidDiagram):
         HilbertSeries(LaurentPolynomial({0: 1}), bad)
+    with pytest.raises(InvalidDiagram):
+        pure_diagram((0,), bad)
     with pytest.raises(ValueError):
         hilbert_series(b).expand(bad)
     with pytest.raises(ValueError):
