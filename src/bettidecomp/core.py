@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -214,6 +215,8 @@ class LaurentPolynomial:
 
     def __call__(self, point) -> Fraction:
         x = as_rational(point)
+        if not x and self._coeffs and min(self._coeffs) < 0:
+            raise UndefinedOnZero(f"the term of degree {min(self._coeffs)} is undefined at t = 0")
         total = Fraction(0)
         for d, v in self._coeffs.items():
             total += v * x**d
@@ -320,18 +323,7 @@ class BettiDiagram:
     def _column_bounds(self) -> list[tuple[int, int] | None]:
         """(lowest, highest) degree of each column 0..projective dimension,
         None for an empty column, read in one pass over the entries."""
-        lo: dict[int, int] = {}
-        hi: dict[int, int] = {}
-        for i, j in self._entries:
-            if i not in lo:
-                lo[i] = hi[i] = j
-            elif j < lo[i]:
-                lo[i] = j
-            elif j > hi[i]:
-                hi[i] = j
-        if not lo:
-            raise UndefinedOnZero("column bounds undefined for the zero diagram")
-        return [(lo[i], hi[i]) if i in lo else None for i in range(max(lo) + 1)]
+        return _column_bounds(self._entries)
 
     def projective_dimension(self) -> int:
         if self.is_zero:
@@ -358,15 +350,6 @@ class BettiDiagram:
             out[k] = out[k] - v if k in out else -v
         return BettiDiagram._of(self._n, out)
 
-    def _minus_scaled(self, c: Fraction, other: "BettiDiagram") -> "BettiDiagram":
-        """self - c * other in one pass, for an exact c from library arithmetic
-        and a diagram of the same n: the residual update of a greedy step."""
-        out = dict(self._entries)
-        for k, v in other._entries.items():
-            v = c * v
-            out[k] = out[k] - v if k in out else -v
-        return BettiDiagram._of(self._n, out)
-
     def scaled(self, scalar) -> "BettiDiagram":
         c = as_rational(scalar)
         return BettiDiagram._of(self._n, {k: v * c for k, v in self._entries.items()})
@@ -387,6 +370,23 @@ class BettiDiagram:
     def __repr__(self):
         ent = ", ".join(f"({i},{j}): {v}" for (i, j), v in self.items())
         return f"BettiDiagram(n={self._n}, {{{ent}}})"
+
+
+def _column_bounds(positions: Iterable[tuple[int, int]]) -> list[tuple[int, int] | None]:
+    """(lowest, highest) degree of each column 0..the highest column among
+    ``positions``, None for an empty column, read in one pass."""
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for i, j in positions:
+        if i not in lo:
+            lo[i] = hi[i] = j
+        elif j < lo[i]:
+            lo[i] = j
+        elif j > hi[i]:
+            hi[i] = j
+    if not lo:
+        raise UndefinedOnZero("column bounds undefined for the zero diagram")
+    return [(lo[i], hi[i]) if i in lo else None for i in range(max(lo) + 1)]
 
 
 class DegreeSequence(tuple):
@@ -434,17 +434,30 @@ class PureDiagram:
         return self.degrees.codimension
 
     @cached_property
-    def betti(self) -> BettiDiagram:
+    def _integer(self) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
+        """The integer form (L, ((i, d_i), L // q_i) per column), with
+        q_i = |prod_{j != i} (d_j - d_i)| and L the lcm of the q_i.
+
+        Entry i is 1 / q_i, so this equals ``betti._integer_form()``; it is
+        read off the degrees alone, and :attr:`betti` is built from it."""
         d = self.degrees
-        s = len(d) - 1
-        entries = {}
-        for i in range(s + 1):
+        qs = []
+        for di in d:
             prod = 1
-            for j in range(s + 1):
-                if j != i:
-                    prod *= d[j] - d[i]
-            entries[(i, d[i])] = Fraction((-1) ** i, prod)
-        return BettiDiagram._of(self.n, entries)
+            for dj in d:
+                if dj != di:
+                    prod *= dj - di
+            qs.append(abs(prod))
+        scale = math.lcm(*qs)
+        return scale, tuple(((i, d[i]), scale // q) for i, q in enumerate(qs))
+
+    @cached_property
+    def betti(self) -> BettiDiagram:
+        form = self._integer
+        scale, entries = form
+        b = BettiDiagram._of(self.n, {pos: Fraction(x, scale) for pos, x in entries})
+        b._integer = form  # the same entries in the same order: its integer form
+        return b
 
     @property
     def _integer_entries(self) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -453,7 +466,7 @@ class PureDiagram:
         Every entry is positive, so these are positive integers and a linear
         functional reads the same sign on them as on :attr:`betti`.
         """
-        return self.betti._integer_form()[1]
+        return self._integer[1]
 
     def entry(self, i: int) -> Fraction:
         """The single nonzero value in column i."""
@@ -514,18 +527,27 @@ def hk_residuals(b: BettiDiagram, s: int) -> list[Fraction]:
     return [Fraction(sum(x * j**m for j, x in signed), scale) for m in range(s)]
 
 
+def _integer_numerator(entries) -> dict[int, int]:
+    """The alternating column sums of an integer form's entries, degree ->
+    int: the numerator polynomial S(b, t) times the form's L."""
+    acc: dict[int, int] = {}
+    for (i, j), x in entries:
+        if i & 1:
+            x = -x
+        acc[j] = acc[j] + x if j in acc else x
+    return acc
+
+
 def numerator_polynomial(b: BettiDiagram) -> LaurentPolynomial:
     """Alternating generating polynomial S(b, t) = sum (-1)^i beta[i, j] t^j.
 
     The Hilbert series of a module with this diagram is S(b, t) / (1 - t)^n.
     Linear in the diagram.
     """
-    acc: dict[int, Fraction] = {}
-    for (i, j), v in b._entries.items():
-        if i & 1:
-            v = -v
-        acc[j] = acc[j] + v if j in acc else v
-    return LaurentPolynomial._of(acc)
+    scale, entries = b._integer_form()
+    return LaurentPolynomial._of(
+        {j: Fraction(x, scale) for j, x in _integer_numerator(entries).items()}
+    )
 
 
 def codimension(b: BettiDiagram) -> int:
@@ -536,15 +558,57 @@ def codimension(b: BettiDiagram) -> int:
     return _peeled_numerator(b)[0]
 
 
-def _peeled_numerator(b: BettiDiagram) -> tuple[int, LaurentPolynomial]:
-    """(s, Q) with S(b, t) = (1 - t)^s Q and s maximal, from one peel: the
-    codimension, and the quotient whose value at 1 is the multiplicity."""
+def _peeled_numerator(b: BettiDiagram) -> tuple[int, Fraction]:
+    """(s, Q(1)) with S(b, t) = (1 - t)^s Q and s maximal, from one peel: the
+    codimension and the multiplicity.
+
+    The peel runs in ``int`` on S times the lcm L of b's denominators, one
+    synthetic division per factor: the quotient is the prefix sums of the
+    coefficients but the last, which is the remainder, the value at t = 1.
+    """
     if b.is_zero:
         raise UndefinedOnZero("codimension undefined for the zero diagram")
-    num = numerator_polynomial(b)
-    if num.is_zero:
+    scale, entries = b._integer_form()
+    num = _integer_numerator(entries)
+    degrees = [j for j, x in num.items() if x]
+    if not degrees:
         raise UndefinedOnZero("order undefined for the zero polynomial")
-    return num.peel_one_minus_t()
+    lo, hi = min(degrees), max(degrees)
+    quotient = [num.get(j, 0) for j in range(lo, hi + 1)]
+    s = 0
+    while True:
+        sums = list(accumulate(quotient))
+        if sums[-1]:
+            return s, Fraction(sums[-1], scale)
+        quotient = sums[:-1]
+        s += 1
+
+
+def _integer_step(
+    residual: dict[tuple[int, int], int], scale: int, p: PureDiagram, k: int
+) -> tuple[Fraction, dict[tuple[int, int], int], int]:
+    """One greedy or expansion step, in integers.
+
+    The residual is ``residual`` / ``scale``: integer numerators by position
+    over one denominator.  Subtract the multiple c of p that zeroes it at
+    p's entry in column k, and return c with the new residual.  With p's
+    integer form (L, P) and r, q the residual's and P's values there,
+    c = r L / (scale q) and the new residual is (residual q - r P) over
+    scale q, divided by the gcd of all of them; zeros are dropped.
+    """
+    size, entries = p._integer
+    pos, q = entries[k]
+    r = residual.get(pos, 0)
+    coeff = Fraction(r * size, scale * q)
+    if not r:
+        return coeff, residual, scale
+    out = {key: x * q for key, x in residual.items()}
+    for key, x in entries:
+        x *= r
+        out[key] = out[key] - x if key in out else -x
+    scale *= q
+    g = math.gcd(scale, *out.values())
+    return coeff, {key: x // g for key, x in out.items() if x}, scale // g
 
 
 def window_of(b: BettiDiagram) -> tuple[int, int]:

@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BettiDiagram, PureDiagram, as_rational, pure_diagram, window_of
+from .core import (
+    BettiDiagram,
+    PureDiagram,
+    _column_bounds,
+    _integer_step,
+    as_rational,
+    pure_diagram,
+    window_of,
+)
 from .errors import InvalidDiagram, NotInCone
 from .functionals import _functional, derived_window
 from .poset import _climb, leq
@@ -68,16 +76,17 @@ class Decomposition:
         return total
 
 
-def _leading_sequence(residual: BettiDiagram, partial):
-    """Minimal nonzero degree per column, 0..projective dimension."""
-    bounds = residual._column_bounds()
+def _leading_sequence(residual: dict, scale: int, n: int, partial):
+    """Minimal nonzero degree per column, 0..projective dimension, of the
+    residual ``residual`` / ``scale`` (integer numerators by position)."""
+    bounds = _column_bounds(residual)
     if None in bounds:
         i, top = bounds.index(None), len(bounds) - 1
         raise NotInCone(
             NotInCone.INVALID_LEADING_SEQUENCE,
             f"column {i} is empty below the projective dimension {top}",
             partial=tuple(partial),
-            residual=residual,
+            residual=_diagram(residual, scale, n),
         )
     degs = [low for low, _ in bounds]
     if any(b <= a for a, b in zip(degs, degs[1:])):
@@ -85,9 +94,14 @@ def _leading_sequence(residual: BettiDiagram, partial):
             NotInCone.INVALID_LEADING_SEQUENCE,
             f"minimal degrees {tuple(degs)} are not strictly increasing",
             partial=tuple(partial),
-            residual=residual,
+            residual=_diagram(residual, scale, n),
         )
     return tuple(degs)
+
+
+def _diagram(residual: dict, scale: int, n: int) -> BettiDiagram:
+    """The diagram ``residual`` / ``scale``, for a failure report."""
+    return BettiDiagram._of(n, {pos: Fraction(x, scale) for pos, x in residual.items()})
 
 
 def greedy_decompose(b: BettiDiagram) -> Decomposition:
@@ -95,7 +109,8 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
 
     On success the terms reconstruct the input exactly, the chain is
     strictly increasing with weakly decreasing codimensions, and integer
-    diagrams receive integer coefficients.
+    diagrams receive integer coefficients.  The residual is kept in
+    integers, over one denominator, from the diagram's integer form.
 
     >>> from bettidecomp import BettiDiagram
     >>> koszul = BettiDiagram(3, {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1})
@@ -108,21 +123,28 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
         if v < 0:
             raise InvalidDiagram(f"negative entry {v} at ({i}, {j})")
     terms: list[tuple[Fraction, PureDiagram]] = []
-    residual = b
+    scale, entries = b._integer_form()
+    residual = dict(entries)
     M, N = window_of(b)
     for _ in range((b.n + 1) * (N - M + 1) + 1):
-        if residual.is_zero:
+        if not residual:
             return Decomposition(tuple(terms), b.n)
-        degs = _leading_sequence(residual, terms)
+        degs = _leading_sequence(residual, scale, b.n, terms)
         element = pure_diagram(degs, b.n)
-        coeff = min(residual[pos] / v for pos, v in element.betti.items())
+        # the first column where the residual over the element is least, by
+        # cross-multiplication: both are positive there; r / q starts at +inf
+        k, r, q = 0, 1, 0
+        for col, (pos, x) in enumerate(element._integer[1]):
+            y = residual[pos]
+            if y * q < r * x:
+                k, r, q = col, y, x
+        coeff, residual, scale = _integer_step(residual, scale, element, k)
         terms.append((coeff, element))
-        residual = residual._minus_scaled(coeff, element.betti)
     raise NotInCone(
         NotInCone.RESIDUAL,
         "residual did not reach zero within the chain bound",
         partial=tuple(terms),
-        residual=residual,
+        residual=_diagram(residual, scale, b.n),
     )
 
 

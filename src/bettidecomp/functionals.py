@@ -61,6 +61,7 @@ from operator import add, mul
 from .core import (
     BettiDiagram,
     PureDiagram,
+    _integer_step,
     codimension,
     hk_residuals,
     pure_diagram,
@@ -270,17 +271,17 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
         raise ChainNotMaximal("expansion needs a maximal chain (a basis)")
     if b.n != w.n:
         raise WindowMismatch(f"diagram has n={b.n}, window has n={w.n}")
-    # element k is nonzero on the cell its step vacates, where all later
-    # elements vanish; the maximum is last, read at its column-0 entry
-    positions = [(i, w.M + i + r) for r, i in c.vacated] + [(0, w.N)]
+    # element k is nonzero on the cell its step vacates, its entry in the
+    # cell's column, where all later elements vanish; the maximum is last,
+    # read at its column-0 entry
+    columns = [i for _, i in c.vacated] + [0]
     coords = []
-    residual = b
-    for element, pos in zip(c.elements, positions):
-        lam = residual[pos] / element.betti[pos]
+    scale, entries = b._integer_form()
+    residual = dict(entries)
+    for element, i in zip(c.elements, columns):
+        lam, residual, scale = _integer_step(residual, scale, element, i)
         coords.append(lam)
-        if lam:
-            residual = residual._minus_scaled(lam, element.betti)
-    if not residual.is_zero:
+    if residual:
         _check_in_subspace(b, w)
         raise InvariantViolated(f"a maximal chain of {w} is not a basis of its subspace")
     return coords

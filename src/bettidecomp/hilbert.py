@@ -28,15 +28,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import (
     BettiDiagram,
     LaurentPolynomial,
     NormalizedPureDiagram,
+    _integer_numerator,
     _is_int,
     _peeled_numerator,
     codimension,
-    normalize,
     numerator_polynomial,
     pure_diagram,
     window_of,
@@ -118,6 +119,18 @@ class HilbertSeries:
         return hash((r.numerator, r.n))
 
 
+def _series_integers(numerator: dict[int, int], n: int, depth: int) -> list[int]:
+    """Coefficients of t^0 .. t^depth of numerator / (1 - t)^n, for integer
+    coefficients at degrees >= 0: n prefix sums over the dense numerator."""
+    out = [0] * (depth + 1)
+    for j, x in numerator.items():
+        if j <= depth:
+            out[j] += x
+    for _ in range(n):
+        out = list(accumulate(out))
+    return out
+
+
 def hilbert_series(b: BettiDiagram) -> HilbertSeries:
     """Series recovered from the alternating column sums of the diagram."""
     return HilbertSeries(numerator_polynomial(b), b.n)
@@ -131,7 +144,7 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     """
     if b.is_zero:
         raise UndefinedOnZero("multiplicity undefined for the zero diagram")
-    return _peeled_numerator(b)[1]._coefficient_sum()
+    return _peeled_numerator(b)[1]
 
 
 @dataclass(frozen=True)
@@ -158,15 +171,16 @@ def shift_bounds(b: BettiDiagram) -> ShiftBounds:
 def _check_generators(b: BettiDiagram) -> None:
     if b.is_zero:
         raise UndefinedOnZero("shift bounds undefined for the zero diagram")
+    if b._column_bounds()[0] == (0, 0):
+        return
     gen_degrees = b.column_degrees(0)
     if len(gen_degrees) != 1:
         raise NotSingleDegreeGenerated(
             f"generators sit in degrees {gen_degrees}, expected a single degree"
         )
-    if gen_degrees[0] != 0:
-        raise NotSingleDegreeGenerated(
-            f"generators sit in degree {gen_degrees[0]}, expected degree 0"
-        )
+    raise NotSingleDegreeGenerated(
+        f"generators sit in degree {gen_degrees[0]}, expected degree 0"
+    )
 
 
 def _shift_bounds(b: BettiDiagram, s: int) -> ShiftBounds:
@@ -284,7 +298,7 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
         raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
     _check_generators(b)
     # one peel gives both the codimension and the multiplicity e = Q(1)
-    codim, quotient = _peeled_numerator(b)
+    codim, e = _peeled_numerator(b)
     sb = _shift_bounds(b, codim)
     if depth is None:
         _, N = window_of(b)
@@ -301,12 +315,22 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
                 shifts=sb,
             )
     s = len(sb.maximal)
-    low = normalize(pure_diagram((0,) + sb.minimal, b.n))
-    high = normalize(pure_diagram((0,) + sb.maximal, b.n))
-    # the series is linear in the diagram: each slack is the series of a difference
-    lower_slack = tuple(hilbert_series(b - low.betti.scaled(beta0)).expand(depth))
-    upper_slack = tuple(hilbert_series(high.betti.scaled(beta0) - b).expand(depth))
-    e = quotient._coefficient_sum()
+    # the series is linear in the diagram: each slack is the difference of
+    # b's series and beta_0 times a normalized pure series, pi(0, m) scaled
+    # by the product of the shifts m, formed in integers over one denominator
+    scale, entries = b._integer_form()
+    series = _series_integers(_integer_numerator(entries), b.n, depth)
+    x0 = beta0.numerator * (scale // beta0.denominator)
+    # (slack, all >= 0, all zero) per side, the signs read off the numerators
+    sides = []
+    for seq, sign in ((sb.minimal, 1), (sb.maximal, -1)):
+        size, pure = pure_diagram((0,) + seq, b.n)._integer
+        weight = x0 * math.prod(seq)
+        pure_series = _series_integers(_integer_numerator(pure), b.n, depth)
+        diffs = [sign * (x * size - weight * y) for x, y in zip(series, pure_series)]
+        slack = tuple(Fraction(d, scale * size) for d in diffs)
+        sides.append((slack, min(diffs) >= 0, not any(diffs)))
+    (lower_slack, lower_ok, lower_equality), (upper_slack, upper_ok, upper_equality) = sides
     bound = beta0 * Fraction(math.prod(sb.maximal), math.factorial(s))
     return BoundsReport(
         True,
@@ -314,12 +338,12 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
         depth,
         generator_count=beta0,
         shifts=sb,
-        lower_ok=all(v >= 0 for v in lower_slack),
-        upper_ok=all(v >= 0 for v in upper_slack),
+        lower_ok=lower_ok,
+        upper_ok=upper_ok,
         lower_slack=lower_slack,
         upper_slack=upper_slack,
-        lower_equality=not any(lower_slack),
-        upper_equality=not any(upper_slack),
+        lower_equality=lower_equality,
+        upper_equality=upper_equality,
         multiplicity_value=e,
         multiplicity_bound=bound,
         multiplicity_ok=e <= bound,

@@ -309,3 +309,17 @@ class TestLaurentPolynomial:
     def test_order(self):
         p = LaurentPolynomial({0: 1}).times_one_minus_t(3)
         assert p.one_minus_t_order() == 3
+
+    def test_evaluation(self):
+        p = LaurentPolynomial({-1: 2, 0: 1, 2: Fraction(1, 2)})
+        assert p(2) == 1 + 1 + 2
+        assert LaurentPolynomial({0: 3, 1: 1})(0) == 3
+
+    def test_negative_degree_is_undefined_at_zero(self):
+        # t^-1 has a pole at 0: a domain error naming the degree, not a bare
+        # ZeroDivisionError from Fraction(1, 0)
+        with pytest.raises(UndefinedOnZero, match="degree -1"):
+            LaurentPolynomial({-1: 1})(0)
+        with pytest.raises(UndefinedOnZero, match="degree -3"):
+            LaurentPolynomial({-3: 1, -1: 2, 4: 1})("0")
+        assert LaurentPolynomial({-1: 1})(Fraction(1, 2)) == 2

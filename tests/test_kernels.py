@@ -1,6 +1,6 @@
-"""The exact kernels of the multiplicity path and of functional evaluation
-against plain Fraction references, and the trusted constructors against the
-validating ones.
+"""The exact kernels of the multiplicity path, of functional evaluation and
+of greedy decomposition and chain expansion against plain Fraction
+references, and the trusted constructors against the validating ones.
 
 The references are written here from the definitions: long division by
 (1 - t) from the top degree down, a series as n-fold prefix sums of the
@@ -8,8 +8,10 @@ numerator, and functionals and Herzog-Kuhl residuals as sums of Fraction
 products, term by term.  Derandomized, so every run checks the same
 examples."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +22,26 @@ from bettidecomp import (
     HilbertSeries,
     LaurentPolynomial,
     Window,
+    BoundsReport,
+    ShiftBounds,
     boundary_facets,
+    codimension,
+    expand_in_chain,
     greedy_decompose,
     hk_residuals,
     membership_by_inequalities,
+    multiplicity,
+    multiplicity_bounds,
     pure_diagram,
 )
-from bettidecomp.errors import InvalidDiagram, NotInCone
+from bettidecomp.errors import (
+    InvalidDiagram,
+    NotInCone,
+    NotInSubspace,
+    NotSingleDegreeGenerated,
+    UndefinedOnZero,
+    WindowMismatch,
+)
 from bettidecomp.poset import maximal_chains
 
 exact = settings(max_examples=120, deadline=None, derandomize=True)
@@ -196,7 +211,7 @@ class TestTrustedPathDoesNotLeak:
             residual = b
             for coeff, p in greedy_decompose(b).terms:
                 assert_clean(p.betti)
-                residual = residual._minus_scaled(coeff, p.betti)
+                residual = residual - p.betti.scaled(coeff)
                 assert_clean(residual)
             assert residual.is_zero
         # a failing decomposition carries its last residual
@@ -319,3 +334,240 @@ class TestFunctionalKernelAgainstFractionSums:
                 got = hk_residuals(b, w.n + 1)
                 assert got == hk_reference(b, w.n + 1), (w, b)
                 assert not any(got[: w.s_min]), (w, b)
+
+
+def pure_reference(degrees) -> dict:
+    """pi(d)[i, d_i] = (-1)^i / prod_{j != i} (d_j - d_i), from the definition."""
+    out = {}
+    for i, di in enumerate(degrees):
+        prod = 1
+        for j, dj in enumerate(degrees):
+            if j != i:
+                prod *= dj - di
+        out[(i, di)] = Fraction((-1) ** i, prod)
+    return out
+
+
+def subtract(residual: dict, c: Fraction, entries: dict) -> None:
+    """residual -= c * entries, one entry at a time, zeros dropped."""
+    for pos, v in entries.items():
+        x = residual.get(pos, Fraction(0)) - c * v
+        if x:
+            residual[pos] = x
+        else:
+            residual.pop(pos, None)
+
+
+def greedy_reference(b: BettiDiagram):
+    """(reason, terms, residual) of the greedy loop in Fractions; reason
+    None on success.  Terms are (coefficient, degrees)."""
+    residual = dict(b.items())
+    offsets = [j - i for i, j in residual]
+    terms = []
+    for _ in range((b.n + 1) * (max(offsets) - min(offsets) + 1) + 1):
+        if not residual:
+            return None, terms, residual
+        top = max(i for i, _ in residual)
+        degs = [min((j for i, j in residual if i == col), default=None) for col in range(top + 1)]
+        if None in degs or any(y <= x for x, y in zip(degs, degs[1:])):
+            return NotInCone.INVALID_LEADING_SEQUENCE, terms, residual
+        entries = pure_reference(degs)
+        c = min(residual.get(pos, Fraction(0)) / v for pos, v in entries.items())
+        terms.append((c, tuple(degs)))
+        subtract(residual, c, entries)
+    return NotInCone.RESIDUAL, terms, residual
+
+
+def numerator_reference(entries: dict) -> dict:
+    acc = {}
+    for (i, j), v in entries.items():
+        acc[j] = acc.get(j, Fraction(0)) + (-v if i % 2 else v)
+    return {j: v for j, v in acc.items() if v}
+
+
+def bounds_reference(b: BettiDiagram, depth=None):
+    """The BoundsReport of b with every field from the definitions, in
+    Fractions, or the class of the error the library raises."""
+    entries = dict(b.items())
+    if sorted(j for i, j in entries if i == 0) != [0]:
+        return NotSingleDegreeGenerated
+    numerator = numerator_reference(entries)
+    if not numerator:
+        return UndefinedOnZero
+    s, quotient = peel_reference(numerator)
+    columns = [[j for i, j in entries if i == col] for col in range(max(i for i, _ in entries) + 1)]
+    if not all(columns):
+        return InvalidDiagram
+    shifts = ShiftBounds(tuple(min(c) for c in columns[1:]), tuple(max(c) for c in columns[1 : s + 1]))
+    if depth is None:
+        depth = max(j - i for i, j in entries) + b.n + 10
+    beta0 = entries[(0, 0)]
+    for name, seq in (("minimal", shifts.minimal), ("maximal", shifts.maximal)):
+        if any(y <= x for x, y in zip((0,) + seq, seq)):
+            reason = f"{name} shifts {seq} are not strictly increasing above 0"
+            return BoundsReport(False, reason, depth, generator_count=beta0, shifts=shifts)
+
+    def normalized_series(seq):
+        scale = math.prod(seq)
+        pure = {pos: v * scale for pos, v in pure_reference((0,) + seq).items()}
+        return series_reference(numerator_reference(pure), b.n, depth)
+
+    series = series_reference(numerator, b.n, depth)
+    lower = tuple(x - beta0 * y for x, y in zip(series, normalized_series(shifts.minimal)))
+    upper = tuple(beta0 * y - x for x, y in zip(series, normalized_series(shifts.maximal)))
+    e = sum(quotient.values(), Fraction(0))
+    bound = beta0 * Fraction(math.prod(shifts.maximal), math.factorial(len(shifts.maximal)))
+    degs = [c[0] for c in columns if len(c) == 1]
+    pure = len(degs) == len(columns) and all(x < y for x, y in zip(degs, degs[1:]))
+    return BoundsReport(
+        True, None, depth, beta0, shifts,
+        all(v >= 0 for v in lower), all(v >= 0 for v in upper), lower, upper,
+        not any(lower), not any(upper), e, bound, e <= bound, e == bound, pure,
+    )
+
+
+def expand_reference(b: BettiDiagram, chain):
+    """(coordinates, final residual) of back-substitution along the chain."""
+    w = chain.window
+    positions = [(i, w.M + i + r) for r, i in chain.vacated] + [(0, w.N)]
+    residual = dict(b.items())
+    coords = []
+    for element, pos in zip(chain.elements, positions):
+        entries = pure_reference(element.degrees)
+        c = residual.get(pos, Fraction(0)) / entries[pos]
+        coords.append(c)
+        subtract(residual, c, entries)
+    return coords, residual
+
+
+def random_degrees(rng: random.Random, n: int, width: int) -> tuple:
+    """A degree sequence of length <= n + 1, mostly starting at 0."""
+    d = [0 if rng.random() < 0.8 else rng.randint(-2, 2)]
+    for _ in range(rng.randint(0, n)):
+        d.append(d[-1] + 1 + rng.randint(0, width))
+    return tuple(d)
+
+
+def greedy_inputs(rng: random.Random, count: int):
+    """Members (positive non-integer combinations of pure diagrams, n up to
+    12, fractional beta_0) and three near-misses of each: a pure diagram
+    subtracted, one entry rescaled, one entry shifted."""
+    for _ in range(count):
+        n, width = rng.randint(1, 12), rng.randint(0, 3)
+        member = BettiDiagram(n, {})
+        for _ in range(rng.randint(1, 4)):
+            p = pure_diagram(random_degrees(rng, n, width), n)
+            member = member + p.betti.scaled(Fraction(rng.randint(1, 30), rng.randint(1, 7)))
+        yield member
+        p = pure_diagram(random_degrees(rng, n, width), n)
+        yield member - p.betti.scaled(Fraction(rng.randint(1, 30), rng.randint(1, 7)))
+        entries = dict(member.items())
+        key = rng.choice(sorted(entries))
+        yield BettiDiagram(n, {**entries, key: entries[key] * Fraction(rng.randint(1, 7), rng.randint(1, 5))})
+        key = (rng.randint(0, n), rng.randint(-1, 2 * n + 2))
+        yield BettiDiagram(n, {**entries, key: entries.get(key, 0) + Fraction(rng.randint(1, 9), rng.randint(1, 4))})
+
+
+class TestIntegerGreedyAndBoundsAgainstFractions:
+    def test_pure_integer_form(self):
+        # every degree sequence of n <= 5, width <= 4: the integer form read
+        # off the degrees is that of the diagram built from the definition,
+        # whichever of the form and betti is computed first
+        count = 0
+        for n in range(6):
+            for p in Window(n, 0, 4, 0).pure_diagrams():
+                d = tuple(p.degrees)
+                reference = BettiDiagram(n, pure_reference(d))
+                first, second = pure_diagram(d, n), pure_diagram(d, n)
+                assert first.betti == reference
+                assert first._integer == reference._integer_form() == first.betti._integer_form()
+                assert second._integer == reference._integer_form()
+                assert second._integer_entries == reference._integer_form()[1]
+                assert all(x > 0 for _, x in second._integer_entries)
+                count += 1
+        assert count == 917
+
+    def test_greedy_terms_and_failures(self):
+        rng = random.Random(21)
+        outcomes = {"ok": 0, "negative": 0, NotInCone.INVALID_LEADING_SEQUENCE: 0}
+        cases = list(greedy_inputs(rng, 60))
+        near = pure_diagram((0, 2, 3, 5), 3).betti - pure_diagram((0, 2, 3), 3).betti.scaled(Fraction(1, 63))
+        cases.append(near)
+        for b in cases:
+            if any(v < 0 for _, v in b.items()):
+                with pytest.raises(InvalidDiagram, match="negative entry"):
+                    greedy_decompose(b)
+                outcomes["negative"] += 1
+                continue
+            reason, terms, residual = greedy_reference(b)
+            if reason is None:
+                got = [(c, tuple(p.degrees)) for c, p in greedy_decompose(b)]
+                assert got == terms, b
+                assert all(type(c) is Fraction for c, _ in got)
+                outcomes["ok"] += 1
+                continue
+            with pytest.raises(NotInCone) as caught:
+                greedy_decompose(b)
+            err = caught.value
+            assert err.reason == reason, b
+            assert [(c, tuple(p.degrees)) for c, p in err.partial] == terms, b
+            assert all(p.n == b.n for _, p in err.partial)
+            assert err.residual == BettiDiagram(b.n, residual), b
+            assert_clean(err.residual)
+            outcomes[reason] += 1
+        # members, subtracted diagrams and non-members that stay nonnegative
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_codimension_and_multiplicity(self):
+        rng = random.Random(22)
+        for b in greedy_inputs(rng, 60):
+            numerator = numerator_reference(dict(b.items()))
+            if not numerator:
+                with pytest.raises(UndefinedOnZero):
+                    codimension(b)
+                continue
+            s, quotient = peel_reference(numerator)
+            e = multiplicity(b)
+            assert codimension(b) == s, b
+            assert e == sum(quotient.values(), Fraction(0)) and type(e) is Fraction, b
+
+    def test_bounds_report(self):
+        rng = random.Random(23)
+        verdicts = {"applicable": 0, "not applicable": 0, "error": 0, "fractional beta0": 0}
+        for k, b in enumerate(greedy_inputs(rng, 90)):
+            depth = None if k % 3 else rng.randint(0, 8)
+            expected = bounds_reference(b, depth)
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    multiplicity_bounds(b, depth)
+                verdicts["error"] += 1
+                continue
+            got = multiplicity_bounds(b, depth)
+            assert got == expected, b
+            if got.applicable:
+                assert all(type(v) is Fraction for v in got.lower_slack + got.upper_slack)
+                verdicts["applicable"] += 1
+                verdicts["fractional beta0"] += got.generator_count.denominator > 1
+            else:
+                verdicts["not applicable"] += 1
+        assert min(verdicts.values()) >= 10, verdicts
+
+    def test_expand_in_chain(self):
+        rng = random.Random(24)
+        windows = [w for w in KERNEL_WINDOWS if w != Window(3, 0, 3, 0)]
+        for w in windows:
+            chains = list(islice(maximal_chains(w), 300))
+            outside = BettiDiagram(w.n, {(0, w.M): 1})
+            for b in [*seeded_inputs(w, rng, 3), outside]:
+                for chain in rng.sample(chains, min(4, len(chains))):
+                    coords, residual = expand_reference(b, chain)
+                    if residual:
+                        with pytest.raises((NotInSubspace, WindowMismatch)):
+                            expand_in_chain(b, chain)
+                        continue
+                    got = expand_in_chain(b, chain)
+                    assert got == coords and all(type(c) is Fraction for c in got), (w, b)
+                    rebuilt = BettiDiagram(w.n, {})
+                    for c, p in zip(got, chain.elements):
+                        rebuilt = rebuilt + p.betti.scaled(c)
+                    assert rebuilt == b
