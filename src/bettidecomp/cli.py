@@ -390,7 +390,7 @@ def run(argv) -> int:
     except WindowTooLarge as exc:
         print(f"error: {exc} (raise BS_DECOMP_MAX_ENUM to allow more)", file=sys.stderr)
         return _USAGE_ERROR
-    except (OSError, BettiError, IndexError) as exc:
+    except (OSError, BettiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

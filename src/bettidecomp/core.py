@@ -28,7 +28,14 @@ drop zero entries.  They may be used only where every key is an ``int``
 out of library arithmetic on validated objects: sums, differences and
 shifts of existing tables, products with a scalar that went through
 :func:`as_rational`, and entries a library formula computed.  Anything a
-caller hands in goes through the public constructor.
+caller hands in goes through the public constructor, or through a parser.
+
+The diagram parsers in :mod:`bettidecomp.io` are doors too.  The JSON
+parser validates every key and value itself (``n`` an ``int >= 0``, each
+index an ``int`` with ``0 <= i <= n``, each value a rational literal read
+by :func:`parse_rational`, no position twice) and builds through
+``BettiDiagram._of``; the table parser reads its positions off the grid
+and its values through :func:`parse_rational`, and builds the same way.
 """
 
 from __future__ import annotations
@@ -63,8 +70,11 @@ def parse_rational(token: str) -> Fraction:
     """Exact rational from 'p' or 'p/q'; anything else (floats included) fails."""
     if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"{token!r} is not an exact rational literal")
+    # the match proved both parts ASCII digits: int reads them once more,
+    # and refuses one over the digit limit as Fraction(token) would
+    p, _, q = token.partition("/")
     try:
-        return Fraction(token)
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except ZeroDivisionError:
         raise ValueError(f"{token!r} has a zero denominator") from None
 
@@ -615,5 +625,5 @@ def window_of(b: BettiDiagram) -> tuple[int, int]:
     """Degree window (M, N) = (min, max) of j - i over the nonzero support."""
     if b.is_zero:
         raise UndefinedOnZero("window undefined for the zero diagram")
-    offsets = [j - i for i, j in b.support()]
+    offsets = [j - i for i, j in b._entries]
     return min(offsets), max(offsets)

@@ -119,11 +119,13 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
     """
     if b.is_zero:
         raise InvalidDiagram("cannot decompose the zero diagram")
-    for (i, j), v in b.items():
-        if v < 0:
-            raise InvalidDiagram(f"negative entry {v} at ({i}, {j})")
-    terms: list[tuple[Fraction, PureDiagram]] = []
+    # L > 0, so L * v has the sign of v
     scale, entries = b._integer_form()
+    negative = [pos for pos, x in entries if x < 0]
+    if negative:
+        i, j = min(negative)
+        raise InvalidDiagram(f"negative entry {b[(i, j)]} at ({i}, {j})")
+    terms: list[tuple[Fraction, PureDiagram]] = []
     residual = dict(entries)
     M, N = window_of(b)
     for _ in range((b.n + 1) * (N - M + 1) + 1):

@@ -164,15 +164,16 @@ def shift_bounds(b: BettiDiagram) -> ShiftBounds:
     generated in several degrees, or in a single nonzero degree, are
     rejected rather than silently twisted.
     """
-    _check_generators(b)
-    return _shift_bounds(b, codimension(b))
+    return _shift_bounds(_check_generators(b), codimension(b))
 
 
-def _check_generators(b: BettiDiagram) -> None:
+def _check_generators(b: BettiDiagram) -> list[tuple[int, int] | None]:
+    """b's column bounds, once b is known to be generated in degree 0 only."""
     if b.is_zero:
         raise UndefinedOnZero("shift bounds undefined for the zero diagram")
-    if b._column_bounds()[0] == (0, 0):
-        return
+    bounds = b._column_bounds()
+    if bounds[0] == (0, 0):
+        return bounds
     gen_degrees = b.column_degrees(0)
     if len(gen_degrees) != 1:
         raise NotSingleDegreeGenerated(
@@ -183,9 +184,9 @@ def _check_generators(b: BettiDiagram) -> None:
     )
 
 
-def _shift_bounds(b: BettiDiagram, s: int) -> ShiftBounds:
-    """The column reading of :func:`shift_bounds` for codimension s."""
-    bounds = b._column_bounds()
+def _shift_bounds(bounds: list[tuple[int, int] | None], s: int) -> ShiftBounds:
+    """The column reading of :func:`shift_bounds` for codimension s, from
+    the diagram's column bounds."""
     if None in bounds[1:]:
         i, r = bounds.index(None, 1), len(bounds) - 1
         raise InvalidDiagram(f"column {i} is empty below the projective dimension {r}")
@@ -278,8 +279,8 @@ class BoundsReport:
         return bool(self.applicable and self.lower_ok and self.upper_ok and self.multiplicity_ok)
 
 
-def _is_pure(b: BettiDiagram) -> bool:
-    bounds = b._column_bounds()
+def _is_pure(bounds: list[tuple[int, int] | None]) -> bool:
+    """Whether the diagram with these column bounds is pure."""
     if any(col is None or col[0] != col[1] for col in bounds):
         return False
     return all(x < y for (x, _), (y, _) in zip(bounds, bounds[1:]))
@@ -296,10 +297,10 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     """
     if depth is not None and (not _is_int(depth) or depth < 0):
         raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
-    _check_generators(b)
+    bounds = _check_generators(b)
     # one peel gives both the codimension and the multiplicity e = Q(1)
     codim, e = _peeled_numerator(b)
-    sb = _shift_bounds(b, codim)
+    sb = _shift_bounds(bounds, codim)
     if depth is None:
         _, N = window_of(b)
         depth = N + b.n + 10
@@ -348,5 +349,5 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
         multiplicity_bound=bound,
         multiplicity_ok=e <= bound,
         multiplicity_equality=e == bound,
-        is_pure=_is_pure(b),
+        is_pure=_is_pure(bounds),
     )

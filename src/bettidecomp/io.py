@@ -64,6 +64,8 @@ def _parse_json_diagram(text: str) -> BettiDiagram:
         i, j, raw = item
         if not (_is_int(i) and _is_int(j)):
             raise ParseError(f"entry indices must be integers, got {item!r}")
+        if not 0 <= i <= n:
+            raise ParseError(f"entry {item!r} has column {i} outside [0, {n}]")
         if not isinstance(raw, str):
             raise ParseError(f"entry value must be a rational string, got {raw!r}")
         try:
@@ -73,7 +75,8 @@ def _parse_json_diagram(text: str) -> BettiDiagram:
         if (i, j) in entries:
             raise DuplicateEntry(f"entry ({i}, {j}) occurs twice")
         entries[(i, j)] = value
-    return BettiDiagram(n, entries)
+    # every key and value checked above: build without a second pass
+    return BettiDiagram._of(n, entries)
 
 
 def _parse_table_diagram(text: str) -> BettiDiagram:
@@ -105,6 +108,7 @@ def _parse_table_diagram(text: str) -> BettiDiagram:
     if not rows:
         if declared_n is None:
             raise ParseError("empty table without a '# n=' line")
+        # the public constructor refuses a declared n below 0
         return BettiDiagram(declared_n, {})
     width = len(rows[0][2])
     n = width - 1
@@ -129,7 +133,8 @@ def _parse_table_diagram(text: str) -> BettiDiagram:
                 raise ParseError(str(exc), lineno, column) from exc
             if value:
                 entries[(i, label + i)] = value
-    return BettiDiagram(n, entries)
+    # positions off the grid of consecutive labels, values parsed exactly
+    return BettiDiagram._of(n, entries)
 
 
 def parse_diagram(text: str, format: str = "json") -> BettiDiagram:
@@ -185,8 +190,12 @@ def emit_decomposition(dec: Decomposition) -> str:
     >>> emit_decomposition(greedy_decompose(BettiDiagram(1, {(0, 0): 2})))
     '[["2", [0]]]'
     """
-    payload = [[format_rational(c), list(p.degrees)] for c, p in dec.terms]
-    return json.dumps(payload)
+    return json.dumps(_decomposition_payload(dec))
+
+
+def _decomposition_payload(dec: Decomposition) -> list:
+    """[[coefficient, degrees], ...] in chain order, as JSON data."""
+    return [[format_rational(c), list(p.degrees)] for c, p in dec.terms]
 
 
 def encode(obj):
@@ -226,7 +235,7 @@ def encode(obj):
     if isinstance(obj, LaurentPolynomial):
         return [[d, format_rational(v)] for d, v in obj.items()]
     if isinstance(obj, Decomposition):
-        return json.loads(emit_decomposition(obj))
+        return _decomposition_payload(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {}
         for f in dataclasses.fields(obj):

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bettidecomp import Window, cli, functionals, maximal_chains, pure_diagram
+from bettidecomp import Window, cli, functionals, greedy_decompose, maximal_chains, pure_diagram
 from bettidecomp import io as dio
 from bettidecomp.cli import run
 
@@ -91,6 +92,31 @@ class TestDecompose:
             _, out, _ = run_cli(capsys, "decompose", quotient_path, "--format", "json")
             outs.add(out)
         assert len(outs) == 1
+
+
+class TestFixtureOutputBytes:
+    """SHA-1 of stdout, in json and in table, for the commands that parse
+    the fixture and print a decomposition, a membership or a bounds report;
+    each exits 0 with nothing on stderr."""
+
+    DIGESTS = {
+        ("decompose", "json"): "ff18f45cad08307191cab6f406cd5fc82f6e4dfc",
+        ("decompose", "table"): "fb1abfa8f8a3c5f5aa6faafab9945acbe855f130",
+        ("membership", "json"): "773c5b0ab826e18b86cca0221fd6e7e7fe3419f2",
+        ("membership", "table"): "be00aacb3ce055eff96fb234f17e30314924263e",
+        ("bounds", "json"): "75ef6d4065993234c5bdce9ed73aca1cd8692fb8",
+        ("bounds", "table"): "1f1cdb3ab25b09c613b064e90cb217a68d19f6cb",
+    }
+
+    @pytest.mark.parametrize("command, fmt", sorted(DIGESTS))
+    def test_bytes(self, capsys, quotient_path, command, fmt):
+        code, out, err = run_cli(capsys, command, quotient_path, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha1(out.encode()).hexdigest() == self.DIGESTS[command, fmt]
+
+    def test_decomposition_encodes_as_it_emits(self, fixtures_dir):
+        dec = greedy_decompose(dio.parse_diagram((fixtures_dir / "quotient_x2_xy_xz2.json").read_text()))
+        assert dio.encode(dec) == json.loads(dio.emit_decomposition(dec))
 
 
 class TestExpand:
@@ -434,6 +460,13 @@ class TestUsage:
         code, out, err = run_cli(capsys, "decompose", str(tmp_path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "directory" in err
+
+    def test_out_of_range_column_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text('{"n": 1, "entries": [[0, 0, "1"], [2, 2, "1"]]}')
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: entry [2, 2, '1'] has column 2 outside [0, 1]\n"
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"

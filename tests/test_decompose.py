@@ -53,6 +53,11 @@ class TestGreedyDecompose:
         with pytest.raises(InvalidDiagram):
             greedy_decompose(BettiDiagram(2, {(0, 0): -1}))
 
+    def test_names_the_first_negative_entry(self):
+        b = BettiDiagram(2, {(2, 1): -3, (1, 4): Fraction(-1, 2), (0, 0): 1, (1, 2): 5})
+        with pytest.raises(InvalidDiagram, match=r"^negative entry -1/2 at \(1, 4\)$"):
+            greedy_decompose(b)
+
     def test_rejects_zero(self):
         with pytest.raises(InvalidDiagram):
             greedy_decompose(BettiDiagram(2, {}))

@@ -96,7 +96,7 @@ class TestParseJson:
             parse_diagram(doc, "json")
 
     def test_out_of_range_column(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ParseError, match=r"column 2 outside \[0, 1\]"):
             parse_diagram('{"n": 1, "entries": [[2, 2, "1"]]}', "json")
 
     def test_float_value_rejected(self):

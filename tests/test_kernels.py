@@ -1,6 +1,7 @@
 """The exact kernels of the multiplicity path, of functional evaluation and
 of greedy decomposition and chain expansion against plain Fraction
-references, and the trusted constructors against the validating ones.
+references, and the trusted constructors and the diagram parsers against
+the validating constructors.
 
 The references are written here from the definitions: long division by
 (1 - t) from the top degree down, a series as n-fold prefix sums of the
@@ -8,6 +9,7 @@ numerator, and functionals and Herzog-Kuhl residuals as sums of Fraction
 products, term by term.  Derandomized, so every run checks the same
 examples."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -26,14 +28,17 @@ from bettidecomp import (
     ShiftBounds,
     boundary_facets,
     codimension,
+    emit_diagram,
     expand_in_chain,
     greedy_decompose,
     hk_residuals,
     membership_by_inequalities,
     multiplicity,
     multiplicity_bounds,
+    parse_diagram,
     pure_diagram,
 )
+from bettidecomp.core import parse_rational
 from bettidecomp.errors import (
     InvalidDiagram,
     NotInCone,
@@ -220,6 +225,58 @@ class TestTrustedPathDoesNotLeak:
             greedy_decompose(near)
         assert_clean(caught.value.residual)
         assert caught.value.residual.support() == ((1, 2), (2, 3), (3, 5))
+
+
+# exact literals as a document may spell them: zero, signed zero, negative,
+# zero-padded, unreduced, and beyond machine width
+LITERALS = ["0", "-0", "1", "-3", "007", "-007/0012", "4/6", "-10/4", "0/5", "9" * 400,
+            "-" + "7" * 400 + "/" + "3" * 400]
+
+
+def seeded_document(rng: random.Random) -> tuple[int, dict]:
+    """(n, {(i, j): literal}) with every column in [0, n]."""
+    n = rng.randint(0, 12)
+    entries = {}
+    for _ in range(rng.randint(0, 2 * n + 3)):
+        pos = (rng.randint(0, n), rng.randint(-3, 15))
+        small = [str(rng.randint(-50, 50)), f"{rng.randint(-50, 50)}/{rng.randint(1, 12)}"]
+        entries[pos] = rng.choice(LITERALS + small)
+    return n, entries
+
+
+class TestParsersAgainstTheConstructor:
+    """The parsers validate every entry themselves and build trusted; the
+    validating constructor, fed the same literals, is the second route."""
+
+    def test_json_documents(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            n, entries = seeded_document(rng)
+            doc = json.dumps({"n": n, "entries": [[i, j, raw] for (i, j), raw in entries.items()]})
+            parsed = parse_diagram(doc, "json")
+            expected = BettiDiagram(n, entries)
+            assert parsed == expected and parsed.n == n
+            assert parsed._integer_form() == expected._integer_form()
+            assert parsed == BettiDiagram(n, {pos: Fraction(raw) for pos, raw in entries.items()})
+            assert_clean(parsed)
+            table = parse_diagram(emit_diagram(parsed, "table"), "table")
+            assert table == expected and table.n == n
+            assert_clean(table)
+
+    @pytest.mark.parametrize("token", LITERALS)
+    def test_parse_rational_is_fraction_of_the_literal(self, token):
+        got = parse_rational(token)
+        assert got == Fraction(token) and type(got) is Fraction
+
+    def test_parse_rational_refusals_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^'3/0' has a zero denominator$"):
+            parse_rational("3/0")
+        for token in ("1" * 5000, "-1/" + "2" * 5000):
+            with pytest.raises(ValueError) as stdlib:
+                Fraction(token)
+            with pytest.raises(ValueError) as ours:
+                parse_rational(token)
+            assert str(ours.value) == str(stdlib.value)
 
 
 def functional_reference(f, b: BettiDiagram) -> Fraction:
