@@ -115,7 +115,8 @@ class TestFixtureOutputBytes:
         assert hashlib.sha1(out.encode()).hexdigest() == self.DIGESTS[command, fmt]
 
     def test_decomposition_encodes_as_it_emits(self, fixtures_dir):
-        dec = greedy_decompose(dio.parse_diagram((fixtures_dir / "quotient_x2_xy_xz2.json").read_text()))
+        text = (fixtures_dir / "quotient_x2_xy_xz2.json").read_text()
+        dec = greedy_decompose(dio.parse_diagram(text))
         assert dio.encode(dec) == json.loads(dio.emit_decomposition(dec))
 
 
