@@ -103,7 +103,10 @@ def _human(value, indent=0):
 
 
 def _print_struct(obj, fmt: str) -> None:
-    _print_encoded(dio.encode(obj), fmt)
+    if fmt == "json":
+        print(dio.emit_report(obj))
+    else:
+        print(_human(dio.encode(obj)))
 
 
 def _print_encoded(encoded, fmt: str) -> None:

@@ -29,6 +29,9 @@ out of library arithmetic on validated objects: sums, differences and
 shifts of existing tables, products with a scalar that went through
 :func:`as_rational`, and entries a library formula computed.  Anything a
 caller hands in goes through the public constructor, or through a parser.
+:func:`pure_diagram` checks an all-``int`` sequence itself and builds
+through ``DegreeSequence._of`` and ``PureDiagram._of``; any other input
+goes through the validating constructors.
 
 The diagram parsers in :mod:`bettidecomp.io` are doors too.  The JSON
 parser validates every key and value itself (``n`` an ``int >= 0``, each
@@ -50,6 +53,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     CodimensionExceedsAmbient,
+    ColumnOutOfRange,
     InvalidDegreeSequence,
     InvalidDiagram,
     NotGeneratedInDegreeZero,
@@ -273,7 +277,7 @@ class BettiDiagram:
             if not (_is_int(i) and _is_int(j)):
                 raise InvalidDiagram(f"position {(i, j)!r} is not a pair of integers")
             if not 0 <= i <= n:
-                raise IndexError(f"homological index {i} outside [0, {n}]")
+                raise ColumnOutOfRange(f"homological index {i} outside [0, {n}]")
             v = as_rational(value)
             if v:
                 acc[(i, j)] = acc.get((i, j), Fraction(0)) + v
@@ -413,6 +417,11 @@ class DegreeSequence(tuple):
             raise InvalidDegreeSequence(f"sequence {vals} is not strictly increasing")
         return super().__new__(cls, vals)
 
+    @classmethod
+    def _of(cls, degrees: tuple[int, ...]) -> "DegreeSequence":
+        """Trusted constructor: a nonempty, strictly increasing tuple of ints."""
+        return tuple.__new__(cls, degrees)
+
     @property
     def codimension(self) -> int:
         return len(self) - 1
@@ -438,6 +447,14 @@ class PureDiagram:
             raise CodimensionExceedsAmbient(
                 f"sequence of length {len(self.degrees)} needs n >= {len(self.degrees) - 1}, got n={self.n}"
             )
+
+    @classmethod
+    def _of(cls, degrees: DegreeSequence, n: int) -> "PureDiagram":
+        """Trusted constructor: an int n >= len(degrees) - 1."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "degrees", degrees)
+        object.__setattr__(p, "n", n)
+        return p
 
     @property
     def codimension(self) -> int:
@@ -502,15 +519,48 @@ class NormalizedPureDiagram:
         return f"normalized_pi{tuple(self.degrees)}"
 
 
+#: Most pure diagrams :func:`pure_diagram` keeps; the oldest goes first.
+_PURE_DIAGRAM_CAP = 256
+
+_pure_diagrams: dict[tuple[tuple[int, ...], int], PureDiagram] = {}
+
+
 def pure_diagram(degrees, n: int) -> PureDiagram:
     """Build pi(d) for a strictly increasing sequence of length <= n + 1.
+
+    Returns one shared diagram per (degrees, n) while it is among the last
+    ``_PURE_DIAGRAM_CAP`` built, with its integer form and ``betti`` cached.
+    Only ``int`` degrees and ``n`` are looked up: ``1.0``, ``True`` and
+    ``Fraction(1)`` hash like ``1``, and must still be refused.
 
     >>> pure_diagram((0, 2, 3, 5), 3).entry(0)
     Fraction(1, 30)
     >>> pure_diagram((5,), 3).entry(0)   # empty product
     Fraction(1, 1)
+    >>> pure_diagram([0, 1], 1) is pure_diagram((0, 1), 1)
+    True
     """
-    return PureDiagram(DegreeSequence(degrees), n)
+    degs = tuple(degrees)
+    if type(n) is int and set(map(type, degs)) == {int}:
+        key = (degs, n)
+        p = _pure_diagrams.get(key)
+        if p is not None:
+            return p
+        # the types are proven; a sequence that fails the rest is refused,
+        # with its error, by the validating constructors below
+        if len(degs) <= n + 1 and all(a < b for a, b in zip(degs, degs[1:])):
+            p = PureDiagram._of(DegreeSequence._of(degs), n)
+            if len(_pure_diagrams) >= _PURE_DIAGRAM_CAP:
+                # first in, first out: the first key is the oldest, reached
+                # past at most a cap's worth of deleted slots; another
+                # thread may have evicted it, or changed the table, meanwhile
+                try:
+                    del _pure_diagrams[next(iter(_pure_diagrams))]
+                except (KeyError, RuntimeError):
+                    pass
+            _pure_diagrams[key] = p
+            return p
+    return PureDiagram(DegreeSequence(degs), n)
 
 
 def normalize(p: PureDiagram) -> NormalizedPureDiagram:

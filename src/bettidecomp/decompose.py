@@ -18,6 +18,7 @@ dimension empties), or the residual survives the loop guard.  Both raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,10 +71,24 @@ class Decomposition:
         return [p for _, p in self.terms]
 
     def reconstruct(self) -> BettiDiagram:
-        total = BettiDiagram(self.n, {})
-        for coeff, p in self.terms:
-            total = total + p.betti.scaled(coeff)
-        return total
+        if not self.terms:
+            return BettiDiagram(self.n, {})
+        scale, total = _integer_combination(self.terms)
+        return BettiDiagram._of(self.n, {pos: Fraction(x, scale) for pos, x in total.items()})
+
+
+def _integer_combination(terms) -> tuple[int, dict[tuple[int, int], int]]:
+    """(D, {pos: x}) with sum c * p = x / D over the terms (c, p), in ``int``
+    over one denominator D, from each term's integer form; zeros dropped."""
+    scale = math.lcm(*(c.denominator * p._integer[0] for c, p in terms))
+    total: dict[tuple[int, int], int] = {}
+    for c, p in terms:
+        size, entries = p._integer
+        factor = c.numerator * (scale // (c.denominator * size))
+        for pos, x in entries:
+            x *= factor
+            total[pos] = total[pos] + x if pos in total else x
+    return scale, {pos: x for pos, x in total.items() if x}
 
 
 def _leading_sequence(residual: dict, scale: int, n: int, partial):
@@ -171,7 +186,11 @@ def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationRes
         return VerificationResult(False, "ambient_mismatch")
     if not dec.terms:
         return VerificationResult(b.is_zero, None if b.is_zero else "reconstruction")
-    if dec.reconstruct() != b:
+    # sum c * p = x / D equals b = y / L exactly when x L = y D at each of
+    # b's positions and the sum has no other position
+    scale, total = _integer_combination(dec.terms)
+    size, entries = b._integer_form()
+    if len(total) != len(entries) or any(total.get(pos, 0) * size != y * scale for pos, y in entries):
         return VerificationResult(False, "reconstruction")
     # positive pure diagrams cannot cancel: the terms are a chain of w, and
     # the dual functionals of any maximal chain through them read b's coefficients

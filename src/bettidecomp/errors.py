@@ -18,6 +18,11 @@ class InvalidDiagram(BettiError):
     input where forbidden, empty interior column, float entry, ...)."""
 
 
+class ColumnOutOfRange(InvalidDiagram, IndexError):
+    """A homological index lies outside [0, n].  Also an ``IndexError``, so
+    callers that catch the index error by name still do."""
+
+
 class InvalidDegreeSequence(BettiError):
     """Degree sequence is not strictly increasing."""
 

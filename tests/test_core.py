@@ -1,7 +1,10 @@
 """Core types and operations: diagrams, pure diagrams, residuals, windows."""
 
+import importlib
+import inspect
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -18,8 +21,11 @@ from bettidecomp import (
     pure_diagram,
     window_of,
 )
+from bettidecomp import core, decompose
 from bettidecomp.errors import (
+    BettiError,
     CodimensionExceedsAmbient,
+    ColumnOutOfRange,
     InvalidDegreeSequence,
     InvalidDiagram,
     NotGeneratedInDegreeZero,
@@ -87,6 +93,54 @@ class TestPureDiagram:
             pure_diagram((0, 1), n)
         with pytest.raises(InvalidDiagram):
             PureDiagram(DegreeSequence((0,)), n)
+
+
+class TestPureDiagramTable:
+    """``pure_diagram`` keeps one diagram per (degrees, n) of ints, up to a
+    cap, and a kept diagram never lets through what a new one would refuse."""
+
+    def test_same_arguments_same_object(self):
+        p = pure_diagram((0, 2, 3, 5), 3)
+        assert pure_diagram((0, 2, 3, 5), 3) is p
+        assert pure_diagram([0, 2, 3, 5], 3) is p
+        assert pure_diagram(p.degrees, 3) is p
+        assert pure_diagram((0, 2, 3, 5), 4) is not p
+        # the constructor itself builds a fresh, equal diagram
+        q = PureDiagram(DegreeSequence((0, 2, 3, 5)), 3)
+        assert q == p and q is not p
+        assert type(p.degrees) is DegreeSequence and p.codimension == 3
+
+    @pytest.mark.parametrize("degrees", [(0, 1.0), (0, True), (Fraction(0), 1)])
+    def test_equal_hash_is_not_an_int_degree(self, degrees):
+        pure_diagram((0, 1), 1)
+        with pytest.raises(InvalidDegreeSequence, match="is not an integer"):
+            pure_diagram(degrees, 1)
+
+    def test_equal_hash_is_not_an_int_n(self):
+        pure_diagram((0, 1), 1)
+        with pytest.raises(InvalidDiagram, match="integer >= 0"):
+            pure_diagram((0, 1), True)
+
+    def test_kept_sequence_still_checked_against_n(self):
+        pure_diagram((0, 1, 2), 2)
+        with pytest.raises(CodimensionExceedsAmbient):
+            pure_diagram((0, 1, 2), 1)
+        with pytest.raises(InvalidDiagram):
+            pure_diagram((0,), -1)
+        with pytest.raises(InvalidDegreeSequence, match="nonempty"):
+            pure_diagram((), 2)
+        with pytest.raises(InvalidDegreeSequence, match="strictly increasing"):
+            pure_diagram((0, 2, 2), 3)
+
+    def test_table_is_bounded(self):
+        for k in range(10_000):
+            p = pure_diagram((0, k + 1), 1)
+            assert len(core._pure_diagrams) <= core._PURE_DIAGRAM_CAP
+        assert pure_diagram((0, 10_000), 1) is p
+        assert len(core._pure_diagrams) == core._PURE_DIAGRAM_CAP
+        # the oldest went first, and a rebuilt diagram is equal
+        assert ((0, 1), 1) not in core._pure_diagrams
+        assert pure_diagram((0, 1), 1).betti == BettiDiagram(1, {(0, 0): 1, (1, 1): 1})
 
 
 class TestNormalize:
@@ -257,6 +311,12 @@ class TestBettiDiagram:
         with pytest.raises(IndexError):
             BettiDiagram(2, {(-1, 0): 1})
 
+    def test_out_of_range_column_is_a_domain_error(self):
+        with pytest.raises(BettiError) as caught:
+            BettiDiagram(1, {(2, 2): 1})
+        assert isinstance(caught.value, ColumnOutOfRange)
+        assert isinstance(caught.value, InvalidDiagram) and isinstance(caught.value, IndexError)
+
     def test_vector_space_ops(self):
         a = BettiDiagram(2, {(0, 0): 1, (1, 2): 2})
         b = BettiDiagram(2, {(1, 2): Fraction(1, 2)})
@@ -323,3 +383,34 @@ class TestLaurentPolynomial:
         with pytest.raises(UndefinedOnZero, match="degree -3"):
             LaurentPolynomial({-3: 1, -1: 2, 4: 1})("0")
         assert LaurentPolynomial({-1: 1})(Fraction(1, 2)) == 2
+
+
+class TestTracedNames:
+    """``perfbench/tracing.py`` wraps these names; without them its traced
+    runs break, and it counts greedy steps by calls of ``pure_diagram``."""
+
+    def test_pure_diagram_is_a_plain_function(self):
+        assert inspect.isfunction(core.pure_diagram)
+        assert core.pure_diagram.__module__ == "bettidecomp.core"
+        # one call per greedy step, through the module-level name
+        assert decompose.pure_diagram is core.pure_diagram
+        assert "pure_diagram" in decompose.greedy_decompose.__code__.co_names
+
+    @pytest.mark.parametrize(
+        "module, cls, attr",
+        [
+            ("functionals", "Functional", "__call__"),
+            ("poset", "Chain", "__init__"),
+            ("core", "BettiDiagram", "__add__"),
+            ("core", "BettiDiagram", "scaled"),
+            ("core", "LaurentPolynomial", "exact_div_one_minus_t"),
+            ("decompose", "Decomposition", "reconstruct"),
+            ("hilbert", "HilbertSeries", "expand"),
+        ],
+    )
+    def test_wrapped_method_exists(self, module, cls, attr):
+        owner = getattr(importlib.import_module(f"bettidecomp.{module}"), cls)
+        assert inspect.isfunction(vars(owner)[attr])
+
+    def test_betti_is_a_cached_property(self):
+        assert isinstance(vars(PureDiagram)["betti"], cached_property)

@@ -25,6 +25,9 @@ from bettidecomp import (
     LaurentPolynomial,
     Window,
     BoundsReport,
+    Decomposition,
+    DegreeSequence,
+    PureDiagram,
     ShiftBounds,
     boundary_facets,
     codimension,
@@ -37,6 +40,7 @@ from bettidecomp import (
     multiplicity_bounds,
     parse_diagram,
     pure_diagram,
+    verify_decomposition,
 )
 from bettidecomp.core import parse_rational
 from bettidecomp.errors import (
@@ -535,7 +539,9 @@ class TestIntegerGreedyAndBoundsAgainstFractions:
             for p in Window(n, 0, 4, 0).pure_diagrams():
                 d = tuple(p.degrees)
                 reference = BettiDiagram(n, pure_reference(d))
-                first, second = pure_diagram(d, n), pure_diagram(d, n)
+                # pure_diagram shares one diagram per (d, n): build the
+                # second through the constructor, so its form comes first
+                first, second = pure_diagram(d, n), PureDiagram(DegreeSequence(d), n)
                 assert first.betti == reference
                 assert first._integer == reference._integer_form() == first.betti._integer_form()
                 assert second._integer == reference._integer_form()
@@ -628,3 +634,69 @@ class TestIntegerGreedyAndBoundsAgainstFractions:
                     for c, p in zip(got, chain.elements):
                         rebuilt = rebuilt + p.betti.scaled(c)
                     assert rebuilt == b
+
+
+def verify_reference(dec: Decomposition, b: BettiDiagram):
+    """(ok, reason) of ``verify_decomposition`` from the definition: the
+    terms summed as Fraction pure diagrams, entry by entry.  When the sum is
+    b, the dual functionals read the unique chain coefficients, so the
+    decomposition verifies."""
+    if dec.n != b.n:
+        return False, "ambient_mismatch"
+    rebuilt = {}
+    for c, p in dec.terms:
+        for pos, v in pure_reference(tuple(p.degrees)).items():
+            rebuilt[pos] = rebuilt.get(pos, Fraction(0)) + c * v
+    if BettiDiagram(dec.n, rebuilt) != b:
+        return False, "reconstruction"
+    return True, None
+
+
+def altered_decompositions(dec: Decomposition, rng: random.Random):
+    """dec with one coefficient moved by 1/7, with one term dropped, and
+    with the same terms in ambient n + 1."""
+    terms = list(dec.terms)
+    k = rng.randrange(len(terms))
+    c, p = terms[k]
+    step = Fraction(1, 7) if c <= Fraction(1, 7) or rng.random() < 0.5 else Fraction(-1, 7)
+    yield Decomposition((*terms[:k], (c + step, p), *terms[k + 1 :]), dec.n)
+    yield Decomposition((*terms[:k], *terms[k + 1 :]), dec.n)
+    yield Decomposition(tuple((c, pure_diagram(p.degrees, dec.n + 1)) for c, p in terms), dec.n + 1)
+
+
+class TestIntegerReconstructionCheck:
+    def test_verification_matches_fraction_reconstruction(self):
+        rng = random.Random(25)
+        windows = [*KERNEL_WINDOWS, Window(5, 0, 1, 0), Window(6, 0, 1, 2), Window(6, -1, 1, 4)]
+        outcomes = {"ok": 0, "ambient_mismatch": 0, "reconstruction": 0}
+        for w in windows:
+            inputs = list(seeded_inputs(w, rng, 6))
+            for member, near in zip(inputs[::2], inputs[1::2]):
+                lifted = BettiDiagram(w.n + 1, dict(member.items()))
+                # every position but one: the sum has a position b lacks
+                trimmed = BettiDiagram(w.n, dict(member.items()[1:]))
+                dec = greedy_decompose(member)
+                decs = [dec, *altered_decompositions(dec, rng)]
+                for d in decs:
+                    for b in (member, near, lifted, trimmed):
+                        got = verify_decomposition(d, b)
+                        assert (got.ok, got.reason) == verify_reference(d, b), (w, d, b)
+                        if d.n == b.n:
+                            # the parent route: a Fraction reconstruction
+                            assert (got.reason == "reconstruction") is (d.reconstruct() != b), (w, d, b)
+                        outcomes[got.reason or "ok"] += 1
+        assert min(outcomes.values()) >= 40, outcomes
+
+    def test_reconstruct(self):
+        rng = random.Random(26)
+        for w in KERNEL_WINDOWS:
+            for member in list(seeded_inputs(w, rng, 4))[::2]:
+                dec = greedy_decompose(member)
+                for d in (dec, *altered_decompositions(dec, rng)):
+                    rebuilt = d.reconstruct()
+                    expected = BettiDiagram(d.n, {})
+                    for c, p in d.terms:
+                        expected = expected + p.betti.scaled(c)
+                    assert rebuilt == expected and rebuilt.n == d.n, (w, d)
+                    assert_clean(rebuilt)
+        assert Decomposition((), 3).reconstruct() == BettiDiagram(3, {})
