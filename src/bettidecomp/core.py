@@ -337,7 +337,18 @@ class BettiDiagram:
     def _column_bounds(self) -> list[tuple[int, int] | None]:
         """(lowest, highest) degree of each column 0..projective dimension,
         None for an empty column, read in one pass over the entries."""
-        return _column_bounds(self._entries)
+        lo: dict[int, int] = {}
+        hi: dict[int, int] = {}
+        for i, j in self._entries:
+            if i not in lo:
+                lo[i] = hi[i] = j
+            elif j < lo[i]:
+                lo[i] = j
+            elif j > hi[i]:
+                hi[i] = j
+        if not lo:
+            raise UndefinedOnZero("column bounds undefined for the zero diagram")
+        return [(lo[i], hi[i]) if i in lo else None for i in range(max(lo) + 1)]
 
     def projective_dimension(self) -> int:
         if self.is_zero:
@@ -384,23 +395,6 @@ class BettiDiagram:
     def __repr__(self):
         ent = ", ".join(f"({i},{j}): {v}" for (i, j), v in self.items())
         return f"BettiDiagram(n={self._n}, {{{ent}}})"
-
-
-def _column_bounds(positions: Iterable[tuple[int, int]]) -> list[tuple[int, int] | None]:
-    """(lowest, highest) degree of each column 0..the highest column among
-    ``positions``, None for an empty column, read in one pass."""
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for i, j in positions:
-        if i not in lo:
-            lo[i] = hi[i] = j
-        elif j < lo[i]:
-            lo[i] = j
-        elif j > hi[i]:
-            hi[i] = j
-    if not lo:
-        raise UndefinedOnZero("column bounds undefined for the zero diagram")
-    return [(lo[i], hi[i]) if i in lo else None for i in range(max(lo) + 1)]
 
 
 class DegreeSequence(tuple):
@@ -618,18 +612,21 @@ def codimension(b: BettiDiagram) -> int:
     return _peeled_numerator(b)[0]
 
 
-def _peeled_numerator(b: BettiDiagram) -> tuple[int, Fraction]:
+def _peeled_numerator(b: BettiDiagram, num: dict[int, int] | None = None) -> tuple[int, Fraction]:
     """(s, Q(1)) with S(b, t) = (1 - t)^s Q and s maximal, from one peel: the
     codimension and the multiplicity.
 
     The peel runs in ``int`` on S times the lcm L of b's denominators, one
     synthetic division per factor: the quotient is the prefix sums of the
     coefficients but the last, which is the remainder, the value at t = 1.
+    ``num`` is that integer numerator, ``_integer_numerator`` of b's integer
+    form, when the caller has it already.
     """
     if b.is_zero:
         raise UndefinedOnZero("codimension undefined for the zero diagram")
     scale, entries = b._integer_form()
-    num = _integer_numerator(entries)
+    if num is None:
+        num = _integer_numerator(entries)
     degrees = [j for j, x in num.items() if x]
     if not degrees:
         raise UndefinedOnZero("order undefined for the zero polynomial")
@@ -647,7 +644,7 @@ def _peeled_numerator(b: BettiDiagram) -> tuple[int, Fraction]:
 def _integer_step(
     residual: dict[tuple[int, int], int], scale: int, p: PureDiagram, k: int
 ) -> tuple[Fraction, dict[tuple[int, int], int], int]:
-    """One greedy or expansion step, in integers.
+    """One step of a chain expansion, in integers.
 
     The residual is ``residual`` / ``scale``: integer numerators by position
     over one denominator.  Subtract the multiple c of p that zeroes it at
@@ -655,6 +652,10 @@ def _integer_step(
     integer form (L, P) and r, q the residual's and P's values there,
     c = r L / (scale q) and the new residual is (residual q - r P) over
     scale q, divided by the gcd of all of them; zeros are dropped.
+
+    Every position is rescaled: an expansion element need not sit at the
+    residual's column minima, nor r be nonzero.  A greedy step touches only
+    those minima, and ``decompose.greedy_decompose`` updates them in place.
     """
     size, entries = p._integer
     pos, q = entries[k]

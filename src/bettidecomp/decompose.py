@@ -25,8 +25,6 @@ from fractions import Fraction
 from .core import (
     BettiDiagram,
     PureDiagram,
-    _column_bounds,
-    _integer_step,
     as_rational,
     pure_diagram,
     window_of,
@@ -91,32 +89,17 @@ def _integer_combination(terms) -> tuple[int, dict[tuple[int, int], int]]:
     return scale, {pos: x for pos, x in total.items() if x}
 
 
-def _leading_sequence(residual: dict, scale: int, n: int, partial):
-    """Minimal nonzero degree per column, 0..projective dimension, of the
-    residual ``residual`` / ``scale`` (integer numerators by position)."""
-    bounds = _column_bounds(residual)
-    if None in bounds:
-        i, top = bounds.index(None), len(bounds) - 1
-        raise NotInCone(
-            NotInCone.INVALID_LEADING_SEQUENCE,
-            f"column {i} is empty below the projective dimension {top}",
-            partial=tuple(partial),
-            residual=_diagram(residual, scale, n),
-        )
-    degs = [low for low, _ in bounds]
-    if any(b <= a for a, b in zip(degs, degs[1:])):
-        raise NotInCone(
-            NotInCone.INVALID_LEADING_SEQUENCE,
-            f"minimal degrees {tuple(degs)} are not strictly increasing",
-            partial=tuple(partial),
-            residual=_diagram(residual, scale, n),
-        )
-    return tuple(degs)
-
-
-def _diagram(residual: dict, scale: int, n: int) -> BettiDiagram:
-    """The diagram ``residual`` / ``scale``, for a failure report."""
-    return BettiDiagram._of(n, {pos: Fraction(x, scale) for pos, x in residual.items()})
+def _residual(columns: list, fronts: list[int], scale: int, m: int, n: int) -> BettiDiagram:
+    """The greedy residual, for a failure report: each column's front over
+    ``scale * m``, and its entries not yet reached at their value in b."""
+    entries = {}
+    for i, (column, y) in enumerate(zip(columns, fronts)):
+        if column:
+            *rest, (j, _) = column
+            entries[(i, j)] = Fraction(y, scale * m)
+            for j, x in rest:
+                entries[(i, j)] = Fraction(x, scale)
+    return BettiDiagram._of(n, entries)
 
 
 def greedy_decompose(b: BettiDiagram) -> Decomposition:
@@ -125,7 +108,7 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
     On success the terms reconstruct the input exactly, the chain is
     strictly increasing with weakly decreasing codimensions, and integer
     diagrams receive integer coefficients.  The residual is kept in
-    integers, over one denominator, from the diagram's integer form.
+    integers over the diagram's integer form, one cursor per column.
 
     >>> from bettidecomp import BettiDiagram
     >>> koszul = BettiDiagram(3, {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1})
@@ -140,28 +123,65 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
     if negative:
         i, j = min(negative)
         raise InvalidDiagram(f"negative entry {b[(i, j)]} at ({i}, {j})")
+    # each column's (degree, L * v), highest degree first: the last is the
+    # column's front, its least degree in the residual, whose numerator over
+    # L * m is fronts[i]; every entry before it still reads L * v over L
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(b.projective_dimension() + 1)]
+    for (i, j), x in sorted(entries, reverse=True):
+        columns[i].append((j, x))
+    fronts = [column[-1][1] if column else 0 for column in columns]
+    m = 1
     terms: list[tuple[Fraction, PureDiagram]] = []
-    residual = dict(entries)
     M, N = window_of(b)
     for _ in range((b.n + 1) * (N - M + 1) + 1):
-        if not residual:
+        while columns and not columns[-1]:
+            columns.pop()
+            fronts.pop()
+        if not columns:
             return Decomposition(tuple(terms), b.n)
-        degs = _leading_sequence(residual, scale, b.n, terms)
+        if not all(columns):
+            raise NotInCone(
+                NotInCone.INVALID_LEADING_SEQUENCE,
+                f"column {columns.index([])} is empty below the projective dimension {len(columns) - 1}",
+                partial=tuple(terms),
+                residual=_residual(columns, fronts, scale, m, b.n),
+            )
+        degs = tuple(column[-1][0] for column in columns)
+        if any(y <= x for x, y in zip(degs, degs[1:])):
+            raise NotInCone(
+                NotInCone.INVALID_LEADING_SEQUENCE,
+                f"minimal degrees {degs} are not strictly increasing",
+                partial=tuple(terms),
+                residual=_residual(columns, fronts, scale, m, b.n),
+            )
         element = pure_diagram(degs, b.n)
+        size, pure = element._integer
         # the first column where the residual over the element is least, by
         # cross-multiplication: both are positive there; r / q starts at +inf
-        k, r, q = 0, 1, 0
-        for col, (pos, x) in enumerate(element._integer[1]):
-            y = residual[pos]
+        r, q = 1, 0
+        for y, (_, x) in zip(fronts, pure):
             if y * q < r * x:
-                k, r, q = col, y, x
-        coeff, residual, scale = _integer_step(residual, scale, element, k)
-        terms.append((coeff, element))
+                r, q = y, x
+        terms.append((Fraction(r * size, scale * m * q), element))
+        # subtract r / q times the element: only the fronts move, at least
+        # one to zero, over L * m * q; then divide by the gcd of m * q and
+        # the fronts, which keeps L a factor of the denominator
+        fronts = [y * q - r * x for y, (_, x) in zip(fronts, pure)]
+        m *= q
+        g = math.gcd(m, *fronts)
+        m //= g
+        for i, y in enumerate(fronts):
+            if y:
+                fronts[i] = y // g
+            else:
+                column = columns[i]
+                column.pop()
+                fronts[i] = column[-1][1] * m if column else 0
     raise NotInCone(
         NotInCone.RESIDUAL,
         "residual did not reach zero within the chain bound",
         partial=tuple(terms),
-        residual=_diagram(residual, scale, b.n),
+        residual=_residual(columns, fronts, scale, m, b.n),
     )
 
 

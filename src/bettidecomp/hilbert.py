@@ -34,6 +34,7 @@ from .core import (
     BettiDiagram,
     LaurentPolynomial,
     NormalizedPureDiagram,
+    _ZERO,
     _integer_numerator,
     _is_int,
     _peeled_numerator,
@@ -175,6 +176,8 @@ def _check_generators(b: BettiDiagram) -> list[tuple[int, int] | None]:
     if bounds[0] == (0, 0):
         return bounds
     gen_degrees = b.column_degrees(0)
+    if not gen_degrees:
+        raise NotSingleDegreeGenerated("the diagram has no generators: column 0 is empty")
     if len(gen_degrees) != 1:
         raise NotSingleDegreeGenerated(
             f"generators sit in degrees {gen_degrees}, expected a single degree"
@@ -298,8 +301,11 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     if depth is not None and (not _is_int(depth) or depth < 0):
         raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
     bounds = _check_generators(b)
-    # one peel gives both the codimension and the multiplicity e = Q(1)
-    codim, e = _peeled_numerator(b)
+    # b's numerator in integers: one peel of it gives both the codimension
+    # and the multiplicity e = Q(1), and it is the b half of both slacks
+    scale, entries = b._integer_form()
+    num = _integer_numerator(entries)
+    codim, e = _peeled_numerator(b, num)
     sb = _shift_bounds(bounds, codim)
     if depth is None:
         _, N = window_of(b)
@@ -316,20 +322,21 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
                 shifts=sb,
             )
     s = len(sb.maximal)
-    # the series is linear in the diagram: each slack is the difference of
-    # b's series and beta_0 times a normalized pure series, pi(0, m) scaled
-    # by the product of the shifts m, formed in integers over one denominator
-    scale, entries = b._integer_form()
-    series = _series_integers(_integer_numerator(entries), b.n, depth)
+    # each slack is the difference of b's series and beta_0 times a
+    # normalized pure series, pi(0, m) scaled by the product of the shifts
+    # m; the series is linear in the numerator, so each side expands one
+    # difference numerator, formed in integers over one denominator
     x0 = beta0.numerator * (scale // beta0.denominator)
     # (slack, all >= 0, all zero) per side, the signs read off the numerators
     sides = []
     for seq, sign in ((sb.minimal, 1), (sb.maximal, -1)):
         size, pure = pure_diagram((0,) + seq, b.n)._integer
-        weight = x0 * math.prod(seq)
-        pure_series = _series_integers(_integer_numerator(pure), b.n, depth)
-        diffs = [sign * (x * size - weight * y) for x, y in zip(series, pure_series)]
-        slack = tuple(Fraction(d, scale * size) for d in diffs)
+        weight = sign * x0 * math.prod(seq)
+        diff = {j: sign * size * x for j, x in num.items()}
+        for j, y in _integer_numerator(pure).items():
+            diff[j] = diff[j] - weight * y if j in diff else -weight * y
+        diffs = _series_integers(diff, b.n, depth)
+        slack = tuple(Fraction(d, scale * size) if d else _ZERO for d in diffs)
         sides.append((slack, min(diffs) >= 0, not any(diffs)))
     (lower_slack, lower_ok, lower_equality), (upper_slack, upper_ok, upper_equality) = sides
     bound = beta0 * Fraction(math.prod(sb.maximal), math.factorial(s))
