@@ -10,10 +10,27 @@ one diagram position, positions never refill, and the degree sequences
 strictly increase, so the loop terminates within the chain length of the
 window spanned by the support.
 
-Diagrams outside the cone fail in one of two ways: the minimal-degree
-sequence stops being strictly increasing (or a column up to the projective
-dimension empties), or the residual survives the loop guard.  Both raise
-``NotInCone`` carrying the partial decomposition for diagnostics.
+That element touches only the residual's column minima, so the residual is
+kept in integers as one cursor per column over the diagram's integer form
+(L, entries times L): each column's entries sorted by degree, the entry at
+the cursor (the column's *front*) an integer over L * m, and every entry
+past it still its original integer over L.  A step reads the fronts' degrees
+as the leading sequence, replaces each front value v by v q - r P_i (P the
+element's integer form, r and q the residual's and P's values at the first
+column of least ratio), multiplies m by q, divides m and the fronts by
+gcd(m, fronts), and moves a cursor on past each front that reached zero.
+It costs O(s) for an element of codimension s, not O(entries).
+
+Diagrams outside the cone fail in one of two ways, both raising
+``NotInCone`` with the partial decomposition and the residual, rebuilt from
+the cursors, for diagnostics:
+
+* ``INVALID_LEADING_SEQUENCE``: a column below the residual's projective
+  dimension is empty, or the fronts' degrees are not strictly increasing;
+* ``RESIDUAL``: the residual survives the loop guard, one step more than
+  the positions of the window.
+
+A negative entry is refused up front with ``InvalidDiagram``.
 """
 
 from __future__ import annotations
@@ -163,9 +180,9 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
             if y * q < r * x:
                 r, q = y, x
         terms.append((Fraction(r * size, scale * m * q), element))
-        # subtract r / q times the element: only the fronts move, at least
-        # one to zero, over L * m * q; then divide by the gcd of m * q and
-        # the fronts, which keeps L a factor of the denominator
+        # subtract r / q times the element's integer form: only the fronts
+        # move, at least one to zero, over L * m * q; then divide by the gcd
+        # of m * q and the fronts, which keeps L a factor of the denominator
         fronts = [y * q - r * x for y, (_, x) in zip(fronts, pure)]
         m *= q
         g = math.gcd(m, *fronts)

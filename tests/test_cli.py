@@ -287,6 +287,14 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", str(path))
         assert code == 2
 
+    def test_empty_generator_column_exit_2(self, capsys, tmp_path):
+        # column 0 holds no degree at all: say so, not "degrees ()"
+        path = tmp_path / "no_generators.json"
+        path.write_text('{"n": 2, "entries": [[1, 1, "1"]]}')
+        code, out, err = run_cli(capsys, "bounds", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: the diagram has no generators: column 0 is empty\n"
+
 
 class TestCheckHk:
     def test_zero_diagram(self, capsys, tmp_path):

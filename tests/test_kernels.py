@@ -42,6 +42,7 @@ from bettidecomp import (
     pure_diagram,
     verify_decomposition,
 )
+from bettidecomp import core, decompose
 from bettidecomp.core import parse_rational
 from bettidecomp.errors import (
     InvalidDiagram,
@@ -420,23 +421,53 @@ def subtract(residual: dict, c: Fraction, entries: dict) -> None:
 
 
 def greedy_reference(b: BettiDiagram):
-    """(reason, terms, residual) of the greedy loop in Fractions; reason
-    None on success.  Terms are (coefficient, degrees)."""
+    """(reason, message, terms, residual) of the greedy loop in Fractions;
+    reason and message None on success.  Terms are (coefficient, degrees)."""
     residual = dict(b.items())
     offsets = [j - i for i, j in residual]
     terms = []
     for _ in range((b.n + 1) * (max(offsets) - min(offsets) + 1) + 1):
         if not residual:
-            return None, terms, residual
+            return None, None, terms, residual
         top = max(i for i, _ in residual)
         degs = [min((j for i, j in residual if i == col), default=None) for col in range(top + 1)]
-        if None in degs or any(y <= x for x, y in zip(degs, degs[1:])):
-            return NotInCone.INVALID_LEADING_SEQUENCE, terms, residual
+        if None in degs:
+            message = f"column {degs.index(None)} is empty below the projective dimension {top}"
+            return NotInCone.INVALID_LEADING_SEQUENCE, message, terms, residual
+        if any(y <= x for x, y in zip(degs, degs[1:])):
+            message = f"minimal degrees {tuple(degs)} are not strictly increasing"
+            return NotInCone.INVALID_LEADING_SEQUENCE, message, terms, residual
         entries = pure_reference(degs)
         c = min(residual.get(pos, Fraction(0)) / v for pos, v in entries.items())
         terms.append((c, tuple(degs)))
         subtract(residual, c, entries)
-    return NotInCone.RESIDUAL, terms, residual
+    return NotInCone.RESIDUAL, "residual did not reach zero within the chain bound", terms, residual
+
+
+def check_greedy(b: BettiDiagram):
+    """``greedy_decompose(b)`` against ``greedy_reference``: the terms, or
+    the failure's reason, message, partial and residual.  Returns the
+    reference's (reason, terms, residual), reason "negative" for a diagram
+    with a negative entry."""
+    if any(v < 0 for _, v in b.items()):
+        with pytest.raises(InvalidDiagram, match="negative entry"):
+            greedy_decompose(b)
+        return "negative", [], {}
+    reason, message, terms, residual = greedy_reference(b)
+    if reason is None:
+        got = [(c, tuple(p.degrees)) for c, p in greedy_decompose(b)]
+        assert got == terms, b
+        assert all(type(c) is Fraction for c, _ in got)
+        return reason, terms, residual
+    with pytest.raises(NotInCone) as caught:
+        greedy_decompose(b)
+    err = caught.value
+    assert (err.reason, str(err)) == (reason, message), b
+    assert [(c, tuple(p.degrees)) for c, p in err.partial] == terms, b
+    assert all(p.n == b.n for _, p in err.partial)
+    assert err.residual == BettiDiagram(b.n, residual), b
+    assert_clean(err.residual)
+    return reason, terms, residual
 
 
 def numerator_reference(entries: dict) -> dict:
@@ -529,6 +560,58 @@ def greedy_inputs(rng: random.Random, count: int):
         yield BettiDiagram(n, {**entries, key: entries.get(key, 0) + Fraction(rng.randint(1, 9), rng.randint(1, 4))})
 
 
+def chain_walk(rng: random.Random, n: int, width: int) -> list[tuple]:
+    """A chain of degree sequences from (0, 1, .., n) upward: each step
+    raises one degree d_i, i >= 1, by one within i + width, keeping the
+    sequence strictly increasing, or drops the last degree."""
+    d = list(range(n + 1))
+    chain = [tuple(d)]
+    while True:
+        moves = [i for i in range(1, len(d)) if d[i] < i + width and (i == len(d) - 1 or d[i] + 1 < d[i + 1])]
+        if len(d) > 1:
+            moves.append(None)
+        if not moves:
+            return chain
+        i = rng.choice(moves)
+        if i is None:
+            d.pop()
+        else:
+            d[i] += 1
+        chain.append(tuple(d))
+
+
+def integer_pure(degrees) -> dict:
+    """pi(d) times the least integer making it integral, from the definition."""
+    entries = pure_reference(degrees)
+    scale = math.lcm(*(v.denominator for v in entries.values()))
+    return {pos: v * scale for pos, v in entries.items()}
+
+
+def table_inputs(rng: random.Random, count: int):
+    """Integer tables generated in degree 0, each a combination of 1..12
+    elements of one chain with weights 1..9 (n 3..12, width 1..6), and four
+    near-misses of each: a rational multiple of one chain element
+    subtracted, one entry rescaled, one entry raised, one entry dropped."""
+    for _ in range(count):
+        n, width = rng.randint(3, 12), rng.randint(1, 6)
+        chain = chain_walk(rng, n, width)
+        entries = {}
+        for k in rng.sample(range(len(chain)), rng.randint(1, min(12, len(chain)))):
+            w = rng.randint(1, 9)
+            for pos, v in integer_pure(chain[k]).items():
+                entries[pos] = entries.get(pos, 0) + w * v
+        yield BettiDiagram(n, entries)
+        other = integer_pure(rng.choice(chain))
+        m = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+        yield BettiDiagram(n, {pos: entries.get(pos, 0) - m * other.get(pos, 0) for pos in entries.keys() | other.keys()})
+        key = rng.choice(sorted(entries))
+        yield BettiDiagram(n, {**entries, key: entries[key] * Fraction(rng.randint(1, 7), rng.randint(1, 5))})
+        key = (rng.randint(0, n), rng.randint(0, n + width))
+        yield BettiDiagram(n, {**entries, key: entries.get(key, 0) + rng.randint(1, 9)})
+        key = rng.choice(sorted(entries))
+        yield BettiDiagram(n, {pos: v for pos, v in entries.items() if pos != key})
+
+
 class TestIntegerGreedyAndBoundsAgainstFractions:
     def test_pure_integer_form(self):
         # every degree sequence of n <= 5, width <= 4: the integer form read
@@ -557,29 +640,48 @@ class TestIntegerGreedyAndBoundsAgainstFractions:
         near = pure_diagram((0, 2, 3, 5), 3).betti - pure_diagram((0, 2, 3), 3).betti.scaled(Fraction(1, 63))
         cases.append(near)
         for b in cases:
-            if any(v < 0 for _, v in b.items()):
-                with pytest.raises(InvalidDiagram, match="negative entry"):
-                    greedy_decompose(b)
-                outcomes["negative"] += 1
-                continue
-            reason, terms, residual = greedy_reference(b)
-            if reason is None:
-                got = [(c, tuple(p.degrees)) for c, p in greedy_decompose(b)]
-                assert got == terms, b
-                assert all(type(c) is Fraction for c, _ in got)
-                outcomes["ok"] += 1
-                continue
-            with pytest.raises(NotInCone) as caught:
-                greedy_decompose(b)
-            err = caught.value
-            assert err.reason == reason, b
-            assert [(c, tuple(p.degrees)) for c, p in err.partial] == terms, b
-            assert all(p.n == b.n for _, p in err.partial)
-            assert err.residual == BettiDiagram(b.n, residual), b
-            assert_clean(err.residual)
-            outcomes[reason] += 1
+            reason, _, _ = check_greedy(b)
+            outcomes["ok" if reason is None else reason] += 1
         # members, subtracted diagrams and non-members that stay nonnegative
         assert min(outcomes.values()) >= 20, outcomes
+
+    def test_greedy_on_integer_chain_tables(self):
+        # the cursor state: failures after two or more steps, and columns
+        # that empty below the projective dimension after a step
+        rng = random.Random(25)
+        outcomes = {"ok": 0, "negative": 0, "failed after 2 steps": 0, "column emptied after a step": 0}
+        for b in table_inputs(rng, 60):
+            reason, terms, residual = check_greedy(b)
+            if reason in (None, "negative"):
+                outcomes["ok" if reason is None else reason] += 1
+                continue
+            outcomes["failed after 2 steps"] += len(terms) >= 2
+            columns = {i for i, _ in residual}
+            outcomes["column emptied after a step"] += bool(terms) and len(columns) <= max(columns)
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_one_pure_diagram_call_per_step(self, monkeypatch):
+        # a traced run counts greedy steps by these calls
+        calls = []
+
+        def counted(degrees, n):
+            calls.append(degrees)
+            return core.pure_diagram(degrees, n)
+
+        monkeypatch.setattr(decompose, "pure_diagram", counted)
+        rng = random.Random(26)
+        steps = 0
+        for b in table_inputs(rng, 20):
+            calls.clear()
+            try:
+                expected = len(greedy_decompose(b).terms)
+            except NotInCone as err:
+                expected = len(err.partial)
+            except InvalidDiagram:
+                expected = 0
+            assert len(calls) == expected, b
+            steps += expected
+        assert steps >= 100
 
     def test_codimension_and_multiplicity(self):
         rng = random.Random(22)
