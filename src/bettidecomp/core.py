@@ -31,7 +31,10 @@ shifts of existing tables, products with a scalar that went through
 caller hands in goes through the public constructor, or through a parser.
 :func:`pure_diagram` checks an all-``int`` sequence itself and builds
 through ``DegreeSequence._of`` and ``PureDiagram._of``; any other input
-goes through the validating constructors.
+goes through the validating constructors.  ``Decomposition._of`` in
+:mod:`bettidecomp.decompose` skips the checks of a decomposition; only
+``greedy_decompose`` uses it, whose positive ``Fraction`` coefficients and
+strictly increasing terms of its own ``n`` hold by construction.
 
 The diagram parsers in :mod:`bettidecomp.io` are doors too.  The JSON
 parser validates every key and value itself (``n`` an ``int >= 0``, each

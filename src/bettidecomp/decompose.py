@@ -56,7 +56,8 @@ class Decomposition:
     """Ordered positive combination sum coefficient * pi along a chain.
 
     Coefficients go through ``as_rational`` and must be positive; elements
-    must be ``PureDiagram``s of this ``n``, strictly increasing."""
+    must be ``PureDiagram``s of this ``n``, strictly increasing.
+    ``greedy_decompose`` builds its result through the trusted ``_of``."""
 
     terms: tuple[tuple[Fraction, PureDiagram], ...]
     n: int
@@ -72,6 +73,15 @@ class Decomposition:
         for (_, a), (_, b) in zip(terms, terms[1:]):
             if a == b or not leq(a, b):
                 raise InvalidDiagram(f"{a!r}, {b!r} do not form a strictly increasing chain")
+
+    @classmethod
+    def _of(cls, terms: tuple[tuple[Fraction, PureDiagram], ...], n: int) -> "Decomposition":
+        """Trusted constructor: positive ``Fraction`` coefficients and
+        strictly increasing ``PureDiagram`` terms of this n, stored unchecked."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "terms", terms)
+        object.__setattr__(d, "n", n)
+        return d
 
     def __len__(self):
         return len(self.terms)
@@ -155,7 +165,10 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
             columns.pop()
             fronts.pop()
         if not columns:
-            return Decomposition(tuple(terms), b.n)
+            # coefficients r * size / (scale * m * q) with r, q > 0; front
+            # degrees only rise and columns drop off only at the top, so
+            # the terms are a strictly increasing chain of b.n's diagrams
+            return Decomposition._of(tuple(terms), b.n)
         if not all(columns):
             raise NotInCone(
                 NotInCone.INVALID_LEADING_SEQUENCE,

@@ -409,7 +409,10 @@ def _coefficient_columns(facets) -> dict[tuple[int, int], list[int]]:
     columns = {}
     for k, facet in enumerate(facets):
         for pos, c in facet.functional.coefficients:
-            columns.setdefault(pos, [0] * len(facets))[k] = c
+            column = columns.get(pos)
+            if column is None:
+                column = columns[pos] = [0] * len(facets)
+            column[k] = c
     return columns
 
 
@@ -447,9 +450,8 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
     order and then diagrams, with the exact ``Fraction`` value of the
     functional on the diagram.
     """
-    facets = boundary_facets(w)
+    facets, columns = _facet_columns(w)
     diagrams = list(w.pure_diagrams())
-    columns = _coefficient_columns(facets)
     # (hyperplane index, diagram) of the first negative pair: the earliest
     # hyperplane that reads negative anywhere, then its earliest diagram
     first = None

@@ -256,9 +256,43 @@ def check_monotonicity(chain, depth: int) -> MonotonicityReport:
     return MonotonicityReport(depth, tuple(pairs))
 
 
+class _Series:
+    """A slack not yet divided: integer differences over one denominator."""
+
+    def __init__(self, diffs: list[int], denominator: int):
+        self.diffs = diffs
+        self.denominator = denominator
+
+
+class _Slack:
+    """Data descriptor of a ``BoundsReport`` slack field, default None.
+
+    It stores what the constructor is given; a ``_Series`` becomes its tuple
+    of ``Fraction``s when the field is first read, so a report read only for
+    its verdicts builds none."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        value = obj.__dict__[self.name]
+        if type(value) is _Series:
+            value = tuple(Fraction(d, value.denominator) if d else _ZERO for d in value.diffs)
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class BoundsReport:
-    """Verdicts of the shift-bound comparisons for one diagram."""
+    """Verdicts of the shift-bound comparisons for one diagram.
+
+    ``lower_slack`` and ``upper_slack`` from :func:`multiplicity_bounds` are
+    built when first read; equality, hash, repr and copies read them."""
 
     applicable: bool
     reason: str | None
@@ -267,8 +301,8 @@ class BoundsReport:
     shifts: ShiftBounds | None = None
     lower_ok: bool | None = None
     upper_ok: bool | None = None
-    lower_slack: tuple[Fraction, ...] | None = None
-    upper_slack: tuple[Fraction, ...] | None = None
+    lower_slack: tuple[Fraction, ...] | None = _Slack()
+    upper_slack: tuple[Fraction, ...] | None = _Slack()
     lower_equality: bool | None = None
     upper_equality: bool | None = None
     multiplicity_value: Fraction | None = None
@@ -327,7 +361,7 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     # m; the series is linear in the numerator, so each side expands one
     # difference numerator, formed in integers over one denominator
     x0 = beta0.numerator * (scale // beta0.denominator)
-    # (slack, all >= 0, all zero) per side, the signs read off the numerators
+    # (slack, all >= 0, all zero) per side, the slack left undivided
     sides = []
     for seq, sign in ((sb.minimal, 1), (sb.maximal, -1)):
         size, pure = pure_diagram((0,) + seq, b.n)._integer
@@ -336,8 +370,7 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
         for j, y in _integer_numerator(pure).items():
             diff[j] = diff[j] - weight * y if j in diff else -weight * y
         diffs = _series_integers(diff, b.n, depth)
-        slack = tuple(Fraction(d, scale * size) if d else _ZERO for d in diffs)
-        sides.append((slack, min(diffs) >= 0, not any(diffs)))
+        sides.append((_Series(diffs, scale * size), min(diffs) >= 0, not any(diffs)))
     (lower_slack, lower_ok, lower_equality), (upper_slack, upper_ok, upper_equality) = sides
     bound = beta0 * Fraction(math.prod(sb.maximal), math.factorial(s))
     return BoundsReport(

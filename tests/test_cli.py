@@ -251,7 +251,8 @@ class TestVerifyFan:
         f = facet.functional
         negated = functionals.Functional(w, tuple((pos, -c) for pos, c in f.coefficients), f.case, f.anchor)
         bad = functionals.BoundaryFacet(facet.removed, facet.kind, negated)
-        monkeypatch.setattr(functionals, "boundary_facets", lambda _: [bad])
+        built = ((bad,), functionals._coefficient_columns([bad]))
+        monkeypatch.setattr(functionals, "_facet_columns", lambda _: built)
         code, out, _ = run_cli(
             capsys, "verify-fan", "--n", "3", "--M", "0", "--N", "2", "--s", "0", "--format", "json"
         )

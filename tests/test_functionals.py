@@ -346,6 +346,12 @@ def _negated(facet):
     return functionals.BoundaryFacet(facet.removed, facet.kind, negated)
 
 
+def _use_facets(monkeypatch, facets):
+    """Make verify_fan_convexity read these facets and their columns."""
+    built = (tuple(facets), functionals._coefficient_columns(facets))
+    monkeypatch.setattr(functionals, "_facet_columns", lambda _: built)
+
+
 def _first_negative_pair(facets, diagrams):
     """Every pair in exact arithmetic, hyperplanes in order, then diagrams."""
     for facet in facets:
@@ -354,6 +360,22 @@ def _first_negative_pair(facets, diagrams):
             if value < 0:
                 return facet, p, value
     return None
+
+
+class TestCoefficientColumns:
+    def test_columns_equal_a_dense_build(self):
+        # every grid position of the window, one coefficient per facet read
+        # through Functional.coefficient; the all-zero positions dropped
+        for w in (Window(2, 0, 2, 0), Window(3, 0, 2, 1), Window(3, -1, 1, 0), Window(4, 0, 2, 0)):
+            facets, columns = functionals._facet_columns(w)
+            assert list(facets) == boundary_facets(w)
+            dense = {
+                (i, j): [f.functional.coefficient(i, j) for f in facets]
+                for i in range(w.n + 1)
+                for j in range(w.M + i, w.N + i + 1)
+            }
+            assert columns == {pos: column for pos, column in dense.items() if any(column)}, w
+            assert columns == functionals._coefficient_columns(boundary_facets(w)), w
 
 
 class TestConvexity:
@@ -377,7 +399,7 @@ class TestConvexity:
     def test_failure_reports_exact_value(self, monkeypatch):
         w = Window(3, 0, 2, 1)
         bad = _negated(boundary_facets(w)[3])
-        monkeypatch.setattr(functionals, "boundary_facets", lambda _: [bad])
+        _use_facets(monkeypatch, [bad])
         report = verify_fan_convexity(w)
         assert not report.passed
         assert (report.facets_checked, report.diagrams_checked) == (1, len(list(w.pure_diagrams())))
@@ -394,7 +416,7 @@ class TestConvexity:
             first = [next(i for i, p in enumerate(diagrams) if f.functional(p.betti) > 0) for f in facets]
             a, b = next((a, b) for b in range(len(facets)) for a in range(b) if first[b] < first[a])
             mixed = [_negated(f) if k in (a, b) else f for k, f in enumerate(facets)]
-            monkeypatch.setattr(functionals, "boundary_facets", lambda _, m=mixed: m)
+            _use_facets(monkeypatch, mixed)
             report = verify_fan_convexity(w)
             assert not report.passed
             assert report.counterexample[:2] == (mixed[a], diagrams[first[a]]), w

@@ -9,9 +9,13 @@ numerator, and functionals and Herzog-Kuhl residuals as sums of Fraction
 products, term by term.  Derandomized, so every run checks the same
 examples."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
+from dataclasses import MISSING
 from fractions import Fraction
 from itertools import islice
 
@@ -42,7 +46,7 @@ from bettidecomp import (
     pure_diagram,
     verify_decomposition,
 )
-from bettidecomp import core, decompose
+from bettidecomp import core, decompose, hilbert, io
 from bettidecomp.core import parse_rational
 from bettidecomp.errors import (
     InvalidDiagram,
@@ -52,7 +56,7 @@ from bettidecomp.errors import (
     UndefinedOnZero,
     WindowMismatch,
 )
-from bettidecomp.poset import maximal_chains
+from bettidecomp.poset import leq, maximal_chains
 
 exact = settings(max_examples=120, deadline=None, derandomize=True)
 fewer = settings(max_examples=50, deadline=None, derandomize=True)
@@ -802,3 +806,112 @@ class TestIntegerReconstructionCheck:
                     assert rebuilt == expected and rebuilt.n == d.n, (w, d)
                     assert_clean(rebuilt)
         assert Decomposition((), 3).reconstruct() == BettiDiagram(3, {})
+
+
+def greedy_results(quotient_diagram):
+    """greedy_decompose of the fixture and of the seeded members among
+    ``greedy_inputs`` and ``table_inputs``, the failures skipped."""
+    yield greedy_decompose(quotient_diagram)
+    rng = random.Random(27)
+    for b in [*greedy_inputs(rng, 40), *table_inputs(rng, 20)]:
+        try:
+            yield greedy_decompose(b)
+        except (NotInCone, InvalidDiagram):
+            pass
+
+
+class TestTrustedGreedyDecomposition:
+    def test_greedy_output_would_pass_the_public_constructor(self, quotient_diagram):
+        # greedy builds through Decomposition._of: what the constructor
+        # would check holds by construction
+        count = 0
+        for dec in greedy_results(quotient_diagram):
+            assert Decomposition(dec.terms, dec.n) == dec
+            assert all(type(c) is Fraction and c > 0 for c in dec.coefficients()), dec
+            assert all(type(p) is PureDiagram and p.n == dec.n for p in dec.diagrams()), dec
+            assert all(a != b and leq(a, b) for a, b in zip(dec.diagrams(), dec.diagrams()[1:])), dec
+            count += 1
+        assert count >= 50
+
+
+BOUNDS_FIELDS = [
+    ("applicable", "bool", MISSING),
+    ("reason", "str | None", MISSING),
+    ("depth", "int", MISSING),
+    ("generator_count", "Fraction | None", None),
+    ("shifts", "ShiftBounds | None", None),
+    ("lower_ok", "bool | None", None),
+    ("upper_ok", "bool | None", None),
+    ("lower_slack", "tuple[Fraction, ...] | None", None),
+    ("upper_slack", "tuple[Fraction, ...] | None", None),
+    ("lower_equality", "bool | None", None),
+    ("upper_equality", "bool | None", None),
+    ("multiplicity_value", "Fraction | None", None),
+    ("multiplicity_bound", "Fraction | None", None),
+    ("multiplicity_ok", "bool | None", None),
+    ("multiplicity_equality", "bool | None", None),
+    ("is_pure", "bool | None", None),
+]
+
+
+def applicable_reports(quotient_diagram):
+    """(b, depth) of the fixture and of seeded inputs whose report applies."""
+    yield quotient_diagram, None
+    rng = random.Random(28)
+    for k, b in enumerate(greedy_inputs(rng, 60)):
+        depth = None if k % 3 else rng.randint(0, 8)
+        expected = bounds_reference(b, depth)
+        if not isinstance(expected, type) and expected.applicable:
+            yield b, depth
+
+
+class TestLazySlack:
+    def test_fields_are_unchanged(self):
+        got = [(f.name, f.type, f.default) for f in dataclasses.fields(BoundsReport)]
+        assert got == BOUNDS_FIELDS
+        assert BoundsReport(False, "r", 3).lower_slack is None
+
+    def test_repr_and_equality_match_an_eager_report(self, quotient_diagram):
+        count = 0
+        for b, depth in applicable_reports(quotient_diagram):
+            eager = bounds_reference(b, depth)
+            assert type(eager.lower_slack) is tuple
+            # each read first on a report that has built no slack yet
+            assert repr(multiplicity_bounds(b, depth)) == repr(eager), b
+            assert multiplicity_bounds(b, depth) == eager, b
+            assert eager == multiplicity_bounds(b, depth), b
+            assert hash(multiplicity_bounds(b, depth)) == hash(eager), b
+            assert io.encode(multiplicity_bounds(b, depth)) == io.encode(eager), b
+            count += 1
+        assert count >= 20
+
+    def test_copies(self, quotient_diagram):
+        for b, depth in islice(applicable_reports(quotient_diagram), 10):
+            eager = bounds_reference(b, depth)
+            assert dataclasses.asdict(multiplicity_bounds(b, depth)) == dataclasses.asdict(eager), b
+            assert copy.copy(multiplicity_bounds(b, depth)) == eager, b
+            assert copy.deepcopy(multiplicity_bounds(b, depth)) == eager, b
+            assert pickle.loads(pickle.dumps(multiplicity_bounds(b, depth))) == eager, b
+            assert dataclasses.replace(multiplicity_bounds(b, depth)) == eager, b
+
+    def test_passed_builds_no_slack(self, quotient_diagram, monkeypatch):
+        calls = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                calls.append(args)
+                return Fraction(*args, **kwargs)
+
+        monkeypatch.setattr(hilbert, "Fraction", Counting)
+        for b, depth in islice(applicable_reports(quotient_diagram), 20):
+            calls.clear()
+            report = multiplicity_bounds(b, depth)
+            assert report.passed in (True, False)
+            # the multiplicity bound only
+            assert len(calls) == 1, b
+            lower = report.lower_slack
+            assert len(calls) == 1 + sum(1 for v in lower if v), b
+            assert report.lower_slack is lower
+            upper = report.upper_slack
+            assert len(calls) == 1 + sum(1 for v in lower + upper if v), b
+            assert all(type(v) is Fraction for v in lower + upper)
