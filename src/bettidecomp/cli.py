@@ -37,7 +37,7 @@ from .functionals import (
     verify_fan_convexity,
 )
 from .hilbert import hilbert_series, multiplicity_bounds
-from .poset import Tableau, Window, chain_from_tableau, count_maximal_chains, maximal_chains
+from .poset import Tableau, Window, _sorted_walk, chain_from_tableau, count_maximal_chains
 
 _USAGE_ERROR = 2
 _NEGATIVE = 1
@@ -196,7 +196,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--count-only", action="store_true", help="print the hook-length count, list no chain"
     )
 
-    p = sub.add_parser("facets", parents=[common], help="distinct boundary hyperplanes of the fan of a window")
+    p = sub.add_parser(
+        "facets",
+        parents=[common],
+        help="boundary hyperplanes of the fan of a window, one per distinct integer "
+        "coefficient vector: positive multiples repeat",
+    )
     _add_window_args(p)
 
     p = sub.add_parser("verify-fan", parents=[common], help="check convexity of the fan of a window")
@@ -223,7 +228,7 @@ def _cmd_pure(args, fmt):
     try:
         degrees = [_parse_int(x.strip()) for x in args.degrees.split(",") if x.strip() != ""]
     except ValueError:
-        print("--degrees must be comma-separated integers", file=sys.stderr)
+        print("error: --degrees must be comma-separated integers", file=sys.stderr)
         return _USAGE_ERROR
     p = pure_diagram(degrees, args.n)
     _print_diagram(p.betti, fmt)
@@ -275,17 +280,19 @@ def _cmd_chains(args, fmt):
     if args.count_only:
         print(count_maximal_chains(w))
         return 0
-    chains = maximal_chains(w, _max_enum())
+    chains = _sorted_walk(w, _max_enum())
     # written a batch at a time, so a listing of a million chains is never
-    # held encoded; the bytes are those _print_struct prints for the whole
-    # list, and the first batch raises WindowTooLarge before any is written
+    # held encoded; the bytes are those _print_struct prints for the list of
+    # maximal_chains, and the first batch raises WindowTooLarge before any
+    # is written.  Each degree sequence is JSON-encoded once per listing.
+    text = functools.cache(json.dumps)
     sep = "["
-    while batch := [dio.encode(c) for c in itertools.islice(chains, _CHAIN_BATCH)]:
+    while batch := [seqs for seqs, _ in itertools.islice(chains, _CHAIN_BATCH)]:
         if fmt == "json":
-            sys.stdout.write(sep + json.dumps(batch)[1:-1])
+            sys.stdout.write(sep + ", ".join("[" + ", ".join(map(text, seqs)) + "]" for seqs in batch))
             sep = ", "
         else:
-            print(_human(batch))
+            print(_human([list(map(list, seqs)) for seqs in batch]))
     if fmt == "json":
         print("]")
     return 0

@@ -51,6 +51,7 @@ reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -166,19 +167,25 @@ def _indicator(p1: PureDiagram, pos: tuple[int, int], w: Window, anchor):
 
 def _from_formula(case, p1, prefactor, product_indices, limits, w, anchor):
     d = p1.degrees
+    # the product does not depend on the column: one value per degree
+    values = [
+        math.prod((d[j] - deg for j in product_indices), start=prefactor)
+        for deg in range(w.M, max(limits) + 1)
+    ]
     coeffs = []
-    for i in range(w.n + 1):
-        for deg in range(w.M + i, limits[i] + 1):
-            value = prefactor
-            for j in product_indices:
-                value *= d[j] - deg
-            value *= (-1) ** i
+    for i, limit in enumerate(limits):
+        sign = (-1) ** i
+        for deg in range(w.M + i, limit + 1):
+            value = values[deg - w.M]
             if value:
-                coeffs.append(((i, deg), value))
-    f = Functional(w, tuple(sorted(coeffs)), case, anchor)
-    if f(p1.betti) != 1:
-        raise InvariantViolated(f"{case.value} formula is {f(p1.betti)} on {p1!r}, not 1")
-    return f
+                coeffs.append(((i, deg), sign * value))
+    # value 1 on p1, read in int over its integer form (L, entries): sum c * x == L
+    lookup = dict(coeffs)
+    scale, entries = p1._integer
+    total = sum(lookup.get(pos, 0) * x for pos, x in entries)
+    if total != scale:
+        raise InvariantViolated(f"{case.value} formula is {Fraction(total, scale)} on {p1!r}, not 1")
+    return Functional(w, tuple(coeffs), case, anchor)
 
 
 def coefficient_functional(
@@ -358,7 +365,7 @@ def _triple_kind(down, up, w: Window) -> FacetKind:
 def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
     # None stands below min and above max: the extremal triples are
     # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
-    # the walk holds each cover move with its cell, so no move is re-derived
+    # each diagram's cover moves, with their cells, are derived once
     facets = {}
 
     def keep(p0, p1, p2, down, up, kind):
@@ -366,17 +373,18 @@ def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
         facets.setdefault(f.coefficients, BoundaryFacet(p1, kind, f))
 
     table = _diagrams(w)
+    moves = {d: _cover_moves(d, w) for d in table}
     lo, hi = w.min_element(), w.max_element()
     if lo == hi:
         keep(None, lo, None, None, None, FacetKind.EXTREMAL)
     for d0, p0 in table.items():
-        for d1, down in _cover_moves(d0, w):
+        for d1, down in moves[d0]:
             p1 = table[d1]
             if p0 == lo:
                 keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
             if p1 == hi:
                 keep(p0, p1, None, down, None, FacetKind.EXTREMAL)
-            for d2, up in _cover_moves(d1, w):
+            for d2, up in moves[d1]:
                 kind = _triple_kind(down, up, w)
                 if kind is not FacetKind.INTERIOR:
                     keep(p0, p1, table[d2], down, up, kind)
@@ -384,12 +392,15 @@ def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
 
 
 def boundary_facets(w: Window) -> list[BoundaryFacet]:
-    """One boundary facet per distinct hyperplane of the fan of the window.
+    """One boundary facet per distinct integer coefficient vector of the
+    boundary hyperplanes of the fan of the window.
 
-    Read off the cover triples with a unique middle, without enumerating
-    chains.  Order is deterministic: p0 over ``w.pure_diagrams()``, then its
-    covers p1 (the extremal triples of p1 first), then the covers p2 of p1;
-    the first triple of each hyperplane supplies ``removed`` and ``kind``.
+    Positive multiples of one hyperplane are separate facets: (1,0,2,0)
+    lists 10 for 8 hyperplanes (ROADMAP item 2).  Read off the cover
+    triples with a unique middle, without enumerating chains.  Order is
+    deterministic: p0 over ``w.pure_diagrams()``, then its covers p1 (the
+    extremal triples of p1 first), then the covers p2 of p1; the first
+    triple of each coefficient vector supplies ``removed`` and ``kind``.
     """
     return list(_boundary_facets_cached(w))
 
@@ -441,10 +452,11 @@ def _facet_columns(w: Window) -> tuple[tuple[BoundaryFacet, ...], dict[tuple[int
 def verify_fan_convexity(w: Window) -> ConvexityReport:
     """Check that every boundary functional is >= 0 on every pure diagram.
 
-    This is the extensional form of convexity of the fan: each distinct
-    hyperplane of :func:`boundary_facets` is evaluated on each pure diagram
-    of the window, no chain is enumerated, and ``facets_checked`` counts
-    distinct hyperplanes.  Only signs matter, so they are read in integers,
+    This is the extensional form of convexity of the fan: each facet of
+    :func:`boundary_facets` is evaluated on each pure diagram of the
+    window, no chain is enumerated, and ``facets_checked`` counts distinct
+    integer coefficient vectors, so a positive multiple of a hyperplane is
+    counted again (ROADMAP item 2).  Only signs matter, so they are read in integers,
     from each diagram's entries times the lcm of their denominators.  On
     failure the counterexample is the first negative pair, hyperplanes in
     order and then diagrams, with the exact ``Fraction`` value of the
@@ -482,8 +494,9 @@ def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
     """Decide cone membership by the boundary-facet inequalities.
 
     The diagram must be supported in the window and satisfy its ``s_min``
-    Herzog-Kuhl equations.  Member exactly when every distinct hyperplane of
-    :func:`boundary_facets` (no chain is enumerated) is nonnegative on it;
+    Herzog-Kuhl equations.  Member exactly when every facet of
+    :func:`boundary_facets`, one per distinct integer coefficient vector
+    (no chain is enumerated), is nonnegative on it;
     otherwise the first violated facet in that order is the certificate,
     with its exact value.  All hyperplanes are read at once, in integers,
     on the diagram's integer form.

@@ -318,7 +318,7 @@ def _walk(w: Window):
     """Lazily walk every maximal chain of w, depth first over :func:`_moves`.
 
     Yields the degree sequences and the vacated cells of each chain, in
-    move order; :func:`maximal_chains` sorts them into tableau order.
+    move order; :func:`_sorted_walk` sorts them into tableau order.
     """
     length = chain_length(w)
     seqs, cells = [None] * length, [None] * length
@@ -370,6 +370,23 @@ def count_maximal_chains(w: Window) -> int:
     return math.factorial(sum(shape)) // hooks
 
 
+def _sorted_walk(w: Window, limit: int | None = None):
+    """Every maximal chain of w as _walk's (seqs, cells), in tableau order.
+
+    A generator: when the window has more than ``limit`` chains, the first
+    ``next()`` raises ``WindowTooLarge`` with the count before any move is
+    walked.  :func:`maximal_chains` wraps it; callers that need only the
+    degree sequences read it directly and build no ``Chain``.
+    """
+    if limit is not None:
+        if not _is_int(limit):
+            raise ValueError(f"limit must be an integer, got {limit!r}")
+        count = count_maximal_chains(w)
+        if count > limit:
+            raise WindowTooLarge(f"window has {count} maximal chains, more than {limit}")
+    yield from sorted(_walk(w), key=lambda item: _row_major(item[1], w))
+
+
 def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     """Enumerate every maximal chain once, ordered by row-major tableau.
 
@@ -382,12 +399,7 @@ def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     not re-validated; their elements are the shared diagrams of
     :meth:`Window.pure_diagrams`, and their vacated cells come from the walk.
     """
-    if limit is not None:
-        if not _is_int(limit):
-            raise ValueError(f"limit must be an integer, got {limit!r}")
-        count = count_maximal_chains(w)
-        if count > limit:
-            raise WindowTooLarge(f"window has {count} maximal chains, more than {limit}")
-    table = _diagrams(w)
-    for seqs, cells in sorted(_walk(w), key=lambda item: _row_major(item[1], w)):
+    table = None
+    for seqs, cells in _sorted_walk(w, limit):
+        table = table or _diagrams(w)  # once, and only past the limit check
         yield Chain._of_moves(tuple(map(table.__getitem__, seqs)), w, cells)

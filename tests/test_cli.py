@@ -49,7 +49,7 @@ class TestPure:
     @pytest.mark.parametrize("degrees", ["\u0660,\u0661_0", "0,+3", "0,1_0", "0,3.0"])
     def test_degrees_are_ascii_integers(self, capsys, degrees):
         code, out, err = run_cli(capsys, "pure", "--degrees", degrees, "--n", "1")
-        assert (code, out, err) == (2, "", "--degrees must be comma-separated integers\n")
+        assert (code, out, err) == (2, "", "error: --degrees must be comma-separated integers\n")
 
     def test_degrees_allow_spaces_and_signs(self, capsys):
         code, out, _ = run_cli(capsys, "pure", "--degrees", " -1, 2", "--n", "1", "--format", "json")
@@ -186,11 +186,20 @@ class TestChains:
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("batch", [1, 2, 4096])
     def test_streamed_listing_is_the_whole_document(self, capsys, monkeypatch, fmt, batch):
+        # (2, 0, 5, 2) has 6,006 chains: two batches at 4096
         monkeypatch.setattr(cli, "_CHAIN_BATCH", batch)
-        code, out, err = run_cli(capsys, "chains", "--n", "2", "--M", "0", "--N", "2", "--s", "1", "--format", fmt)
-        cli._print_struct(list(maximal_chains(Window(2, 0, 2, 1))), fmt)
-        assert (code, err) == (0, "")
-        assert out == capsys.readouterr().out
+        for n, M, N, s in [(0, 0, 2, 0), (1, 0, 3, 1), (2, 0, 2, 1), (3, 0, 2, 0), (2, 0, 5, 2)]:
+            code, out, err = run_cli(
+                capsys, "chains", "--n", str(n), "--M", str(M), "--N", str(N), "--s", str(s), "--format", fmt
+            )
+            chains = list(maximal_chains(Window(n, M, N, s)))
+            if fmt == "json":
+                expected = json.dumps([dio.encode(c) for c in chains]) + "\n"
+            else:
+                cli._print_struct(chains, fmt)
+                expected = capsys.readouterr().out
+            assert (code, err) == (0, ""), (n, M, N, s)
+            assert out == expected, (n, M, N, s)
 
     def test_enum_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BS_DECOMP_MAX_ENUM", "3")

@@ -31,6 +31,27 @@ from bettidecomp.functionals import derived_window
 from bettidecomp.poset import _below, _moves
 
 
+def cover_triple_sweep():
+    """(window, diagrams by degrees, cover triples) for n <= 4, width <= 3,
+    every s_min; the triples, sentinels included, read off the cover moves."""
+    for n in range(0, 5):
+        for width in range(0, 4):
+            for s_min in range(0, n + 1):
+                w = Window(n, 0, width, s_min)
+                table = {tuple(p.degrees): p for p in w.pure_diagrams()}
+                lo, hi = w.min_element(), w.max_element()
+                trips = [(None, lo, None)] if lo == hi else []
+                for d0, p0 in table.items():
+                    for d1, _ in _moves(d0, w):
+                        p1 = table[d1]
+                        if p0 == lo:
+                            trips.append((None, p0, p1))
+                        if p1 == hi:
+                            trips.append((p0, p1, None))
+                        trips.extend((p0, p1, table[d2]) for d2, _ in _moves(d1, w))
+                yield w, table, trips
+
+
 def chain12(dual_functionals):
     w = Window(3, 0, 2, 0)
     t = Tableau(tuple(map(tuple, dual_functionals["numbering"])))
@@ -129,33 +150,32 @@ class TestCoefficientFunctional:
         pi0 or above pi2.  On a maximal chain through the triple that is the
         Kronecker delta of the chain basis."""
         triples = 0
-        for n in range(0, 5):
-            for width in range(0, 4):
-                for s_min in range(0, n + 1):
-                    w = Window(n, 0, width, s_min)
-                    table = {tuple(p.degrees): p for p in w.pure_diagrams()}
-                    lo, hi = w.min_element(), w.max_element()
-                    trips = [(None, lo, None)] if lo == hi else []
-                    for d0, p0 in table.items():
-                        for d1, _ in _moves(d0, w):
-                            p1 = table[d1]
-                            if p0 == lo:
-                                trips.append((None, p0, p1))
-                            if p1 == hi:
-                                trips.append((p0, p1, None))
-                            trips.extend((p0, p1, table[d2]) for d2, _ in _moves(d1, w))
-                    for p0, p1, p2 in trips:
-                        f = coefficient_functional(p0, p1, p2, w)
-                        assert f(p1.betti) == 1, (p0, p1, p2)
-                        for d, q in table.items():
-                            if (p0 is not None and _below(d, p0.degrees)) or (
-                                p2 is not None and _below(p2.degrees, d)
-                            ):
-                                # zero exactly when zero on the lcm-scaled entries
-                                value = sum(f.coefficient(*pos) * v for pos, v in q._integer_entries)
-                                assert value == 0, (p0, p1, p2, q)
-                    triples += len(trips)
+        for w, table, trips in cover_triple_sweep():
+            for p0, p1, p2 in trips:
+                f = coefficient_functional(p0, p1, p2, w)
+                assert f(p1.betti) == 1, (p0, p1, p2)
+                for d, q in table.items():
+                    if (p0 is not None and _below(d, p0.degrees)) or (
+                        p2 is not None and _below(p2.degrees, d)
+                    ):
+                        # zero exactly when zero on the lcm-scaled entries
+                        value = sum(f.coefficient(*pos) * v for pos, v in q._integer_entries)
+                        assert value == 0, (p0, p1, p2, q)
+            triples += len(trips)
         assert triples == 5317
+
+    def test_coefficients_are_canonical(self):
+        """Positions strictly increasing and no zero coefficient, on every
+        functional of the sweep and every boundary facet: the formula emits
+        its coefficients in order unsorted, and facets are deduplicated on
+        the coefficient tuple, so equal functionals must be equal tuples."""
+        for w, _, trips in cover_triple_sweep():
+            fs = [coefficient_functional(*t, w) for t in trips]
+            fs += [facet.functional for facet in boundary_facets(w)]
+            for f in fs:
+                positions = [pos for pos, _ in f.coefficients]
+                assert all(a < b for a, b in zip(positions, positions[1:])), f
+                assert all(c != 0 for _, c in f.coefficients), f
 
 
 class TestEvaluate:
@@ -284,6 +304,16 @@ class TestBoundaryFacets:
         for key in ("1", "2", "4", "6", "8", "9", "11", "12"):
             grid = tuple(map(tuple, dual_functionals["matrices"][key]))
             assert grid in grids, f"matrix {key} missing from boundary facets"
+
+    def test_build_derives_each_diagrams_moves_once(self, monkeypatch):
+        # every cover triple through a diagram reads its one move list
+        w = Window(3, 0, 2, 0)
+        calls = []
+        real = functionals._cover_moves
+        monkeypatch.setattr(functionals, "_cover_moves", lambda d, w: calls.append(d) or real(d, w))
+        # built past the cache, which other tests' facets live in
+        assert len(functionals._boundary_facets_cached.__wrapped__(w)) == 51
+        assert sorted(calls) == sorted(tuple(p.degrees) for p in w.pure_diagrams())
 
     def test_single_diagram_window_has_one_extremal_facet(self):
         # the empty chain spans the zero cone, the facet of a one-ray fan
