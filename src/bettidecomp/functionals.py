@@ -40,24 +40,20 @@ Functionals are evaluated in integers.  A diagram's entries scaled by the
 lcm L of their denominators are integers, its integer form, computed once
 per diagram; a functional sums in ``int`` over it, and its exact value is
 that sum over L.  ``Functional.__call__`` returns that ``Fraction``.
-:func:`membership_by_inequalities` reads every hyperplane of the window at
-once against coefficient columns built once per window, and builds one
-``Fraction``, the exact value of the violated facet it reports.
-:func:`verify_fan_convexity` needs only signs: a pure diagram's integer
-entries are positive, with the same signs under every functional as its
-exact ones, so it computes an exact value only for the counterexample it
-reports.
+
+:func:`verify_fan_convexity` and :func:`membership_by_inequalities` read
+every hyperplane of the window at once, packed one field per hyperplane
+into one ``int`` per grid cell (:mod:`.packing`), and build one
+``Fraction``, the field they report over L.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
-from operator import add, mul
+from operator import mul
 
 from .core import (
     BettiDiagram,
@@ -75,6 +71,7 @@ from .errors import (
     NotInSubspace,
     WindowMismatch,
 )
+from .packing import Packing
 from .poset import Chain, Window, _cell, _diagrams, chain_length
 from .poset import _moves as _cover_moves
 
@@ -126,10 +123,15 @@ class Functional:
     def grid(self) -> list[list[int]]:
         """Dense display grid, row = j - i - M, column = i."""
         w = self.window
-        return [
-            [self._lookup.get((i, w.M + i + r), 0) for i in range(w.n + 1)]
-            for r in range(w.rows)
-        ]
+        cols = w.n + 1
+        grid = [[0] * cols for _ in range(w.rows)]
+        # the coefficients placed into a zero grid; a position off the grid
+        # (only a hand-built functional has one) is not displayed
+        for (i, j), c in self.coefficients:
+            r = j - i - w.M
+            if 0 <= r < w.rows and 0 <= i < cols:
+                grid[r][i] = c
+        return grid
 
     def __call__(self, b: BettiDiagram) -> Fraction:
         scale, entries = b._integer_form()
@@ -159,33 +161,41 @@ def _truncation_limits(p0: PureDiagram, w: Window) -> list[int]:
 
 
 def _indicator(p1: PureDiagram, pos: tuple[int, int], w: Window, anchor):
-    value = p1.betti[pos]
-    if value <= 0 or value.numerator != 1:
-        raise InvariantViolated(f"entry {pos} of {p1!r} is {value}, not a unit fraction")
-    return Functional(w, ((pos, value.denominator),), FunctionalCase.ENTRY, anchor)
+    # entry x / L of p1's integer form (L, entries) is the unit fraction
+    # 1 / (L / x) exactly when x > 0 divides L
+    scale, entries = p1._integer
+    x = next((x for at, x in entries if at == pos), 0)
+    if x <= 0 or scale % x:
+        raise InvariantViolated(f"entry {pos} of {p1!r} is {Fraction(x, scale)}, not a unit fraction")
+    return Functional(w, ((pos, scale // x),), FunctionalCase.ENTRY, anchor)
 
 
 def _from_formula(case, p1, prefactor, product_indices, limits, w, anchor):
     d = p1.degrees
-    # the product does not depend on the column: one value per degree
-    values = [
-        math.prod((d[j] - deg for j in product_indices), start=prefactor)
-        for deg in range(w.M, max(limits) + 1)
-    ]
-    coeffs = []
-    for i, limit in enumerate(limits):
-        sign = (-1) ** i
-        for deg in range(w.M + i, limit + 1):
-            value = values[deg - w.M]
-            if value:
-                coeffs.append(((i, deg), sign * value))
-    # value 1 on p1, read in int over its integer form (L, entries): sum c * x == L
-    lookup = dict(coeffs)
+    M, top = w.M, max(limits)
+    # prefactor * prod_j (d_j - deg) for deg in [M, top], one pass per factor:
+    # the product does not depend on the column
+    values = [prefactor] * (top - M + 1)
+    for j in product_indices:
+        values = list(map(mul, values, range(d[j] - M, d[j] - top - 1, -1)))
+    # column i holds (-1)^i values[deg - M] for M + i <= deg <= limit_i; the
+    # zeros dropped, in (i, deg) order
+    coeffs = tuple(
+        ((i, deg), -v if i & 1 else v)
+        for i, limit in enumerate(limits)
+        for deg, v in zip(range(M + i, limit + 1), values[i:limit - M + 1])
+        if v
+    )
+    # value 1 on p1, read in int over its integer form (L, entries): p1 has one
+    # entry per column, so sum c * x == L is O(s)
     scale, entries = p1._integer
-    total = sum(lookup.get(pos, 0) * x for pos, x in entries)
+    total = 0
+    for (i, j), x in entries:
+        if M + i <= j <= limits[i]:
+            total += -values[j - M] * x if i & 1 else values[j - M] * x
     if total != scale:
         raise InvariantViolated(f"{case.value} formula is {Fraction(total, scale)} on {p1!r}, not 1")
-    return Functional(w, tuple(coeffs), case, anchor)
+    return Functional(w, coeffs, case, anchor)
 
 
 def coefficient_functional(
@@ -374,15 +384,16 @@ def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
 
     table = _diagrams(w)
     moves = {d: _cover_moves(d, w) for d in table}
-    lo, hi = w.min_element(), w.max_element()
+    # the window minimum and maximum by their degrees
+    lo, hi = tuple(range(w.M, w.M + w.n + 1)), tuple(range(w.N, w.N + w.s_min + 1))
     if lo == hi:
-        keep(None, lo, None, None, None, FacetKind.EXTREMAL)
+        keep(None, table[lo], None, None, None, FacetKind.EXTREMAL)
     for d0, p0 in table.items():
         for d1, down in moves[d0]:
             p1 = table[d1]
-            if p0 == lo:
+            if d0 == lo:
                 keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
-            if p1 == hi:
+            if d1 == hi:
                 keep(p0, p1, None, down, None, FacetKind.EXTREMAL)
             for d2, up in moves[d1]:
                 kind = _triple_kind(down, up, w)
@@ -414,39 +425,55 @@ class ConvexityReport:
     counterexample: tuple[BoundaryFacet, PureDiagram, Fraction] | None
 
 
-def _coefficient_columns(facets) -> dict[tuple[int, int], list[int]]:
-    """Per grid position, the coefficient of every facet's functional there,
-    in facet order: the hyperplanes as columns of one integer matrix."""
-    columns = {}
+def _signed_columns(facets) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """(offsets, flat): facet k's coefficient at pos is ``flat[offsets[pos] + k]``,
+    for every position some facet reads."""
+    offsets, flat, zeros = {}, [], [0] * len(facets)
     for k, facet in enumerate(facets):
         for pos, c in facet.functional.coefficients:
-            column = columns.get(pos)
-            if column is None:
-                column = columns[pos] = [0] * len(facets)
-            column[k] = c
-    return columns
+            at = offsets.get(pos)
+            if at is None:
+                at = offsets[pos] = len(flat)
+                flat += zeros
+            flat[at + k] = c
+    return offsets, flat
 
 
-def _integer_values(columns, size: int, entries) -> list[int]:
-    """All ``size`` hyperplanes of ``columns`` on integer entries, in facet order.
+class _FacetMatrix:
+    """A window's boundary facets and their latest packing.
 
-    On a diagram's integer form ``(L, entries)`` each value is the exact
-    value times L, so it has the exact value's sign and the exact value is
-    ``Fraction(value, L)``; no ``Fraction`` is built.
+    A hyperplane's value on integer entries x is at most max|c| * sum |x|
+    in size; W holds that bound's bits plus 2, so no field carries.  A
+    reading past the width packs again, at least twice as wide.
     """
-    values = repeat(0, size)
-    for pos, x in entries:
-        column = columns.get(pos)
-        if column is not None:
-            values = map(add, values, map(mul, column, repeat(x)))
-    return list(values)
+
+    __slots__ = ("facets", "_top", "_packing")
+
+    def __init__(self, facets: tuple[BoundaryFacet, ...]):
+        self.facets = facets
+        self._top = 0  # max |c|, read off the signed matrix when it is packed
+        self._packing = None
+
+    def packing(self, total: int) -> Packing:
+        """A packing that reads entries with sum |x| <= total exactly."""
+        # at least one unit of entry, so that every coefficient fits its field
+        total = max(total, 1)
+        packing = self._packing
+        if packing is not None and (self._top * total).bit_length() + 2 <= packing.width:
+            return packing
+        offsets, flat = _signed_columns(self.facets)
+        self._top = top = max(map(abs, flat), default=0)
+        bits = (top * total).bit_length() + 2
+        if packing is not None:
+            bits = max(bits, 2 * packing.width)
+        packing = self._packing = Packing(offsets, flat, len(self.facets), -(-bits // 8))
+        return packing
 
 
 @lru_cache(maxsize=64)
-def _facet_columns(w: Window) -> tuple[tuple[BoundaryFacet, ...], dict[tuple[int, int], list[int]]]:
-    """The window's facets and their coefficient columns, built once."""
-    facets = _boundary_facets_cached(w)
-    return facets, _coefficient_columns(facets)
+def _facet_columns(w: Window) -> _FacetMatrix:
+    """The window's facets and their packed coefficient columns, kept."""
+    return _FacetMatrix(_boundary_facets_cached(w))
 
 
 def verify_fan_convexity(w: Window) -> ConvexityReport:
@@ -457,26 +484,32 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
     window, no chain is enumerated, and ``facets_checked`` counts distinct
     integer coefficient vectors, so a positive multiple of a hyperplane is
     counted again (ROADMAP item 2).  Only signs matter, so they are read in integers,
-    from each diagram's entries times the lcm of their denominators.  On
-    failure the counterexample is the first negative pair, hyperplanes in
-    order and then diagrams, with the exact ``Fraction`` value of the
-    functional on the diagram.
+    from each diagram's entries times the lcm of their denominators, every
+    hyperplane at once from the window's packed matrix.  On failure the
+    counterexample is the first negative pair, hyperplanes in order and
+    then diagrams, with the exact ``Fraction`` value of the functional on
+    the diagram, its one unpacked field.
     """
-    facets, columns = _facet_columns(w)
+    matrix = _facet_columns(w)
+    facets = matrix.facets
     diagrams = list(w.pure_diagrams())
-    # (hyperplane index, diagram) of the first negative pair: the earliest
-    # hyperplane that reads negative anywhere, then its earliest diagram
+    # a pure diagram's integer entries L / q_i are at most L each
+    packing = matrix.packing((w.n + 1) * max(p._integer[0] for p in diagrams))
+    bias = packing.bias
+    # (hyperplane index, diagram, packed reading) of the first negative pair:
+    # the earliest hyperplane that reads negative anywhere, then its earliest
+    # diagram
     first = None
     for p in diagrams:
-        values = _integer_values(columns, len(facets), p._integer_entries)
-        if min(values) < 0:
-            k = next(k for k, x in enumerate(values) if x < 0)
+        acc = packing.read(p._integer_entries)
+        if (acc & bias) != bias:
+            k = packing.first_negative(acc)
             if first is None or k < first[0]:
-                first = (k, p)
+                first = (k, p, acc)
     if first is None:
         return ConvexityReport(w, True, len(facets), len(diagrams), None)
-    facet, p = facets[first[0]], first[1]
-    counterexample = (facet, p, facet.functional(p.betti))
+    k, p, acc = first
+    counterexample = (facets[k], p, Fraction(packing.field(acc, k), p._integer[0]))
     return ConvexityReport(w, False, len(facets), len(diagrams), counterexample)
 
 
@@ -499,16 +532,18 @@ def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
     (no chain is enumerated), is nonnegative on it;
     otherwise the first violated facet in that order is the certificate,
     with its exact value.  All hyperplanes are read at once, in integers,
-    on the diagram's integer form.
+    on the diagram's integer form, from the window's packed matrix, packed
+    wider first when the entries need it.
     """
     _check_in_subspace(b, w)
-    facets, columns = _facet_columns(w)
+    matrix = _facet_columns(w)
     scale, entries = b._integer_form()
-    values = _integer_values(columns, len(facets), entries)
-    if min(values, default=0) >= 0:
+    packing = matrix.packing(sum(abs(x) for _, x in entries))
+    acc = packing.read(entries)
+    k = packing.first_negative(acc)
+    if k is None:
         return MembershipResult(True)
-    k = next(k for k, x in enumerate(values) if x < 0)
-    return MembershipResult(False, facets[k], Fraction(values[k], scale))
+    return MembershipResult(False, matrix.facets[k], Fraction(packing.field(acc, k), scale))
 
 
 def derived_window(b: BettiDiagram) -> Window:

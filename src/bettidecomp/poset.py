@@ -318,11 +318,13 @@ def _walk(w: Window):
     """Lazily walk every maximal chain of w, depth first over :func:`_moves`.
 
     Yields the degree sequences and the vacated cells of each chain, in
-    move order; :func:`_sorted_walk` sorts them into tableau order.
+    move order; :func:`_sorted_walk` sorts them into tableau order.  Each
+    diagram's cover moves are derived once per walk, and not kept after it.
     """
     length = chain_length(w)
     seqs, cells = [None] * length, [None] * length
     pending = [iter(((tuple(range(w.M, w.M + w.n + 1)), None),))]
+    moves_of = {}
     while pending:
         depth = len(pending) - 1
         move = next(pending[-1], None)
@@ -331,7 +333,11 @@ def _walk(w: Window):
             continue
         seqs[depth], cells[depth] = move
         if depth + 1 < length:
-            pending.append(iter(_moves(move[0], w)))
+            d = move[0]
+            out = moves_of.get(d)
+            if out is None:
+                out = moves_of[d] = _moves(d, w)
+            pending.append(iter(out))
             continue
         yield tuple(seqs), tuple(cells[1:])
 

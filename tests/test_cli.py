@@ -260,7 +260,7 @@ class TestVerifyFan:
         f = facet.functional
         negated = functionals.Functional(w, tuple((pos, -c) for pos, c in f.coefficients), f.case, f.anchor)
         bad = functionals.BoundaryFacet(facet.removed, facet.kind, negated)
-        built = ((bad,), functionals._coefficient_columns([bad]))
+        built = functionals._FacetMatrix((bad,))
         monkeypatch.setattr(functionals, "_facet_columns", lambda _: built)
         code, out, _ = run_cli(
             capsys, "verify-fan", "--n", "3", "--M", "0", "--N", "2", "--s", "0", "--format", "json"

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -377,9 +378,10 @@ def _negated(facet):
 
 
 def _use_facets(monkeypatch, facets):
-    """Make verify_fan_convexity read these facets and their columns."""
-    built = (tuple(facets), functionals._coefficient_columns(facets))
+    """Make verify_fan_convexity and membership read these facets, packed."""
+    built = functionals._FacetMatrix(tuple(facets))
     monkeypatch.setattr(functionals, "_facet_columns", lambda _: built)
+    return built
 
 
 def _first_negative_pair(facets, diagrams):
@@ -392,40 +394,106 @@ def _first_negative_pair(facets, diagrams):
     return None
 
 
-class TestCoefficientColumns:
-    def test_columns_equal_a_dense_build(self):
-        # every grid position of the window, one coefficient per facet read
-        # through Functional.coefficient; the all-zero positions dropped
-        for w in (Window(2, 0, 2, 0), Window(3, 0, 2, 1), Window(3, -1, 1, 0), Window(4, 0, 2, 0)):
-            facets, columns = functionals._facet_columns(w)
+def _fields(packing, acc, size):
+    return [packing.field(acc, k) for k in range(size)]
+
+
+def _pure_packing(facets, diagrams):
+    """A packing of these facets wide enough for every pure diagram given."""
+    matrix = functionals._FacetMatrix(tuple(facets))
+    return matrix.packing(max(sum(x for _, x in p._integer_entries) for p in diagrams))
+
+
+# the windows of the route-agreement sweeps: n <= 4, width <= 2, every s_min,
+# and a window below degree zero
+PACKED_SWEEP = [Window(n, 0, width, s) for n in range(5) for width in range(3) for s in range(n + 1)]
+PACKED_SWEEP.append(Window(3, -1, 1, 0))
+INJECTED = (Window(2, 0, 2, 0), Window(3, 0, 2, 1), Window(3, -1, 1, 0))
+
+
+class TestPackedMatrix:
+    def test_columns_unpack_to_the_coefficients(self):
+        # one unit entry at each grid position reads every facet's
+        # coefficient there; positions where all of them vanish have no column
+        for w in PACKED_SWEEP:
+            matrix = functionals._facet_columns(w)
+            facets = matrix.facets
             assert list(facets) == boundary_facets(w)
+            packing = matrix.packing(1)
             dense = {
                 (i, j): [f.functional.coefficient(i, j) for f in facets]
                 for i in range(w.n + 1)
                 for j in range(w.M + i, w.N + i + 1)
             }
-            assert columns == {pos: column for pos, column in dense.items() if any(column)}, w
-            assert columns == functionals._coefficient_columns(boundary_facets(w)), w
+            assert set(packing.columns) == {pos for pos, column in dense.items() if any(column)}, w
+            for pos, column in dense.items():
+                assert _fields(packing, packing.read([(pos, 1)]), len(facets)) == column, (w, pos)
+
+    def test_fields_are_scaled_exact_values(self):
+        # every (hyperplane, pure diagram) pair: field k on p is
+        # facets[k].functional(p.betti) times p's L, in int
+        for w in PACKED_SWEEP:
+            facets = functionals._facet_columns(w).facets
+            diagrams = list(w.pure_diagrams())
+            packing = _pure_packing(facets, diagrams)
+            for p in diagrams:
+                scale = math.lcm(*(v.denominator for _, v in p.betti.items()))
+                acc = packing.read(p._integer_entries)
+                values = _fields(packing, acc, len(facets))
+                exact = [facet.functional(p.betti) for facet in facets]
+                assert all(type(v) is int for v in values), (w, p)
+                assert values == [x * scale for x in exact], (w, p)
+                assert packing.first_negative(acc) is None, (w, p)
+                assert (acc & packing.bias) == packing.bias, (w, p)
+
+    @pytest.mark.parametrize("w", INJECTED, ids=str)
+    @pytest.mark.parametrize("step", [1, 3], ids=["all-negated", "every-third-negated"])
+    def test_injected_negations_flag_the_exact_pairs(self, monkeypatch, w, step):
+        facets = [_negated(f) if k % step == 0 else f for k, f in enumerate(boundary_facets(w))]
+        diagrams = list(w.pure_diagrams())
+        packing = _pure_packing(facets, diagrams)
+        flagged = set()
+        for p in diagrams:
+            acc = packing.read(p._integer_entries)
+            values = _fields(packing, acc, len(facets))
+            negative = [k for k, v in enumerate(values) if v < 0]
+            assert packing.first_negative(acc) == (negative[0] if negative else None), (w, p)
+            assert ((acc & packing.bias) == packing.bias) == (not negative), (w, p)
+            flagged |= {(k, p) for k in negative}
+        exact = {(k, p) for k, f in enumerate(facets) for p in diagrams if f.functional(p.betti) < 0}
+        assert flagged == exact and exact, w
+        _use_facets(monkeypatch, facets)
+        report = verify_fan_convexity(w)
+        assert not report.passed
+        assert report.counterexample == _first_negative_pair(facets, diagrams), w
+        assert report.counterexample[0] is facets[min(k for k, _ in exact)], w
+
+    def test_large_entries_widen_the_packing(self, monkeypatch):
+        # a member and a near-miss scaled by 10^40: both read past a width
+        # packed for pure diagrams, so the matrix is packed again, wider
+        w = Window(3, 0, 2, 1)
+        matrix = _use_facets(monkeypatch, boundary_facets(w))
+        facets = matrix.facets
+        chain = next(iter(maximal_chains(w)))
+        big = 10**40
+        member = BettiDiagram(3, {})
+        for k, p in enumerate(chain):
+            member = member + p.betti.scaled(big * (k + 1))
+        near = member - chain[3].betti.scaled(big * 4 + 1)
+        assert verify_fan_convexity(w).passed
+        narrow = matrix.packing(0).width
+        for b, expected in ((member, True), (near, False)):
+            result = membership_by_inequalities(b, w)
+            exact = [f.functional(b) for f in facets]
+            assert result.member is expected is all(v >= 0 for v in exact)
+            if not expected:
+                k = next(k for k, v in enumerate(exact) if v < 0)
+                assert result.violated is facets[k]
+                assert type(result.value) is Fraction and result.value == exact[k]
+        assert matrix.packing(0).width > narrow
 
 
 class TestConvexity:
-    def test_integer_values_are_scaled_exact_values(self):
-        # every (hyperplane, pure diagram) pair of the windows with n <= 4, width <= 2
-        for n in range(5):
-            for width in range(3):
-                for s_min in range(n + 1):
-                    w = Window(n, 0, width, s_min)
-                    facets = boundary_facets(w)
-                    diagrams = list(w.pure_diagrams())
-                    columns = functionals._coefficient_columns(facets)
-                    rows = [functionals._integer_values(columns, len(facets), p._integer_entries) for p in diagrams]
-                    for p, values in zip(diagrams, rows, strict=True):
-                        scale = math.lcm(*(v.denominator for _, v in p.betti.items()))
-                        exact = [facet.functional(p.betti) for facet in facets]
-                        assert all(type(v) is int for v in values), (w, p)
-                        assert values == [x * scale for x in exact], (w, p)
-                        assert [v < 0 for v in values] == [x < 0 for x in exact], (w, p)
-
     def test_failure_reports_exact_value(self, monkeypatch):
         w = Window(3, 0, 2, 1)
         bad = _negated(boundary_facets(w)[3])
@@ -517,11 +585,18 @@ class TestInvariantsRaise:
 
     def test_indicator_needs_a_unit_fraction(self):
         w = Window(3, 0, 5, 0)
-        normalized = normalize(pure_diagram((0, 2, 3, 5), 3))  # entry 5 at (1, 2)
-        with pytest.raises(InvariantViolated):
-            functionals._indicator(normalized, (1, 2), w, (None, None, None))
-        with pytest.raises(InvariantViolated):
-            functionals._indicator(pure_diagram((0, 2, 3, 5), 3), (1, 3), w, (None, None, None))
+        p = pure_diagram((0, 2, 3, 5), 3)
+        assert functionals._indicator(p, (1, 2), w, (None, p, None)).coefficients == (((1, 2), 6),)
+        # the indicator reads its element's integer form: one whose entry at
+        # (1, 2) is 5, as the normalized diagram's is, is not a unit fraction
+        normalized = normalize(p)
+        assert normalized.betti[(1, 2)] == 5
+        stand_in = SimpleNamespace(_integer=normalized.betti._integer_form())
+        with pytest.raises(InvariantViolated, match="not a unit fraction"):
+            functionals._indicator(stand_in, (1, 2), w, (None, None, None))
+        # a position that is not one of p's entries
+        with pytest.raises(InvariantViolated, match="not a unit fraction"):
+            functionals._indicator(p, (1, 3), w, (None, None, None))
 
     def test_formula_must_be_one_on_its_element(self):
         # pi(2, 3, 4, 5) < pi(2, 3, 4) < pi(2, 3): two drops, the fourth formula

@@ -215,6 +215,17 @@ class TestMaximalChains:
         for c in maximal_chains(w):
             assert all(p is shared[p.degrees] for p in c)
 
+    def test_listing_derives_each_diagrams_moves_once(self, monkeypatch):
+        # the walk reads one move list per diagram, however many chains pass it
+        w = Window(3, 0, 2, 0)
+        calls = []
+        real = poset._moves
+        monkeypatch.setattr(poset, "_moves", lambda d, w: calls.append(d) or real(d, w))
+        chains = list(maximal_chains(w))
+        assert len(chains) == count_maximal_chains(w) == 462
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= {tuple(p.degrees) for p in w.pure_diagrams()}
+
     def test_limit_guard(self):
         with pytest.raises(WindowTooLarge):
             list(maximal_chains(Window(3, 0, 2), limit=10))
