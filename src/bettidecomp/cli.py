@@ -14,6 +14,13 @@ when stdout is a pipe, table on a terminal.  ``BS_DECOMP_MAX_ENUM`` caps
 only the maximal chains that ``chains`` lists (default 1000000); any value
 other than a positive integer is a usage error.  ``chains --count-only``
 prints the hook-length count, enumerates nothing and reads no cap.
+
+Each command's options are declared once, in ``_COMMANDS``.  A well-formed
+command line, each flag given once and exactly, is matched against that
+table directly.  argparse, whose parser is built from the same table on
+first need, serves only the rest: help, usage errors and the spellings the
+match leaves out (abbreviated flags, ``--flag=value``, ``--``), so help and
+error text stay argparse's own.
 """
 
 from __future__ import annotations
@@ -123,16 +130,6 @@ def _print_diagram(b: BettiDiagram, fmt: str) -> None:
         sys.stdout.write("\n")
 
 
-def _add_diagram_arg(sub):
-    sub.add_argument("diagram", help="path to a diagram file, or - for stdin")
-    sub.add_argument(
-        "--input-format",
-        choices=["auto", "json", "table"],
-        default="auto",
-        help="force the input format (default: sniff)",
-    )
-
-
 def _nonnegative(text: str) -> int:
     if not text.isascii() or not text.isdigit():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
@@ -146,82 +143,6 @@ def _integer(text: str) -> int:
         return _parse_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _add_window_args(sub, with_s=True):
-    sub.add_argument("--n", type=_integer, required=True, help="ambient variable count")
-    sub.add_argument("--M", type=_integer, required=True, help="lowest degree row")
-    sub.add_argument("--N", type=_integer, required=True, help="highest degree row")
-    if with_s:
-        sub.add_argument("--s", type=_integer, default=0, help="minimal codimension (default 0)")
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args returns a fresh namespace per call,
-    # and argparse looks up sys.stdout/sys.stderr only when it prints
-    parser = argparse.ArgumentParser(
-        prog="bettidecomp",
-        description="Exact decomposition of Betti diagrams into chains of pure diagrams.",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["json", "table"],
-        default=None,
-        help="output format (default: json on pipes, table on terminals)",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=["json", "table"],
-        default=argparse.SUPPRESS,
-        help="output format (default: json on pipes, table on terminals)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pure", parents=[common], help="print the pure diagram of a degree sequence")
-    p.add_argument("--degrees", required=True, help="comma-separated strictly increasing integers")
-    p.add_argument("--n", type=_integer, required=True)
-
-    p = sub.add_parser("decompose", parents=[common], help="greedy chain decomposition of a diagram")
-    _add_diagram_arg(p)
-
-    p = sub.add_parser("expand", parents=[common], help="coordinates of a diagram in a chain basis")
-    _add_diagram_arg(p)
-    p.add_argument("--tableau", required=True, help="JSON file with the numbering matrix")
-
-    p = sub.add_parser("chains", parents=[common], help="enumerate the maximal chains of a window")
-    _add_window_args(p)
-    p.add_argument(
-        "--count-only", action="store_true", help="print the hook-length count, list no chain"
-    )
-
-    p = sub.add_parser(
-        "facets",
-        parents=[common],
-        help="boundary hyperplanes of the fan of a window, one per distinct integer "
-        "coefficient vector: positive multiples repeat",
-    )
-    _add_window_args(p)
-
-    p = sub.add_parser("verify-fan", parents=[common], help="check convexity of the fan of a window")
-    _add_window_args(p)
-
-    p = sub.add_parser("hilbert", parents=[common], help="Hilbert series coefficients of a diagram")
-    _add_diagram_arg(p)
-    p.add_argument("--truncate", type=_nonnegative, default=10, help="expansion depth (default 10)")
-
-    p = sub.add_parser("bounds", parents=[common], help="shift bounds and the multiplicity inequality")
-    _add_diagram_arg(p)
-    p.add_argument("--truncate", type=_nonnegative, default=None, help="series comparison depth")
-
-    p = sub.add_parser("check-hk", parents=[common], help="Herzog-Kuhl residual vector")
-    _add_diagram_arg(p)
-    p.add_argument("--s", type=_nonnegative, required=True, help="number of equations to check")
-
-    p = sub.add_parser("membership", parents=[common], help="cone membership with violation certificate")
-    _add_diagram_arg(p)
-    return parser
 
 
 def _cmd_pure(args, fmt):
@@ -373,28 +294,159 @@ def _cmd_membership(args, fmt):
     return 0 if result.member else _NEGATIVE
 
 
-_HANDLERS = {
-    "pure": _cmd_pure,
-    "decompose": _cmd_decompose,
-    "expand": _cmd_expand,
-    "chains": _cmd_chains,
-    "facets": _cmd_facets,
-    "verify-fan": _cmd_verify_fan,
-    "hilbert": _cmd_hilbert,
-    "bounds": _cmd_bounds,
-    "check-hk": _cmd_check_hk,
-    "membership": _cmd_membership,
+# Every option is declared once, as the flag (or positional name) and the
+# keyword arguments of its add_argument call: _build_parser adds them and
+# _parse matches argv against them.
+_FORMAT = (
+    "--format",
+    {"choices": ["json", "table"], "help": "output format (default: json on pipes, table on terminals)"},
+)
+# a subcommand's --format is set only when given, over the top-level one
+_SUB_FORMAT = (_FORMAT[0], {**_FORMAT[1], "default": argparse.SUPPRESS})
+_DIAGRAM = (
+    ("diagram", {"help": "path to a diagram file, or - for stdin"}),
+    (
+        "--input-format",
+        {"choices": ["auto", "json", "table"], "default": "auto", "help": "force the input format (default: sniff)"},
+    ),
+)
+_WINDOW = (
+    ("--n", {"type": _integer, "required": True, "help": "ambient variable count"}),
+    ("--M", {"type": _integer, "required": True, "help": "lowest degree row"}),
+    ("--N", {"type": _integer, "required": True, "help": "highest degree row"}),
+    ("--s", {"type": _integer, "default": 0, "help": "minimal codimension (default 0)"}),
+)
+# name: (handler, help, options after its --format), in the order help lists them
+_COMMANDS = {
+    "pure": (
+        _cmd_pure,
+        "print the pure diagram of a degree sequence",
+        (
+            ("--degrees", {"required": True, "help": "comma-separated strictly increasing integers"}),
+            ("--n", {"type": _integer, "required": True}),
+        ),
+    ),
+    "decompose": (_cmd_decompose, "greedy chain decomposition of a diagram", _DIAGRAM),
+    "expand": (
+        _cmd_expand,
+        "coordinates of a diagram in a chain basis",
+        (*_DIAGRAM, ("--tableau", {"required": True, "help": "JSON file with the numbering matrix"})),
+    ),
+    "chains": (
+        _cmd_chains,
+        "enumerate the maximal chains of a window",
+        (*_WINDOW, ("--count-only", {"action": "store_true", "help": "print the hook-length count, list no chain"})),
+    ),
+    "facets": (
+        _cmd_facets,
+        "boundary hyperplanes of the fan of a window, one per distinct integer "
+        "coefficient vector: positive multiples repeat",
+        _WINDOW,
+    ),
+    "verify-fan": (_cmd_verify_fan, "check convexity of the fan of a window", _WINDOW),
+    "hilbert": (
+        _cmd_hilbert,
+        "Hilbert series coefficients of a diagram",
+        (*_DIAGRAM, ("--truncate", {"type": _nonnegative, "default": 10, "help": "expansion depth (default 10)"})),
+    ),
+    "bounds": (
+        _cmd_bounds,
+        "shift bounds and the multiplicity inequality",
+        (*_DIAGRAM, ("--truncate", {"type": _nonnegative, "default": None, "help": "series comparison depth"})),
+    ),
+    "check-hk": (
+        _cmd_check_hk,
+        "Herzog-Kuhl residual vector",
+        (*_DIAGRAM, ("--s", {"type": _nonnegative, "required": True, "help": "number of equations to check"})),
+    ),
+    "membership": (_cmd_membership, "cone membership with violation certificate", _DIAGRAM),
 }
 
 
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    # built once per process, and only for help and errors: parse_args
+    # returns a fresh namespace per call, and argparse looks up
+    # sys.stdout/sys.stderr only when it prints
+    parser = argparse.ArgumentParser(
+        prog="bettidecomp",
+        description="Exact decomposition of Betti diagrams into chains of pure diagrams.",
+    )
+    parser.add_argument(_FORMAT[0], **_FORMAT[1])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in (_SUB_FORMAT, *options):
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+def _is_value(token: str) -> bool:
+    # what argparse reads as a value in every supported Python: a token
+    # that does not start with '-', '-' itself, or an ASCII negative integer
+    return not token.startswith("-") or token == "-" or (token[1:].isascii() and token[1:].isdigit())
+
+
+def _parse(argv):
+    """The namespace ``_build_parser().parse_args(argv)`` returns, or None
+    unless argv is ``[--format F] command`` and the command's own flags,
+    each given once and exactly, with a value its converter and choices
+    accept, every required one among them.  Help, abbreviations,
+    ``--flag=value``, ``--`` and every usage error are argparse's."""
+    values = {"format": None}
+    if argv[:1] == ["--format"]:
+        if len(argv) < 2 or argv[1] not in _FORMAT[1]["choices"]:
+            return None
+        values["format"] = argv[1]
+        argv = argv[2:]
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values["command"] = argv[0]
+    options = dict((_SUB_FORMAT, *_COMMANDS[argv[0]][2]))
+    positionals = [flag for flag in options if not flag.startswith("-")]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-") and token in options:
+            flag, kwargs = token, options.pop(token)
+            if kwargs.get("action") == "store_true":
+                value = True
+            else:
+                value = next(tokens, None)
+                if value is None or not _is_value(value):
+                    return None
+        elif positionals and _is_value(token):
+            flag = positionals.pop(0)
+            kwargs, value = options.pop(flag), token
+        else:
+            # an unknown or repeated flag, or one positional too many
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[flag.lstrip("-").replace("-", "_")] = value
+    # the options not given
+    for flag, kwargs in options.items():
+        if kwargs.get("required") or not flag.startswith("-"):
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        if default is not argparse.SUPPRESS:
+            values[flag.lstrip("-").replace("-", "_")] = default
+    return argparse.Namespace(**values)
+
+
 def run(argv) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else _USAGE_ERROR
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else _USAGE_ERROR
     fmt = _out_format(args)
-    handler = _HANDLERS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
         return handler(args, fmt)
     except WindowTooLarge as exc:

@@ -440,34 +440,48 @@ def _signed_columns(facets) -> tuple[dict[tuple[int, int], int], list[int]]:
 
 
 class _FacetMatrix:
-    """A window's boundary facets and their latest packing.
+    """A window's boundary facets and at most two packings of them.
 
     A hyperplane's value on integer entries x is at most max|c| * sum |x|
-    in size; W holds that bound's bits plus 2, so no field carries.  A
-    reading past the width packs again, at least twice as wide.
+    in size; W holds that bound's bits plus 2, so no field carries.  The
+    packing read on the window's own pure diagrams is kept apart from the
+    one widened for larger entries, so that one membership call on a large
+    diagram does not slow every later check of the fan.  A reading past
+    both widths packs again, at least twice as wide as the widened one.
     """
 
-    __slots__ = ("facets", "_top", "_packing")
+    __slots__ = ("facets", "_top", "_fan", "_wide")
 
     def __init__(self, facets: tuple[BoundaryFacet, ...]):
         self.facets = facets
         self._top = 0  # max |c|, read off the signed matrix when it is packed
-        self._packing = None
+        self._fan = self._wide = None
+
+    def fan(self, total: int) -> Packing:
+        """The packing kept for the pure diagrams, whose entries sum to at
+        most ``total``."""
+        if not self._fits(self._fan, total):
+            self._fan = self._pack(total, 0)
+        return self._fan
 
     def packing(self, total: int) -> Packing:
-        """A packing that reads entries with sum |x| <= total exactly."""
+        """A packing that reads entries with sum |x| <= total exactly: the
+        pure diagrams' one when it is wide enough, else the widened one."""
+        if self._fits(self._fan, total):
+            return self._fan
+        if not self._fits(self._wide, total):
+            self._wide = self._pack(total, 2 * self._wide.width if self._wide is not None else 0)
+        return self._wide
+
+    def _fits(self, packing: Packing | None, total: int) -> bool:
         # at least one unit of entry, so that every coefficient fits its field
-        total = max(total, 1)
-        packing = self._packing
-        if packing is not None and (self._top * total).bit_length() + 2 <= packing.width:
-            return packing
+        return packing is not None and (self._top * max(total, 1)).bit_length() + 2 <= packing.width
+
+    def _pack(self, total: int, min_bits: int) -> Packing:
         offsets, flat = _signed_columns(self.facets)
         self._top = top = max(map(abs, flat), default=0)
-        bits = (top * total).bit_length() + 2
-        if packing is not None:
-            bits = max(bits, 2 * packing.width)
-        packing = self._packing = Packing(offsets, flat, len(self.facets), -(-bits // 8))
-        return packing
+        bits = max(min_bits, (top * max(total, 1)).bit_length() + 2)
+        return Packing(offsets, flat, len(self.facets), -(-bits // 8))
 
 
 @lru_cache(maxsize=64)
@@ -494,7 +508,7 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
     facets = matrix.facets
     diagrams = list(w.pure_diagrams())
     # a pure diagram's integer entries L / q_i are at most L each
-    packing = matrix.packing((w.n + 1) * max(p._integer[0] for p in diagrams))
+    packing = matrix.fan((w.n + 1) * max(p._integer[0] for p in diagrams))
     bias = packing.bias
     # (hyperplane index, diagram, packed reading) of the first negative pair:
     # the earliest hyperplane that reads negative anywhere, then its earliest

@@ -1,12 +1,16 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bettidecomp import Window, cli, functionals, greedy_decompose, maximal_chains, pure_diagram
 from bettidecomp import io as dio
@@ -411,6 +415,10 @@ class TestUsage:
             ("--format", "json", "facets", "--n", "2", "--M", "0", "--N", "1"),
             ("--help",),
         ]
+        # every subcommand's help, and one usage error of each, which argparse
+        # reports from the cached parser as from a fresh one
+        calls += [(name, "--help") for name in cli._COMMANDS]
+        calls += [(name, "--bogus") for name in cli._COMMANDS]
         fresh = []
         for argv in calls:
             cli._build_parser.cache_clear()
@@ -418,7 +426,9 @@ class TestUsage:
         parser = cli._build_parser()
         assert [run_cli(capsys, *argv) for argv in calls] == fresh
         assert cli._build_parser() is parser
-        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0]
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0] + [0] * 11 + [2] * 10
+        for (name, *_), (_, out, err) in zip(calls[5:], fresh[5:]):
+            assert out.startswith(f"usage: bettidecomp {name}") or err.startswith(f"usage: bettidecomp {name}")
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
@@ -493,3 +503,176 @@ class TestUsage:
         code, _, err = run_cli(capsys, "decompose", str(path))
         assert code == 2
         assert "error" in err
+
+
+def _argparse_namespace(argv):
+    return vars(cli._build_parser().parse_args(argv))
+
+
+FORMATS = ["json", "table"]
+# values for every kind of option, and the tokens the fast path leaves to
+# argparse: '-' as stdin, flags, '--', '-h', signs, non-ASCII digits, ''
+TOKENS = [
+    "0", "3", "-1", "-0", "07", "\u0663", "-\u0663", "1_0", "+3", "", "x.json", "-", "--", "-h", "--help", "-x",
+    "json", "table", "auto", "yaml", "0,1,3", "\u00e9", "a b", "--n", "chains", "frobnicate",
+]
+
+
+def _value(kwargs):
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    kind = kwargs.get("type")
+    if kind is cli._integer:
+        return st.integers(-10**20, 10**20).map(str)
+    if kind is cli._nonnegative:
+        return st.integers(0, 10**20).map(str)
+    return st.just("-") | st.text(max_size=6).filter(lambda t: not t.startswith("-"))
+
+
+@st.composite
+def well_formed_lines(draw):
+    """A command's required options, some optional ones, each once in any
+    order, and --format before the command, after it, on both sides or not."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    pieces = []
+    for flag, kwargs in (cli._SUB_FORMAT, *cli._COMMANDS[name][2]):
+        if flag.startswith("-") and not kwargs.get("required") and draw(st.booleans()):
+            continue
+        if kwargs.get("action") == "store_true":
+            pieces.append([flag])
+        elif flag.startswith("-"):
+            pieces.append([flag, draw(_value(kwargs))])
+        else:
+            pieces.append([draw(_value(kwargs))])
+    head = draw(st.sampled_from([[], *(["--format", f] for f in FORMATS)]))
+    return [*head, name, *(t for p in draw(st.permutations(pieces)) for t in p)]
+
+
+@st.composite
+def command_lines(draw):
+    """Well-formed lines with up to three edits: one or two tokens dropped
+    or replaced, or an exact, abbreviated or '=' flag, a flag with a value,
+    a repeat or a stray token put in anywhere."""
+    argv = draw(well_formed_lines())
+    flags = st.sampled_from(
+        sorted({flag for _, _, options in cli._COMMANDS.values() for flag, _ in options if flag.startswith("-")})
+        + ["--format"]
+    )
+    if any(t.startswith("--") for t in argv):
+        flags |= st.sampled_from([t for t in argv if t.startswith("--")])
+    token = st.sampled_from(TOKENS) | st.integers(-10**20, 10**20).map(str)
+    piece = st.one_of(
+        st.tuples(flags, token).map(list),
+        flags.map(lambda flag: [flag]),
+        st.tuples(flags, token).map(lambda p: ["=".join(p)]),
+        st.tuples(flags, st.integers(1, 9)).map(lambda p: [p[0][:-p[1]]]),
+        token.map(lambda t: [t]),
+        st.sampled_from(argv).map(lambda t: [t]),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["drop", "drop two", "replace", "insert"]))
+        if edit != "insert":
+            del argv[at:at + 1 + (edit == "drop two")]
+        if edit in ("replace", "insert"):
+            argv[at:at] = draw(piece)
+    return argv
+
+
+class TestFastParse:
+    """cli._parse against argparse: whenever it returns a namespace, that is
+    the one argparse returns, and well-formed lines always get one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_equals_argparse_when_it_matches(self, argv):
+        parsed = cli._parse(argv)
+        if parsed is not None:
+            assert vars(parsed) == _argparse_namespace(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(well_formed_lines())
+    def test_well_formed_lines_match(self, argv):
+        parsed = cli._parse(argv)
+        assert parsed is not None
+        assert vars(parsed) == _argparse_namespace(argv)
+
+    WINDOW = ["--n", "2", "--M", "0", "--N", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["facets", *WINDOW, "-h"],
+            ["facets", *WINDOW, "--help"],
+            ["facets", *WINDOW, "--bogus"],
+            ["frobnicate", *WINDOW],
+            ["facets", *WINDOW, "--forma", "json"],
+            ["--form", "json", "facets", *WINDOW],
+            ["decompose", "x.json", "--input", "json"],
+            ["facets", "--n=2", "--M", "0", "--N", "1"],
+            ["--format=json", "facets", *WINDOW],
+            ["decompose", "--", "x.json"],
+            ["facets", *WINDOW, "--"],
+            ["pure", "--degrees", "--", "--n", "1"],
+            ["facets", *WINDOW, "--n", "3"],
+            ["chains", *WINDOW, "--count-only", "--count-only"],
+            ["--format", "json", "--format", "table", "facets", *WINDOW],
+            ["facets", *WINDOW, "--format", "json", "--format", "table"],
+            ["facets", "--n", "2", "--M", "0"],
+            ["decompose"],
+            ["--format", "json"],
+            ["--format"],
+            [],
+            ["facets", "--n", "x", "--M", "0", "--N", "1"],
+            ["facets", "--n", "\u0663", "--M", "0", "--N", "1"],
+            ["check-hk", "x.json", "--s", "-1"],
+            ["decompose", "x.json", "--input-format", "yaml"],
+            ["facets", *WINDOW, "--format", "xml"],
+            ["--format", "xml", "facets", *WINDOW],
+            ["pure", "--degrees", "-1,2", "--n", "1"],
+            ["decompose", "-x"],
+            ["decompose", "--input-format", "-", "x.json"],
+            ["decompose", "a.json", "b.json"],
+            ["chains", *WINDOW, "--count-only", "1"],
+        ],
+    )
+    def test_leaves_the_rest_to_argparse(self, argv):
+        # help, unknown, abbreviated, '=' and repeated flags, '--', missing
+        # required options, values the converter or choices refuse, values
+        # that start with '-', and stray tokens
+        assert cli._parse(argv) is None
+
+    def test_bench_lines_match(self, monkeypatch):
+        # every command line of the benchmark's windows workload
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        windows = workloads.Windows.__new__(workloads.Windows)
+        lines = [windows._argv(w, c) for w in workloads.WINDOWS + workloads.COUNT_ONLY for c in workloads.COMMANDS]
+        assert len(lines) == 4 * (len(workloads.WINDOWS) + len(workloads.COUNT_ONLY))
+        for argv in lines:
+            parsed = cli._parse(argv)
+            assert parsed is not None and vars(parsed) == _argparse_namespace(argv), argv
+
+    def test_well_formed_runs_never_build_argparse(self, capsys, quotient_path, tmp_path, dual_functionals):
+        tableau = tmp_path / "numbering.json"
+        tableau.write_text(json.dumps(dual_functionals["numbering"]))
+        window = ("--n", "2", "--M", "0", "--N", "1")
+        calls = {
+            "pure": ("--degrees", "0,2", "--n", "1"),
+            "decompose": (quotient_path,),
+            "expand": (quotient_path, "--tableau", str(tableau)),
+            "chains": (*window, "--count-only"),
+            "facets": window,
+            "verify-fan": (*window, "--s", "1"),
+            "hilbert": (quotient_path, "--truncate", "3"),
+            "bounds": (quotient_path, "--input-format", "json"),
+            "check-hk": (quotient_path, "--s", "1"),
+            "membership": ("--format", "table", quotient_path),
+        }
+        assert set(calls) == set(cli._COMMANDS)
+        cli._build_parser.cache_clear()
+        for name, args in calls.items():
+            code, _, err = run_cli(capsys, "--format", "json", name, *args)
+            assert (code, err) == (0, ""), name
+        assert cli._build_parser.cache_info().misses == 0

@@ -29,6 +29,7 @@ from bettidecomp import (
 from bettidecomp import functionals
 from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace, WindowMismatch
 from bettidecomp.functionals import derived_window
+from bettidecomp.packing import Packing
 from bettidecomp.poset import _below, _moves
 
 
@@ -490,7 +491,43 @@ class TestPackedMatrix:
                 k = next(k for k, v in enumerate(exact) if v < 0)
                 assert result.violated is facets[k]
                 assert type(result.value) is Fraction and result.value == exact[k]
-        assert matrix.packing(0).width > narrow
+        # the widened packing is kept apart: small entries still read the narrow one
+        wide = matrix.packing(sum(abs(x) for _, x in member._integer_form()[1]))
+        assert wide.width > narrow == matrix.packing(0).width
+
+    def test_wide_membership_leaves_the_fan_packing(self, monkeypatch):
+        # verify_fan_convexity reads through a packing as wide as a cold
+        # window's, whether a membership call on a large diagram came
+        # before or after its first run
+        w = Window(4, 0, 2, 0)
+        big = 10**40
+        member = BettiDiagram(4, {})
+        for k, p in enumerate(next(iter(maximal_chains(w)))):
+            member = member + p.betti.scaled(big * (k + 1))
+        widths = []
+        read = Packing.read
+
+        def spy(packing, entries):
+            widths.append(packing.width)
+            return read(packing, entries)
+
+        monkeypatch.setattr(Packing, "read", spy)
+
+        def fan_widths():
+            widths.clear()
+            report = verify_fan_convexity(w)
+            assert report.passed and report.diagrams_checked == len(list(w.pure_diagrams()))
+            return set(widths)
+
+        functionals._facet_columns.cache_clear()
+        cold = fan_widths()
+        widths.clear()
+        assert membership_by_inequalities(member, w).member
+        assert min(widths) > max(cold)
+        assert fan_widths() == cold
+        functionals._facet_columns.cache_clear()
+        assert membership_by_inequalities(member, w).member
+        assert fan_widths() == cold
 
 
 class TestConvexity:
