@@ -439,6 +439,8 @@ def _parse(argv):
 
 
 def run(argv) -> int:
+    # as parse_args reads it
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv)
     if args is None:
         try:
