@@ -363,10 +363,15 @@ _COMMANDS = {
 }
 
 
+def _options(name: str) -> tuple:
+    """A command's declared options, its own --format first."""
+    return (_SUB_FORMAT, *_COMMANDS[name][2])
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # built once per process, and only for help and errors: parse_args
-    # returns a fresh namespace per call, and argparse looks up
+    # built once per process, and only when _parse leaves argv to argparse:
+    # parse_args returns a fresh namespace per call, and argparse looks up
     # sys.stdout/sys.stderr only when it prints
     parser = argparse.ArgumentParser(
         prog="bettidecomp",
@@ -374,9 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(_FORMAT[0], **_FORMAT[1])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary, options) in _COMMANDS.items():
+    for name, (_, summary, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        for flag, kwargs in (_SUB_FORMAT, *options):
+        for flag, kwargs in _options(name):
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -402,7 +407,7 @@ def _parse(argv):
     if not argv or argv[0] not in _COMMANDS:
         return None
     values["command"] = argv[0]
-    options = dict((_SUB_FORMAT, *_COMMANDS[argv[0]][2]))
+    options = dict(_options(argv[0]))
     positionals = [flag for flag in options if not flag.startswith("-")]
     tokens = iter(argv[1:])
     for token in tokens:

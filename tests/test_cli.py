@@ -535,7 +535,7 @@ def well_formed_lines(draw):
     order, and --format before the command, after it, on both sides or not."""
     name = draw(st.sampled_from(list(cli._COMMANDS)))
     pieces = []
-    for flag, kwargs in (cli._SUB_FORMAT, *cli._COMMANDS[name][2]):
+    for flag, kwargs in cli._options(name):
         if flag.startswith("-") and not kwargs.get("required") and draw(st.booleans()):
             continue
         if kwargs.get("action") == "store_true":
@@ -554,10 +554,7 @@ def command_lines(draw):
     or replaced, or an exact, abbreviated or '=' flag, a flag with a value,
     a repeat or a stray token put in anywhere."""
     argv = draw(well_formed_lines())
-    flags = st.sampled_from(
-        sorted({flag for _, _, options in cli._COMMANDS.values() for flag, _ in options if flag.startswith("-")})
-        + ["--format"]
-    )
+    flags = st.sampled_from(sorted({flag for name in cli._COMMANDS for flag, _ in cli._options(name) if flag[0] == "-"}))
     if any(t.startswith("--") for t in argv):
         flags |= st.sampled_from([t for t in argv if t.startswith("--")])
     token = st.sampled_from(TOKENS) | st.integers(-10**20, 10**20).map(str)
