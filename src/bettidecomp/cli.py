@@ -30,6 +30,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 
 from . import io as dio
@@ -392,6 +393,27 @@ def _is_value(token: str) -> bool:
     return not token.startswith("-") or token == "-" or (token[1:].isascii() and token[1:].isdigit())
 
 
+# a degree list whose first degree is negative, such as -1,2, is a value of
+# --degrees; argparse would read it as a flag
+_DEGREE_LIST = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
+
+
+def _joined_degrees(argv: list) -> list:
+    """argv for argparse: after ``pure`` and before ``--``, each
+    ``--degrees`` followed by a degree list joined to it as ``--degrees=V``."""
+    out, k = [], 0
+    while k < len(argv):
+        token = argv[k]
+        if token == "--":
+            return out + argv[k:]
+        if token == "--degrees" and "pure" in out and k + 1 < len(argv) and _DEGREE_LIST.fullmatch(argv[k + 1]):
+            token = f"--degrees={argv[k + 1]}"
+            k += 1
+        out.append(token)
+        k += 1
+    return out
+
+
 def _parse(argv):
     """The namespace ``_build_parser().parse_args(argv)`` returns, or None
     unless argv is ``[--format F] command`` and the command's own flags,
@@ -417,7 +439,7 @@ def _parse(argv):
                 value = True
             else:
                 value = next(tokens, None)
-                if value is None or not _is_value(value):
+                if value is None or not (_is_value(value) or (flag == "--degrees" and _DEGREE_LIST.fullmatch(value))):
                     return None
         elif positionals and _is_value(token):
             flag = positionals.pop(0)
@@ -449,7 +471,7 @@ def run(argv) -> int:
     args = _parse(argv)
     if args is None:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser().parse_args(_joined_degrees(argv))
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else _USAGE_ERROR
     fmt = _out_format(args)

@@ -39,9 +39,11 @@ strictly increasing terms of its own ``n`` hold by construction.
 The diagram parsers in :mod:`bettidecomp.io` are doors too.  The JSON
 parser validates every key and value itself (``n`` an ``int >= 0``, each
 index an ``int`` with ``0 <= i <= n``, each value a rational literal read
-by :func:`parse_rational`, no position twice) and builds through
-``BettiDiagram._of``; the table parser reads its positions off the grid
-and its values through :func:`parse_rational`, and builds the same way.
+as integers with the refusals of :func:`parse_rational`, no position
+twice) and builds the integer form through ``BettiDiagram._of_integer``;
+the table parser reads its positions off the grid and its values the same
+way, and builds the same way.  So does ``PureDiagram.betti``, from the
+integer form read off the degrees.
 """
 
 from __future__ import annotations
@@ -75,15 +77,25 @@ _INT_RE = re.compile(r"-?[0-9]+")
 
 def parse_rational(token: str) -> Fraction:
     """Exact rational from 'p' or 'p/q'; anything else (floats included) fails."""
+    return Fraction(*_rational_parts(token))
+
+
+def _rational_parts(token: str) -> tuple[int, int]:
+    """(p, q) in lowest terms, q > 0, of the literal 'p' or 'p/q', with the
+    refusals and messages of :func:`parse_rational`."""
     if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"{token!r} is not an exact rational literal")
     # the match proved both parts ASCII digits: int reads them once more,
     # and refuses one over the digit limit as Fraction(token) would
     p, _, q = token.partition("/")
-    try:
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
-    except ZeroDivisionError:
-        raise ValueError(f"{token!r} has a zero denominator") from None
+    p = int(p)
+    if not q:
+        return p, 1
+    q = int(q)
+    if not q:
+        raise ValueError(f"{token!r} has a zero denominator")
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def _parse_int(token: str) -> int:
@@ -267,6 +279,10 @@ class BettiDiagram:
 
     Diagrams form a vector space: they can be added, subtracted and scaled
     by exact rationals, and entries may be negative.
+
+    A diagram keeps its values in the form it was built from, ``Fraction``
+    entries or the integer form (L, entries times L), and derives the other
+    once, when first read.  Positions are read from whichever is stored.
     """
 
     __slots__ = ("_n", "_entries", "_hash", "_integer")
@@ -301,22 +317,55 @@ class BettiDiagram:
         b._integer = None
         return b
 
+    @classmethod
+    def _of_integer(cls, n: int, form: tuple[int, tuple[tuple[tuple[int, int], int], ...]]) -> "BettiDiagram":
+        """Trusted constructor from an integer form (L, ((pos, L * v), ...)):
+        a valid n, in-range int positions, each once, no zero value, and L
+        the lcm of the values' reduced denominators, as :meth:`_integer_form`
+        computes it.  Stored unchecked; the Fraction entries are derived when
+        first read."""
+        b = object.__new__(cls)
+        b._n = n
+        b._entries = None
+        b._hash = None
+        b._integer = form
+        return b
+
+    def _fractions(self) -> dict[tuple[int, int], Fraction]:
+        """The entries as Fractions, derived from the integer form once."""
+        if self._entries is None:
+            scale, entries = self._integer
+            self._entries = {pos: Fraction(x, scale) for pos, x in entries}
+        return self._entries
+
+    def _positions(self):
+        """The nonzero positions in stored order, from whichever form is stored."""
+        if self._entries is not None:
+            return self._entries
+        return [pos for pos, _ in self._integer[1]]
+
     @property
     def n(self) -> int:
         return self._n
 
     @property
     def is_zero(self) -> bool:
-        return not self._entries
+        return not (self._integer[1] if self._entries is None else self._entries)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self._entries.get(key, Fraction(0))
+        if self._entries is not None:
+            return self._entries.get(key, _ZERO)
+        scale, entries = self._integer
+        for pos, x in entries:
+            if pos == key:
+                return Fraction(x, scale)
+        return _ZERO
 
     def items(self):
-        return sorted(self._entries.items())
+        return sorted(self._fractions().items())
 
     def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._entries))
+        return tuple(sorted(self._positions()))
 
     def _integer_form(self) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
         """(L, ((pos, L * v), ...)): the entries times the lcm L of their
@@ -335,14 +384,14 @@ class BettiDiagram:
         return self._integer
 
     def column_degrees(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(j for ii, j in self._entries if ii == i))
+        return tuple(sorted(j for ii, j in self._positions() if ii == i))
 
     def _column_bounds(self) -> list[tuple[int, int] | None]:
         """(lowest, highest) degree of each column 0..projective dimension,
-        None for an empty column, read in one pass over the entries."""
+        None for an empty column, read in one pass over the positions."""
         lo: dict[int, int] = {}
         hi: dict[int, int] = {}
-        for i, j in self._entries:
+        for i, j in self._positions():
             if i not in lo:
                 lo[i] = hi[i] = j
             elif j < lo[i]:
@@ -356,15 +405,15 @@ class BettiDiagram:
     def projective_dimension(self) -> int:
         if self.is_zero:
             raise UndefinedOnZero("projective dimension undefined for the zero diagram")
-        return max(i for i, _ in self._entries)
+        return max(i for i, _ in self._positions())
 
     def __add__(self, other: "BettiDiagram") -> "BettiDiagram":
         if not isinstance(other, BettiDiagram):
             return NotImplemented
         if other._n != self._n:
             raise InvalidDiagram("cannot add diagrams with different ambient n")
-        out = dict(self._entries)
-        for k, v in other._entries.items():
+        out = dict(self._fractions())
+        for k, v in other._fractions().items():
             out[k] = out[k] + v if k in out else v
         return BettiDiagram._of(self._n, out)
 
@@ -373,14 +422,14 @@ class BettiDiagram:
             return NotImplemented
         if other._n != self._n:
             raise InvalidDiagram("cannot subtract diagrams with different ambient n")
-        out = dict(self._entries)
-        for k, v in other._entries.items():
+        out = dict(self._fractions())
+        for k, v in other._fractions().items():
             out[k] = out[k] - v if k in out else -v
         return BettiDiagram._of(self._n, out)
 
     def scaled(self, scalar) -> "BettiDiagram":
         c = as_rational(scalar)
-        return BettiDiagram._of(self._n, {k: v * c for k, v in self._entries.items()})
+        return BettiDiagram._of(self._n, {k: v * c for k, v in self._fractions().items()})
 
     def __rmul__(self, scalar) -> "BettiDiagram":
         return self.scaled(scalar)
@@ -388,11 +437,11 @@ class BettiDiagram:
     def __eq__(self, other):
         if not isinstance(other, BettiDiagram):
             return NotImplemented
-        return self._n == other._n and self._entries == other._entries
+        return self._n == other._n and self._fractions() == other._fractions()
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._n, frozenset(self._entries.items())))
+            self._hash = hash((self._n, frozenset(self._fractions().items())))
         return self._hash
 
     def __repr__(self):
@@ -477,11 +526,7 @@ class PureDiagram:
 
     @cached_property
     def betti(self) -> BettiDiagram:
-        form = self._integer
-        scale, entries = form
-        b = BettiDiagram._of(self.n, {pos: Fraction(x, scale) for pos, x in entries})
-        b._integer = form  # the same entries in the same order: its integer form
-        return b
+        return BettiDiagram._of_integer(self.n, self._integer)
 
     @property
     def _integer_entries(self) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -679,5 +724,5 @@ def window_of(b: BettiDiagram) -> tuple[int, int]:
     """Degree window (M, N) = (min, max) of j - i over the nonzero support."""
     if b.is_zero:
         raise UndefinedOnZero("window undefined for the zero diagram")
-    offsets = [j - i for i, j in b._entries]
+    offsets = [j - i for i, j in b._positions()]
     return min(offsets), max(offsets)

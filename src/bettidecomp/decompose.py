@@ -19,7 +19,9 @@ as the leading sequence, replaces each front value v by v q - r P_i (P the
 element's integer form, r and q the residual's and P's values at the first
 column of least ratio), multiplies m by q, divides m and the fronts by
 gcd(m, fronts), and moves a cursor on past each front that reached zero.
-It costs O(s) for an element of codimension s, not O(entries).
+The fronts' degrees are kept in a list, and the next step checks the
+leading sequence only at the columns whose cursor moved.  It costs O(s)
+for an element of codimension s, not O(entries).
 
 Diagrams outside the cone fail in one of two ways, both raising
 ``NotInCone`` with the partial decomposition and the residual, rebuilt from
@@ -157,33 +159,43 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
     for (i, j), x in sorted(entries, reverse=True):
         columns[i].append((j, x))
     fronts = [column[-1][1] if column else 0 for column in columns]
+    degs = [column[-1][0] if column else 0 for column in columns]
     m = 1
     terms: list[tuple[Fraction, PureDiagram]] = []
     M, N = window_of(b)
+    # the columns whose front moved in the last step: every column at first
+    moved = range(len(columns))
     for _ in range((b.n + 1) * (N - M + 1) + 1):
         while columns and not columns[-1]:
             columns.pop()
             fronts.pop()
+            degs.pop()
         if not columns:
             # coefficients r * size / (scale * m * q) with r, q > 0; front
             # degrees only rise and columns drop off only at the top, so
             # the terms are a strictly increasing chain of b.n's diagrams
             return Decomposition._of(tuple(terms), b.n)
-        if not all(columns):
-            raise NotInCone(
-                NotInCone.INVALID_LEADING_SEQUENCE,
-                f"column {columns.index([])} is empty below the projective dimension {len(columns) - 1}",
-                partial=tuple(terms),
-                residual=_residual(columns, fronts, scale, m, b.n),
-            )
-        degs = tuple(column[-1][0] for column in columns)
-        if any(y <= x for x, y in zip(degs, degs[1:])):
-            raise NotInCone(
-                NotInCone.INVALID_LEADING_SEQUENCE,
-                f"minimal degrees {degs} are not strictly increasing",
-                partial=tuple(terms),
-                residual=_residual(columns, fronts, scale, m, b.n),
-            )
+        # the other columns passed these checks unchanged: moved is
+        # ascending, so the first empty column found is the first there is;
+        # a front only rises, so a pair can fail only where its lower column
+        # moved
+        top = len(columns) - 1
+        for i in moved:
+            if i < top and not columns[i]:
+                raise NotInCone(
+                    NotInCone.INVALID_LEADING_SEQUENCE,
+                    f"column {i} is empty below the projective dimension {top}",
+                    partial=tuple(terms),
+                    residual=_residual(columns, fronts, scale, m, b.n),
+                )
+        for i in moved:
+            if i < top and degs[i] >= degs[i + 1]:
+                raise NotInCone(
+                    NotInCone.INVALID_LEADING_SEQUENCE,
+                    f"minimal degrees {tuple(degs)} are not strictly increasing",
+                    partial=tuple(terms),
+                    residual=_residual(columns, fronts, scale, m, b.n),
+                )
         element = pure_diagram(degs, b.n)
         size, pure = element._integer
         # the first column where the residual over the element is least, by
@@ -200,13 +212,17 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
         m *= q
         g = math.gcd(m, *fronts)
         m //= g
+        moved = []
         for i, y in enumerate(fronts):
             if y:
                 fronts[i] = y // g
             else:
+                moved.append(i)
                 column = columns[i]
                 column.pop()
-                fronts[i] = column[-1][1] * m if column else 0
+                if column:
+                    degs[i], x = column[-1]
+                    fronts[i] = x * m
     raise NotInCone(
         NotInCone.RESIDUAL,
         "residual did not reach zero within the chain bound",

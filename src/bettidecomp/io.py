@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from enum import Enum
 from fractions import Fraction
@@ -31,8 +32,9 @@ from .core import (
     LaurentPolynomial,
     _is_int,
     _parse_int,
+    _rational_parts,
     as_rational,
-    parse_rational,
+    parse_rational,  # re-exported
 )
 from .decompose import Decomposition
 from .errors import DuplicateEntry, ParseError
@@ -43,6 +45,14 @@ from .poset import Chain, Tableau, Window
 
 def format_rational(value: Fraction) -> str:
     return str(as_rational(value))
+
+
+def _integer_form(values: list) -> tuple[int, tuple]:
+    """The integer form (L, ((pos, L * p / q), ...)) of nonzero values given
+    as (pos, p, q) in lowest terms, q > 0, in the given order: L is the lcm
+    of the q, as ``BettiDiagram._of_integer`` takes it."""
+    scale = math.lcm(*(q for _, _, q in values))
+    return scale, tuple((pos, p * (scale // q)) for pos, p, q in values)
 
 
 def _parse_json_diagram(text: str) -> BettiDiagram:
@@ -57,26 +67,31 @@ def _parse_json_diagram(text: str) -> BettiDiagram:
         raise ParseError(f"'n' must be a nonnegative integer, got {n!r}")
     if not isinstance(doc["entries"], list):
         raise ParseError(f"'entries' must be a list, got {doc['entries']!r}")
-    entries = {}
+    seen = set()
+    values = []
     for item in doc["entries"]:
         if not (isinstance(item, list) and len(item) == 3):
             raise ParseError(f"entry {item!r} must be [i, j, value]")
         i, j, raw = item
-        if not (_is_int(i) and _is_int(j)):
+        # json.loads reads an integer literal as an int, true and false as bools
+        if not (type(i) is int and type(j) is int):
             raise ParseError(f"entry indices must be integers, got {item!r}")
         if not 0 <= i <= n:
             raise ParseError(f"entry {item!r} has column {i} outside [0, {n}]")
         if not isinstance(raw, str):
             raise ParseError(f"entry value must be a rational string, got {raw!r}")
         try:
-            value = parse_rational(raw)
+            p, q = _rational_parts(raw)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        if (i, j) in entries:
+        pos = (i, j)
+        if pos in seen:
             raise DuplicateEntry(f"entry ({i}, {j}) occurs twice")
-        entries[(i, j)] = value
+        seen.add(pos)
+        if p:
+            values.append((pos, p, q))
     # every key and value checked above: build without a second pass
-    return BettiDiagram._of(n, entries)
+    return BettiDiagram._of_integer(n, _integer_form(values))
 
 
 def _parse_table_diagram(text: str) -> BettiDiagram:
@@ -119,7 +134,7 @@ def _parse_table_diagram(text: str) -> BettiDiagram:
         raise ParseError("duplicate row label")
     if labels != list(range(labels[0], labels[0] + len(labels))):
         raise ParseError("row labels must be consecutive integers")
-    entries = {}
+    values = []
     for lineno, label, tokens, raw in rows:
         if len(tokens) != width:
             raise ParseError(f"expected {width} columns, found {len(tokens)}", lineno, 1)
@@ -127,14 +142,14 @@ def _parse_table_diagram(text: str) -> BettiDiagram:
             if token == "-":
                 continue
             try:
-                value = parse_rational(token)
+                p, q = _rational_parts(token)
             except ValueError as exc:
                 column = raw.index(token) + 1
                 raise ParseError(str(exc), lineno, column) from exc
-            if value:
-                entries[(i, label + i)] = value
-    # positions off the grid of consecutive labels, values parsed exactly
-    return BettiDiagram._of(n, entries)
+            if p:
+                values.append(((i, label + i), p, q))
+    # positions off the grid of consecutive labels, values read exactly
+    return BettiDiagram._of_integer(n, _integer_form(values))
 
 
 def parse_diagram(text: str, format: str = "json") -> BettiDiagram:

@@ -60,6 +60,37 @@ class TestPure:
         assert code == 0
         assert json.loads(out)["entries"] == [[0, -1, "1/3"], [1, 2, "1/3"]]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pure", "--degrees", "-1,2", "--n", "1"),
+            ("pure", "--n", "1", "--degrees", "-1,2"),
+            ("--format", "json", "pure", "--degrees", "-1,2", "--n", "1"),
+            ("pure", "--degrees", "-1,2", "--n", "1", "--format", "json"),
+            ("pure", "--degrees=-1,2", "--n", "1"),
+        ],
+    )
+    def test_negative_first_degree(self, capsys, argv):
+        # a degree list is a value of --degrees, though it starts with '-'
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, '{"entries": [[0, -1, "1/3"], [1, 2, "1/3"]], "n": 1}\n', "")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # the same line with a usage error: argparse reports that error
+            (("pure", "--degrees", "-1,2", "--n", "1", "--bogus"), "unrecognized arguments: --bogus"),
+            (("pure", "--degrees", "-1,2"), "the following arguments are required: --n"),
+            # not a degree list: a flag to argparse, as before
+            (("pure", "--degrees", "-1,x", "--n", "1"), "argument --degrees: expected one argument"),
+            (("pure", "--n", "1", "--", "--degrees", "-1,2"), "the following arguments are required: --degrees"),
+        ],
+    )
+    def test_negative_first_degree_usage_errors(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {error}\n")
+
 
 class TestDecompose:
     def test_quotient_fixture(self, capsys, quotient_path):
@@ -506,7 +537,7 @@ class TestUsage:
 
 
 def _argparse_namespace(argv):
-    return vars(cli._build_parser().parse_args(argv))
+    return vars(cli._build_parser().parse_args(cli._joined_degrees(argv)))
 
 
 FORMATS = ["json", "table"]
@@ -514,7 +545,8 @@ FORMATS = ["json", "table"]
 # argparse: '-' as stdin, flags, '--', '-h', signs, non-ASCII digits, ''
 TOKENS = [
     "0", "3", "-1", "-0", "07", "\u0663", "-\u0663", "1_0", "+3", "", "x.json", "-", "--", "-h", "--help", "-x",
-    "json", "table", "auto", "yaml", "0,1,3", "\u00e9", "a b", "--n", "chains", "frobnicate",
+    "json", "table", "auto", "yaml", "0,1,3", "-1,2", "-1,x", "-1,", "\u00e9", "a b", "--n", "chains", "frobnicate",
+    "pure", "--degrees",
 ]
 
 
@@ -529,6 +561,12 @@ def _value(kwargs):
     return st.just("-") | st.text(max_size=6).filter(lambda t: not t.startswith("-"))
 
 
+# --degrees values that start with '-': argparse reads them only when joined
+DEGREE_LISTS = st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=4).map(
+    lambda ds: ",".join(map(str, [-abs(ds[0]) - 1, *ds[1:]]))
+)
+
+
 @st.composite
 def well_formed_lines(draw):
     """A command's required options, some optional ones, each once in any
@@ -540,6 +578,8 @@ def well_formed_lines(draw):
             continue
         if kwargs.get("action") == "store_true":
             pieces.append([flag])
+        elif flag == "--degrees":
+            pieces.append([flag, draw(_value(kwargs) | DEGREE_LISTS)])
         elif flag.startswith("-"):
             pieces.append([flag, draw(_value(kwargs))])
         else:
@@ -627,7 +667,7 @@ class TestFastParse:
             ["decompose", "x.json", "--input-format", "yaml"],
             ["facets", *WINDOW, "--format", "xml"],
             ["--format", "xml", "facets", *WINDOW],
-            ["pure", "--degrees", "-1,2", "--n", "1"],
+            ["pure", "--degrees", "-1,x", "--n", "1"],
             ["decompose", "-x"],
             ["decompose", "--input-format", "-", "x.json"],
             ["decompose", "a.json", "b.json"],
@@ -639,6 +679,29 @@ class TestFastParse:
         # required options, values the converter or choices refuse, values
         # that start with '-', and stray tokens
         assert cli._parse(argv) is None
+
+    @pytest.mark.parametrize("degrees", ["-1,2", "-3", "-0,1", "-10,-4,0,7", "-" + "9" * 30 + ",0"])
+    def test_degree_lists_match(self, degrees):
+        # a --degrees value that starts with '-' and is a degree list
+        for argv in (
+            ["pure", "--degrees", degrees, "--n", "3"],
+            ["--format", "json", "pure", "--n", "3", "--degrees", degrees],
+        ):
+            parsed = cli._parse(argv)
+            assert parsed is not None and parsed.degrees == degrees
+            assert vars(parsed) == vars(cli._build_parser().parse_args(cli._joined_degrees(argv)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--degrees", "-1,2"],
+            ["pure", "--n", "1", "--", "--degrees", "-1,2"],
+            ["pure", "--degrees", "-1,x", "--n", "1"],
+            ["pure", "--degrees"],
+        ],
+    )
+    def test_joins_only_degree_lists_of_pure(self, argv):
+        assert cli._joined_degrees(argv) == argv
 
     def test_bench_lines_match(self, monkeypatch):
         # every command line of the benchmark's windows workload

@@ -15,6 +15,7 @@ import json
 import math
 import pickle
 import random
+import re
 from dataclasses import MISSING
 from fractions import Fraction
 from itertools import islice
@@ -286,6 +287,100 @@ class TestParsersAgainstTheConstructor:
             with pytest.raises(ValueError) as ours:
                 parse_rational(token)
             assert str(ours.value) == str(stdlib.value)
+
+
+def _read(reader, b):
+    """reader(b), or the error class and message it raises."""
+    try:
+        return reader(b)
+    except UndefinedOnZero as exc:
+        return UndefinedOnZero, str(exc)
+
+
+def _position_readers(n: int, positions) -> list:
+    """Readers of a diagram's positions, and of its values at each position
+    given and off the support; none builds the Fraction entries."""
+    absent = [(0, -99), (n, 99), (n, -4)]
+    return [
+        lambda b: b.is_zero,
+        lambda b: b.support(),
+        *(lambda b, pos=pos: (b[pos], type(b[pos])) for pos in [*positions, *absent]),
+        *(lambda b, i=i: b.column_degrees(i) for i in range(n + 1)),
+        lambda b: b._column_bounds(),
+        lambda b: b.projective_dimension(),
+        lambda b: core.window_of(b),
+        # stored order is the document's: a table's is row by row
+        lambda b: (b._integer_form()[0], sorted(b._integer_form()[1])),
+    ]
+
+
+class TestIntegerFormParse:
+    """The parsers build a diagram's integer form, and its Fraction entries
+    only when first read: it must read as the constructor's diagram does."""
+
+    def test_both_forms_agree(self):
+        rng = random.Random(14)
+        for _ in range(150):
+            n, entries = seeded_document(rng)
+            doc = json.dumps({"n": n, "entries": [[i, j, raw] for (i, j), raw in entries.items()]})
+            table = emit_diagram(BettiDiagram(n, entries), "table")
+            readers = [
+                *_position_readers(n, entries),
+                lambda b: b.items(),
+                repr,
+                hash,
+            ]
+            for text, fmt in ((doc, "json"), (table, "table")):
+                if fmt == "table" and not BettiDiagram(n, entries).support():
+                    continue  # its '# n=' line builds through the constructor
+                for k, reader in enumerate(readers):
+                    # each reader first on a diagram that has built no Fraction
+                    # entry, then again once they are built
+                    parsed, expected = parse_diagram(text, fmt), BettiDiagram(n, entries)
+                    assert parsed._entries is None
+                    assert _read(reader, parsed) == _read(reader, expected), (text, k)
+                    if k < len(readers) - 3:
+                        assert parsed._entries is None, (text, k)
+                    parsed.items()
+                    assert _read(reader, parsed) == _read(reader, expected), (text, k)
+                for first, second in ((parse_diagram(text, fmt), BettiDiagram(n, entries)),
+                                      (BettiDiagram(n, entries), parse_diagram(text, fmt))):
+                    assert first == second and second == first, text
+                    assert hash(first) == hash(second), text
+
+    def test_tables_path_builds_no_entry_fraction(self, quotient_diagram, monkeypatch):
+        # parse, greedy, emit and bounds on integer tables, as a tables
+        # operation runs them: Fractions for the term coefficients and the
+        # bounds' beta_0, multiplicity and bound only
+        documents = [emit_diagram(quotient_diagram, fmt) for fmt in ("json", "table")]
+        for b in list(table_inputs(random.Random(29), 20))[::5]:
+            documents += [emit_diagram(b, fmt) for fmt in ("json", "table")]
+        calls = []
+
+        class Instances(type(Fraction)):
+            # the library's isinstance checks still see every Fraction
+            def __instancecheck__(cls, obj):
+                return isinstance(obj, Fraction)
+
+        class Counting(Fraction, metaclass=Instances):
+            def __new__(cls, *args, **kwargs):
+                calls.append(args)
+                return Fraction(*args, **kwargs)
+
+        for module in (core, io, decompose, hilbert):
+            monkeypatch.setattr(module, "Fraction", Counting)
+        steps = 0
+        for text in documents:
+            calls.clear()
+            b = parse_diagram(text, "json" if text.startswith("{") else "table")
+            assert calls == [], text
+            dec = greedy_decompose(b)
+            io.emit_decomposition(dec)
+            report = multiplicity_bounds(b)
+            assert report.passed and report.applicable, text
+            assert len(calls) == len(dec.terms) + 3, text
+            steps += len(dec.terms)
+        assert steps >= 50
 
 
 def functional_reference(f, b: BettiDiagram) -> Fraction:
@@ -663,6 +758,59 @@ class TestIntegerGreedyAndBoundsAgainstFractions:
             columns = {i for i, _ in residual}
             outcomes["column emptied after a step"] += bool(terms) and len(columns) <= max(columns)
         assert min(outcomes.values()) >= 10, outcomes
+
+    # failures the step after a cursor moved, where greedy checks the
+    # leading sequence only at the moved columns: (n, entries, message)
+    LATE_FAILURES = [
+        # a column below the top empties after two steps
+        (1, {(0, 0): 1, (0, 2): 1, (1, 3): 3}, "column 0 is empty below the projective dimension 1"),
+        # a moved front collides with its unmoved right neighbour; its
+        # unmoved left neighbour stays below it
+        (2, {(0, 0): 2, (1, 1): 1, (1, 2): 1, (1, 3): 4, (2, 3): 2}, "minimal degrees (0, 3, 3) are not strictly increasing"),
+        # the first column's front moves onto the unmoved second one; a
+        # front only rises, so it never meets an unmoved left neighbour
+        (1, {(0, 0): 1, (0, 1): 1, (0, 2): 2, (1, 2): 3}, "minimal degrees (2, 2) are not strictly increasing"),
+        # two fronts move in one step, onto one degree
+        (2, {(0, 0): 3, (0, 2): 2, (1, 1): 4, (1, 2): 3, (2, 2): 1}, "minimal degrees (2, 2) are not strictly increasing"),
+        # two fronts move in one step, and the lower column empties
+        (1, {(0, 0): 2, (1, 1): 1, (1, 2): 1, (1, 3): 1}, "column 0 is empty below the projective dimension 1"),
+        # the top column pops as a column below it empties
+        (2, {(0, 0): 2, (1, 1): 2, (1, 2): 3, (2, 4): 1}, "column 0 is empty below the projective dimension 1"),
+    ]
+
+    @pytest.mark.parametrize("n, entries, message", LATE_FAILURES)
+    def test_greedy_fails_after_a_cursor_moved(self, n, entries, message):
+        b = BettiDiagram(n, entries)
+        reason, terms, _ = check_greedy(b)
+        assert (reason, len(terms)) == (NotInCone.INVALID_LEADING_SEQUENCE, 2)
+        with pytest.raises(NotInCone, match=rf"^{re.escape(message)}$"):
+            greedy_decompose(b)
+        # the same diagram read from a document
+        text = json.dumps({"n": n, "entries": [[i, j, str(v)] for (i, j), v in entries.items()]})
+        with pytest.raises(NotInCone, match=rf"^{re.escape(message)}$"):
+            greedy_decompose(parse_diagram(text))
+
+    def test_greedy_near_misses_failing_late(self):
+        # near-misses that fail at step 2 or later; a failing pair of
+        # minimal degrees always has its lower column moved in the last step
+        rng = random.Random(31)
+        late = {"empty column": 0, "not increasing": 0}
+        for k, b in enumerate(greedy_inputs(rng, 200)):
+            if k % 4 == 0:
+                continue  # the member
+            reason, terms, residual = check_greedy(b)
+            if reason in (None, "negative") or len(terms) < 2:
+                continue
+            assert reason == NotInCone.INVALID_LEADING_SEQUENCE, b
+            top = max(i for i, _ in residual)
+            degs = [min((j for i, j in residual if i == col), default=None) for col in range(top + 1)]
+            if None in degs:
+                late["empty column"] += 1
+                continue
+            late["not increasing"] += 1
+            last = terms[-1][1]
+            assert all(degs[i] != last[i] for i in range(top) if degs[i + 1] <= degs[i]), b
+        assert min(late.values()) >= 10, late
 
     def test_one_pure_diagram_call_per_step(self, monkeypatch):
         # a traced run counts greedy steps by these calls
