@@ -400,14 +400,17 @@ _DEGREE_LIST = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
 
 def _joined_degrees(argv: list) -> list:
     """argv for argparse: after ``pure`` and before ``--``, each
-    ``--degrees`` followed by a degree list joined to it as ``--degrees=V``."""
+    ``--degrees``, or a prefix of it that argparse reads as it (``--d`` up:
+    ``pure``'s other flags are ``--n``, ``--format`` and ``--help``),
+    followed by a degree list joined to it as ``FLAG=V``."""
     out, k = [], 0
     while k < len(argv):
         token = argv[k]
         if token == "--":
             return out + argv[k:]
-        if token == "--degrees" and "pure" in out and k + 1 < len(argv) and _DEGREE_LIST.fullmatch(argv[k + 1]):
-            token = f"--degrees={argv[k + 1]}"
+        degrees_flag = token.startswith("--d") and "--degrees".startswith(token)
+        if degrees_flag and "pure" in out and k + 1 < len(argv) and _DEGREE_LIST.fullmatch(argv[k + 1]):
+            token = f"{token}={argv[k + 1]}"
             k += 1
         out.append(token)
         k += 1

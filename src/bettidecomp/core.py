@@ -134,7 +134,9 @@ class LaurentPolynomial:
 
     Supports exactly what the numerator algebra needs: addition, scalar
     multiplication, multiplication by ``(1 - t)^k``, exact division by
-    ``(1 - t)``, and evaluation.
+    ``(1 - t)``, and evaluation.  Division scales to ``int`` once, peels in
+    :func:`_peel`, the kernel ``codimension`` and ``multiplicity`` share, and
+    divides back once; ``HilbertSeries.expand`` reads the same integer form.
     """
 
     __slots__ = ("_coeffs",)
@@ -202,39 +204,25 @@ class LaurentPolynomial:
             out = out - out.shifted(1)
         return out
 
-    def exact_div_one_minus_t(self) -> "LaurentPolynomial":
-        """Exact quotient by (1 - t); raises if the remainder is nonzero.
+    def _integer_form(self) -> tuple[int, dict[int, int]]:
+        """(L, degree -> L * coefficient) with L the lcm of the denominators."""
+        scale = math.lcm(*(v.denominator for v in self._coeffs.values()))
+        return scale, {d: v.numerator * (scale // v.denominator) for d, v in self._coeffs.items()}
 
-        One synthetic division: the quotient's coefficient at d is the sum
-        of the coefficients up to d, and the last running sum, the value at
-        t = 1, is the remainder.
-        """
-        coeffs = self._coeffs
-        if not coeffs:
-            return self
-        lo, hi = min(coeffs), max(coeffs)
-        out: dict[int, Fraction] = {}
-        running = _ZERO
-        for d in range(lo, hi):
-            v = coeffs.get(d)
-            if v is not None:
-                running += v
-            out[d] = running
-        if running + coeffs[hi]:
+    def exact_div_one_minus_t(self) -> "LaurentPolynomial":
+        """Exact quotient by (1 - t); raises if the remainder is nonzero."""
+        s, q = self.peel_one_minus_t(1)
+        if not s and self._coeffs:
             raise ValueError("polynomial is not divisible by (1 - t)")
-        return LaurentPolynomial._of(out)
+        return q
 
     def peel_one_minus_t(self, cap: int | None = None) -> tuple[int, "LaurentPolynomial"]:
         """(s, Q) with self = (1 - t)^s Q and s maximal, or s = cap if smaller."""
-        s, q = 0, self
-        while (cap is None or s < cap) and not q.is_zero and not q._coefficient_sum():
-            q = q.exact_div_one_minus_t()
-            s += 1
-        return s, q
-
-    def _coefficient_sum(self) -> Fraction:
-        """The value at t = 1, without powers."""
-        return sum(self._coeffs.values(), _ZERO)
+        if not self._coeffs:
+            return 0, self
+        scale, coeffs = self._integer_form()
+        s, lo, q, _ = _peel(coeffs, cap)
+        return s, LaurentPolynomial._of({lo + k: Fraction(x, scale) for k, x in enumerate(q)})
 
     def one_minus_t_order(self) -> int:
         """Largest s with (1 - t)^s dividing the polynomial (zero poly -> error)."""
@@ -664,27 +652,36 @@ def _peeled_numerator(b: BettiDiagram, num: dict[int, int] | None = None) -> tup
     """(s, Q(1)) with S(b, t) = (1 - t)^s Q and s maximal, from one peel: the
     codimension and the multiplicity.
 
-    The peel runs in ``int`` on S times the lcm L of b's denominators, one
-    synthetic division per factor: the quotient is the prefix sums of the
-    coefficients but the last, which is the remainder, the value at t = 1.
-    ``num`` is that integer numerator, ``_integer_numerator`` of b's integer
-    form, when the caller has it already.
+    The peel runs on S times the lcm L of b's denominators.  ``num`` is that
+    integer numerator, ``_integer_numerator`` of b's integer form, when the
+    caller has it already.
     """
     if b.is_zero:
         raise UndefinedOnZero("codimension undefined for the zero diagram")
     scale, entries = b._integer_form()
     if num is None:
         num = _integer_numerator(entries)
-    degrees = [j for j, x in num.items() if x]
+    s, _, _, value = _peel(num)
+    return s, Fraction(value, scale)
+
+
+def _peel(coeffs: dict[int, int], cap: int | None = None) -> tuple[int, int, list[int], int]:
+    """(s, lo, Q, Q(1)) with P = (1 - t)^s Q and s maximal, or s = cap if
+    smaller, for P as degree -> int (zeros allowed); Q is dense from degree lo.
+
+    One synthetic division per factor: the quotient is the prefix sums of
+    the coefficients but the last, which is the remainder, the value at 1.
+    """
+    degrees = [j for j, x in coeffs.items() if x]
     if not degrees:
         raise UndefinedOnZero("order undefined for the zero polynomial")
     lo, hi = min(degrees), max(degrees)
-    quotient = [num.get(j, 0) for j in range(lo, hi + 1)]
+    quotient = [coeffs.get(j, 0) for j in range(lo, hi + 1)]
     s = 0
     while True:
         sums = list(accumulate(quotient))
-        if sums[-1]:
-            return s, Fraction(sums[-1], scale)
+        if sums[-1] or (cap is not None and s >= cap):
+            return s, lo, quotient, sums[-1]
         quotient = sums[:-1]
         s += 1
 

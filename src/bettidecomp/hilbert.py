@@ -68,7 +68,10 @@ class HilbertSeries:
         return self.numerator.is_zero
 
     def reduced(self) -> "HilbertSeries":
-        """Cancel all common (1 - t) factors between numerator and denominator."""
+        """Cancel all common (1 - t) factors between numerator and denominator:
+        equal series have equal reduced forms, the zero series with n = 0."""
+        if self.is_zero:
+            return HilbertSeries(self.numerator, 0)
         s, num = self.numerator.peel_one_minus_t(self.n)
         return HilbertSeries(num, self.n - s)
 
@@ -76,23 +79,8 @@ class HilbertSeries:
         """Power-series coefficients of t^0 .. t^depth."""
         if not _is_int(depth) or depth < 0:
             raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
-        # sum in integers: the numerator times the lcm of its denominators
-        items = self.numerator.items()
-        scale = math.lcm(*(v.denominator for _, v in items))
-        scaled = [(j, v.numerator * (scale // v.denominator)) for j, v in items]
-        n = self.n
-        out = []
-        for k in range(depth + 1):
-            total = 0
-            for j, v in scaled:
-                if j > k:
-                    break
-                if n >= 1:
-                    total += v * math.comb(k - j + n - 1, n - 1)
-                elif j == k:
-                    total += v
-            out.append(Fraction(total, scale))
-        return out
+        scale, coeffs = self.numerator._integer_form()
+        return [Fraction(x, scale) for x in _series_integers(coeffs, self.n, depth)]
 
     def __add__(self, other: "HilbertSeries") -> "HilbertSeries":
         if not isinstance(other, HilbertSeries):
@@ -110,10 +98,8 @@ class HilbertSeries:
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        hi = max(self.n, other.n)
-        return self.numerator.times_one_minus_t(hi - self.n) == other.numerator.times_one_minus_t(
-            hi - other.n
-        )
+        a, b = self.reduced(), other.reduced()
+        return a.n == b.n and a.numerator == b.numerator
 
     def __hash__(self):
         r = self.reduced()
@@ -122,14 +108,16 @@ class HilbertSeries:
 
 def _series_integers(numerator: dict[int, int], n: int, depth: int) -> list[int]:
     """Coefficients of t^0 .. t^depth of numerator / (1 - t)^n, for integer
-    coefficients at degrees >= 0: n prefix sums over the dense numerator."""
-    out = [0] * (depth + 1)
+    coefficients: n prefix sums over the dense numerator from its lowest
+    degree, or from 0 if that is higher."""
+    lo = min([0, *numerator])
+    out = [0] * (depth + 1 - lo)
     for j, x in numerator.items():
         if j <= depth:
-            out[j] += x
+            out[j - lo] += x
     for _ in range(n):
         out = list(accumulate(out))
-    return out
+    return out[-lo:]
 
 
 def hilbert_series(b: BettiDiagram) -> HilbertSeries:
@@ -236,11 +224,13 @@ def check_monotonicity(chain, depth: int) -> MonotonicityReport:
         if p.n != n:
             raise NotAChain("chain elements live in different ambient dimensions")
     pairs = []
+    ha = None
     for a, b in zip(chain, chain[1:]):
         pa, pb = pure_diagram(a.degrees, n), pure_diagram(b.degrees, n)
         if not leq(pa, pb):
             raise NotAChain(f"{a!r} and {b!r} are not comparable in order")
-        ha = hilbert_series(a.betti).expand(depth)
+        if ha is None:
+            ha = hilbert_series(a.betti).expand(depth)
         hb = hilbert_series(b.betti).expand(depth)
         diff = [x - y for x, y in zip(hb, ha)]
         bad = next((k for k, v in enumerate(diff) if v < 0), None)
@@ -253,6 +243,7 @@ def check_monotonicity(chain, depth: int) -> MonotonicityReport:
                 bad,
             )
         )
+        ha = hb
     return MonotonicityReport(depth, tuple(pairs))
 
 

@@ -68,6 +68,10 @@ class TestPure:
             ("--format", "json", "pure", "--degrees", "-1,2", "--n", "1"),
             ("pure", "--degrees", "-1,2", "--n", "1", "--format", "json"),
             ("pure", "--degrees=-1,2", "--n", "1"),
+            # a prefix argparse reads as --degrees takes the list too
+            ("pure", "--deg", "-1,2", "--n", "1"),
+            ("pure", "--n", "1", "--d", "-1,2"),
+            ("pure", "--degree", "-1,2", "--n", "1", "--format", "json"),
         ],
     )
     def test_negative_first_degree(self, capsys, argv):

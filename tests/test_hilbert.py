@@ -64,6 +64,11 @@ class TestHilbertSeries:
         assert h.is_zero
         assert h.expand(4) == [0] * 5
 
+    def test_zero_series_equal_and_hashed_alike(self):
+        a, b = hilbert_series(BettiDiagram(3, {})), hilbert_series(BettiDiagram(1, {}))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a.reduced().n == b.reduced().n == 0
+
     def test_linearity(self):
         rng = random.Random(8)
         for _ in range(30):

@@ -4,10 +4,10 @@ references, and the trusted constructors and the diagram parsers against
 the validating constructors.
 
 The references are written here from the definitions: long division by
-(1 - t) from the top degree down, a series as n-fold prefix sums of the
-numerator, and functionals and Herzog-Kuhl residuals as sums of Fraction
-products, term by term.  Derandomized, so every run checks the same
-examples."""
+(1 - t) from the top degree down, a series as the binomial convolution of
+the numerator with the coefficients of 1 / (1 - t)^n, and functionals and
+Herzog-Kuhl residuals as sums of Fraction products, term by term.
+Derandomized, so every run checks the same examples."""
 
 import copy
 import dataclasses
@@ -110,16 +110,15 @@ def times_one_minus_t(coeffs: dict, power: int) -> dict:
 
 
 def series_reference(coeffs: dict, n: int, depth: int) -> list[Fraction]:
-    """Coefficients of t^0..t^depth of p / (1 - t)^n: dividing by (1 - t)
-    is one prefix sum over the dense coefficient list."""
-    lo = min([0, *coeffs])
-    values = [Fraction(coeffs.get(d, 0)) for d in range(lo, depth + 1)]
-    for _ in range(n):
-        running = Fraction(0)
-        for k, v in enumerate(values):
-            running += v
-            values[k] = running
-    return values[-lo:] if lo else values
+    """Coefficients of t^0..t^depth of p / (1 - t)^n: the coefficient of t^m
+    in 1 / (1 - t)^n is C(m + n - 1, n - 1), and 1 itself when n = 0, so
+    t^k reads sum v C(k - j + n - 1, n - 1) over the terms v t^j, j <= k."""
+    if not n:
+        return [Fraction(coeffs.get(k, 0)) for k in range(depth + 1)]
+    return [
+        sum((v * math.comb(k - j + n - 1, n - 1) for j, v in coeffs.items() if j <= k), Fraction(0))
+        for k in range(depth + 1)
+    ]
 
 
 class TestDivisionAgainstLongDivision:
@@ -155,7 +154,7 @@ class TestDivisionAgainstLongDivision:
         assert zero.peel_one_minus_t() == (0, zero)
 
 
-class TestExpandAgainstPrefixSums:
+class TestExpandAgainstBinomialSums:
     @exact
     @given(polynomials, st.integers(0, 5), st.integers(0, 12))
     def test_expand(self, coeffs, n, depth):
@@ -168,6 +167,35 @@ class TestExpandAgainstPrefixSums:
         assert HilbertSeries(p, 0).expand(3) == [3, 0, Fraction(-2, 3), 0]
         # 1/2 t^-2 / (1 - t): every coefficient from t^-2 on reads 1/2
         assert HilbertSeries(p, 1).expand(3) == [Fraction(7, 2)] * 2 + [Fraction(17, 6)] * 2
+
+
+class TestSeriesEqualityAgainstCrossMultiplication:
+    """``HilbertSeries.__eq__`` compares reduced forms; the reference
+    cross-multiplies: P / (1 - t)^a == R / (1 - t)^c exactly when
+    P (1 - t)^c == R (1 - t)^a."""
+
+    @exact
+    @given(
+        polynomials,
+        st.none() | polynomials,
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(-1, 1),
+    )
+    def test_eq_and_hash(self, p, other, n, k1, k2, offset):
+        # p (1 - t)^k1 / (1 - t)^(n + k1) against r (1 - t)^k2 over n + k2
+        # + offset: equal series in different forms when r = p and offset
+        # is 0, a Laurent polynomial when n = 0, zero when p is empty
+        r = p if other is None else other
+        num1, num2 = times_one_minus_t(p, k1), times_one_minus_t(r, k2)
+        n1, n2 = n + k1, max(0, n + k2 + offset)
+        h1 = HilbertSeries(LaurentPolynomial(num1), n1)
+        h2 = HilbertSeries(LaurentPolynomial(num2), n2)
+        expected = times_one_minus_t(num1, n2) == times_one_minus_t(num2, n1)
+        assert (h1 == h2) is expected and (h2 == h1) is expected
+        if expected:
+            assert hash(h1) == hash(h2)
 
 
 def assert_clean(b: BettiDiagram):
