@@ -217,7 +217,11 @@ class LaurentPolynomial:
         return q
 
     def peel_one_minus_t(self, cap: int | None = None) -> tuple[int, "LaurentPolynomial"]:
-        """(s, Q) with self = (1 - t)^s Q and s maximal, or s = cap if smaller."""
+        """(s, Q) with self = (1 - t)^s Q and s maximal, or s = cap if smaller.
+
+        ``cap`` is None or an int; anything else raises ``ValueError``."""
+        if cap is not None and not _is_int(cap):
+            raise ValueError(f"cap must be an integer or None, got {cap!r}")
         if not self._coeffs:
             return 0, self
         scale, coeffs = self._integer_form()

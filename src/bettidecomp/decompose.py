@@ -49,8 +49,8 @@ from .core import (
     window_of,
 )
 from .errors import InvalidDiagram, NotInCone
-from .functionals import _functional, derived_window
-from .poset import _climb, leq
+from .functionals import _read, _rule
+from .poset import Window, _climb, leq
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,12 @@ def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationRes
     """Independently check a decomposition against its claimed input.
 
     Order and positivity hold by construction.  Verifies exact
-    reconstruction, then every coefficient through the dual functional of
-    its element in a maximal chain through the terms.  A failure's reason
-    is ``ambient_mismatch``, ``reconstruction`` or ``functional_mismatch``.
+    reconstruction, then every coefficient c through the dual functional of
+    its element in a maximal chain through the terms: the functional's
+    coefficient rule is read in ``int`` on b's integer form (L, entries),
+    and its sum times c's denominator must equal c's numerator times L.  No
+    ``Functional`` and no ``Fraction`` is built.  A failure's reason is
+    ``ambient_mismatch``, ``reconstruction`` or ``functional_mismatch``.
     """
     if dec.n != b.n:
         return VerificationResult(False, "ambient_mismatch")
@@ -259,13 +262,18 @@ def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationRes
     if len(total) != len(entries) or any(total.get(pos, 0) * size != y * scale for pos, y in entries):
         return VerificationResult(False, "reconstruction")
     # positive pure diagrams cannot cancel: the terms are a chain of w, and
-    # the dual functionals of any maximal chain through them read b's coefficients
-    w = derived_window(b)
-    seqs, cells = _climb(w, [tuple(p.degrees) for _, p in dec.terms])
-    for coeff, p in dec.terms:
-        k = seqs.index(tuple(p.degrees))
-        below, down = (pure_diagram(seqs[k - 1], w.n), cells[k - 1]) if k else (None, None)
-        above, up = (pure_diagram(seqs[k + 1], w.n), cells[k]) if k < len(cells) else (None, None)
-        if _functional(below, p, above, down, up, w)(b) != coeff:
+    # the dual functionals of any maximal chain through them read b's
+    # coefficients; nor can they at their lowest codimension, the last
+    # term's, so that is b's and w's s_min
+    w = Window(b.n, *window_of(b), dec.terms[-1][1].codimension)
+    targets = [p.degrees for _, p in dec.terms]
+    seqs, cells = _climb(w, targets)
+    k = 0
+    for (coeff, p), t in zip(dec.terms, targets):
+        while seqs[k] != t:
+            k += 1
+        d0, down = (seqs[k - 1], cells[k - 1]) if k else (None, None)
+        rule = _rule(d0, p, down, cells[k] if k < len(cells) else None, w)
+        if _read(rule, entries, w.M) * coeff.denominator != coeff.numerator * size:
             return VerificationResult(False, "functional_mismatch")
     return VerificationResult(True)

@@ -39,7 +39,8 @@ certificate.
 Functionals are evaluated in integers.  A diagram's entries scaled by the
 lcm L of their denominators are integers, its integer form, computed once
 per diagram; a functional sums in ``int`` over it, and its exact value is
-that sum over L.  ``Functional.__call__`` returns that ``Fraction``.
+that sum over L.  ``Functional.__call__`` returns that ``Fraction``;
+``verify_decomposition`` reads the coefficient rule on b's integer entries.
 
 :func:`verify_fan_convexity` and :func:`membership_by_inequalities` read
 every hyperplane of the window at once, packed one field per hyperplane
@@ -136,12 +137,7 @@ class Functional:
     def __call__(self, b: BettiDiagram) -> Fraction:
         scale, entries = b._integer_form()
         lookup = self._lookup
-        total = 0
-        for pos, x in entries:
-            c = lookup.get(pos)
-            if c:
-                total += c * x
-        return Fraction(total, scale)
+        return Fraction(sum(lookup.get(pos, 0) * x for pos, x in entries), scale)
 
 
 def _step(down: PureDiagram, up: PureDiagram, w: Window) -> tuple[int, int]:
@@ -152,50 +148,18 @@ def _step(down: PureDiagram, up: PureDiagram, w: Window) -> tuple[int, int]:
     return cell
 
 
-def _truncation_limits(p0: PureDiagram, w: Window) -> list[int]:
-    """Per-column upper degree limits d_i(pi0); N + i above the codimension.
-
-    A p0 in the window has d_i <= N + i, so no limit exceeds the ceiling."""
-    c = p0.codimension
-    return [p0.degrees[i] if i <= c else w.N + i for i in range(w.n + 1)]
-
-
-def _indicator(p1: PureDiagram, pos: tuple[int, int], w: Window, anchor):
-    # entry x / L of p1's integer form (L, entries) is the unit fraction
-    # 1 / (L / x) exactly when x > 0 divides L
-    scale, entries = p1._integer
-    x = next((x for at, x in entries if at == pos), 0)
-    if x <= 0 or scale % x:
-        raise InvariantViolated(f"entry {pos} of {p1!r} is {Fraction(x, scale)}, not a unit fraction")
-    return Functional(w, ((pos, scale // x),), FunctionalCase.ENTRY, anchor)
-
-
-def _from_formula(case, p1, prefactor, product_indices, limits, w, anchor):
-    d = p1.degrees
-    M, top = w.M, max(limits)
-    # prefactor * prod_j (d_j - deg) for deg in [M, top], one pass per factor:
-    # the product does not depend on the column
-    values = [prefactor] * (top - M + 1)
-    for j in product_indices:
-        values = list(map(mul, values, range(d[j] - M, d[j] - top - 1, -1)))
-    # column i holds (-1)^i values[deg - M] for M + i <= deg <= limit_i; the
-    # zeros dropped, in (i, deg) order
-    coeffs = tuple(
-        ((i, deg), -v if i & 1 else v)
-        for i, limit in enumerate(limits)
-        for deg, v in zip(range(M + i, limit + 1), values[i:limit - M + 1])
-        if v
-    )
-    # value 1 on p1, read in int over its integer form (L, entries): p1 has one
-    # entry per column, so sum c * x == L is O(s)
-    scale, entries = p1._integer
-    total = 0
+def _read(rule, entries, M: int) -> int:
+    """sum c * x over integer entries ((i, j), x), each position once, for
+    a :func:`_rule`; on an integer form (L, entries) the functional's value
+    is this over L."""
+    case, a, b = rule
+    if case is FunctionalCase.ENTRY:
+        return b * next((x for pos, x in entries if pos == a), 0)
+    total, cols = 0, len(b)
     for (i, j), x in entries:
-        if M + i <= j <= limits[i]:
-            total += -values[j - M] * x if i & 1 else values[j - M] * x
-    if total != scale:
-        raise InvariantViolated(f"{case.value} formula is {Fraction(total, scale)} on {p1!r}, not 1")
-    return Functional(w, coeffs, case, anchor)
+        if i < cols and M + i <= j <= b[i]:
+            total += -a[j - M] * x if i & 1 else a[j - M] * x
+    return total
 
 
 def coefficient_functional(
@@ -238,25 +202,61 @@ _CASES = {
 }
 
 
-def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
-    """Dual functional of p1 from the grid cells vacated by its cover moves
-    ``down`` (p0 -> p1) and ``up`` (p1 -> p2), None at a sentinel.  A cell
-    in the bottom row N - M is a drop, any other a raise."""
-    anchor = (p0, p1, p2)
+def _rule(d0, p1: PureDiagram, down, up, w: Window):
+    """p1's dual functional from p0's degrees d0 and the cells ``down``
+    (p0 -> p1) and ``up`` (p1 -> p2) vacate, None at a sentinel (a cell in
+    row N - M is a drop): ``(ENTRY, pos, c)``, c * beta[pos], or ``(case,
+    values, limits)``, column i holding (-1)^i values[deg - M] for
+    M + i <= deg <= limits[i].  :func:`_functional` builds it; :func:`_read`
+    sums it over integer entries, b's in ``verify_decomposition``."""
     m = p1.codimension
     d = p1.degrees
     if down is None:
         col = 0 if up is None else up[1]
-        return _indicator(p1, (col, d[col]), w, anchor)
-    D = down[1]
-    U = m if up is None else up[1]
-    if D == U or (up is None and D <= m):
-        return _indicator(p1, (D, d[D]), w, anchor)
-    bottom = w.N - w.M
-    case = _CASES[down[0] < bottom, up is not None and up[0] < bottom]
-    prefactor = 1 if D == m + 1 else d[D] - d[U]
-    product = [j for j in range(m + 1) if j not in (D, U)]
-    return _from_formula(case, p1, prefactor, product, _truncation_limits(p0, w), w, anchor)
+    else:
+        col, U = down[1], m if up is None else up[1]
+        if col != U and (up is not None or col > m):
+            bottom = w.N - w.M
+            case = _CASES[down[0] < bottom, up is not None and up[0] < bottom]
+            # p0's degrees, and the ceiling N + i above its codimension
+            limits = [*d0, *range(w.N + len(d0), w.N + w.n + 1)]
+            M, top = w.M, max(limits)
+            # prefactor * prod_j (d_j - deg) for deg in [M, top], one pass per
+            # factor: the product does not depend on the column
+            values = [1 if col == m + 1 else d[col] - d[U]] * (top - M + 1)
+            for j in range(m + 1):
+                if j != col and j != U:
+                    values = list(map(mul, values, range(d[j] - M, d[j] - top - 1, -1)))
+            return case, values, limits
+    # one scaled Betti number: entry x / L of p1's integer form (L, entries)
+    # is the unit fraction 1 / (L / x) exactly when x > 0 divides L
+    pos = (col, d[col])
+    scale, entries = p1._integer
+    x = next((x for at, x in entries if at == pos), 0)
+    if x <= 0 or scale % x:
+        raise InvariantViolated(f"entry {pos} of {p1!r} is {Fraction(x, scale)}, not a unit fraction")
+    return FunctionalCase.ENTRY, pos, scale // x
+
+
+def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
+    """Dual functional of p1 from :func:`_rule`; a formula must read 1 on p1."""
+    anchor, M = (p0, p1, p2), w.M
+    rule = case, a, b = _rule(None if p0 is None else p0.degrees, p1, down, up, w)
+    if case is FunctionalCase.ENTRY:
+        return Functional(w, ((a, b),), case, anchor)
+    scale, entries = p1._integer
+    total = _read(rule, entries, M)
+    if total != scale:
+        raise InvariantViolated(f"{case.value} formula is {Fraction(total, scale)} on {p1!r}, not 1")
+    # column i holds (-1)^i values[deg - M] for M + i <= deg <= limit_i; the
+    # zeros dropped, in (i, deg) order
+    coeffs = tuple(
+        ((i, deg), -v if i & 1 else v)
+        for i, limit in enumerate(b)
+        for deg, v in zip(range(M + i, limit + 1), a[i:limit - M + 1])
+        if v
+    )
+    return Functional(w, coeffs, case, anchor)
 
 
 def _check_in_subspace(b: BettiDiagram, w: Window) -> None:

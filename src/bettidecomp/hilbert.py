@@ -52,6 +52,12 @@ from .errors import (
 from .poset import leq
 
 
+def _check_depth(depth) -> None:
+    """A truncation depth is an int >= 0; anything else raises ``ValueError``."""
+    if not _is_int(depth) or depth < 0:
+        raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
+
+
 @dataclass(frozen=True)
 class HilbertSeries:
     """Rational function numerator / (1 - t)^n with exact coefficients."""
@@ -77,8 +83,7 @@ class HilbertSeries:
 
     def expand(self, depth: int) -> list[Fraction]:
         """Power-series coefficients of t^0 .. t^depth."""
-        if not _is_int(depth) or depth < 0:
-            raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
+        _check_depth(depth)
         scale, coeffs = self.numerator._integer_form()
         return [Fraction(x, scale) for x in _series_integers(coeffs, self.n, depth)]
 
@@ -212,8 +217,10 @@ def check_monotonicity(chain, depth: int) -> MonotonicityReport:
     one ambient dimension.  Each consecutive pair must have a series
     difference that is componentwise >= 0 up to ``depth`` and not
     identically zero; an identical pair is reported as non-strict rather
-    than rejected.
+    than rejected.  ``depth`` is checked first, as ``HilbertSeries.expand``
+    checks it, whatever the chain's length.
     """
+    _check_depth(depth)
     chain = list(chain)
     if not chain:
         raise NotAChain("empty chain")
@@ -323,8 +330,8 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     verdict.  Slack vectors are exact coefficient differences.  A ``depth``
     other than None or an integer >= 0 raises ``ValueError`` before any check.
     """
-    if depth is not None and (not _is_int(depth) or depth < 0):
-        raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
+    if depth is not None:
+        _check_depth(depth)
     bounds = _check_generators(b)
     # b's numerator in integers: one peel of it gives both the codimension
     # and the multiplicity e = Q(1), and it is the b half of both slacks

@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from operator import le
 from typing import Iterator
 
 from .core import DegreeSequence, PureDiagram, _is_int, pure_diagram
@@ -121,7 +122,7 @@ def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
 
 def _below(d: tuple, e: tuple) -> bool:
     """pi(d) <= pi(e) on degree sequences."""
-    return len(d) >= len(e) and all(a <= b for a, b in zip(d, e))
+    return len(d) >= len(e) and all(map(le, d, e))
 
 
 def leq(p: PureDiagram, q: PureDiagram) -> bool:
@@ -345,22 +346,34 @@ def _walk(w: Window):
 def _climb(w: Window, targets):
     """One maximal chain of w through a chain of targets, as _walk's (seqs, cells).
 
-    From the window minimum, for each target and then the maximum, take the
-    first move of :func:`_moves` still below it.  This never dead-ends: an
-    element x strictly below a target t has a cover still below t (raise
-    the largest index with x_i < t_i when the lengths agree, otherwise
-    raise the last degree of x, or drop it on its ceiling).  The targets
-    must form a chain in w; ``InvariantViolated`` if the climb is stuck.
+    From the window minimum, for each target and then the maximum, take one
+    cover still below it, read off directly: an element x strictly below a
+    target t of the same length raises x_i for the last i with x_i < t_i; a
+    longer x raises its last degree, or drops it on its ceiling.  Each is a
+    move of :func:`_moves` that stays below t, so the climb never dead-ends.
+    The targets must form a chain in w; ``InvariantViolated`` when a target
+    is not in w or not above the element reached.
     """
-    cur = tuple(range(w.M, w.M + w.n + 1))
+    N, M, s_min = w.N, w.M, w.s_min
+    cur = tuple(range(M, M + w.n + 1))
     seqs, cells = [cur], []
-    for t in (*targets, tuple(w.max_element().degrees)):
+    for t in (*targets, tuple(range(N, N + s_min + 1))):
+        last = len(t) - 1
+        if last < s_min or t[last] > N + last or not _below(cur, t):
+            raise InvariantViolated(f"no cover of {cur} in {w} lies below {t}")
         while cur != t:
-            cur, cell = next((m for m in _moves(cur, w) if _below(m[0], t)), (None, None))
-            if cur is None:
-                raise InvariantViolated(f"no cover of {seqs[-1]} in {w} lies below {t}")
+            i = len(cur) - 1
+            if i == last:
+                while cur[i] == t[i]:
+                    i -= 1
+            elif cur[i] == N + i:
+                cur = cur[:-1]
+                seqs.append(cur)
+                cells.append((N - M, i))
+                continue
+            cells.append((cur[i] - i - M, i))
+            cur = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
             seqs.append(cur)
-            cells.append(cell)
     return tuple(seqs), tuple(cells)
 
 

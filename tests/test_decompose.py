@@ -185,18 +185,22 @@ class TestVerifyDecomposition:
         # reconstruction holds, so only a dual functional that misreads a
         # coefficient can fail the check
         dec = greedy_decompose(quotient_diagram)
-        real = decompose._functional
+        real_rule, real_read = decompose._rule, decompose._read
         seen = []
 
-        def misread(p0, p1, p2, down, up, w):
-            seen.append((p0, p1, p2))
-            f = real(p0, p1, p2, down, up, w)
-            return f if len(seen) < 3 else (lambda b: f(b) + 1)
+        def rule(d0, p1, down, up, w):
+            seen.append(p1)
+            return real_rule(d0, p1, down, up, w)
 
-        monkeypatch.setattr(decompose, "_functional", misread)
+        def misread(rule, entries, M):
+            total = real_read(rule, entries, M)
+            return total if len(seen) < 3 else total + 1
+
+        monkeypatch.setattr(decompose, "_rule", rule)
+        monkeypatch.setattr(decompose, "_read", misread)
         result = verify_decomposition(dec, quotient_diagram)
         assert not result and result.reason == "functional_mismatch"
-        assert [p1 for _, p1, _ in seen] == dec.diagrams()[:3]
+        assert seen == dec.diagrams()[:3]
 
     def test_wrong_diagram_fails(self, quotient_diagram):
         dec = greedy_decompose(quotient_diagram)

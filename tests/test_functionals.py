@@ -30,7 +30,7 @@ from bettidecomp import functionals
 from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace, WindowMismatch
 from bettidecomp.functionals import derived_window
 from bettidecomp.packing import Packing
-from bettidecomp.poset import _below, _moves
+from bettidecomp.poset import _below, _diagrams, _moves, _walk
 
 
 def cover_triple_sweep():
@@ -178,6 +178,44 @@ class TestCoefficientFunctional:
                 positions = [pos for pos, _ in f.coefficients]
                 assert all(a < b for a, b in zip(positions, positions[1:])), f
                 assert all(c != 0 for _, c in f.coefficients), f
+
+
+class TestRuleReader:
+    """The integer reader of a coefficient rule against the built Functional."""
+
+    def test_reader_matches_functional_on_every_chain_triple(self):
+        rng = random.Random(22)
+        seen = set()
+        for n in range(5):
+            for width in range(3):
+                for s_min in range(n + 1):
+                    for M in (0, -1):
+                        w = Window(n, M, M + width, s_min)
+                        # the window's rows and one more on either side
+                        cells = [(i, j) for i in range(n + 1) for j in range(M - 1 + i, M + width + 2 + i)]
+                        table = _diagrams(w)
+                        for chain, vacated in _walk(w):
+                            last = len(chain) - 1
+                            for k, d1 in enumerate(chain):
+                                d0 = chain[k - 1] if k else None
+                                d2 = chain[k + 1] if k < last else None
+                                if (w, d0, d1, d2) in seen:
+                                    continue
+                                seen.add((w, d0, d1, d2))
+                                p1 = table[d1]
+                                down = vacated[k - 1] if k else None
+                                up = vacated[k] if k < last else None
+                                rule = functionals._rule(d0, p1, down, up, w)
+                                f = coefficient_functional(table.get(d0), p1, table.get(d2), w)
+                                assert rule[0] is f.case, (w, p1)
+                                scale, entries = p1._integer
+                                assert functionals._read(rule, entries, M) == scale, (w, p1)
+                                for _ in range(2):
+                                    picked = rng.sample(cells, min(len(cells), 6))
+                                    b = BettiDiagram(n, {pos: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for pos in picked})
+                                    scale, entries = b._integer_form()
+                                    assert functionals._read(rule, entries, M) == f(b) * scale, (w, p1, b)
+        assert len(seen) == 2994
 
 
 class TestEvaluate:
@@ -621,29 +659,36 @@ class TestInvariantsRaise:
     """Internal invariants raise under ``python -O`` too."""
 
     def test_indicator_needs_a_unit_fraction(self):
+        # below the window minimum with p1 -> p2 vacating a cell of column 1,
+        # the functional is 6 times p1's entry at (1, 2)
         w = Window(3, 0, 5, 0)
         p = pure_diagram((0, 2, 3, 5), 3)
-        assert functionals._indicator(p, (1, 2), w, (None, p, None)).coefficients == (((1, 2), 6),)
+        assert functionals._rule(None, p, None, (0, 1), w) == (FunctionalCase.ENTRY, (1, 2), 6)
         # the indicator reads its element's integer form: one whose entry at
         # (1, 2) is 5, as the normalized diagram's is, is not a unit fraction
         normalized = normalize(p)
         assert normalized.betti[(1, 2)] == 5
-        stand_in = SimpleNamespace(_integer=normalized.betti._integer_form())
+        stand_in = SimpleNamespace(codimension=3, degrees=p.degrees, _integer=normalized.betti._integer_form())
         with pytest.raises(InvariantViolated, match="not a unit fraction"):
-            functionals._indicator(stand_in, (1, 2), w, (None, None, None))
-        # a position that is not one of p's entries
+            functionals._rule(None, stand_in, None, (0, 1), w)
+        # a position that is not one of the integer form's entries
+        stand_in = SimpleNamespace(codimension=3, degrees=(0, 3, 4, 5), _integer=p._integer)
         with pytest.raises(InvariantViolated, match="not a unit fraction"):
-            functionals._indicator(p, (1, 3), w, (None, None, None))
+            functionals._rule(None, stand_in, None, (0, 1), w)
 
-    def test_formula_must_be_one_on_its_element(self):
+    def test_formula_must_be_one_on_its_element(self, monkeypatch):
         # pi(2, 3, 4, 5) < pi(2, 3, 4) < pi(2, 3): two drops, the fourth formula
         w = Window(3, 0, 2, 0)
         p0, p1, p2 = pure_diagram((2, 3, 4, 5), 3), pure_diagram((2, 3, 4), 3), pure_diagram((2, 3), 3)
-        limits = functionals._truncation_limits(p0, w)
-        args = (FunctionalCase.FOURTH, p1, 1, range(2), limits, w, (p0, p1, p2))
-        assert functionals._from_formula(*args)(p1.betti) == 1
-        with pytest.raises(InvariantViolated):
-            functionals._from_formula(FunctionalCase.FOURTH, p1, 2, *args[3:])
+        down, up = functionals._step(p0, p1, w), functionals._step(p1, p2, w)
+        case, values, limits = functionals._rule(p0.degrees, p1, down, up, w)
+        assert case is FunctionalCase.FOURTH
+        assert functionals._functional(p0, p1, p2, down, up, w)(p1.betti) == 1
+        # the same rule with prefactor 2 reads 2 on p1
+        doubled = (case, [2 * v for v in values], limits)
+        monkeypatch.setattr(functionals, "_rule", lambda *args: doubled)
+        with pytest.raises(InvariantViolated, match="fourth formula is 2 on"):
+            functionals._functional(p0, p1, p2, down, up, w)
 
     def test_chain_expansion_residual_must_vanish_in_the_subspace(self, monkeypatch):
         # a maximal chain is a basis, so only a diagram outside the subspace

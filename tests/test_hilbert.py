@@ -198,6 +198,17 @@ class TestMonotonicity:
         with pytest.raises(NotAChain):
             check_monotonicity([b, a], 10)
 
+    @pytest.mark.parametrize("depth", [-1, "x", 1.5, True, None])
+    def test_depth_checked_whatever_the_length(self, depth):
+        # a one-element chain compares nothing, so it must check depth first
+        chain = [normalize(pure_diagram((0, 1), 1)), normalize(pure_diagram((0, 2), 1))]
+        messages = set()
+        for k in (1, 2):
+            with pytest.raises(ValueError) as err:
+                check_monotonicity(chain[:k], depth)
+            messages.add(str(err.value))
+        assert messages == {f"depth must be an integer >= 0, got {depth!r}"}
+
     def test_all_cover_pairs_small_windows(self):
         depth = 20
         for n in range(0, 4):

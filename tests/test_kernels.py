@@ -153,6 +153,21 @@ class TestDivisionAgainstLongDivision:
         assert zero.exact_div_one_minus_t() == zero
         assert zero.peel_one_minus_t() == (0, zero)
 
+    @pytest.mark.parametrize("cap", [1.5, True, False, "1", Fraction(1)])
+    def test_peel_cap_must_be_an_int(self, cap):
+        for poly in (LaurentPolynomial({0: 1, 1: -1}), LaurentPolynomial()):
+            with pytest.raises(ValueError, match="cap must be an integer"):
+                poly.peel_one_minus_t(cap)
+
+    def test_peel_int_caps(self):
+        # (1 - t)^2 (1 + t): every int cap peels min(cap, 2) factors, a
+        # cap <= 0 none; None peels both
+        poly = LaurentPolynomial({0: 1, 1: -1, 2: -1, 3: 1})
+        for cap in (-1, 0, 1, 2, 3, None):
+            s, quotient = poly.peel_one_minus_t(cap)
+            assert s == (2 if cap is None else max(0, min(cap, 2)))
+            assert quotient.times_one_minus_t(s) == poly
+
 
 class TestExpandAgainstBinomialSums:
     @exact

@@ -1,5 +1,6 @@
 """Partial order, covers, maximal chains, tableau bijection."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -376,6 +377,36 @@ class TestClimb:
                         assert chain.is_maximal(), (w, sub)
                         assert cells == chain.vacated, (w, sub)
                         assert set(sub) <= set(climbed), (w, sub)
+
+    def test_every_step_is_a_cover_move(self):
+        # random sub-chains of mixed codimension, s_min > 0 included: the
+        # direct climb takes only moves that _moves lists
+        rng = random.Random(22)
+        climbs = 0
+        for n in range(5):
+            for width in range(3):
+                for s_min in range(n + 1):
+                    w = Window(n, 0, width, s_min)
+                    full = list(maximal_chains(w))
+                    for chain in rng.sample(full, min(len(full), 30)):
+                        sub = [d for d in seqs(chain) if rng.random() < 0.3]
+                        climbed, cells = poset._climb(w, sub)
+                        assert len(climbed) == chain_length(w) == len(cells) + 1, (w, sub)
+                        assert climbed[0] == tuple(w.min_element().degrees), (w, sub)
+                        assert climbed[-1] == tuple(w.max_element().degrees), (w, sub)
+                        for a, b, cell in zip(climbed, climbed[1:], cells):
+                            assert (b, cell) in poset._moves(a, w), (w, sub, a)
+                        at = [climbed.index(d) for d in sub]
+                        assert at == sorted(at), (w, sub)
+                        climbs += 1
+        assert climbs == 452
+
+    def test_target_outside_window_raises(self):
+        w = Window(2, 0, 1, 1)
+        # above the ceiling, and below the codimension floor
+        for target in ((0, 1, 4), (1,)):
+            with pytest.raises(InvariantViolated, match="no cover of"):
+                poset._climb(w, (target,))
 
     def test_stuck_climb_raises(self):
         # a target below the previous one leaves no cover to take
