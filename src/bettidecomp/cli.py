@@ -206,12 +206,13 @@ def _cmd_chains(args, fmt):
     # written a batch at a time, so a listing of a million chains is never
     # held encoded; the bytes are those _print_struct prints for the list of
     # maximal_chains, and the first batch raises WindowTooLarge before any
-    # is written.  Each degree sequence is JSON-encoded once per listing.
-    text = functools.cache(json.dumps)
+    # is written.  Each degree sequence is encoded once per listing: the
+    # repr of a list of ints is its JSON text.
+    text = functools.cache(lambda seq: repr(list(seq)))
     sep = "["
-    while batch := [seqs for seqs, _ in itertools.islice(chains, _CHAIN_BATCH)]:
+    while batch := [seqs for seqs, _, _ in itertools.islice(chains, _CHAIN_BATCH)]:
         if fmt == "json":
-            sys.stdout.write(sep + ", ".join("[" + ", ".join(map(text, seqs)) + "]" for seqs in batch))
+            sys.stdout.write(sep + ", ".join(["[" + ", ".join(map(text, seqs)) + "]" for seqs in batch]))
             sep = ", "
         else:
             print(_human([list(map(list, seqs)) for seqs in batch]))

@@ -39,10 +39,10 @@ maximal one takes a single greedy climb.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
-from operator import le
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations_with_replacement, repeat
+from operator import itemgetter, le
 from typing import Iterator
 
 from .core import DegreeSequence, PureDiagram, _is_int, pure_diagram
@@ -152,8 +152,27 @@ def _moves(d: tuple, w: Window):
 
 
 def _cell(d: tuple, e: tuple, w: Window) -> tuple[int, int] | None:
-    """The grid cell that the cover pi(d) -> pi(e) vacates, or None."""
-    return next((cell for nd, cell in _moves(d, w) if nd == e), None)
+    """The grid cell that the cover pi(d) -> pi(e) vacates, or None.
+
+    Reads the one step directly, in O(s), by the rules of :func:`_moves`:
+    e is d with its last degree dropped, or d raised by one at the first
+    index where the two differ.  Tier-1 checks it against the ``_moves``
+    scan on every pair of diagrams of the small windows.
+    """
+    last = len(d) - 1
+    if len(e) == last:
+        if last > w.s_min and d[last] == w.N + last and d[:-1] == e:
+            return (w.N - w.M, last)
+        return None
+    if len(e) != last + 1 or d == e:
+        return None
+    i = 0
+    while d[i] == e[i]:
+        i += 1
+    di = d[i]
+    if e[i] == di + 1 and di < w.N + i and (i == last or di + 1 < d[i + 1]) and d[i + 1:] == e[i + 1:]:
+        return (di - i - w.M, i)
+    return None
 
 
 def covers(p: PureDiagram, q: PureDiagram, w: Window) -> bool:
@@ -175,16 +194,45 @@ class Chain:
 
     The empty chain is allowed: it spans the zero cone, the one facet of the
     fan of a window holding a single pure diagram.
+
+    ``vacated`` holds the grid cell each step vacates, or None where a step
+    is not a cover.  Validation reads each step once.  A cover step from a
+    diagram of the window stays in the window and goes strictly up, so a
+    chain whose first element lies in the window and whose every step has a
+    cell (:func:`_cell`) is valid.  Any other chain is checked element by
+    element, then pair by pair: ``WindowMismatch`` for an element outside
+    the window comes before ``NotAChain``.
     """
 
     elements: tuple[PureDiagram, ...]
     window: Window
+    vacated: tuple[tuple[int, int] | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for p in self.elements:
-            if not self.window.contains(p):
-                raise WindowMismatch(f"{p!r} is not a valid diagram of {self.window}")
-        for a, b in zip(self.elements, self.elements[1:]):
+        w = self.window
+        if not isinstance(w, Window):
+            raise WindowMismatch(f"chain window must be a Window, got {w!r}")
+        try:
+            elements = tuple(self.elements)
+        except TypeError:
+            raise NotAChain(f"chain elements must be a sequence of pure diagrams, got {self.elements!r}") from None
+        object.__setattr__(self, "elements", elements)
+        n = w.n
+        # the degrees of every element, when each is a pure diagram of w's n
+        seqs = [p.degrees for p in elements if isinstance(p, PureDiagram) and p.n == n]
+        if len(seqs) == len(elements) and (not seqs or w.contains(elements[0])):
+            vacated = tuple(map(_cell, seqs, seqs[1:], repeat(w)))
+            object.__setattr__(self, "vacated", vacated)
+            if None not in vacated:
+                return
+        # a valid chain gets here only with a step that is not a cover, so
+        # with its vacated already set
+        for p in elements:
+            if not isinstance(p, PureDiagram):
+                raise WindowMismatch(f"chain element {p!r} is not a pure diagram")
+            if not w.contains(p):
+                raise WindowMismatch(f"{p!r} is not a valid diagram of {w}")
+        for a, b in zip(elements, elements[1:]):
             if a == b or not leq(a, b):
                 raise NotAChain(f"{a!r} and {b!r} are not strictly increasing")
 
@@ -196,7 +244,7 @@ class Chain:
         nothing to validate; ``vacated`` holds the cells of the moves.
         """
         chain = object.__new__(cls)
-        # a frozen dataclass's fields and cached properties live in __dict__
+        # a frozen dataclass's fields live in __dict__
         chain.__dict__.update(elements=elements, window=window, vacated=vacated)
         return chain
 
@@ -211,13 +259,6 @@ class Chain:
 
     def degree_sequences(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(p.degrees) for p in self.elements)
-
-    @cached_property
-    def vacated(self) -> tuple[tuple[int, int] | None, ...]:
-        """Grid cell vacated by each step, or None where the step is not a cover."""
-        w = self.window
-        seqs = self.degree_sequences()
-        return tuple(_cell(a, b, w) for a, b in zip(seqs, seqs[1:]))
 
     def is_maximal(self) -> bool:
         w = self.window
@@ -290,18 +331,25 @@ def chain_from_tableau(t: Tableau, w: Window) -> Chain:
     return Chain._of_moves(tuple(pure_diagram(s, w.n) for s in seqs), w, cells)
 
 
-def _row_major(cells, w: Window) -> tuple[int, ...]:
-    """Row-major numbering of the grid of a maximal chain from its vacated cells.
+def _survivors(w: Window) -> list[int]:
+    """The row-major grid of w numbered at the survivors of the maximum only.
 
-    The survivors of the maximum are numbered last, bottom row right to left.
+    They are numbered after every step of a maximal chain, bottom row right
+    to left; every other cell holds 0 until a step vacates it.
     """
-    cols = w.n + 1
     flat = [0] * w.grid_size
+    top = chain_length(w) + w.s_min
+    for c in range(w.s_min + 1):
+        flat[(w.rows - 1) * (w.n + 1) + c] = top - c
+    return flat
+
+
+def _row_major(cells, w: Window) -> tuple[int, ...]:
+    """Row-major numbering of the grid of a maximal chain from its vacated cells."""
+    cols = w.n + 1
+    flat = _survivors(w)
     for k, (r, c) in enumerate(cells, 1):
         flat[r * cols + c] = k
-    top = len(cells) + 1 + w.s_min
-    for c in range(w.s_min + 1):
-        flat[(w.rows - 1) * cols + c] = top - c
     return tuple(flat)
 
 
@@ -319,12 +367,18 @@ def _walk(w: Window):
     """Lazily walk every maximal chain of w, depth first over :func:`_moves`.
 
     Yields the degree sequences and the vacated cells of each chain, in
-    move order; :func:`_sorted_walk` sorts them into tableau order.  Each
+    move order, and its row-major tableau numbering, the key by which
+    :func:`_sorted_walk` sorts them.  The numbering is kept in place: the
+    survivors are numbered once, and each move, carrying its cell's
+    row-major index, stores its step number there.  Every chain vacates
+    every other cell, so no number of an earlier chain is left over.  Each
     diagram's cover moves are derived once per walk, and not kept after it.
     """
     length = chain_length(w)
+    cols = w.n + 1
     seqs, cells = [None] * length, [None] * length
-    pending = [iter(((tuple(range(w.M, w.M + w.n + 1)), None),))]
+    flat = _survivors(w)
+    pending = [iter(((tuple(range(w.M, w.M + w.n + 1)), None, None),))]
     moves_of = {}
     while pending:
         depth = len(pending) - 1
@@ -332,15 +386,17 @@ def _walk(w: Window):
         if move is None:
             pending.pop()
             continue
-        seqs[depth], cells[depth] = move
+        seqs[depth], cells[depth], at = move
+        if depth:
+            flat[at] = depth
         if depth + 1 < length:
             d = move[0]
             out = moves_of.get(d)
             if out is None:
-                out = moves_of[d] = _moves(d, w)
+                out = moves_of[d] = [(nd, cell, cell[0] * cols + cell[1]) for nd, cell in _moves(d, w)]
             pending.append(iter(out))
             continue
-        yield tuple(seqs), tuple(cells[1:])
+        yield tuple(seqs), tuple(cells[1:]), tuple(flat)
 
 
 def _climb(w: Window, targets):
@@ -390,7 +446,8 @@ def count_maximal_chains(w: Window) -> int:
 
 
 def _sorted_walk(w: Window, limit: int | None = None):
-    """Every maximal chain of w as _walk's (seqs, cells), in tableau order.
+    """Every maximal chain of w as _walk's (seqs, cells, numbering), sorted on
+    the numbering: tableau order.
 
     A generator: when the window has more than ``limit`` chains, the first
     ``next()`` raises ``WindowTooLarge`` with the count before any move is
@@ -403,7 +460,7 @@ def _sorted_walk(w: Window, limit: int | None = None):
         count = count_maximal_chains(w)
         if count > limit:
             raise WindowTooLarge(f"window has {count} maximal chains, more than {limit}")
-    yield from sorted(_walk(w), key=lambda item: _row_major(item[1], w))
+    yield from sorted(_walk(w), key=itemgetter(2))
 
 
 def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
@@ -419,6 +476,6 @@ def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     :meth:`Window.pure_diagrams`, and their vacated cells come from the walk.
     """
     table = None
-    for seqs, cells in _sorted_walk(w, limit):
+    for seqs, cells, _ in _sorted_walk(w, limit):
         table = table or _diagrams(w)  # once, and only past the limit check
         yield Chain._of_moves(tuple(map(table.__getitem__, seqs)), w, cells)

@@ -227,7 +227,7 @@ class TestChains:
     def test_streamed_listing_is_the_whole_document(self, capsys, monkeypatch, fmt, batch):
         # (2, 0, 5, 2) has 6,006 chains: two batches at 4096
         monkeypatch.setattr(cli, "_CHAIN_BATCH", batch)
-        for n, M, N, s in [(0, 0, 2, 0), (1, 0, 3, 1), (2, 0, 2, 1), (3, 0, 2, 0), (2, 0, 5, 2)]:
+        for n, M, N, s in [(0, 0, 2, 0), (1, 0, 3, 1), (2, 0, 2, 1), (3, 0, 2, 0), (2, 0, 5, 2), (2, -2, 0, 1)]:
             code, out, err = run_cli(
                 capsys, "chains", "--n", str(n), "--M", str(M), "--N", str(N), "--s", str(s), "--format", fmt
             )

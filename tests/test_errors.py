@@ -89,6 +89,36 @@ class TestChainValidation:
         with pytest.raises(WindowMismatch):
             Chain((pure_diagram((0, 5), 2),), w)
 
+    def test_window_error_comes_before_order_error(self):
+        w = Window(2, 0, 1)
+        down = (pure_diagram((0, 2), 2), pure_diagram((0, 1), 2))
+        with pytest.raises(WindowMismatch, match=r"pi\(0, 5\) is not a valid diagram"):
+            Chain((*down, pure_diagram((0, 5), 2)), w)
+        # cover steps throughout, but the last element has another n
+        with pytest.raises(WindowMismatch, match=r"pi\(0, 1, 3\) is not a valid diagram"):
+            Chain((pure_diagram((0, 1, 2), 2), pure_diagram((0, 1, 3), 3)), w)
+
+    def test_elements_are_stored_as_a_tuple(self):
+        w = Window(2, 0, 1)
+        steps = [pure_diagram((0, 1, 2), 2), pure_diagram((0, 1), 2)]
+        chain = Chain(steps, w)
+        assert chain == Chain(tuple(steps), w)
+        assert hash(chain) == hash(Chain(tuple(steps), w))
+        assert chain.elements == tuple(steps)
+
+    @pytest.mark.parametrize(
+        "elements,window,error,named",
+        [
+            (((0, 1, 2),), Window(2, 0, 1), WindowMismatch, r"\(0, 1, 2\) is not a pure diagram"),
+            ((pure_diagram((0, 1), 2),), (2, 0, 1), WindowMismatch, r"must be a Window, got \(2, 0, 1\)"),
+            (None, Window(2, 0, 1), NotAChain, "got None"),
+        ],
+        ids=["tuple-element", "tuple-window", "no-elements"],
+    )
+    def test_bad_arguments_are_named(self, elements, window, error, named):
+        with pytest.raises(error, match=named):
+            Chain(elements, window)
+
     def test_covers_rejects_foreign_diagrams(self):
         w = Window(2, 0, 1)
         with pytest.raises(WindowMismatch):

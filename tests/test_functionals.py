@@ -194,7 +194,7 @@ class TestRuleReader:
                         # the window's rows and one more on either side
                         cells = [(i, j) for i in range(n + 1) for j in range(M - 1 + i, M + width + 2 + i)]
                         table = _diagrams(w)
-                        for chain, vacated in _walk(w):
+                        for chain, vacated, _ in _walk(w):
                             last = len(chain) - 1
                             for k, d1 in enumerate(chain):
                                 d0 = chain[k - 1] if k else None

@@ -105,6 +105,31 @@ class TestCovers:
         assert not covers(pure_diagram((0, 1), 3), pure_diagram((0, 3), 3), w)
 
 
+def small_windows():
+    """Every window with n <= 3, width <= 2 and every s_min, and two with M != 0."""
+    for n in range(4):
+        for width in range(3):
+            for s_min in range(n + 1):
+                yield Window(n, 0, width, s_min)
+    yield Window(2, -1, 1, 1)
+    yield Window(3, 2, 3, 0)
+
+
+class TestCell:
+    def test_direct_read_matches_the_move_scan(self):
+        # d and e range over a window one row wider on either side, at
+        # codimension 0: pairs of every length, and e (or d) outside w
+        pairs = 0
+        for w in small_windows():
+            pool = list(poset._diagrams(Window(w.n, w.M - 1, w.N + 1, 0)))
+            for d in pool:
+                scanned = dict(poset._moves(d, w))
+                for e in pool:
+                    assert poset._cell(d, e, w) == scanned.get(e), (w, d, e)
+                    pairs += 1
+        assert pairs == 108_984
+
+
 class TestChainLength:
     @pytest.mark.parametrize(
         "w,expected",
@@ -187,9 +212,15 @@ class TestMaximalChains:
                     assert count_maximal_chains(w) == brute_force_numbering_count(w), w
 
     def test_deterministic_tableau_order(self):
-        w = Window(2, 0, 1)
-        tabs = [tableau_from_chain(c).row_major() for c in maximal_chains(w)]
-        assert tabs == sorted(tabs)
+        # the walk keeps each chain's numbering in place; _row_major, which
+        # tableau_from_chain reads, is the oracle for it and for the order
+        for w in small_windows():
+            walked = list(poset._walk(w))
+            for seqs, cells, numbering in walked:
+                assert numbering == poset._row_major(cells, w), (w, seqs)
+            tabs = [tableau_from_chain(c).row_major() for c in maximal_chains(w)]
+            assert len(tabs) == len(walked) == count_maximal_chains(w), w
+            assert all(a < b for a, b in zip(tabs, tabs[1:])), w
 
     def test_consecutive_pairs_are_covers(self):
         w = Window(2, 0, 2, 0)
