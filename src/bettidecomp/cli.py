@@ -38,7 +38,8 @@ from .core import BettiDiagram, _parse_int, hk_residuals, pure_diagram, window_o
 from .decompose import greedy_decompose
 from .errors import BettiError, NotInCone, ParseError, WindowTooLarge
 from .functionals import (
-    boundary_facets,
+    _boundary_facets_cached,
+    _grid,
     derived_window,
     expand_in_chain,
     membership_by_inequalities,
@@ -115,14 +116,6 @@ def _print_struct(obj, fmt: str) -> None:
         print(dio.emit_report(obj))
     else:
         print(_human(dio.encode(obj)))
-
-
-def _print_encoded(encoded, fmt: str) -> None:
-    """Print data that is already JSON-serializable, as _print_struct does."""
-    if fmt == "json":
-        print(json.dumps(encoded, sort_keys=True))
-    else:
-        print(_human(encoded))
 
 
 def _print_diagram(b: BettiDiagram, fmt: str) -> None:
@@ -223,18 +216,19 @@ def _cmd_chains(args, fmt):
 
 def _cmd_facets(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
-    # already JSON data: a grid is lists of ints, which io.encode would
-    # only walk one integer at a time
-    payload = [
-        {
-            "kind": facet.kind.value,
-            "removed": list(facet.removed.degrees),
-            "case": facet.functional.case.value,
-            "grid": facet.functional.grid(),
-        }
-        for facet in boundary_facets(w)
+    # written from the hyperplane records, building no facet object: the
+    # bytes json.dumps(..., sort_keys=True) and _human make of these entries
+    # as dicts, since the repr of a list of ints is its JSON text
+    entries = [
+        (case.value, _grid(coeffs, w), kind.value, list(anchor[1].degrees))
+        for coeffs, kind, case, anchor in _boundary_facets_cached(w)
     ]
-    _print_encoded(payload, fmt)
+    if fmt == "json":
+        print("[" + ", ".join([
+            f'{{"case": "{c}", "grid": {g!r}, "kind": "{k}", "removed": {r!r}}}' for c, g, k, r in entries
+        ]) + "]")
+    else:
+        print(_human([dict(zip(("case", "grid", "kind", "removed"), e)) for e in entries]))
     return 0
 
 

@@ -68,12 +68,13 @@ from .core import (
 from .errors import (
     ChainNotMaximal,
     InvariantViolated,
+    NotAChain,
     NotACoverTriple,
     NotInSubspace,
     WindowMismatch,
 )
 from .packing import Packing
-from .poset import Chain, Window, _cell, _diagrams, chain_length
+from .poset import Chain, Window, _cell, _diagrams, _need, chain_length
 from .poset import _moves as _cover_moves
 
 
@@ -122,22 +123,25 @@ class Functional:
         return self._lookup.get((i, j), 0)
 
     def grid(self) -> list[list[int]]:
-        """Dense display grid, row = j - i - M, column = i."""
-        w = self.window
-        cols = w.n + 1
-        grid = [[0] * cols for _ in range(w.rows)]
-        # the coefficients placed into a zero grid; a position off the grid
-        # (only a hand-built functional has one) is not displayed
-        for (i, j), c in self.coefficients:
-            r = j - i - w.M
-            if 0 <= r < w.rows and 0 <= i < cols:
-                grid[r][i] = c
-        return grid
+        """Dense display grid, row = j - i - M, column = i (:func:`_grid`)."""
+        return _grid(self.coefficients, self.window)
 
     def __call__(self, b: BettiDiagram) -> Fraction:
         scale, entries = b._integer_form()
         lookup = self._lookup
         return Fraction(sum(lookup.get(pos, 0) * x for pos, x in entries), scale)
+
+
+def _grid(coefficients, w: Window) -> list[list[int]]:
+    """Coefficients ((i, j), c) on a zero grid, row = j - i - M, column = i;
+    a position off it (only a hand-built functional has one) is not shown."""
+    rows, cols = w.rows, w.n + 1
+    flat = [0] * (rows * cols)
+    for (i, j), c in coefficients:
+        r = j - i - w.M
+        if 0 <= r < rows and 0 <= i < cols:
+            flat[r * cols + i] = c
+    return [flat[r:r + cols] for r in range(0, rows * cols, cols)]
 
 
 def _step(down: PureDiagram, up: PureDiagram, w: Window) -> tuple[int, int]:
@@ -207,7 +211,7 @@ def _rule(d0, p1: PureDiagram, down, up, w: Window):
     (p0 -> p1) and ``up`` (p1 -> p2) vacate, None at a sentinel (a cell in
     row N - M is a drop): ``(ENTRY, pos, c)``, c * beta[pos], or ``(case,
     values, limits)``, column i holding (-1)^i values[deg - M] for
-    M + i <= deg <= limits[i].  :func:`_functional` builds it; :func:`_read`
+    M + i <= deg <= limits[i].  :func:`_coefficients` builds it; :func:`_read`
     sums it over integer entries, b's in ``verify_decomposition``."""
     m = p1.codimension
     d = p1.degrees
@@ -238,25 +242,29 @@ def _rule(d0, p1: PureDiagram, down, up, w: Window):
     return FunctionalCase.ENTRY, pos, scale // x
 
 
-def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
-    """Dual functional of p1 from :func:`_rule`; a formula must read 1 on p1."""
-    anchor, M = (p0, p1, p2), w.M
+def _coefficients(p0, p1: PureDiagram, down, up, w: Window):
+    """(coefficients, case) of p1's dual functional from :func:`_rule`; a
+    formula must read 1 on p1."""
     rule = case, a, b = _rule(None if p0 is None else p0.degrees, p1, down, up, w)
     if case is FunctionalCase.ENTRY:
-        return Functional(w, ((a, b),), case, anchor)
-    scale, entries = p1._integer
+        return ((a, b),), case
+    scale, entries, M = *p1._integer, w.M
     total = _read(rule, entries, M)
     if total != scale:
         raise InvariantViolated(f"{case.value} formula is {Fraction(total, scale)} on {p1!r}, not 1")
     # column i holds (-1)^i values[deg - M] for M + i <= deg <= limit_i; the
     # zeros dropped, in (i, deg) order
-    coeffs = tuple(
+    return tuple(
         ((i, deg), -v if i & 1 else v)
         for i, limit in enumerate(b)
         for deg, v in zip(range(M + i, limit + 1), a[i:limit - M + 1])
         if v
-    )
-    return Functional(w, coeffs, case, anchor)
+    ), case
+
+
+def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
+    """Dual functional of p1, built from :func:`_coefficients`."""
+    return Functional(w, *_coefficients(p0, p1, down, up, w), (p0, p1, p2))
 
 
 def _check_in_subspace(b: BettiDiagram, w: Window) -> None:
@@ -283,6 +291,7 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
     negative.  Triangular back-substitution along the chain's vacating order;
     :func:`coefficient_functional` is an independent route for cross-checks.
     """
+    _need(c, Chain, NotAChain)
     w = c.window
     if not c.is_maximal():
         raise ChainNotMaximal("expansion needs a maximal chain (a basis)")
@@ -324,6 +333,7 @@ def classify_facet(c: Chain) -> FacetKind:
     that column (kind ii); two raises in adjacent columns crossing
     consecutive degrees (kind iii); a double codimension drop (kind iv).
     """
+    _need(c, Chain, NotAChain)
     w = c.window
     if len(c) != chain_length(w) - 1:
         raise ChainNotMaximal("expected a maximal chain minus exactly one element")
@@ -372,15 +382,17 @@ def _triple_kind(down, up, w: Window) -> FacetKind:
 
 
 @lru_cache(maxsize=64)
-def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
+def _boundary_facets_cached(w: Window) -> tuple[tuple, ...]:
+    """One record (coefficients, kind, case, anchor) per hyperplane, in
+    :func:`boundary_facets` order."""
     # None stands below min and above max: the extremal triples are
     # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
     # each diagram's cover moves, with their cells, are derived once
-    facets = {}
+    records = {}
 
     def keep(p0, p1, p2, down, up, kind):
-        f = _functional(p0, p1, p2, down, up, w)
-        facets.setdefault(f.coefficients, BoundaryFacet(p1, kind, f))
+        coeffs, case = _coefficients(p0, p1, down, up, w)
+        records.setdefault(coeffs, (coeffs, kind, case, (p0, p1, p2)))
 
     table = _diagrams(w)
     moves = {d: _cover_moves(d, w) for d in table}
@@ -399,7 +411,7 @@ def _boundary_facets_cached(w: Window) -> tuple[BoundaryFacet, ...]:
                 kind = _triple_kind(down, up, w)
                 if kind is not FacetKind.INTERIOR:
                     keep(p0, p1, table[d2], down, up, kind)
-    return tuple(facets.values())
+    return tuple(records.values())
 
 
 def boundary_facets(w: Window) -> list[BoundaryFacet]:
@@ -407,13 +419,16 @@ def boundary_facets(w: Window) -> list[BoundaryFacet]:
     boundary hyperplanes of the fan of the window.
 
     Positive multiples of one hyperplane are separate facets: (1,0,2,0)
-    lists 10 for 8 hyperplanes (ROADMAP item 2).  Read off the cover
+    lists 10 for 8 hyperplanes (ROADMAP item 3).  Read off the cover
     triples with a unique middle, without enumerating chains.  Order is
     deterministic: p0 over ``w.pure_diagrams()``, then its covers p1 (the
     extremal triples of p1 first), then the covers p2 of p1; the first
     triple of each coefficient vector supplies ``removed`` and ``kind``.
+    Each facet is built from its window's record on first request and
+    kept: membership certificates and fan counterexamples are these objects.
     """
-    return list(_boundary_facets_cached(w))
+    _need(w, Window, WindowMismatch)
+    return list(_facet_columns(w).facets)
 
 
 @dataclass(frozen=True)
@@ -425,12 +440,12 @@ class ConvexityReport:
     counterexample: tuple[BoundaryFacet, PureDiagram, Fraction] | None
 
 
-def _signed_columns(facets) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """(offsets, flat): facet k's coefficient at pos is ``flat[offsets[pos] + k]``,
-    for every position some facet reads."""
-    offsets, flat, zeros = {}, [], [0] * len(facets)
-    for k, facet in enumerate(facets):
-        for pos, c in facet.functional.coefficients:
+def _signed_columns(records) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """(offsets, flat): hyperplane k's coefficient at pos is ``flat[offsets[pos] + k]``,
+    for every position some hyperplane reads."""
+    offsets, flat, zeros = {}, [], [0] * len(records)
+    for k, record in enumerate(records):
+        for pos, c in record[0]:
             at = offsets.get(pos)
             if at is None:
                 at = offsets[pos] = len(flat)
@@ -440,7 +455,8 @@ def _signed_columns(facets) -> tuple[dict[tuple[int, int], int], list[int]]:
 
 
 class _FacetMatrix:
-    """A window's boundary facets and at most two packings of them.
+    """A window's hyperplane records, at most two packings of their
+    columns, and each facet built when :meth:`facet` first hands it out.
 
     A hyperplane's value on integer entries x is at most max|c| * sum |x|
     in size; W holds that bound's bits plus 2, so no field carries.  The
@@ -450,12 +466,25 @@ class _FacetMatrix:
     both widths packs again, at least twice as wide as the widened one.
     """
 
-    __slots__ = ("facets", "_top", "_fan", "_wide")
+    __slots__ = ("window", "records", "_built", "_top", "_fan", "_wide")
 
-    def __init__(self, facets: tuple[BoundaryFacet, ...]):
-        self.facets = facets
+    def __init__(self, window: Window, records: tuple[tuple, ...]):
+        self.window, self.records = window, records
+        self._built = {}
         self._top = 0  # max |c|, read off the signed matrix when it is packed
         self._fan = self._wide = None
+
+    def facet(self, k: int) -> BoundaryFacet:
+        """The facet of record k, built once."""
+        facet = self._built.get(k)
+        if facet is None:
+            coeffs, kind, case, anchor = self.records[k]
+            facet = self._built[k] = BoundaryFacet(anchor[1], kind, Functional(self.window, coeffs, case, anchor))
+        return facet
+
+    @property
+    def facets(self) -> tuple[BoundaryFacet, ...]:
+        return tuple(map(self.facet, range(len(self.records))))
 
     def fan(self, total: int) -> Packing:
         """The packing kept for the pure diagrams, whose entries sum to at
@@ -478,16 +507,16 @@ class _FacetMatrix:
         return packing is not None and (self._top * max(total, 1)).bit_length() + 2 <= packing.width
 
     def _pack(self, total: int, min_bits: int) -> Packing:
-        offsets, flat = _signed_columns(self.facets)
+        offsets, flat = _signed_columns(self.records)
         self._top = top = max(map(abs, flat), default=0)
         bits = max(min_bits, (top * max(total, 1)).bit_length() + 2)
-        return Packing(offsets, flat, len(self.facets), -(-bits // 8))
+        return Packing(offsets, flat, len(self.records), -(-bits // 8))
 
 
 @lru_cache(maxsize=64)
 def _facet_columns(w: Window) -> _FacetMatrix:
-    """The window's facets and their packed coefficient columns, kept."""
-    return _FacetMatrix(_boundary_facets_cached(w))
+    """The window's hyperplane records and their packed columns, kept."""
+    return _FacetMatrix(w, _boundary_facets_cached(w))
 
 
 def verify_fan_convexity(w: Window) -> ConvexityReport:
@@ -497,15 +526,16 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
     :func:`boundary_facets` is evaluated on each pure diagram of the
     window, no chain is enumerated, and ``facets_checked`` counts distinct
     integer coefficient vectors, so a positive multiple of a hyperplane is
-    counted again (ROADMAP item 2).  Only signs matter, so they are read in integers,
+    counted again (ROADMAP item 3).  Only signs matter, so they are read in integers,
     from each diagram's entries times the lcm of their denominators, every
     hyperplane at once from the window's packed matrix.  On failure the
     counterexample is the first negative pair, hyperplanes in order and
     then diagrams, with the exact ``Fraction`` value of the functional on
     the diagram, its one unpacked field.
     """
+    _need(w, Window, WindowMismatch)
     matrix = _facet_columns(w)
-    facets = matrix.facets
+    size = len(matrix.records)
     diagrams = list(w.pure_diagrams())
     # a pure diagram's integer entries L / q_i are at most L each
     packing = matrix.fan((w.n + 1) * max(p._integer[0] for p in diagrams))
@@ -521,10 +551,10 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
             if first is None or k < first[0]:
                 first = (k, p, acc)
     if first is None:
-        return ConvexityReport(w, True, len(facets), len(diagrams), None)
+        return ConvexityReport(w, True, size, len(diagrams), None)
     k, p, acc = first
-    counterexample = (facets[k], p, Fraction(packing.field(acc, k), p._integer[0]))
-    return ConvexityReport(w, False, len(facets), len(diagrams), counterexample)
+    counterexample = (matrix.facet(k), p, Fraction(packing.field(acc, k), p._integer[0]))
+    return ConvexityReport(w, False, size, len(diagrams), counterexample)
 
 
 @dataclass(frozen=True)
@@ -549,6 +579,7 @@ def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
     on the diagram's integer form, from the window's packed matrix, packed
     wider first when the entries need it.
     """
+    _need(w, Window, WindowMismatch)
     _check_in_subspace(b, w)
     matrix = _facet_columns(w)
     scale, entries = b._integer_form()
@@ -557,7 +588,7 @@ def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
     k = packing.first_negative(acc)
     if k is None:
         return MembershipResult(True)
-    return MembershipResult(False, matrix.facets[k], Fraction(packing.field(acc, k), scale))
+    return MembershipResult(False, matrix.facet(k), Fraction(packing.field(acc, k), scale))
 
 
 def derived_window(b: BettiDiagram) -> Window:

@@ -175,10 +175,17 @@ def _cell(d: tuple, e: tuple, w: Window) -> tuple[int, int] | None:
     return None
 
 
+def _need(value, cls, error) -> None:
+    """Raise ``error`` naming the value unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise error(f"expected a {cls.__name__}, got {value!r}")
+
+
 def covers(p: PureDiagram, q: PureDiagram, w: Window) -> bool:
     """True when q is obtained from p by a single raise or ceiling drop."""
+    _need(w, Window, WindowMismatch)
     for diag in (p, q):
-        if not w.contains(diag):
+        if not isinstance(diag, PureDiagram) or not w.contains(diag):
             raise WindowMismatch(f"{diag!r} is not a valid diagram of {w}")
     return _cell(tuple(p.degrees), tuple(q.degrees), w) is not None
 
@@ -313,6 +320,7 @@ def chain_from_tableau(t: Tableau, w: Window) -> Chain:
     move, the chain ends at the window maximum and the row order of the
     tableau numbers the surviving cells right to left.
     """
+    _need(w, Window, WindowMismatch)
     if t.shape != (w.rows, w.n + 1):
         raise InvalidTableau(f"tableau shape {t.shape} does not match window grid {(w.rows, w.n + 1)}")
     position = {}
@@ -355,6 +363,7 @@ def _row_major(cells, w: Window) -> tuple[int, ...]:
 
 def tableau_from_chain(c: Chain) -> Tableau:
     """Number each grid cell by the chain step that vacates it."""
+    _need(c, Chain, NotAChain)
     if not c.is_maximal():
         raise ChainNotMaximal("tableau is defined for maximal chains only")
     w = c.window
@@ -435,6 +444,7 @@ def _climb(w: Window, targets):
 
 def count_maximal_chains(w: Window) -> int:
     """Number of maximal chains by the hook-length formula; walks no chain."""
+    _need(w, Window, WindowMismatch)
     shape = [w.n + 1] * (w.N - w.M)
     if w.n > w.s_min:
         shape.append(w.n - w.s_min)
@@ -475,6 +485,7 @@ def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     not re-validated; their elements are the shared diagrams of
     :meth:`Window.pure_diagrams`, and their vacated cells come from the walk.
     """
+    _need(w, Window, WindowMismatch)
     table = None
     for seqs, cells, _ in _sorted_walk(w, limit):
         table = table or _diagrams(w)  # once, and only past the limit check

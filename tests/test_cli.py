@@ -281,6 +281,29 @@ class TestFacets:
         assert (code, out) == (0, expected + "\n")
 
 
+# every window with n <= 3, width <= 2 at every s_min, and two windows where
+# distinct triples give one coefficient vector (91 -> 88, 121 -> 119)
+RECORD_WINDOWS = [Window(n, 0, width, s) for n in range(4) for width in range(3) for s in range(n + 1)]
+RECORD_WINDOWS += [Window(2, 0, 4, 0), Window(3, 0, 3, 0)]
+
+
+class TestFacetsFromRecords:
+    @pytest.mark.parametrize("w", RECORD_WINDOWS, ids=str)
+    def test_bytes_are_the_object_routes(self, capsys, w):
+        # the listing is written from the hyperplane records; the payload
+        # built from the facet objects prints the same bytes in both formats
+        payload = [
+            {"kind": f.kind.value, "removed": list(f.removed.degrees), "case": f.functional.case.value,
+             "grid": f.functional.grid()}
+            for f in functionals.boundary_facets(w)
+        ]
+        for fmt, expected in (("json", json.dumps(payload, sort_keys=True)), ("table", cli._human(payload))):
+            code, out, _ = run_cli(
+                capsys, "--format", fmt, "facets", "--n", str(w.n), "--M", str(w.M), "--N", str(w.N), "--s", str(w.s_min)
+            )
+            assert (code, out) == (0, expected + "\n"), (w, fmt)
+
+
 class TestVerifyFan:
     def test_passes(self, capsys):
         code, out, _ = run_cli(
@@ -299,7 +322,8 @@ class TestVerifyFan:
         f = facet.functional
         negated = functionals.Functional(w, tuple((pos, -c) for pos, c in f.coefficients), f.case, f.anchor)
         bad = functionals.BoundaryFacet(facet.removed, facet.kind, negated)
-        built = functionals._FacetMatrix((bad,))
+        built = functionals._FacetMatrix(w, ((negated.coefficients, bad.kind, negated.case, negated.anchor),))
+        built._built[0] = bad  # hand out the injected facet itself
         monkeypatch.setattr(functionals, "_facet_columns", lambda _: built)
         code, out, _ = run_cli(
             capsys, "verify-fan", "--n", "3", "--M", "0", "--N", "2", "--s", "0", "--format", "json"

@@ -12,12 +12,19 @@ from bettidecomp import (
     BettiDiagram,
     Chain,
     Decomposition,
+    Tableau,
     Window,
+    boundary_facets,
+    chain_from_tableau,
+    count_maximal_chains,
     covers,
     expand_in_chain,
     classify_facet,
     maximal_chains,
+    membership_by_inequalities,
     pure_diagram,
+    tableau_from_chain,
+    verify_fan_convexity,
 )
 from bettidecomp.errors import (
     BettiError,
@@ -123,6 +130,46 @@ class TestChainValidation:
         w = Window(2, 0, 1)
         with pytest.raises(WindowMismatch):
             covers(pure_diagram((0, 9), 2), pure_diagram((0,), 2), w)
+
+
+_W = Window(2, 0, 1)
+_P = pure_diagram((0, 1, 2), 2)
+# a maximal chain of _W as a plain tuple of its diagrams
+_ELEMENTS = tuple(pure_diagram(d, 2) for d in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 2), (1,)))
+
+
+class TestWrongArgumentTypes:
+    """A tuple in place of a Window, a Chain or a diagram is named in the
+    error, not met by an AttributeError."""
+
+    @pytest.mark.parametrize(
+        "call,error,named",
+        [
+            (lambda: covers(_P, _P, (2, 0, 1)), WindowMismatch, r"Window, got \(2, 0, 1\)"),
+            (lambda: covers((0, 1, 2), _P, _W), WindowMismatch, r"\(0, 1, 2\) is not a valid diagram"),
+            (lambda: tableau_from_chain(_ELEMENTS), NotAChain, r"Chain, got \(pi\(0, 1, 2\)"),
+            (lambda: classify_facet(_ELEMENTS[1:]), NotAChain, r"Chain, got \(pi\(0, 1, 3\)"),
+            (lambda: expand_in_chain(_P.betti, _ELEMENTS), NotAChain, r"Chain, got \(pi\(0, 1, 2\)"),
+            (lambda: chain_from_tableau(Tableau(((1,),)), (0, 2, 2)), WindowMismatch, r"Window, got \(0, 2, 2\)"),
+            (lambda: next(maximal_chains((2, 0, 1))), WindowMismatch, r"Window, got \(2, 0, 1\)"),
+            (lambda: count_maximal_chains((2, 0, 1)), WindowMismatch, r"Window, got \(2, 0, 1\)"),
+            (lambda: boundary_facets((2, 0, 1)), WindowMismatch, r"Window, got \(2, 0, 1\)"),
+            (lambda: verify_fan_convexity((2, 0, 1)), WindowMismatch, r"Window, got \(2, 0, 1\)"),
+            (lambda: membership_by_inequalities(_P.betti, (2, 0, 1)), WindowMismatch, r"Window, got \(2, 0, 1\)"),
+        ],
+        ids=[
+            "covers-window", "covers-diagram", "tableau_from_chain", "classify_facet", "expand_in_chain",
+            "chain_from_tableau", "maximal_chains", "count_maximal_chains", "boundary_facets",
+            "verify_fan_convexity", "membership_by_inequalities",
+        ],
+    )
+    def test_bad_argument_is_named(self, call, error, named):
+        with pytest.raises(error, match=named):
+            call()
+
+    def test_tuple_is_the_chain_of_its_window(self):
+        # the stand-in above is a real maximal chain, so only its type fails
+        assert Chain(_ELEMENTS, _W).is_maximal()
 
 
 class TestMaximalityRequirements:

@@ -26,7 +26,7 @@ from bettidecomp import (
     pure_diagram,
     verify_fan_convexity,
 )
-from bettidecomp import functionals
+from bettidecomp import cli, functionals
 from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace, WindowMismatch
 from bettidecomp.functionals import derived_window
 from bettidecomp.packing import Packing
@@ -416,10 +416,21 @@ def _negated(facet):
     return functionals.BoundaryFacet(facet.removed, facet.kind, negated)
 
 
+def _matrix_of(facets):
+    """A _FacetMatrix of these facets' records that hands out these very facets."""
+    facets = tuple(facets)
+    records = tuple((f.functional.coefficients, f.kind, f.functional.case, f.functional.anchor) for f in facets)
+    matrix = functionals._FacetMatrix(facets[0].functional.window, records)
+    matrix._built.update(enumerate(facets))
+    return matrix
+
+
 def _use_facets(monkeypatch, facets):
-    """Make verify_fan_convexity and membership read these facets, packed."""
-    built = functionals._FacetMatrix(tuple(facets))
-    monkeypatch.setattr(functionals, "_facet_columns", lambda _: built)
+    """Make verify_fan_convexity and membership read these facets, packed,
+    on their window; every other window keeps its own."""
+    built = _matrix_of(facets)
+    real = functionals._facet_columns
+    monkeypatch.setattr(functionals, "_facet_columns", lambda w: built if w == built.window else real(w))
     return built
 
 
@@ -439,7 +450,7 @@ def _fields(packing, acc, size):
 
 def _pure_packing(facets, diagrams):
     """A packing of these facets wide enough for every pure diagram given."""
-    matrix = functionals._FacetMatrix(tuple(facets))
+    matrix = _matrix_of(facets)
     return matrix.packing(max(sum(x for _, x in p._integer_entries) for p in diagrams))
 
 
@@ -566,6 +577,110 @@ class TestPackedMatrix:
         functionals._facet_columns.cache_clear()
         assert membership_by_inequalities(member, w).member
         assert fan_widths() == cold
+
+
+def _count_facet_objects(monkeypatch):
+    """Record every BoundaryFacet and Functional the functionals module builds."""
+    built = []
+    for name in ("BoundaryFacet", "Functional"):
+        real = getattr(functionals, name)
+        monkeypatch.setattr(functionals, name, lambda *args, real=real: built.append(real) or real(*args))
+    return built
+
+
+def _cold():
+    functionals._boundary_facets_cached.cache_clear()
+    functionals._facet_columns.cache_clear()
+
+
+class TestFacetRecords:
+    def test_duplicate_triples_keep_the_first(self, monkeypatch):
+        # distinct cover triples that give one coefficient vector: the
+        # first in facet order keeps its record
+        calls = []
+        real = functionals._coefficients
+        monkeypatch.setattr(functionals, "_coefficients", lambda *args: calls.append(args) or real(*args))
+        for w, triples, kept in ((Window(2, 0, 4, 0), 91, 88), (Window(3, 0, 3, 0), 121, 119)):
+            calls.clear()
+            records = functionals._boundary_facets_cached.__wrapped__(w)
+            assert (len(calls), len(records)) == (triples, kept), w
+            first = {}
+            for p0, p1, down, up, _ in calls:
+                first.setdefault(real(p0, p1, down, up, w)[0], p1)
+            assert [anchor[1] for _, _, _, anchor in records] == list(first.values()), w
+
+    def test_passing_fan_check_and_listing_build_no_facet(self, monkeypatch, capsys):
+        built = _count_facet_objects(monkeypatch)
+        _cold()
+        for w in (*INJECTED, Window(0, 0, 0, 0)):
+            assert verify_fan_convexity(w).passed
+            argv = ["facets", "--n", str(w.n), "--M", str(w.M), "--N", str(w.N), "--s", str(w.s_min)]
+            for fmt in ("json", "table"):
+                assert cli.run(["--format", fmt, *argv]) == 0
+        capsys.readouterr()
+        assert built == []
+        # listing builds each facet once, a BoundaryFacet and its Functional
+        w = INJECTED[1]
+        facets = boundary_facets(w)
+        assert len(built) == 2 * len(facets)
+        assert all(a is b for a, b in zip(boundary_facets(w), facets))
+        assert len(built) == 2 * len(facets)
+
+    def test_certificate_is_the_listed_facet(self):
+        # membership first, then the list, and the other way round: the
+        # violated facet is the one listed at its index
+        rng = random.Random(24)
+        for list_first, w in ((False, Window(3, 0, 2, 1)), (True, Window(2, 0, 2, 0))):
+            _cold()
+            diagrams = list(w.pure_diagrams())
+            if list_first:
+                listed = boundary_facets(w)
+            violated = 0
+            for _ in range(20):
+                b = BettiDiagram(w.n, {})
+                for p in (diagrams[0], diagrams[-1], *rng.sample(diagrams, 2)):
+                    b = b + p.betti.scaled(rng.randint(1, 9))
+                b = b - rng.choice(diagrams).betti.scaled(rng.randint(1, 30))
+                result = membership_by_inequalities(b, w)
+                if not list_first:
+                    listed = boundary_facets(w)
+                exact = [f.functional(b) for f in listed]
+                negative = [k for k, v in enumerate(exact) if v < 0]
+                assert result.member is (not negative), (w, b)
+                if negative:
+                    violated += 1
+                    assert result.violated is listed[negative[0]], (w, b)
+                    assert result.value == exact[negative[0]], (w, b)
+            assert violated, w
+
+    def test_counterexample_is_the_listed_facet(self, monkeypatch):
+        # a matrix of negated records, none built yet: the counterexample
+        # and the list hand out the one facet built from its record
+        w = Window(3, 0, 2, 1)
+        records = tuple(
+            (tuple((pos, -c) for pos, c in coeffs), kind, case, anchor)
+            for coeffs, kind, case, anchor in functionals._boundary_facets_cached(w)
+        )
+        matrix = functionals._FacetMatrix(w, records)
+        monkeypatch.setattr(functionals, "_facet_columns", lambda v: matrix if v == w else None)
+        built = _count_facet_objects(monkeypatch)
+        report = verify_fan_convexity(w)
+        assert not report.passed and report.facets_checked == len(records)
+        assert len(built) == 2  # the counterexample's facet and its functional
+        # the first negative pair, hyperplanes in order, then diagrams
+        k, q = next(
+            (k, q)
+            for k, (coeffs, _, case, anchor) in enumerate(records)
+            for q in w.pure_diagrams()
+            if functionals.Functional(w, coeffs, case, anchor)(q.betti) < 0
+        )
+        facet, p, value = report.counterexample
+        assert p is q
+        assert facet is boundary_facets(w)[k] is matrix.facet(k)
+        coeffs, kind, case, anchor = records[k]
+        assert (facet.removed, facet.kind) == (anchor[1], kind)
+        assert (facet.functional.coefficients, facet.functional.case, facet.functional.anchor) == (coeffs, case, anchor)
+        assert value == facet.functional(p.betti) < 0
 
 
 class TestConvexity:
