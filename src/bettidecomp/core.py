@@ -275,9 +275,11 @@ class BettiDiagram:
     A diagram keeps its values in the form it was built from, ``Fraction``
     entries or the integer form (L, entries times L), and derives the other
     once, when first read.  Positions are read from whichever is stored.
+    Its window (M, N) and its numerator's peel are kept once computed
+    (:func:`window_of`, :func:`_peeled`).
     """
 
-    __slots__ = ("_n", "_entries", "_hash", "_integer")
+    __slots__ = ("_n", "_entries", "_hash", "_integer", "_window", "_peeled")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int], object] | Iterable = ()):
         if not _is_int(n) or n < 0:
@@ -296,6 +298,7 @@ class BettiDiagram:
         self._entries = {k: v for k, v in acc.items() if v}
         self._hash = None
         self._integer = None
+        self._window = self._peeled = None
 
     @classmethod
     def _of(cls, n: int, entries: dict[tuple[int, int], Fraction]) -> "BettiDiagram":
@@ -307,6 +310,7 @@ class BettiDiagram:
         b._entries = {k: v for k, v in entries.items() if v}
         b._hash = None
         b._integer = None
+        b._window = b._peeled = None
         return b
 
     @classmethod
@@ -321,6 +325,7 @@ class BettiDiagram:
         b._entries = None
         b._hash = None
         b._integer = form
+        b._window = b._peeled = None
         return b
 
     def _fractions(self) -> dict[tuple[int, int], Fraction]:
@@ -649,24 +654,34 @@ def codimension(b: BettiDiagram) -> int:
 
     Equals the number of leading Herzog-Kuhl equations the diagram satisfies.
     """
-    return _peeled_numerator(b)[0]
+    return _peeled(b)[0]
 
 
 def _peeled_numerator(b: BettiDiagram, num: dict[int, int] | None = None) -> tuple[int, Fraction]:
-    """(s, Q(1)) with S(b, t) = (1 - t)^s Q and s maximal, from one peel: the
-    codimension and the multiplicity.
+    """(s, Q(1)) with S(b, t) = (1 - t)^s Q and s maximal: the codimension
+    and the multiplicity, from b's one peel (:func:`_peeled`)."""
+    s, value, scale = _peeled(b, num)
+    return s, Fraction(value, scale)
+
+
+def _peeled(b: BettiDiagram, num: dict[int, int] | None = None) -> tuple[int, int, int]:
+    """(s, x, L) with S(b, t) = (1 - t)^s Q, s maximal and Q(1) = x / L, from
+    one peel, kept on b.
 
     The peel runs on S times the lcm L of b's denominators.  ``num`` is that
     integer numerator, ``_integer_numerator`` of b's integer form, when the
     caller has it already.
     """
-    if b.is_zero:
-        raise UndefinedOnZero("codimension undefined for the zero diagram")
-    scale, entries = b._integer_form()
-    if num is None:
-        num = _integer_numerator(entries)
-    s, _, _, value = _peel(num)
-    return s, Fraction(value, scale)
+    peeled = b._peeled
+    if peeled is None:
+        if b.is_zero:
+            raise UndefinedOnZero("codimension undefined for the zero diagram")
+        scale, entries = b._integer_form()
+        if num is None:
+            num = _integer_numerator(entries)
+        s, _, _, value = _peel(num)
+        peeled = b._peeled = (s, value, scale)
+    return peeled
 
 
 def _peel(coeffs: dict[int, int], cap: int | None = None) -> tuple[int, int, list[int], int]:
@@ -700,18 +715,19 @@ def _integer_step(
     p's entry in column k, and return c with the new residual.  With p's
     integer form (L, P) and r, q the residual's and P's values there,
     c = r L / (scale q) and the new residual is (residual q - r P) over
-    scale q, divided by the gcd of all of them; zeros are dropped.
+    scale q, divided by the gcd of all of them; zeros are dropped.  A zero
+    r leaves the residual as it is, with the shared zero ``_ZERO`` for c.
 
     Every position is rescaled: an expansion element need not sit at the
-    residual's column minima, nor r be nonzero.  A greedy step touches only
+    residual's column minima.  A greedy step touches only
     those minima, and ``decompose.greedy_decompose`` updates them in place.
     """
     size, entries = p._integer
     pos, q = entries[k]
     r = residual.get(pos, 0)
-    coeff = Fraction(r * size, scale * q)
     if not r:
-        return coeff, residual, scale
+        return _ZERO, residual, scale
+    coeff = Fraction(r * size, scale * q)
     out = {key: x * q for key, x in residual.items()}
     for key, x in entries:
         x *= r
@@ -722,7 +738,16 @@ def _integer_step(
 
 
 def window_of(b: BettiDiagram) -> tuple[int, int]:
-    """Degree window (M, N) = (min, max) of j - i over the nonzero support."""
+    """Degree window (M, N) = (min, max) of j - i over the nonzero support,
+    kept on b."""
+    window = b._window
+    if window is None:
+        window = b._window = _window(b)
+    return window
+
+
+def _window(b: BettiDiagram) -> tuple[int, int]:
+    """(M, N) read off b's positions in one pass."""
     if b.is_zero:
         raise UndefinedOnZero("window undefined for the zero diagram")
     offsets = [j - i for i, j in b._positions()]

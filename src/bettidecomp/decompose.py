@@ -50,7 +50,7 @@ from .core import (
 )
 from .errors import InvalidDiagram, NotInCone
 from .functionals import _read, _rule
-from .poset import Window, _climb, leq
+from .poset import Window, _need, _steps_around, leq
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,7 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
     >>> [(c, tuple(p.degrees)) for c, p in greedy_decompose(koszul)]
     [(Fraction(6, 1), (0, 1, 2, 3))]
     """
+    _need(b, BettiDiagram, InvalidDiagram)
     if b.is_zero:
         raise InvalidDiagram("cannot decompose the zero diagram")
     # L > 0, so L * v has the sign of v
@@ -245,12 +246,16 @@ def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationRes
 
     Order and positivity hold by construction.  Verifies exact
     reconstruction, then every coefficient c through the dual functional of
-    its element in a maximal chain through the terms: the functional's
+    its element in a maximal chain through the terms, from the two cover
+    steps around the element (``poset._steps_around``): the functional's
     coefficient rule is read in ``int`` on b's integer form (L, entries),
     and its sum times c's denominator must equal c's numerator times L.  No
-    ``Functional`` and no ``Fraction`` is built.  A failure's reason is
-    ``ambient_mismatch``, ``reconstruction`` or ``functional_mismatch``.
+    ``Functional``, no ``Fraction`` and no chain is built.  A failure's
+    reason is ``ambient_mismatch``, ``reconstruction`` or
+    ``functional_mismatch``.
     """
+    _need(dec, Decomposition, InvalidDiagram)
+    _need(b, BettiDiagram, InvalidDiagram)
     if dec.n != b.n:
         return VerificationResult(False, "ambient_mismatch")
     if not dec.terms:
@@ -265,15 +270,9 @@ def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationRes
     # the dual functionals of any maximal chain through them read b's
     # coefficients; nor can they at their lowest codimension, the last
     # term's, so that is b's and w's s_min
-    w = Window(b.n, *window_of(b), dec.terms[-1][1].codimension)
-    targets = [p.degrees for _, p in dec.terms]
-    seqs, cells = _climb(w, targets)
-    k = 0
-    for (coeff, p), t in zip(dec.terms, targets):
-        while seqs[k] != t:
-            k += 1
-        d0, down = (seqs[k - 1], cells[k - 1]) if k else (None, None)
-        rule = _rule(d0, p, down, cells[k] if k < len(cells) else None, w)
-        if _read(rule, entries, w.M) * coeff.denominator != coeff.numerator * size:
+    w = Window._of(b.n, *window_of(b), dec.terms[-1][1].codimension)
+    steps = _steps_around(w, [p.degrees for _, p in dec.terms])
+    for (coeff, p), (d0, down, up) in zip(dec.terms, steps):
+        if _read(_rule(d0, p, down, up, w), entries, w.M) * coeff.denominator != coeff.numerator * size:
             return VerificationResult(False, "functional_mismatch")
     return VerificationResult(True)

@@ -67,10 +67,12 @@ from .core import (
 )
 from .errors import (
     ChainNotMaximal,
+    InvalidDiagram,
     InvariantViolated,
     NotAChain,
     NotACoverTriple,
     NotInSubspace,
+    UndefinedOnZero,
     WindowMismatch,
 )
 from .packing import Packing
@@ -269,16 +271,29 @@ def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
 
 def _check_in_subspace(b: BettiDiagram, w: Window) -> None:
     """Raise ``WindowMismatch`` unless b lives in w's rows, ``NotInSubspace``
-    unless it satisfies w's s_min Herzog-Kuhl equations."""
+    unless it satisfies w's s_min Herzog-Kuhl equations.
+
+    Both read facts kept on b: its window, and its codimension, the number
+    of leading Herzog-Kuhl equations it satisfies.  The support is scanned
+    only to name the first entry outside the rows, the residuals computed
+    only for the error.  The zero diagram, and a diagram whose numerator
+    polynomial is zero, satisfy every equation.
+    """
     if b.n != w.n:
         raise WindowMismatch(f"diagram has n={b.n}, window has n={w.n}")
-    for i, j in b.support():
-        if not w.M <= j - i <= w.N:
-            raise WindowMismatch(f"entry at ({i}, {j}) lies outside rows [{w.M}, {w.N}]")
-    residuals = hk_residuals(b, w.s_min)
-    if any(residuals):
+    if b.is_zero:
+        return
+    M, N = window_of(b)
+    if M < w.M or N > w.N:
+        i, j = next((i, j) for i, j in b.support() if not w.M <= j - i <= w.N)
+        raise WindowMismatch(f"entry at ({i}, {j}) lies outside rows [{w.M}, {w.N}]")
+    try:
+        short = w.s_min > 0 and codimension(b) < w.s_min
+    except UndefinedOnZero:  # a zero numerator
+        return
+    if short:
         raise NotInSubspace(
-            f"diagram violates the first {w.s_min} Herzog-Kuhl equations", residuals
+            f"diagram violates the first {w.s_min} Herzog-Kuhl equations", hk_residuals(b, w.s_min)
         )
 
 
@@ -292,6 +307,7 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
     :func:`coefficient_functional` is an independent route for cross-checks.
     """
     _need(c, Chain, NotAChain)
+    _need(b, BettiDiagram, InvalidDiagram)
     w = c.window
     if not c.is_maximal():
         raise ChainNotMaximal("expansion needs a maximal chain (a basis)")
@@ -580,6 +596,7 @@ def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
     wider first when the entries need it.
     """
     _need(w, Window, WindowMismatch)
+    _need(b, BettiDiagram, InvalidDiagram)
     _check_in_subspace(b, w)
     matrix = _facet_columns(w)
     scale, entries = b._integer_form()
@@ -593,6 +610,6 @@ def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
 
 def derived_window(b: BettiDiagram) -> Window:
     """The natural window of a diagram: support rows, s_min = codimension."""
+    _need(b, BettiDiagram, InvalidDiagram)
     M, N = window_of(b)
-    s = min(codimension(b), b.n)
-    return Window(b.n, M, N, s)
+    return Window._of(b.n, M, N, min(codimension(b), b.n))

@@ -75,6 +75,15 @@ class Window:
         if not 0 <= self.s_min <= self.n:
             raise WindowMismatch(f"s_min={self.s_min} outside [0, {self.n}]")
 
+    @classmethod
+    def _of(cls, n: int, M: int, N: int, s_min: int) -> "Window":
+        """Trusted constructor: int bounds with n >= 0, M <= N and
+        0 <= s_min <= n, read off a library diagram; stored unchecked."""
+        w = object.__new__(cls)
+        # a frozen dataclass's fields live in __dict__
+        w.__dict__.update(n=n, M=M, N=N, s_min=s_min)
+        return w
+
     @property
     def rows(self) -> int:
         return self.N - self.M + 1
@@ -268,11 +277,12 @@ class Chain:
         return tuple(tuple(p.degrees) for p in self.elements)
 
     def is_maximal(self) -> bool:
-        w = self.window
+        # the elements are diagrams of w's n: the ends compare by degrees
+        w, elements = self.window, self.elements
         return (
-            len(self.elements) == chain_length(w)
-            and self.elements[0] == w.min_element()
-            and self.elements[-1] == w.max_element()
+            len(elements) == chain_length(w)
+            and elements[0].degrees == tuple(range(w.M, w.M + w.n + 1))
+            and elements[-1].degrees == tuple(range(w.N, w.N + w.s_min + 1))
             and None not in self.vacated
         )
 
@@ -321,6 +331,7 @@ def chain_from_tableau(t: Tableau, w: Window) -> Chain:
     tableau numbers the surviving cells right to left.
     """
     _need(w, Window, WindowMismatch)
+    _need(t, Tableau, InvalidTableau)
     if t.shape != (w.rows, w.n + 1):
         raise InvalidTableau(f"tableau shape {t.shape} does not match window grid {(w.rows, w.n + 1)}")
     position = {}
@@ -408,38 +419,55 @@ def _walk(w: Window):
         yield tuple(seqs), tuple(cells[1:]), tuple(flat)
 
 
-def _climb(w: Window, targets):
-    """One maximal chain of w through a chain of targets, as _walk's (seqs, cells).
+def _steps_around(w: Window, targets) -> list[tuple]:
+    """(d0, down, up) for each target of a chain of targets in w, on the
+    maximal chain that climbs from the window minimum through the targets to
+    the maximum: the degrees of the element below the target and the cells
+    that the steps into and out of it vacate, None past either end.
 
-    From the window minimum, for each target and then the maximum, take one
-    cover still below it, read off directly: an element x strictly below a
-    target t of the same length raises x_i for the last i with x_i < t_i; a
+    The climb takes, toward each next point t, one cover still below it:
+    an element x of t's length raises x_i for the last i with x_i < t_i; a
     longer x raises its last degree, or drops it on its ceiling.  Each is a
-    move of :func:`_moves` that stays below t, so the climb never dead-ends.
-    The targets must form a chain in w; ``InvariantViolated`` when a target
-    is not in w or not above the element reached.
+    move of :func:`_moves` that stays below t, so the climb never dead-ends,
+    and its two steps around each target are read directly, in O(s): the
+    step out of a point is the climb's first toward the next one, and the
+    step into t raises, last, the lowest index where the point before falls
+    short of t, or else drops the degree N + len(t).  The targets must form
+    a chain in w; ``InvariantViolated`` when a target is not in w or not
+    above the point before it.
     """
     N, M, s_min = w.N, w.M, w.s_min
-    cur = tuple(range(M, M + w.n + 1))
-    seqs, cells = [cur], []
+    x = tuple(range(M, M + w.n + 1))
+    d0 = down = None  # the step into x
+    out, waiting = [], 0  # the points reached at x, waiting for its step out
     for t in (*targets, tuple(range(N, N + s_min + 1))):
         last = len(t) - 1
-        if last < s_min or t[last] > N + last or not _below(cur, t):
-            raise InvariantViolated(f"no cover of {cur} in {w} lies below {t}")
-        while cur != t:
-            i = len(cur) - 1
+        if last < s_min or t[last] > N + last or not _below(x, t):
+            raise InvariantViolated(f"no cover of {x} in {w} lies below {t}")
+        if x != t:
+            # the step out of x: a longer x raises or drops its last degree,
+            # and either vacates that degree's cell
+            i = len(x) - 1
             if i == last:
-                while cur[i] == t[i]:
+                while x[i] == t[i]:
                     i -= 1
-            elif cur[i] == N + i:
-                cur = cur[:-1]
-                seqs.append(cur)
-                cells.append((N - M, i))
-                continue
-            cells.append((cur[i] - i - M, i))
-            cur = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
-            seqs.append(cur)
-    return tuple(seqs), tuple(cells)
+            up = (x[i] - i - M, i)
+            out += [(d0, down, up)] * waiting
+            waiting = 0
+            # the lowest index where x falls short of t, last + 1 if none
+            i = 0
+            for a, b in zip(x, t):
+                if a < b:
+                    break
+                i += 1
+            if i > last:
+                d0, down = (*t, N + i), (N - M, i)
+            else:
+                d0, down = t[:i] + (t[i] - 1,) + t[i + 1:], (t[i] - 1 - i - M, i)
+            x = t
+        waiting += 1
+    # the last point reached is the maximum itself
+    return out + [(d0, down, None)] * (waiting - 1)
 
 
 def count_maximal_chains(w: Window) -> int:

@@ -18,18 +18,22 @@ from bettidecomp import (
     chain_from_tableau,
     count_maximal_chains,
     covers,
+    derived_window,
     expand_in_chain,
     classify_facet,
+    greedy_decompose,
     maximal_chains,
     membership_by_inequalities,
     pure_diagram,
     tableau_from_chain,
+    verify_decomposition,
     verify_fan_convexity,
 )
 from bettidecomp.errors import (
     BettiError,
     ChainNotMaximal,
     InvalidDiagram,
+    InvalidTableau,
     NotAChain,
     WindowMismatch,
 )
@@ -136,11 +140,16 @@ _W = Window(2, 0, 1)
 _P = pure_diagram((0, 1, 2), 2)
 # a maximal chain of _W as a plain tuple of its diagrams
 _ELEMENTS = tuple(pure_diagram(d, 2) for d in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 2), (1,)))
+_CHAIN = Chain(_ELEMENTS, _W)
+# a diagram, a decomposition and a tableau as the plain values they hold
+_ENTRIES = {(0, 0): 1}
+_DEC = greedy_decompose(_P.betti)
 
 
 class TestWrongArgumentTypes:
-    """A tuple in place of a Window, a Chain or a diagram is named in the
-    error, not met by an AttributeError."""
+    """A plain value in place of a Window, a Chain, a diagram, a
+    decomposition or a tableau is named in the error, not met by an
+    AttributeError."""
 
     @pytest.mark.parametrize(
         "call,error,named",
@@ -156,11 +165,20 @@ class TestWrongArgumentTypes:
             (lambda: boundary_facets((2, 0, 1)), WindowMismatch, r"Window, got \(2, 0, 1\)"),
             (lambda: verify_fan_convexity((2, 0, 1)), WindowMismatch, r"Window, got \(2, 0, 1\)"),
             (lambda: membership_by_inequalities(_P.betti, (2, 0, 1)), WindowMismatch, r"Window, got \(2, 0, 1\)"),
+            (lambda: greedy_decompose(_ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: derived_window(_ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: membership_by_inequalities(_ENTRIES, _W), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: expand_in_chain(((0, 0), 1), _CHAIN), InvalidDiagram, r"BettiDiagram, got \(\(0, 0\), 1\)"),
+            (lambda: verify_decomposition(((1, (0, 1)),), _P.betti), InvalidDiagram, r"Decomposition, got \(\(1, \(0, 1\)\),\)"),
+            (lambda: verify_decomposition(_DEC, _ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: chain_from_tableau(((1,),), _W), InvalidTableau, r"Tableau, got \(\(1,\),\)"),
         ],
         ids=[
             "covers-window", "covers-diagram", "tableau_from_chain", "classify_facet", "expand_in_chain",
             "chain_from_tableau", "maximal_chains", "count_maximal_chains", "boundary_facets",
-            "verify_fan_convexity", "membership_by_inequalities",
+            "verify_fan_convexity", "membership_by_inequalities", "greedy_decompose-diagram",
+            "derived_window-diagram", "membership_by_inequalities-diagram", "expand_in_chain-diagram",
+            "verify_decomposition-decomposition", "verify_decomposition-diagram", "chain_from_tableau-tableau",
         ],
     )
     def test_bad_argument_is_named(self, call, error, named):

@@ -26,8 +26,10 @@ from bettidecomp import (
     pure_diagram,
     verify_fan_convexity,
 )
-from bettidecomp import cli, functionals
-from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace, WindowMismatch
+from bettidecomp import cli, core, functionals
+from bettidecomp.core import codimension, window_of
+from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace, UndefinedOnZero, WindowMismatch
+from bettidecomp.hilbert import multiplicity
 from bettidecomp.functionals import derived_window
 from bettidecomp.packing import Packing
 from bettidecomp.poset import _below, _diagrams, _moves, _walk
@@ -768,6 +770,156 @@ class TestMembership:
     def test_requires_window_support(self, quotient_diagram):
         with pytest.raises(WindowMismatch):
             membership_by_inequalities(quotient_diagram, Window(3, 0, 1, 1))
+
+
+def subspace_by_residuals(b, w):
+    """The residual route of the subspace check, kept as its reference:
+    rows by the sorted support, then the s_min Herzog-Kuhl residuals."""
+    if b.n != w.n:
+        raise WindowMismatch(f"diagram has n={b.n}, window has n={w.n}")
+    for i, j in b.support():
+        if not w.M <= j - i <= w.N:
+            raise WindowMismatch(f"entry at ({i}, {j}) lies outside rows [{w.M}, {w.N}]")
+    residuals = hk_residuals(b, w.s_min)
+    if any(residuals):
+        raise NotInSubspace(f"diagram violates the first {w.s_min} Herzog-Kuhl equations", residuals)
+
+
+def check_outcome(check, b, w):
+    """None when the check passes, else the error's class, message and residuals."""
+    try:
+        check(b, w)
+    except (WindowMismatch, NotInSubspace) as exc:
+        return type(exc), str(exc), getattr(exc, "residuals", None)
+    return None
+
+
+def subspace_diagrams(rng):
+    """Seeded diagrams, n <= 5, for the subspace check: combinations of pure
+    diagrams of one codimension (so at or above it), perturbed ones, random
+    tables with negative entries and degrees, zero-numerator tables and the
+    zero diagram; each also rebuilt from its integer form."""
+    out = []
+    for _ in range(160):
+        n = rng.randint(0, 5)
+        M = rng.randint(-3, 2)
+        width = rng.randint(0, 2)
+        kind = rng.randrange(4)
+        entries = {}
+        if kind < 2:
+            s = rng.randint(0, n)
+            seqs = list(_diagrams(Window(n, M, M + width, s)))
+            for d in rng.sample(seqs, min(len(seqs), rng.randint(1, 3))):
+                if len(d) - 1 != s and rng.random() < 0.5:
+                    continue
+                c = rng.choice((1, 2, Fraction(1, 3), -1))
+                for pos, v in pure_diagram(d, n).betti.items():
+                    entries[pos] = entries.get(pos, 0) + c * v
+            if kind == 1:
+                i = rng.randint(0, n)
+                pos = (i, i + rng.randint(M - 1, M + width + 1))
+                entries[pos] = entries.get(pos, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        elif kind == 2:
+            for _ in range(rng.randint(1, 5)):
+                i = rng.randint(0, n)
+                entries[(i, i + rng.randint(M, M + width))] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        elif n:
+            # beta[0, j] and beta[1, j] equal: the numerator vanishes
+            j = rng.randint(M, M + width)
+            v = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            entries = {(0, j): v, (1, j): v}
+        b = BettiDiagram(n, entries)
+        out.append(b)
+        out.append(BettiDiagram._of_integer(n, BettiDiagram(n, entries)._integer_form()))
+    out.append(BettiDiagram(3, {}))
+    return out
+
+
+class TestIntegerSubspaceCheck:
+    """The subspace check reads the diagram's kept window and codimension;
+    the residual route is its reference."""
+
+    def windows_for(self, b, rng):
+        n = b.n
+        if b.is_zero:
+            M, N = rng.randint(-2, 1), rng.randint(1, 3)
+        else:
+            M, N = window_of(b)
+        bounds = {(M, N), (M - 1, N), (M, N + 1), (M + 1, max(M + 1, N)), (M, max(M, N - 1)), (M - 2, N + 2)}
+        out = [Window(n, lo, hi, s) for lo, hi in bounds for s in range(n + 1)]
+        out.append(Window(n + 1, M, N, 0))
+        return out
+
+    def test_same_outcome_as_the_residual_route(self):
+        rng = random.Random(25)
+        seen = set()
+        pairs = 0
+        for b in subspace_diagrams(rng):
+            n, entries = b.n, b._integer_form()
+            for w in self.windows_for(b, rng):
+                expected = check_outcome(subspace_by_residuals, BettiDiagram._of_integer(n, entries), w)
+                # on a fresh diagram, and on one whose window and peel are kept
+                fresh = BettiDiagram._of_integer(n, entries)
+                assert check_outcome(functionals._check_in_subspace, fresh, w) == expected, (b, w)
+                assert check_outcome(functionals._check_in_subspace, b, w) == expected, (b, w)
+                seen.add(None if expected is None else expected[0])
+                if not b.is_zero and w.n == n:
+                    try:
+                        codim = codimension(b)
+                    except UndefinedOnZero:
+                        codim = None
+                    if codim is not None:
+                        seen.add(("codimension", (codim > w.s_min) - (codim < w.s_min)))
+                pairs += 1
+        assert pairs > 5000
+        # every outcome, and codimension below, at and above s_min
+        assert {None, WindowMismatch, NotInSubspace} <= seen
+        assert {("codimension", -1), ("codimension", 0), ("codimension", 1)} <= seen
+
+    def test_codimension_counts_the_vanishing_residuals(self):
+        rng = random.Random(26)
+        zero_numerators = 0
+        for b in subspace_diagrams(rng):
+            if b.is_zero:
+                continue
+            try:
+                codim = codimension(b)
+            except UndefinedOnZero:
+                # a zero numerator satisfies every equation
+                zero_numerators += 1
+                assert not any(hk_residuals(b, b.n + 2)), b
+                continue
+            for s in range(b.n + 2):
+                assert (codim >= s) == (not any(hk_residuals(b, s))), (b, s)
+        assert zero_numerators
+
+    def test_one_peel_and_one_window_pass_per_diagram(self, monkeypatch):
+        peels, passes = [], []
+        real_peel, real_window = core._peel, core._window
+        monkeypatch.setattr(core, "_peel", lambda *args: peels.append(1) or real_peel(*args))
+        monkeypatch.setattr(core, "_window", lambda b: passes.append(1) or real_window(b))
+        rng = random.Random(27)
+        diagrams = 0
+        for w in (Window(2, 0, 1, 0), Window(3, 0, 2, 1), Window(3, -1, 1, 2)):
+            chains = list(maximal_chains(w))
+            for _ in range(5):
+                chain = rng.choice(chains)
+                entries = {}
+                for p in rng.sample(chain.elements, 3):
+                    c = rng.randint(1, 4)
+                    for pos, v in p.betti.items():
+                        entries[pos] = entries.get(pos, 0) + c * v
+                b = BettiDiagram(w.n, entries)
+                peels.clear()
+                passes.clear()
+                window = derived_window(b)
+                assert membership_by_inequalities(b, window).member
+                assert codimension(b) == window.s_min
+                assert multiplicity(b) > 0
+                assert derived_window(b) == window
+                assert (len(peels), len(passes)) == (1, 1), b
+                diagrams += 1
+        assert diagrams == 15
 
 
 class TestInvariantsRaise:

@@ -395,7 +395,48 @@ class TestCompleteChain:
         assert found, "no non-adjacent configuration found"
 
 
+def reference_climb(w, targets):
+    """The climb through targets to the window maximum, written from
+    ``_moves``: toward each target, the cover still below it in the highest
+    column.  Returns the degree sequences and the vacated cells."""
+    cur = tuple(w.min_element().degrees)
+    seqs, cells = [cur], []
+    for t in (*targets, tuple(w.max_element().degrees)):
+        while cur != t:
+            cur, cell = max(
+                (move for move in poset._moves(cur, w) if poset._below(move[0], t)),
+                key=lambda move: move[1][1],
+            )
+            seqs.append(cur)
+            cells.append(cell)
+    return seqs, cells
+
+
+def reference_steps(w, targets):
+    """(d0, down, up) of each target on the reference climb."""
+    seqs, cells = reference_climb(w, targets)
+    out, k = [], 0
+    for t in targets:
+        while seqs[k] != tuple(t):
+            k += 1
+        d0, down = (seqs[k - 1], cells[k - 1]) if k else (None, None)
+        out.append((d0, down, cells[k] if k < len(cells) else None))
+    return out
+
+
 class TestClimb:
+    """``poset._steps_around`` reads the two cover steps around each target
+    of the climb directly; the reference climb walks it move by move."""
+
+    def assert_steps(self, w, sub):
+        got = poset._steps_around(w, sub)
+        assert got == reference_steps(w, sub), (w, sub)
+        for t, (d0, down, up) in zip(sub, got):
+            if d0 is not None:
+                assert poset._cell(d0, tuple(t), w) == down, (w, sub, t)
+            if up is not None:
+                assert any(cell == up for _, cell in poset._moves(tuple(t), w)), (w, sub, t)
+
     def test_refines_every_other_element(self):
         for n in range(4):
             for width in range(3):
@@ -403,15 +444,16 @@ class TestClimb:
                     w = Window(n, 0, width, s_min)
                     for full in maximal_chains(w):
                         sub = seqs(full)[::2]
-                        climbed, cells = poset._climb(w, sub)
+                        self.assert_steps(w, sub)
+                        # the reference is a maximal chain through the targets
+                        climbed, cells = reference_climb(w, sub)
                         chain = Chain(tuple(pure_diagram(d, n) for d in climbed), w)
                         assert chain.is_maximal(), (w, sub)
-                        assert cells == chain.vacated, (w, sub)
+                        assert tuple(cells) == chain.vacated, (w, sub)
                         assert set(sub) <= set(climbed), (w, sub)
 
     def test_every_step_is_a_cover_move(self):
-        # random sub-chains of mixed codimension, s_min > 0 included: the
-        # direct climb takes only moves that _moves lists
+        # random sub-chains of mixed codimension, s_min > 0 included
         rng = random.Random(22)
         climbs = 0
         for n in range(5):
@@ -421,25 +463,35 @@ class TestClimb:
                     full = list(maximal_chains(w))
                     for chain in rng.sample(full, min(len(full), 30)):
                         sub = [d for d in seqs(chain) if rng.random() < 0.3]
-                        climbed, cells = poset._climb(w, sub)
-                        assert len(climbed) == chain_length(w) == len(cells) + 1, (w, sub)
-                        assert climbed[0] == tuple(w.min_element().degrees), (w, sub)
-                        assert climbed[-1] == tuple(w.max_element().degrees), (w, sub)
-                        for a, b, cell in zip(climbed, climbed[1:], cells):
-                            assert (b, cell) in poset._moves(a, w), (w, sub, a)
-                        at = [climbed.index(d) for d in sub]
-                        assert at == sorted(at), (w, sub)
+                        self.assert_steps(w, sub)
                         climbs += 1
         assert climbs == 452
+
+    def test_windows_below_zero(self):
+        # M < 0, every s_min, targets of random sub-chains and both ends
+        rng = random.Random(25)
+        climbs = 0
+        for n in range(4):
+            for M, N in ((-1, 0), (-2, 0), (-1, 1), (-3, -1)):
+                for s_min in range(n + 1):
+                    w = Window(n, M, N, s_min)
+                    full = list(maximal_chains(w))
+                    for chain in rng.sample(full, min(len(full), 10)):
+                        chain_seqs = seqs(chain)
+                        self.assert_steps(w, [d for d in chain_seqs if rng.random() < 0.4])
+                        self.assert_steps(w, [chain_seqs[0], chain_seqs[-1]])
+                        climbs += 1
+        assert climbs == 256
 
     def test_target_outside_window_raises(self):
         w = Window(2, 0, 1, 1)
         # above the ceiling, and below the codimension floor
-        for target in ((0, 1, 4), (1,)):
-            with pytest.raises(InvariantViolated, match="no cover of"):
-                poset._climb(w, (target,))
+        for target, message in (((0, 1, 4), r"^no cover of \(0, 1, 2\) in Window\(n=2, M=0, N=1, s_min=1\) lies below \(0, 1, 4\)$"),
+                                ((1,), r"^no cover of \(0, 1, 2\) in Window\(n=2, M=0, N=1, s_min=1\) lies below \(1,\)$")):
+            with pytest.raises(InvariantViolated, match=message):
+                poset._steps_around(w, (target,))
 
     def test_stuck_climb_raises(self):
         # a target below the previous one leaves no cover to take
-        with pytest.raises(InvariantViolated, match="no cover of"):
-            poset._climb(Window(2, 0, 1), ((0, 1, 3), (0, 1, 2)))
+        with pytest.raises(InvariantViolated, match=r"^no cover of \(0, 1, 3\) in .* lies below \(0, 1, 2\)$"):
+            poset._steps_around(Window(2, 0, 1), ((0, 1, 3), (0, 1, 2)))
