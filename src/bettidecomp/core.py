@@ -719,8 +719,8 @@ def _integer_step(
     r leaves the residual as it is, with the shared zero ``_ZERO`` for c.
 
     Every position is rescaled: an expansion element need not sit at the
-    residual's column minima.  A greedy step touches only
-    those minima, and ``decompose.greedy_decompose`` updates them in place.
+    residual's column minima.  A greedy step touches only those minima,
+    and ``decompose.greedy_decompose`` updates them in place.
     """
     size, entries = p._integer
     pos, q = entries[k]
