@@ -39,7 +39,7 @@ from .decompose import greedy_decompose
 from .errors import BettiError, NotInCone, ParseError, WindowTooLarge
 from .functionals import (
     _boundary_facets_cached,
-    _grid,
+    _rows,
     derived_window,
     expand_in_chain,
     membership_by_inequalities,
@@ -216,12 +216,13 @@ def _cmd_chains(args, fmt):
 
 def _cmd_facets(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
-    # written from the hyperplane records, building no facet object: the
-    # bytes json.dumps(..., sort_keys=True) and _human make of these entries
-    # as dicts, since the repr of a list of ints is its JSON text
+    # written from the hyperplane records' grids, building no facet object:
+    # the bytes json.dumps(..., sort_keys=True) and _human make of these
+    # entries as dicts, since the repr of a list of ints is its JSON text
+    cols = w.n + 1
     entries = [
-        (case.value, _grid(coeffs, w), kind.value, list(anchor[1].degrees))
-        for coeffs, kind, case, anchor in _boundary_facets_cached(w)
+        (case.value, _rows(cells, cols), kind.value, list(anchor[1].degrees))
+        for cells, kind, case, anchor in _boundary_facets_cached(w)
     ]
     if fmt == "json":
         print("[" + ", ".join([

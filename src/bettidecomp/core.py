@@ -679,7 +679,12 @@ def _peeled(b: BettiDiagram, num: dict[int, int] | None = None) -> tuple[int, in
         scale, entries = b._integer_form()
         if num is None:
             num = _integer_numerator(entries)
-        s, _, _, value = _peel(num)
+        try:
+            s, _, _, value = _peel(num)
+        except UndefinedOnZero:
+            raise UndefinedOnZero(
+                "the Hilbert numerator of the diagram vanishes, so its codimension and multiplicity are undefined"
+            ) from None
         peeled = b._peeled = (s, value, scale)
     return peeled
 

@@ -42,6 +42,13 @@ per diagram; a functional sums in ``int`` over it, and its exact value is
 that sum over L.  ``Functional.__call__`` returns that ``Fraction``;
 ``verify_decomposition`` reads the coefficient rule on b's integer entries.
 
+A window's hyperplanes are kept as records, each holding its coefficients
+as one flat row-major integer grid of the window, cell
+``(j - i - M) * (n + 1) + i`` for ``beta[i, j]``.  Every reader reads that
+grid: the CLI ``facets`` listing writes its rows, the packed columns below
+are its transpose, and a facet's sparse ``coefficients`` are read back from
+it only when the facet is first handed out.
+
 :func:`verify_fan_convexity` and :func:`membership_by_inequalities` read
 every hyperplane of the window at once, packed one field per hyperplane
 into one ``int`` per grid cell (:mod:`.packing`), and build one
@@ -50,11 +57,11 @@ into one ``int`` per grid cell (:mod:`.packing`), and build one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import mul, neg
 
 from .core import (
     BettiDiagram,
@@ -116,6 +123,8 @@ class Functional:
     coefficients: tuple[tuple[tuple[int, int], int], ...]
     case: FunctionalCase
     anchor: tuple[PureDiagram | None, PureDiagram, PureDiagram | None]
+    # the flat grid the library built the coefficients from (:func:`_coefficients`)
+    _cells: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], int]:
@@ -125,8 +134,11 @@ class Functional:
         return self._lookup.get((i, j), 0)
 
     def grid(self) -> list[list[int]]:
-        """Dense display grid, row = j - i - M, column = i (:func:`_grid`)."""
-        return _grid(self.coefficients, self.window)
+        """Dense display grid, row = j - i - M, column = i: the rows of the
+        flat grid it was built from, or :func:`_grid` of a hand-built one."""
+        if self._cells is None:
+            return _grid(self.coefficients, self.window)
+        return _rows(self._cells, self.window.n + 1)
 
     def __call__(self, b: BettiDiagram) -> Fraction:
         scale, entries = b._integer_form()
@@ -143,7 +155,24 @@ def _grid(coefficients, w: Window) -> list[list[int]]:
         r = j - i - w.M
         if 0 <= r < rows and 0 <= i < cols:
             flat[r * cols + i] = c
-    return [flat[r:r + cols] for r in range(0, rows * cols, cols)]
+    return _rows(flat, cols)
+
+
+def _rows(cells, cols: int) -> list[list[int]]:
+    """A flat row-major grid of ``cols`` columns as a list of row lists:
+    one iterator zipped ``cols`` times reads it a row at a time."""
+    return list(map(list, zip(*[iter(cells)] * cols)))
+
+
+def _sparse(cells, w: Window) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The nonzero cells of a flat grid as ((i, j), c), in (i, j) order."""
+    cols, M = w.n + 1, w.M
+    return tuple(
+        ((i, M + i + r), c)
+        for i in range(cols)
+        for r, c in enumerate(cells[i::cols])
+        if c
+    )
 
 
 def _step(down: PureDiagram, up: PureDiagram, w: Window) -> tuple[int, int]:
@@ -245,28 +274,33 @@ def _rule(d0, p1: PureDiagram, down, up, w: Window):
 
 
 def _coefficients(p0, p1: PureDiagram, down, up, w: Window):
-    """(coefficients, case) of p1's dual functional from :func:`_rule`; a
-    formula must read 1 on p1."""
+    """(cells, case) of p1's dual functional from :func:`_rule`: its
+    coefficients on the window's flat row-major grid, cell (j - i - M) *
+    (n + 1) + i holding c[i, j]; a formula must read 1 on p1."""
     rule = case, a, b = _rule(None if p0 is None else p0.degrees, p1, down, up, w)
+    M, cols = w.M, w.n + 1
+    cells = [0] * (w.rows * cols)
     if case is FunctionalCase.ENTRY:
-        return ((a, b),), case
-    scale, entries, M = *p1._integer, w.M
+        i, j = a
+        cells[(j - i - M) * cols + i] = b
+        return tuple(cells), case
+    scale, entries = p1._integer
     total = _read(rule, entries, M)
     if total != scale:
         raise InvariantViolated(f"{case.value} formula is {Fraction(total, scale)} on {p1!r}, not 1")
-    # column i holds (-1)^i values[deg - M] for M + i <= deg <= limit_i; the
-    # zeros dropped, in (i, deg) order
-    return tuple(
-        ((i, deg), -v if i & 1 else v)
-        for i, limit in enumerate(b)
-        for deg, v in zip(range(M + i, limit + 1), a[i:limit - M + 1])
-        if v
-    ), case
+    # column i holds (-1)^i values[deg - M] for M + i <= deg <= limit_i, in
+    # rows 0 .. limit_i - M - i: one strided store per column
+    for i, limit in enumerate(b):
+        count = limit - M - i + 1
+        column = a[i:i + count]
+        cells[i:i + count * cols:cols] = map(neg, column) if i & 1 else column
+    return tuple(cells), case
 
 
 def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
     """Dual functional of p1, built from :func:`_coefficients`."""
-    return Functional(w, *_coefficients(p0, p1, down, up, w), (p0, p1, p2))
+    cells, case = _coefficients(p0, p1, down, up, w)
+    return Functional(w, _sparse(cells, w), case, (p0, p1, p2), cells)
 
 
 def _check_in_subspace(b: BettiDiagram, w: Window) -> None:
@@ -399,16 +433,17 @@ def _triple_kind(down, up, w: Window) -> FacetKind:
 
 @lru_cache(maxsize=64)
 def _boundary_facets_cached(w: Window) -> tuple[tuple, ...]:
-    """One record (coefficients, kind, case, anchor) per hyperplane, in
-    :func:`boundary_facets` order."""
+    """One record (cells, kind, case, anchor) per hyperplane, in
+    :func:`boundary_facets` order; cells is the flat grid of
+    :func:`_coefficients`."""
     # None stands below min and above max: the extremal triples are
     # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
     # each diagram's cover moves, with their cells, are derived once
     records = {}
 
     def keep(p0, p1, p2, down, up, kind):
-        coeffs, case = _coefficients(p0, p1, down, up, w)
-        records.setdefault(coeffs, (coeffs, kind, case, (p0, p1, p2)))
+        cells, case = _coefficients(p0, p1, down, up, w)
+        records.setdefault(cells, (cells, kind, case, (p0, p1, p2)))
 
     table = _diagrams(w)
     moves = {d: _cover_moves(d, w) for d in table}
@@ -456,17 +491,17 @@ class ConvexityReport:
     counterexample: tuple[BoundaryFacet, PureDiagram, Fraction] | None
 
 
-def _signed_columns(records) -> tuple[dict[tuple[int, int], int], list[int]]:
+def _signed_columns(records, w: Window) -> tuple[dict[tuple[int, int], int], list[int]]:
     """(offsets, flat): hyperplane k's coefficient at pos is ``flat[offsets[pos] + k]``,
-    for every position some hyperplane reads."""
-    offsets, flat, zeros = {}, [], [0] * len(records)
-    for k, record in enumerate(records):
-        for pos, c in record[0]:
-            at = offsets.get(pos)
-            if at is None:
-                at = offsets[pos] = len(flat)
-                flat += zeros
-            flat[at + k] = c
+    for every position some hyperplane reads: the transpose of the records'
+    grids, all-zero cells dropped."""
+    cols, M = w.n + 1, w.M
+    offsets, flat = {}, []
+    for cell, column in enumerate(zip(*[record[0] for record in records])):
+        if any(column):
+            r, i = divmod(cell, cols)
+            offsets[i, M + i + r] = len(flat)
+            flat += column
     return offsets, flat
 
 
@@ -494,8 +529,9 @@ class _FacetMatrix:
         """The facet of record k, built once."""
         facet = self._built.get(k)
         if facet is None:
-            coeffs, kind, case, anchor = self.records[k]
-            facet = self._built[k] = BoundaryFacet(anchor[1], kind, Functional(self.window, coeffs, case, anchor))
+            cells, kind, case, anchor = self.records[k]
+            functional = Functional(self.window, _sparse(cells, self.window), case, anchor, cells)
+            facet = self._built[k] = BoundaryFacet(anchor[1], kind, functional)
         return facet
 
     @property
@@ -523,7 +559,7 @@ class _FacetMatrix:
         return packing is not None and (self._top * max(total, 1)).bit_length() + 2 <= packing.width
 
     def _pack(self, total: int, min_bits: int) -> Packing:
-        offsets, flat = _signed_columns(self.records)
+        offsets, flat = _signed_columns(self.records, self.window)
         self._top = top = max(map(abs, flat), default=0)
         bits = max(min_bits, (top * max(total, 1)).bit_length() + 2)
         return Packing(offsets, flat, len(self.records), -(-bits // 8))
@@ -609,7 +645,13 @@ def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
 
 
 def derived_window(b: BettiDiagram) -> Window:
-    """The natural window of a diagram: support rows, s_min = codimension."""
+    """The natural window of a diagram: support rows, s_min = codimension,
+    or n when the numerator polynomial vanishes (it satisfies every
+    Herzog-Kuhl equation, and no nonzero cone member has one)."""
     _need(b, BettiDiagram, InvalidDiagram)
     M, N = window_of(b)
-    return Window._of(b.n, M, N, min(codimension(b), b.n))
+    try:
+        s_min = min(codimension(b), b.n)
+    except UndefinedOnZero:
+        s_min = b.n
+    return Window._of(b.n, M, N, s_min)

@@ -322,7 +322,8 @@ class TestVerifyFan:
         f = facet.functional
         negated = functionals.Functional(w, tuple((pos, -c) for pos, c in f.coefficients), f.case, f.anchor)
         bad = functionals.BoundaryFacet(facet.removed, facet.kind, negated)
-        built = functionals._FacetMatrix(w, ((negated.coefficients, bad.kind, negated.case, negated.anchor),))
+        cells = tuple(c for row in negated.grid() for c in row)
+        built = functionals._FacetMatrix(w, ((cells, bad.kind, negated.case, negated.anchor),))
         built._built[0] = bad  # hand out the injected facet itself
         monkeypatch.setattr(functionals, "_facet_columns", lambda _: built)
         code, out, _ = run_cli(
@@ -359,6 +360,13 @@ class TestBounds:
         path.write_text('{"n": 1, "entries": [[0, 0, "1"], [0, 1, "1"]]}')
         code, _, err = run_cli(capsys, "bounds", str(path))
         assert code == 2
+
+    def test_vanishing_numerator_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "cancelling.json"
+        path.write_text('{"n": 1, "entries": [[0, 0, "1"], [1, 0, "1"]]}')
+        code, out, err = run_cli(capsys, "bounds", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: the Hilbert numerator of the diagram vanishes, so its codimension and multiplicity are undefined\n"
 
     def test_empty_generator_column_exit_2(self, capsys, tmp_path):
         # column 0 holds no degree at all: say so, not "degrees ()"
@@ -437,6 +445,21 @@ class TestMembership:
         assert code == 0
         listed = {k: v for k, v in cert.items() if k != "value"}
         assert listed in json.loads(out)
+
+    def test_vanishing_numerator_exit_1(self, capsys, tmp_path):
+        # a nonzero diagram whose numerator cancels is not a member: the
+        # derived window takes s_min = n, and a facet reads -2 on it
+        path = tmp_path / "cancelling.json"
+        path.write_text('{"n": 1, "entries": [[0, 0, "1"], [1, 0, "1"]]}')
+        code, out, _ = run_cli(capsys, "membership", str(path), "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["window"] == {"M": -1, "N": 0, "n": 1, "s_min": 1}
+        assert doc["member"] is False
+        assert doc["certificate"] == {
+            "case": "third", "grid": [[2, -2], [0, 0]], "kind": "kind_iii_adjacent_columns",
+            "removed": [-1, 1], "value": "-2",
+        }
 
     def test_negative_multiple_of_single_window_diagram_exit_1(self, capsys, tmp_path):
         path = tmp_path / "negative.json"

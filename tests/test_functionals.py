@@ -418,10 +418,15 @@ def _negated(facet):
     return functionals.BoundaryFacet(facet.removed, facet.kind, negated)
 
 
+def _cells(f):
+    """A functional's flat row-major grid, the layout of a hyperplane record."""
+    return tuple(c for row in f.grid() for c in row)
+
+
 def _matrix_of(facets):
     """A _FacetMatrix of these facets' records that hands out these very facets."""
     facets = tuple(facets)
-    records = tuple((f.functional.coefficients, f.kind, f.functional.case, f.functional.anchor) for f in facets)
+    records = tuple((_cells(f.functional), f.kind, f.functional.case, f.functional.anchor) for f in facets)
     matrix = functionals._FacetMatrix(facets[0].functional.window, records)
     matrix._built.update(enumerate(facets))
     return matrix
@@ -660,8 +665,8 @@ class TestFacetRecords:
         # and the list hand out the one facet built from its record
         w = Window(3, 0, 2, 1)
         records = tuple(
-            (tuple((pos, -c) for pos, c in coeffs), kind, case, anchor)
-            for coeffs, kind, case, anchor in functionals._boundary_facets_cached(w)
+            (tuple(-c for c in cells), kind, case, anchor)
+            for cells, kind, case, anchor in functionals._boundary_facets_cached(w)
         )
         matrix = functionals._FacetMatrix(w, records)
         monkeypatch.setattr(functionals, "_facet_columns", lambda v: matrix if v == w else None)
@@ -672,17 +677,61 @@ class TestFacetRecords:
         # the first negative pair, hyperplanes in order, then diagrams
         k, q = next(
             (k, q)
-            for k, (coeffs, _, case, anchor) in enumerate(records)
+            for k, (cells, _, case, anchor) in enumerate(records)
             for q in w.pure_diagrams()
-            if functionals.Functional(w, coeffs, case, anchor)(q.betti) < 0
+            if functionals.Functional(w, functionals._sparse(cells, w), case, anchor)(q.betti) < 0
         )
         facet, p, value = report.counterexample
         assert p is q
         assert facet is boundary_facets(w)[k] is matrix.facet(k)
-        coeffs, kind, case, anchor = records[k]
+        cells, kind, case, anchor = records[k]
         assert (facet.removed, facet.kind) == (anchor[1], kind)
-        assert (facet.functional.coefficients, facet.functional.case, facet.functional.anchor) == (coeffs, case, anchor)
+        assert (_cells(facet.functional), facet.functional.case, facet.functional.anchor) == (cells, case, anchor)
+        assert facet.functional.coefficients == functionals._sparse(cells, w)
         assert value == facet.functional(p.betti) < 0
+
+
+def _sparse_from_rule(p0, p1, p2, w):
+    """A triple's nonzero coefficients ((i, deg), c) in (i, deg) order,
+    written straight from its coefficient rule."""
+    down = None if p0 is None else functionals._step(p0, p1, w)
+    up = None if p2 is None else functionals._step(p1, p2, w)
+    case, a, b = functionals._rule(None if p0 is None else p0.degrees, p1, down, up, w)
+    if case is FunctionalCase.ENTRY:
+        return ((a, b),)
+    return tuple(
+        ((i, deg), -v if i & 1 else v)
+        for i, limit in enumerate(b)
+        for deg, v in zip(range(w.M + i, limit + 1), a[i:limit - w.M + 1])
+        if v
+    )
+
+
+class TestGridLayout:
+    @pytest.mark.parametrize("w", [*PACKED_SWEEP, Window(3, 0, 3, 0)], ids=str)
+    def test_records_are_flat_grids_of_the_rule(self, w):
+        # a record's cells are the window's grid, row = j - i - M, column = i,
+        # row-major: read back they are the rule's coefficients, and the
+        # facet handed out shows them row by row
+        records = functionals._boundary_facets_cached(w)
+        facets = boundary_facets(w)
+        cols = w.n + 1
+        assert len(facets) == len(records)
+        for (cells, kind, case, anchor), facet in zip(records, facets):
+            assert len(cells) == w.rows * cols
+            sparse = _sparse_from_rule(*anchor, w)
+            assert functionals._sparse(cells, w) == sparse == facet.functional.coefficients, (w, anchor)
+            rows = [list(cells[r * cols:(r + 1) * cols]) for r in range(w.rows)]
+            assert facet.functional.grid() == rows == functionals._grid(sparse, w), (w, anchor)
+            built = coefficient_functional(*anchor, w)
+            assert built == facet.functional and built.grid() == rows, (w, anchor)
+            assert (facet.removed, facet.kind, facet.functional.case) == (anchor[1], kind, case)
+
+    @pytest.mark.parametrize(
+        "w, count", [(Window(3, 0, 2, 0), 51), (Window(3, 0, 3, 0), 119), (Window(5, 0, 4, 0), 1056)], ids=str
+    )
+    def test_facet_counts(self, w, count):
+        assert len(functionals._boundary_facets_cached(w)) == len(boundary_facets(w)) == count
 
 
 class TestConvexity:
@@ -762,6 +811,23 @@ class TestMembership:
         result = membership_by_inequalities(b, w)
         assert not result.member
         assert result.value == -2
+
+    @pytest.mark.parametrize(
+        "n, entries",
+        [(1, {(0, 0): 1, (1, 0): 1}), (2, {(0, 1): 1, (1, 1): 1, (1, 2): 1, (2, 2): 1})],
+    )
+    def test_vanishing_numerator_is_not_a_member(self, n, entries):
+        # a zero numerator satisfies every Herzog-Kuhl equation, so the
+        # derived window takes s_min = n, and a facet certifies it
+        b = BettiDiagram(n, entries)
+        with pytest.raises(UndefinedOnZero):
+            codimension(b)
+        w = derived_window(b)
+        assert w == Window(n, *window_of(b), n)
+        result = membership_by_inequalities(b, w)
+        assert not result.member
+        assert result.value < 0 and result.violated.functional(b) == result.value
+        assert any(f is result.violated for f in boundary_facets(w))
 
     def test_requires_subspace(self, quotient_diagram):
         with pytest.raises(NotInSubspace):

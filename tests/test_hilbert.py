@@ -144,6 +144,14 @@ class TestMultiplicity:
                 with pytest.raises(UndefinedOnZero):
                     f(b)
 
+    def test_vanishing_numerator_is_named(self):
+        # nonzero entries whose Hilbert numerator cancels: the error names it
+        cancelling = BettiDiagram(1, {(0, 0): 1, (1, 0): 1})
+        for f in (multiplicity, codimension, multiplicity_bounds):
+            with pytest.raises(UndefinedOnZero, match="^the Hilbert numerator of the diagram vanishes, so its "
+                               "codimension and multiplicity are undefined$"):
+                f(cancelling)
+
 
 class TestShiftBounds:
     def test_quotient(self, quotient_diagram):
