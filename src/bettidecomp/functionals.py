@@ -57,7 +57,7 @@ into one ``int`` per grid cell (:mod:`.packing`), and build one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -123,8 +123,6 @@ class Functional:
     coefficients: tuple[tuple[tuple[int, int], int], ...]
     case: FunctionalCase
     anchor: tuple[PureDiagram | None, PureDiagram, PureDiagram | None]
-    # the flat grid the library built the coefficients from (:func:`_coefficients`)
-    _cells: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], int]:
@@ -134,11 +132,8 @@ class Functional:
         return self._lookup.get((i, j), 0)
 
     def grid(self) -> list[list[int]]:
-        """Dense display grid, row = j - i - M, column = i: the rows of the
-        flat grid it was built from, or :func:`_grid` of a hand-built one."""
-        if self._cells is None:
-            return _grid(self.coefficients, self.window)
-        return _rows(self._cells, self.window.n + 1)
+        """Dense display grid, row = j - i - M, column = i (:func:`_grid`)."""
+        return _grid(self.coefficients, self.window)
 
     def __call__(self, b: BettiDiagram) -> Fraction:
         scale, entries = b._integer_form()
@@ -300,7 +295,7 @@ def _coefficients(p0, p1: PureDiagram, down, up, w: Window):
 def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
     """Dual functional of p1, built from :func:`_coefficients`."""
     cells, case = _coefficients(p0, p1, down, up, w)
-    return Functional(w, _sparse(cells, w), case, (p0, p1, p2), cells)
+    return Functional(w, _sparse(cells, w), case, (p0, p1, p2))
 
 
 def _check_in_subspace(b: BettiDiagram, w: Window) -> None:
@@ -530,7 +525,7 @@ class _FacetMatrix:
         facet = self._built.get(k)
         if facet is None:
             cells, kind, case, anchor = self.records[k]
-            functional = Functional(self.window, _sparse(cells, self.window), case, anchor, cells)
+            functional = Functional(self.window, _sparse(cells, self.window), case, anchor)
             facet = self._built[k] = BoundaryFacet(anchor[1], kind, functional)
         return facet
 

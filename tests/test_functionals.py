@@ -411,6 +411,9 @@ class TestBoundaryFacets:
         # the chain sweep took about 40 s here
         assert len(boundary_facets(Window(3, 0, 3, 0))) == 119
 
+    def test_window_with_1056_hyperplanes(self):
+        assert len(boundary_facets(Window(5, 0, 4, 0))) == 1056
+
 
 def _negated(facet):
     f = facet.functional
@@ -726,12 +729,6 @@ class TestGridLayout:
             built = coefficient_functional(*anchor, w)
             assert built == facet.functional and built.grid() == rows, (w, anchor)
             assert (facet.removed, facet.kind, facet.functional.case) == (anchor[1], kind, case)
-
-    @pytest.mark.parametrize(
-        "w, count", [(Window(3, 0, 2, 0), 51), (Window(3, 0, 3, 0), 119), (Window(5, 0, 4, 0), 1056)], ids=str
-    )
-    def test_facet_counts(self, w, count):
-        assert len(functionals._boundary_facets_cached(w)) == len(boundary_facets(w)) == count
 
 
 class TestConvexity:
