@@ -190,6 +190,15 @@ def _cmd_expand(args, fmt):
     return 0
 
 
+class _Texts(dict):
+    """Degree sequence -> its JSON text, the repr of its list of ints,
+    stored on the first lookup."""
+
+    def __missing__(self, seq):
+        text = self[seq] = repr(list(seq))
+        return text
+
+
 def _cmd_chains(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
     if args.count_only:
@@ -199,13 +208,13 @@ def _cmd_chains(args, fmt):
     # written a batch at a time, so a listing of a million chains is never
     # held encoded; the bytes are those _print_struct prints for the list of
     # maximal_chains, and the first batch raises WindowTooLarge before any
-    # is written.  Each degree sequence is encoded once per listing: the
-    # repr of a list of ints is its JSON text.
-    text = functools.cache(lambda seq: repr(list(seq)))
+    # is written.  Each degree sequence is encoded once per listing, into a
+    # dict local to it (_Texts) and read by plain lookups.
+    texts = _Texts()
     sep = "["
     while batch := [seqs for seqs, _, _ in itertools.islice(chains, _CHAIN_BATCH)]:
         if fmt == "json":
-            sys.stdout.write(sep + ", ".join(["[" + ", ".join(map(text, seqs)) + "]" for seqs in batch]))
+            sys.stdout.write(sep + ", ".join(["[" + ", ".join(map(texts.__getitem__, seqs)) + "]" for seqs in batch]))
             sep = ", "
         else:
             print(_human([list(map(list, seqs)) for seqs in batch]))

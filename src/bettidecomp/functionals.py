@@ -239,8 +239,8 @@ def _rule(d0, p1: PureDiagram, down, up, w: Window):
     values, limits)``, column i holding (-1)^i values[deg - M] for
     M + i <= deg <= limits[i].  :func:`_coefficients` builds it; :func:`_read`
     sums it over integer entries, b's in ``verify_decomposition``."""
-    m = p1.codimension
     d = p1.degrees
+    m = len(d) - 1
     if down is None:
         col = 0 if up is None else up[1]
     else:
@@ -248,9 +248,10 @@ def _rule(d0, p1: PureDiagram, down, up, w: Window):
         if col != U and (up is not None or col > m):
             bottom = w.N - w.M
             case = _CASES[down[0] < bottom, up is not None and up[0] < bottom]
-            # p0's degrees, and the ceiling N + i above its codimension
+            # p0's degrees, and the ceiling N + i above its codimension: d0
+            # ends below N + len(d0), so the limits strictly increase
             limits = [*d0, *range(w.N + len(d0), w.N + w.n + 1)]
-            M, top = w.M, max(limits)
+            M, top = w.M, limits[-1]
             # prefactor * prod_j (d_j - deg) for deg in [M, top], one pass per
             # factor: the product does not depend on the column
             values = [1 if col == m + 1 else d[col] - d[U]] * (top - M + 1)
@@ -259,10 +260,14 @@ def _rule(d0, p1: PureDiagram, down, up, w: Window):
                     values = list(map(mul, values, range(d[j] - M, d[j] - top - 1, -1)))
             return case, values, limits
     # one scaled Betti number: entry x / L of p1's integer form (L, entries)
-    # is the unit fraction 1 / (L / x) exactly when x > 0 divides L
+    # is the unit fraction 1 / (L / x) exactly when x > 0 divides L; a pure
+    # diagram's form holds column i's entry at index i, any other position
+    # reads 0
     pos = (col, d[col])
     scale, entries = p1._integer
-    x = next((x for at, x in entries if at == pos), 0)
+    at, x = entries[col]
+    if at != pos:
+        x = 0
     if x <= 0 or scale % x:
         raise InvariantViolated(f"entry {pos} of {p1!r} is {Fraction(x, scale)}, not a unit fraction")
     return FunctionalCase.ENTRY, pos, scale // x
@@ -274,7 +279,7 @@ def _coefficients(p0, p1: PureDiagram, down, up, w: Window):
     (n + 1) + i holding c[i, j]; a formula must read 1 on p1."""
     rule = case, a, b = _rule(None if p0 is None else p0.degrees, p1, down, up, w)
     M, cols = w.M, w.n + 1
-    cells = [0] * (w.rows * cols)
+    cells = [0] * ((w.N - M + 1) * cols)
     if case is FunctionalCase.ENTRY:
         i, j = a
         cells[(j - i - M) * cols + i] = b
@@ -432,8 +437,9 @@ def _boundary_facets_cached(w: Window) -> tuple[tuple, ...]:
     :func:`boundary_facets` order; cells is the flat grid of
     :func:`_coefficients`."""
     # None stands below min and above max: the extremal triples are
-    # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
-    # each diagram's cover moves, with their cells, are derived once
+    # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None),
+    # kept through keep(); the boundary triples of the main loop insert
+    # directly.  Each diagram's cover moves, with their cells, are derived once
     records = {}
 
     def keep(p0, p1, p2, down, up, kind):
@@ -456,7 +462,9 @@ def _boundary_facets_cached(w: Window) -> tuple[tuple, ...]:
             for d2, up in moves[d1]:
                 kind = _triple_kind(down, up, w)
                 if kind is not FacetKind.INTERIOR:
-                    keep(p0, p1, table[d2], down, up, kind)
+                    cells, case = _coefficients(p0, p1, down, up, w)
+                    if cells not in records:
+                        records[cells] = (cells, kind, case, (p0, p1, table[d2]))
     return tuple(records.values())
 
 
@@ -465,13 +473,14 @@ def boundary_facets(w: Window) -> list[BoundaryFacet]:
     boundary hyperplanes of the fan of the window.
 
     Positive multiples of one hyperplane are separate facets: (1,0,2,0)
-    lists 10 for 8 hyperplanes (ROADMAP item 3).  Read off the cover
-    triples with a unique middle, without enumerating chains.  Order is
-    deterministic: p0 over ``w.pure_diagrams()``, then its covers p1 (the
-    extremal triples of p1 first), then the covers p2 of p1; the first
-    triple of each coefficient vector supplies ``removed`` and ``kind``.
-    Each facet is built from its window's record on first request and
-    kept: membership certificates and fan counterexamples are these objects.
+    lists 10 for 8 hyperplanes (ROADMAP item "List each facet hyperplane
+    once").  Read off the cover triples with a unique middle, without
+    enumerating chains.  Order is deterministic: p0 over
+    ``w.pure_diagrams()``, then its covers p1 (the extremal triples of p1
+    first), then the covers p2 of p1; the first triple of each coefficient
+    vector supplies ``removed`` and ``kind``.  Each facet is built from its
+    window's record on first request and kept: membership certificates and
+    fan counterexamples are these objects.
     """
     _need(w, Window, WindowMismatch)
     return list(_facet_columns(w).facets)
@@ -573,12 +582,13 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
     :func:`boundary_facets` is evaluated on each pure diagram of the
     window, no chain is enumerated, and ``facets_checked`` counts distinct
     integer coefficient vectors, so a positive multiple of a hyperplane is
-    counted again (ROADMAP item 3).  Only signs matter, so they are read in integers,
-    from each diagram's entries times the lcm of their denominators, every
-    hyperplane at once from the window's packed matrix.  On failure the
-    counterexample is the first negative pair, hyperplanes in order and
-    then diagrams, with the exact ``Fraction`` value of the functional on
-    the diagram, its one unpacked field.
+    counted again (ROADMAP item "List each facet hyperplane once").  Only
+    signs matter, so they are read in integers, from each diagram's entries
+    times the lcm of their denominators, every hyperplane at once from the
+    window's packed matrix.  On failure the counterexample is the first
+    negative pair, hyperplanes in order and then diagrams, with the exact
+    ``Fraction`` value of the functional on the diagram, its one unpacked
+    field.
     """
     _need(w, Window, WindowMismatch)
     matrix = _facet_columns(w)

@@ -21,6 +21,7 @@ parse(emit(x)) == x.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -161,12 +162,17 @@ def parse_diagram(text: str, format: str = "json") -> BettiDiagram:
     raise ValueError(f"unknown format {format!r}")
 
 
+# the one JSON encoder of every report and diagram: the text
+# json.dumps(..., sort_keys=True) writes, without building an encoder per call
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit_json_diagram(b: BettiDiagram) -> str:
     doc = {
         "n": b.n,
         "entries": [[i, j, format_rational(v)] for (i, j), v in b.items()],
     }
-    return json.dumps(doc, sort_keys=True)
+    return _JSON.encode(doc)
 
 
 def _emit_table_diagram(b: BettiDiagram) -> str:
@@ -252,10 +258,7 @@ def encode(obj):
     if isinstance(obj, Decomposition):
         return _decomposition_payload(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {}
-        for f in dataclasses.fields(obj):
-            out[f.name] = encode(getattr(obj, f.name))
-        return out
+        return {name: encode(getattr(obj, name)) for name in _field_names(type(obj))}
     if isinstance(obj, dict):
         return {str(k): encode(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
@@ -263,6 +266,12 @@ def encode(obj):
     raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names, read once per exact class."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def emit_report(obj) -> str:
     """Deterministic JSON for any report-like structure."""
-    return json.dumps(encode(obj), sort_keys=True)
+    return _JSON.encode(encode(obj))

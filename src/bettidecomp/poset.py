@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, repeat
-from operator import itemgetter, le
+from operator import add, itemgetter, le
 from typing import Iterator
 
 from .core import DegreeSequence, PureDiagram, _is_int, pure_diagram
@@ -124,7 +124,7 @@ def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
     table = {}
     for s in range(w.n, w.s_min - 1, -1):
         for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):
-            d = tuple(r + i for i, r in enumerate(rows))
+            d = tuple(map(add, rows, range(s + 1)))
             table[d] = pure_diagram(d, w.n)
     return table
 

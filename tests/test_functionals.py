@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -182,8 +183,78 @@ class TestCoefficientFunctional:
                 assert all(c != 0 for _, c in f.coefficients), f
 
 
+# every window with n <= 3, width <= 2 at every s_min, two where distinct
+# triples share a coefficient vector, and the n <= 6 windows that the
+# benchmark's membership queries build
+RULE_WINDOWS = [Window(n, 0, width, s) for n in range(4) for width in range(3) for s in range(n + 1)]
+RULE_WINDOWS += [Window(2, 0, 4, 0), Window(3, 0, 3, 0)]
+RULE_WINDOWS += [
+    Window(*bounds)
+    for bounds in (
+        (2, 0, 0, 2), (3, 0, 0, 3), (2, 0, 1, 0), (2, 0, 2, 1), (3, 0, 1, 0), (3, 0, 2, 2),
+        (3, 0, 2, 1), (4, 0, 1, 0), (4, 0, 2, 3), (5, 0, 1, 2), (6, 0, 1, 2),
+    )
+]
+
+
+def _reference_rule(d0, p1, down, up, w):
+    """The coefficient rule as first written: m read as p1's codimension,
+    the top degree as max(limits), an entry found by scanning positions."""
+    m = p1.codimension
+    d = p1.degrees
+    if down is None:
+        col = 0 if up is None else up[1]
+    else:
+        col, U = down[1], m if up is None else up[1]
+        if col != U and (up is not None or col > m):
+            bottom = w.N - w.M
+            case = functionals._CASES[down[0] < bottom, up is not None and up[0] < bottom]
+            limits = [*d0, *range(w.N + len(d0), w.N + w.n + 1)]
+            M, top = w.M, max(limits)
+            values = [1 if col == m + 1 else d[col] - d[U]] * (top - M + 1)
+            for j in range(m + 1):
+                if j != col and j != U:
+                    values = list(map(mul, values, range(d[j] - M, d[j] - top - 1, -1)))
+            return case, values, limits
+    pos = (col, d[col])
+    scale, entries = p1._integer
+    x = next((x for at, x in entries if at == pos), 0)
+    if x <= 0 or scale % x:
+        raise InvariantViolated(f"entry {pos} of {p1!r} is {Fraction(x, scale)}, not a unit fraction")
+    return FunctionalCase.ENTRY, pos, scale // x
+
+
+def _rule_arguments(w):
+    """_rule's (d0, p1, down, up) for every cover triple of w, the
+    sentinel triples at the window minimum and maximum included."""
+    table = _diagrams(w)
+    lo, hi = w.min_element(), w.max_element()
+    if lo == hi:
+        yield None, lo, None, None
+    for d0, p0 in table.items():
+        for d1, down in _moves(d0, w):
+            p1 = table[d1]
+            if p0 == lo:
+                yield None, p0, None, down
+            if p1 == hi:
+                yield d0, p1, down, None
+            for _, up in _moves(d1, w):
+                yield d0, p1, down, up
+
+
 class TestRuleReader:
     """The integer reader of a coefficient rule against the built Functional."""
+
+    def test_rule_is_the_first_written_rule(self):
+        cases = {}
+        for w in RULE_WINDOWS:
+            for d0, p1, down, up in _rule_arguments(w):
+                rule = functionals._rule(d0, p1, down, up, w)
+                assert rule == _reference_rule(d0, p1, down, up, w), (w, d0, p1.degrees, down, up)
+                cases[rule[0]] = cases.get(rule[0], 0) + 1
+        # every shape occurs, the single-entry functionals included
+        assert set(cases) == set(FunctionalCase), cases
+        assert sum(cases.values()) == 1655
 
     def test_reader_matches_functional_on_every_chain_triple(self):
         rng = random.Random(22)

@@ -1,6 +1,8 @@
 """Serialization: table/json parsing, canonical emission, report encoding."""
 
 import json
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,16 +13,25 @@ from bettidecomp import (
     BettiDiagram,
     Tableau,
     Window,
+    boundary_facets,
     chain_from_tableau,
     coefficient_functional,
     emit_decomposition,
     emit_diagram,
     emit_report,
     greedy_decompose,
+    membership_by_inequalities,
+    multiplicity_bounds,
     parse_diagram,
+    pure_diagram,
+    verify_decomposition,
+    verify_fan_convexity,
 )
+from bettidecomp import io as dio
+from bettidecomp.decompose import VerificationResult
 from bettidecomp.errors import DuplicateEntry, InvalidDiagram, ParseError
-from bettidecomp.io import format_rational, parse_rational
+from bettidecomp.functionals import ConvexityReport, derived_window
+from bettidecomp.io import encode, format_rational, parse_rational
 
 
 QUOTIENT_TABLE = """\
@@ -216,6 +227,69 @@ class TestEmitReport:
     def test_deterministic_key_order(self):
         a = emit_report({"b": 1, "a": 2})
         assert a == '{"a": 2, "b": 1}'
+
+
+@dataclass(frozen=True)
+class _NotedResult(VerificationResult):
+    """A report subclass with one field more than its base."""
+
+    note: str = "extra"
+
+
+def _seeded_diagrams(seed, count):
+    rng = random.Random(seed)
+    yield BettiDiagram(2, {})
+    for _ in range(count):
+        n = rng.randint(0, 4)
+        entries = {}
+        for _ in range(rng.randint(1, 8)):
+            i = rng.randint(0, n)
+            entries[i, i + rng.randint(-3, 5)] = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+        yield BettiDiagram(n, entries)
+
+
+class TestSharedEncoder:
+    """One kept sorted encoder writes the bytes json.dumps(..., sort_keys=True) writes."""
+
+    def reports(self, quotient_diagram):
+        w = Window(3, 0, 2, 0)
+        facet = boundary_facets(w)[3]
+        broken = BettiDiagram(3, {(0, 0): 1, (1, 3): 1, (2, 3): 1, (2, 4): 2, (3, 5): 1})
+        dec = greedy_decompose(quotient_diagram)
+        return {
+            "fan passes": verify_fan_convexity(w),
+            # a failing report built by hand: its counterexample need not be true
+            "fan fails": ConvexityReport(w, False, 51, 34, (facet, pure_diagram((0, 1, 2, 3), 3), Fraction(-1, 6))),
+            "member": membership_by_inequalities(quotient_diagram, derived_window(quotient_diagram)),
+            "not a member": membership_by_inequalities(broken, derived_window(broken)),
+            "bounds apply": multiplicity_bounds(quotient_diagram),
+            "bounds do not apply": multiplicity_bounds(BettiDiagram(2, {(0, 0): 2, (1, 3): 3, (2, 3): 1}), 10),
+            "verified": verify_decomposition(dec, quotient_diagram),
+            "not verified": verify_decomposition(dec, 2 * quotient_diagram),
+        }
+
+    def test_every_cli_report(self, quotient_diagram):
+        reports = self.reports(quotient_diagram)
+        # each report is the kind its name says
+        assert [bool(reports[k].passed) for k in ("fan passes", "fan fails")] == [True, False]
+        assert [reports[k].member for k in ("member", "not a member")] == [True, False]
+        assert [reports[k].applicable for k in ("bounds apply", "bounds do not apply")] == [True, False]
+        assert [reports[k].ok for k in ("verified", "not verified")] == [True, False]
+        for name, report in reports.items():
+            assert emit_report(report) == json.dumps(encode(report), sort_keys=True), name
+
+    def test_diagrams(self):
+        for b in _seeded_diagrams(27, 200):
+            assert emit_diagram(b) == json.dumps(encode(b), sort_keys=True), b
+
+    def test_field_names_are_read_per_exact_class(self):
+        base, noted = VerificationResult(True), _NotedResult(True)
+        for first, second in ((base, noted), (noted, base)):
+            dio._field_names.cache_clear()
+            encode(first), encode(second)
+            assert encode(base) == {"ok": True, "reason": None}
+            assert encode(noted) == {"ok": True, "reason": None, "note": "extra"}
+            assert emit_report(noted) == '{"note": "extra", "ok": true, "reason": null}'
 
 
 class TestShippedSchema:
