@@ -19,31 +19,38 @@ and are the extremal rays of the cone of Betti diagrams of graded modules.
 
 All arithmetic is exact: entries are :class:`fractions.Fraction`; floats,
 booleans and strings other than ``p`` or ``p/q`` are rejected at the door.
-Integer fields (degrees, indices, ``n``) take an ``int`` and nothing else.
+Integer fields (degrees, indices, ``n``) take an ``int`` and nothing else,
+in reads as in constructors: a column or position that is not one raises
+``InvalidDiagram``.  A public function handed a value of the wrong type
+names it in a domain error (:func:`_need`).
 
 The door is the public constructors, which validate every key and value.
-``BettiDiagram._of`` and ``LaurentPolynomial._of`` skip that check and only
-drop zero entries.  They may be used only where every key is an ``int``
-(pair) already in range and every value a ``Fraction``, because both came
-out of library arithmetic on validated objects: sums, differences and
-shifts of existing tables, products with a scalar that went through
-:func:`as_rational`, and entries a library formula computed.  Anything a
-caller hands in goes through the public constructor, or through a parser.
-:func:`pure_diagram` checks an all-``int`` sequence itself and builds
-through ``DegreeSequence._of`` and ``PureDiagram._of``; any other input
-goes through the validating constructors.  ``Decomposition._of`` in
-:mod:`bettidecomp.decompose` skips the checks of a decomposition; only
-``greedy_decompose`` uses it, whose positive ``Fraction`` coefficients and
-strictly increasing terms of its own ``n`` hold by construction.
+A ``BettiDiagram`` stores one form, its canonical integer form
+(L, entries times L) with L the lcm of the reduced denominators, and
+``BettiDiagram._reduced`` is its one trusted constructor: int values over a
+positive scale, reduced by their gcd with the scale.  It and
+``LaurentPolynomial._of`` skip the checks and only drop zero entries.  They
+may be used only where every key is an ``int`` (pair) already in range and
+every value exact, because both came out of library arithmetic on
+validated objects: sums, differences and shifts of existing tables,
+products with a scalar that went through :func:`as_rational`, and entries
+a library formula computed.  Anything a caller hands in goes through the
+public constructor, or through a parser.  :func:`pure_diagram` checks an
+all-``int`` sequence itself and builds through ``DegreeSequence._of`` and
+``PureDiagram._of``; any other input goes through the validating
+constructors.  ``Decomposition._of`` in :mod:`bettidecomp.decompose` skips
+the checks of a decomposition; only ``greedy_decompose`` uses it, whose
+positive ``Fraction`` coefficients and strictly increasing terms of its own
+``n`` hold by construction.
 
 The diagram parsers in :mod:`bettidecomp.io` are doors too.  The JSON
 parser validates every key and value itself (``n`` an ``int >= 0``, each
 index an ``int`` with ``0 <= i <= n``, each value a rational literal read
 as integers with the refusals of :func:`parse_rational`, no position
-twice) and builds the integer form through ``BettiDiagram._of_integer``;
-the table parser reads its positions off the grid and its values the same
-way, and builds the same way.  So does ``PureDiagram.betti``, from the
-integer form read off the degrees.
+twice); the table parser reads its positions off the grid and its values
+the same way.  Both, and the public constructor, build the canonical form
+from reduced values through :func:`_canonical`.  ``PureDiagram.betti``
+builds from the integer form read off the degrees.
 """
 
 from __future__ import annotations
@@ -161,6 +168,8 @@ class LaurentPolynomial:
         return p
 
     def coefficient(self, degree: int) -> Fraction:
+        if not _is_int(degree):
+            raise InvalidDiagram(f"degree {degree!r} is not an integer")
         return self._coeffs.get(degree, Fraction(0))
 
     def items(self):
@@ -204,7 +213,7 @@ class LaurentPolynomial:
             out = out - out.shifted(1)
         return out
 
-    def _integer_form(self) -> tuple[int, dict[int, int]]:
+    def _integer_coefficients(self) -> tuple[int, dict[int, int]]:
         """(L, degree -> L * coefficient) with L the lcm of the denominators."""
         scale = math.lcm(*(v.denominator for v in self._coeffs.values()))
         return scale, {d: v.numerator * (scale // v.denominator) for d, v in self._coeffs.items()}
@@ -224,7 +233,7 @@ class LaurentPolynomial:
             raise ValueError(f"cap must be an integer or None, got {cap!r}")
         if not self._coeffs:
             return 0, self
-        scale, coeffs = self._integer_form()
+        scale, coeffs = self._integer_coefficients()
         s, lo, q, _ = _peel(coeffs, cap)
         return s, LaurentPolynomial._of({lo + k: Fraction(x, scale) for k, x in enumerate(q)})
 
@@ -272,14 +281,17 @@ class BettiDiagram:
     Diagrams form a vector space: they can be added, subtracted and scaled
     by exact rationals, and entries may be negative.
 
-    A diagram keeps its values in the form it was built from, ``Fraction``
-    entries or the integer form (L, entries times L), and derives the other
-    once, when first read.  Positions are read from whichever is stored.
-    Its window (M, N) and its numerator's peel are kept once computed
-    (:func:`window_of`, :func:`_peeled`).
+    A diagram stores its values one way, as its canonical integer form
+    ``_integer`` = (L, ((pos, L * v), ...)): L is the lcm of the values'
+    reduced denominators, so equal diagrams store the same L and the same
+    entries, in any order.  Public reads build one ``Fraction`` per value; a
+    linear functional with integer coefficients sums in ``int`` over the
+    entries, and its exact value is that sum over L.  Its window (M, N) and
+    its numerator's peel are kept once computed (:func:`window_of`,
+    :func:`_peeled`).
     """
 
-    __slots__ = ("_n", "_entries", "_hash", "_integer", "_window", "_peeled")
+    __slots__ = ("_n", "_integer", "_hash", "_window", "_peeled")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int], object] | Iterable = ()):
         if not _is_int(n) or n < 0:
@@ -295,51 +307,26 @@ class BettiDiagram:
             if v:
                 acc[(i, j)] = acc.get((i, j), Fraction(0)) + v
         self._n = n
-        self._entries = {k: v for k, v in acc.items() if v}
-        self._hash = None
-        self._integer = None
-        self._window = self._peeled = None
+        self._integer = _canonical([(pos, v.numerator, v.denominator) for pos, v in acc.items() if v])
+        self._hash = self._window = self._peeled = None
 
     @classmethod
-    def _of(cls, n: int, entries: dict[tuple[int, int], Fraction]) -> "BettiDiagram":
-        """Trusted constructor: a valid n, in-range int positions and Fraction
-        values from library arithmetic, stored unchecked except that zeros
-        are dropped."""
+    def _reduced(cls, n: int, scale: int, values: Iterable[tuple[tuple[int, int], int]]) -> "BettiDiagram":
+        """Trusted constructor: the values ``x / scale`` for (pos, x) in
+        ``values``, ints over an int scale > 0, with a valid n and in-range
+        int positions, each once, from library arithmetic or a parser.
+        Zeros are dropped and everything is divided by the gcd of the scale
+        and the values, which leaves the canonical form."""
+        values = [(pos, x) for pos, x in values if x]
+        g = math.gcd(scale, *[x for _, x in values])
+        if g > 1:
+            scale //= g
+            values = [(pos, x // g) for pos, x in values]
         b = object.__new__(cls)
         b._n = n
-        b._entries = {k: v for k, v in entries.items() if v}
-        b._hash = None
-        b._integer = None
-        b._window = b._peeled = None
+        b._integer = (scale, tuple(values))
+        b._hash = b._window = b._peeled = None
         return b
-
-    @classmethod
-    def _of_integer(cls, n: int, form: tuple[int, tuple[tuple[tuple[int, int], int], ...]]) -> "BettiDiagram":
-        """Trusted constructor from an integer form (L, ((pos, L * v), ...)):
-        a valid n, in-range int positions, each once, no zero value, and L
-        the lcm of the values' reduced denominators, as :meth:`_integer_form`
-        computes it.  Stored unchecked; the Fraction entries are derived when
-        first read."""
-        b = object.__new__(cls)
-        b._n = n
-        b._entries = None
-        b._hash = None
-        b._integer = form
-        b._window = b._peeled = None
-        return b
-
-    def _fractions(self) -> dict[tuple[int, int], Fraction]:
-        """The entries as Fractions, derived from the integer form once."""
-        if self._entries is None:
-            scale, entries = self._integer
-            self._entries = {pos: Fraction(x, scale) for pos, x in entries}
-        return self._entries
-
-    def _positions(self):
-        """The nonzero positions in stored order, from whichever form is stored."""
-        if self._entries is not None:
-            return self._entries
-        return [pos for pos, _ in self._integer[1]]
 
     @property
     def n(self) -> int:
@@ -347,11 +334,11 @@ class BettiDiagram:
 
     @property
     def is_zero(self) -> bool:
-        return not (self._integer[1] if self._entries is None else self._entries)
+        return not self._integer[1]
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        if self._entries is not None:
-            return self._entries.get(key, _ZERO)
+        if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0]) and _is_int(key[1])):
+            raise InvalidDiagram(f"position {key!r} is not a pair of integers")
         scale, entries = self._integer
         for pos, x in entries:
             if pos == key:
@@ -359,36 +346,23 @@ class BettiDiagram:
         return _ZERO
 
     def items(self):
-        return sorted(self._fractions().items())
+        scale, entries = self._integer
+        return sorted((pos, Fraction(x, scale)) for pos, x in entries)
 
     def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._positions()))
-
-    def _integer_form(self) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
-        """(L, ((pos, L * v), ...)): the entries times the lcm L of their
-        denominators, integers, in stored order; computed once.
-
-        A linear functional with integer coefficients sums in ``int`` over
-        them, and its exact value is that sum over L.
-        """
-        if self._integer is None:
-            entries = self._entries
-            scale = math.lcm(*(v.denominator for v in entries.values()))
-            self._integer = (
-                scale,
-                tuple((pos, v.numerator * (scale // v.denominator)) for pos, v in entries.items()),
-            )
-        return self._integer
+        return tuple(sorted(pos for pos, _ in self._integer[1]))
 
     def column_degrees(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(j for ii, j in self._positions() if ii == i))
+        if not _is_int(i):
+            raise InvalidDiagram(f"column {i!r} is not an integer")
+        return tuple(sorted(j for (ii, j), _ in self._integer[1] if ii == i))
 
     def _column_bounds(self) -> list[tuple[int, int] | None]:
         """(lowest, highest) degree of each column 0..projective dimension,
         None for an empty column, read in one pass over the positions."""
         lo: dict[int, int] = {}
         hi: dict[int, int] = {}
-        for i, j in self._positions():
+        for (i, j), _ in self._integer[1]:
             if i not in lo:
                 lo[i] = hi[i] = j
             elif j < lo[i]:
@@ -402,31 +376,38 @@ class BettiDiagram:
     def projective_dimension(self) -> int:
         if self.is_zero:
             raise UndefinedOnZero("projective dimension undefined for the zero diagram")
-        return max(i for i, _ in self._positions())
+        return max(i for (i, _), _ in self._integer[1])
+
+    def _combined(self, other: "BettiDiagram", sign: int) -> "BettiDiagram":
+        """self + sign * other, in ``int`` over the lcm of the two scales."""
+        (s1, e1), (s2, e2) = self._integer, other._integer
+        scale = math.lcm(s1, s2)
+        f1, f2 = scale // s1, sign * (scale // s2)
+        out = {pos: x * f1 for pos, x in e1}
+        for pos, x in e2:
+            x *= f2
+            out[pos] = out[pos] + x if pos in out else x
+        return BettiDiagram._reduced(self._n, scale, out.items())
 
     def __add__(self, other: "BettiDiagram") -> "BettiDiagram":
         if not isinstance(other, BettiDiagram):
             return NotImplemented
         if other._n != self._n:
             raise InvalidDiagram("cannot add diagrams with different ambient n")
-        out = dict(self._fractions())
-        for k, v in other._fractions().items():
-            out[k] = out[k] + v if k in out else v
-        return BettiDiagram._of(self._n, out)
+        return self._combined(other, 1)
 
     def __sub__(self, other: "BettiDiagram") -> "BettiDiagram":
         if not isinstance(other, BettiDiagram):
             return NotImplemented
         if other._n != self._n:
             raise InvalidDiagram("cannot subtract diagrams with different ambient n")
-        out = dict(self._fractions())
-        for k, v in other._fractions().items():
-            out[k] = out[k] - v if k in out else -v
-        return BettiDiagram._of(self._n, out)
+        return self._combined(other, -1)
 
     def scaled(self, scalar) -> "BettiDiagram":
         c = as_rational(scalar)
-        return BettiDiagram._of(self._n, {k: v * c for k, v in self._fractions().items()})
+        scale, entries = self._integer
+        p = c.numerator
+        return BettiDiagram._reduced(self._n, scale * c.denominator, [(pos, x * p) for pos, x in entries])
 
     def __rmul__(self, scalar) -> "BettiDiagram":
         return self.scaled(scalar)
@@ -434,16 +415,32 @@ class BettiDiagram:
     def __eq__(self, other):
         if not isinstance(other, BettiDiagram):
             return NotImplemented
-        return self._n == other._n and self._fractions() == other._fractions()
+        (s1, e1), (s2, e2) = self._integer, other._integer
+        return self._n == other._n and s1 == s2 and set(e1) == set(e2)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._n, frozenset(self._fractions().items())))
+            scale, entries = self._integer
+            self._hash = hash((self._n, scale, frozenset(entries)))
         return self._hash
 
     def __repr__(self):
         ent = ", ".join(f"({i},{j}): {v}" for (i, j), v in self.items())
         return f"BettiDiagram(n={self._n}, {{{ent}}})"
+
+
+def _canonical(values: list) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
+    """The canonical integer form (L, ((pos, L * p / q), ...)) of nonzero
+    values given as (pos, p, q) in lowest terms, q > 0, in the given order:
+    L is the lcm of the q."""
+    scale = math.lcm(*(q for _, _, q in values))
+    return scale, tuple((pos, p * (scale // q)) for pos, p, q in values)
+
+
+def _need(value, cls, error) -> None:
+    """Raise ``error`` naming the value unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise error(f"expected a {cls.__name__}, got {value!r}")
 
 
 class DegreeSequence(tuple):
@@ -508,8 +505,10 @@ class PureDiagram:
         """The integer form (L, ((i, d_i), L // q_i) per column), with
         q_i = |prod_{j != i} (d_j - d_i)| and L the lcm of the q_i.
 
-        Entry i is 1 / q_i, so this equals ``betti._integer_form()``; it is
-        read off the degrees alone, and :attr:`betti` is built from it."""
+        Entry i is 1 / q_i, so this is the canonical form ``betti._integer``;
+        it is read off the degrees alone, and :attr:`betti` is built from it.
+        Every entry is a positive int, so a linear functional reads the same
+        sign on the entries as on :attr:`betti`."""
         d = self.degrees
         qs = []
         for di in d:
@@ -523,20 +522,16 @@ class PureDiagram:
 
     @cached_property
     def betti(self) -> BettiDiagram:
-        return BettiDiagram._of_integer(self.n, self._integer)
-
-    @property
-    def _integer_entries(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        """The integer form of :attr:`betti`, in column order.
-
-        Every entry is positive, so these are positive integers and a linear
-        functional reads the same sign on them as on :attr:`betti`.
-        """
-        return self._integer[1]
+        return BettiDiagram._reduced(self.n, *self._integer)
 
     def entry(self, i: int) -> Fraction:
-        """The single nonzero value in column i."""
-        return self.betti[(i, self.degrees[i])]
+        """The single nonzero value in column i, 0 <= i <= codimension."""
+        if not _is_int(i):
+            raise InvalidDiagram(f"column {i!r} is not an integer")
+        if not 0 <= i < len(self.degrees):
+            raise ColumnOutOfRange(f"column {i} outside [0, {len(self.degrees) - 1}]")
+        scale, entries = self._integer
+        return Fraction(entries[i][1], scale)
 
     def __repr__(self):
         return f"pi{tuple(self.degrees)}"
@@ -604,6 +599,7 @@ def pure_diagram(degrees, n: int) -> PureDiagram:
 
 def normalize(p: PureDiagram) -> NormalizedPureDiagram:
     """Rescale a pure diagram generated in degree zero to have entry 1 at (0, 0)."""
+    _need(p, PureDiagram, InvalidDiagram)
     if p.degrees[0] != 0:
         raise NotGeneratedInDegreeZero(f"first degree is {p.degrees[0]}, expected 0")
     scale = 1
@@ -619,9 +615,10 @@ def hk_residuals(b: BettiDiagram, s: int) -> list[Fraction]:
     Summed in ``int`` over the diagram's integer form, so each residual is
     one exact ``Fraction``, the sum over the lcm of the denominators.
     """
+    _need(b, BettiDiagram, InvalidDiagram)
     if not _is_int(s) or s < 0:
         raise ValueError(f"s must be an integer >= 0, got {s!r}")
-    scale, entries = b._integer_form()
+    scale, entries = b._integer
     signed = [(j, -x if i & 1 else x) for (i, j), x in entries]
     return [Fraction(sum(x * j**m for j, x in signed), scale) for m in range(s)]
 
@@ -643,7 +640,8 @@ def numerator_polynomial(b: BettiDiagram) -> LaurentPolynomial:
     The Hilbert series of a module with this diagram is S(b, t) / (1 - t)^n.
     Linear in the diagram.
     """
-    scale, entries = b._integer_form()
+    _need(b, BettiDiagram, InvalidDiagram)
+    scale, entries = b._integer
     return LaurentPolynomial._of(
         {j: Fraction(x, scale) for j, x in _integer_numerator(entries).items()}
     )
@@ -654,6 +652,7 @@ def codimension(b: BettiDiagram) -> int:
 
     Equals the number of leading Herzog-Kuhl equations the diagram satisfies.
     """
+    _need(b, BettiDiagram, InvalidDiagram)
     return _peeled(b)[0]
 
 
@@ -676,7 +675,7 @@ def _peeled(b: BettiDiagram, num: dict[int, int] | None = None) -> tuple[int, in
     if peeled is None:
         if b.is_zero:
             raise UndefinedOnZero("codimension undefined for the zero diagram")
-        scale, entries = b._integer_form()
+        scale, entries = b._integer
         if num is None:
             num = _integer_numerator(entries)
         try:
@@ -745,6 +744,7 @@ def _integer_step(
 def window_of(b: BettiDiagram) -> tuple[int, int]:
     """Degree window (M, N) = (min, max) of j - i over the nonzero support,
     kept on b."""
+    _need(b, BettiDiagram, InvalidDiagram)
     window = b._window
     if window is None:
         window = b._window = _window(b)
@@ -755,5 +755,5 @@ def _window(b: BettiDiagram) -> tuple[int, int]:
     """(M, N) read off b's positions in one pass."""
     if b.is_zero:
         raise UndefinedOnZero("window undefined for the zero diagram")
-    offsets = [j - i for i, j in b._positions()]
+    offsets = [j - i for (i, j), _ in b._integer[1]]
     return min(offsets), max(offsets)

@@ -44,13 +44,14 @@ from fractions import Fraction
 from .core import (
     BettiDiagram,
     PureDiagram,
+    _need,
     as_rational,
     pure_diagram,
     window_of,
 )
 from .errors import InvalidDiagram, NotInCone
 from .functionals import _read, _rule
-from .poset import Window, _need, _steps_around, leq
+from .poset import Window, _steps_around, leq
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,8 @@ class Decomposition:
         return [p for _, p in self.terms]
 
     def reconstruct(self) -> BettiDiagram:
-        if not self.terms:
-            return BettiDiagram(self.n, {})
         scale, total = _integer_combination(self.terms)
-        return BettiDiagram._of(self.n, {pos: Fraction(x, scale) for pos, x in total.items()})
+        return BettiDiagram._reduced(self.n, scale, total.items())
 
 
 def _integer_combination(terms) -> tuple[int, dict[tuple[int, int], int]]:
@@ -119,16 +118,15 @@ def _integer_combination(terms) -> tuple[int, dict[tuple[int, int], int]]:
 
 
 def _residual(columns: list, fronts: list[int], scale: int, m: int, n: int) -> BettiDiagram:
-    """The greedy residual, for a failure report: each column's front over
-    ``scale * m``, and its entries not yet reached at their value in b."""
-    entries = {}
+    """The greedy residual, for a failure report, over ``scale * m``: each
+    column's front, and its entries not yet reached at their value in b."""
+    values = []
     for i, (column, y) in enumerate(zip(columns, fronts)):
         if column:
             *rest, (j, _) = column
-            entries[(i, j)] = Fraction(y, scale * m)
-            for j, x in rest:
-                entries[(i, j)] = Fraction(x, scale)
-    return BettiDiagram._of(n, entries)
+            values.append(((i, j), y))
+            values += [((i, j), x * m) for j, x in rest]
+    return BettiDiagram._reduced(n, scale * m, values)
 
 
 def greedy_decompose(b: BettiDiagram) -> Decomposition:
@@ -148,7 +146,7 @@ def greedy_decompose(b: BettiDiagram) -> Decomposition:
     if b.is_zero:
         raise InvalidDiagram("cannot decompose the zero diagram")
     # L > 0, so L * v has the sign of v
-    scale, entries = b._integer_form()
+    scale, entries = b._integer
     negative = [pos for pos, x in entries if x < 0]
     if negative:
         i, j = min(negative)
@@ -263,7 +261,7 @@ def verify_decomposition(dec: Decomposition, b: BettiDiagram) -> VerificationRes
     # sum c * p = x / D equals b = y / L exactly when x L = y D at each of
     # b's positions and the sum has no other position
     scale, total = _integer_combination(dec.terms)
-    size, entries = b._integer_form()
+    size, entries = b._integer
     if len(total) != len(entries) or any(total.get(pos, 0) * size != y * scale for pos, y in entries):
         return VerificationResult(False, "reconstruction")
     # positive pure diagrams cannot cancel: the terms are a chain of w, and

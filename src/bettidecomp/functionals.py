@@ -67,6 +67,7 @@ from .core import (
     BettiDiagram,
     PureDiagram,
     _integer_step,
+    _need,
     codimension,
     hk_residuals,
     pure_diagram,
@@ -83,7 +84,7 @@ from .errors import (
     WindowMismatch,
 )
 from .packing import Packing
-from .poset import Chain, Window, _cell, _diagrams, _need, chain_length
+from .poset import Chain, Window, _cell, _diagrams, chain_length
 from .poset import _moves as _cover_moves
 
 
@@ -136,7 +137,7 @@ class Functional:
         return _grid(self.coefficients, self.window)
 
     def __call__(self, b: BettiDiagram) -> Fraction:
-        scale, entries = b._integer_form()
+        scale, entries = b._integer
         lookup = self._lookup
         return Fraction(sum(lookup.get(pos, 0) * x for pos, x in entries), scale)
 
@@ -352,7 +353,7 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
     # read at its column-0 entry
     columns = [i for _, i in c.vacated] + [0]
     coords = []
-    scale, entries = b._integer_form()
+    scale, entries = b._integer
     residual = dict(entries)
     for element, i in zip(c.elements, columns):
         lam, residual, scale = _integer_step(residual, scale, element, i)
@@ -602,7 +603,7 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
     # diagram
     first = None
     for p in diagrams:
-        acc = packing.read(p._integer_entries)
+        acc = packing.read(p._integer[1])
         if (acc & bias) != bias:
             k = packing.first_negative(acc)
             if first is None or k < first[0]:
@@ -640,7 +641,7 @@ def membership_by_inequalities(b: BettiDiagram, w: Window) -> MembershipResult:
     _need(b, BettiDiagram, InvalidDiagram)
     _check_in_subspace(b, w)
     matrix = _facet_columns(w)
-    scale, entries = b._integer_form()
+    scale, entries = b._integer
     packing = matrix.packing(sum(abs(x) for _, x in entries))
     acc = packing.read(entries)
     k = packing.first_negative(acc)

@@ -37,6 +37,7 @@ from .core import (
     _ZERO,
     _integer_numerator,
     _is_int,
+    _need,
     _peeled_numerator,
     codimension,
     numerator_polynomial,
@@ -84,7 +85,7 @@ class HilbertSeries:
     def expand(self, depth: int) -> list[Fraction]:
         """Power-series coefficients of t^0 .. t^depth."""
         _check_depth(depth)
-        scale, coeffs = self.numerator._integer_form()
+        scale, coeffs = self.numerator._integer_coefficients()
         return [Fraction(x, scale) for x in _series_integers(coeffs, self.n, depth)]
 
     def __add__(self, other: "HilbertSeries") -> "HilbertSeries":
@@ -127,6 +128,7 @@ def _series_integers(numerator: dict[int, int], n: int, depth: int) -> list[int]
 
 def hilbert_series(b: BettiDiagram) -> HilbertSeries:
     """Series recovered from the alternating column sums of the diagram."""
+    _need(b, BettiDiagram, InvalidDiagram)
     return HilbertSeries(numerator_polynomial(b), b.n)
 
 
@@ -136,6 +138,7 @@ def multiplicity(b: BettiDiagram) -> Fraction:
     For the diagram of a module this is the usual multiplicity; positive
     whenever the diagram is a positive combination of pure diagrams.
     """
+    _need(b, BettiDiagram, InvalidDiagram)
     if b.is_zero:
         raise UndefinedOnZero("multiplicity undefined for the zero diagram")
     return _peeled_numerator(b)[1]
@@ -158,6 +161,7 @@ def shift_bounds(b: BettiDiagram) -> ShiftBounds:
     generated in several degrees, or in a single nonzero degree, are
     rejected rather than silently twisted.
     """
+    _need(b, BettiDiagram, InvalidDiagram)
     return _shift_bounds(_check_generators(b), codimension(b))
 
 
@@ -332,10 +336,11 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     """
     if depth is not None:
         _check_depth(depth)
+    _need(b, BettiDiagram, InvalidDiagram)
     bounds = _check_generators(b)
     # b's numerator in integers: one peel of it gives both the codimension
     # and the multiplicity e = Q(1), and it is the b half of both slacks
-    scale, entries = b._integer_form()
+    scale, entries = b._integer
     num = _integer_numerator(entries)
     codim, e = _peeled_numerator(b, num)
     sb = _shift_bounds(bounds, codim)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import re
 from enum import Enum
 from fractions import Fraction
@@ -31,6 +30,7 @@ from fractions import Fraction
 from .core import (
     BettiDiagram,
     LaurentPolynomial,
+    _canonical,
     _is_int,
     _parse_int,
     _rational_parts,
@@ -46,14 +46,6 @@ from .poset import Chain, Tableau, Window
 
 def format_rational(value: Fraction) -> str:
     return str(as_rational(value))
-
-
-def _integer_form(values: list) -> tuple[int, tuple]:
-    """The integer form (L, ((pos, L * p / q), ...)) of nonzero values given
-    as (pos, p, q) in lowest terms, q > 0, in the given order: L is the lcm
-    of the q, as ``BettiDiagram._of_integer`` takes it."""
-    scale = math.lcm(*(q for _, _, q in values))
-    return scale, tuple((pos, p * (scale // q)) for pos, p, q in values)
 
 
 def _parse_json_diagram(text: str) -> BettiDiagram:
@@ -92,7 +84,7 @@ def _parse_json_diagram(text: str) -> BettiDiagram:
         if p:
             values.append((pos, p, q))
     # every key and value checked above: build without a second pass
-    return BettiDiagram._of_integer(n, _integer_form(values))
+    return BettiDiagram._reduced(n, *_canonical(values))
 
 
 def _parse_table_diagram(text: str) -> BettiDiagram:
@@ -150,7 +142,7 @@ def _parse_table_diagram(text: str) -> BettiDiagram:
             if p:
                 values.append(((i, label + i), p, q))
     # positions off the grid of consecutive labels, values read exactly
-    return BettiDiagram._of_integer(n, _integer_form(values))
+    return BettiDiagram._reduced(n, *_canonical(values))
 
 
 def parse_diagram(text: str, format: str = "json") -> BettiDiagram:
@@ -178,11 +170,12 @@ def _emit_json_diagram(b: BettiDiagram) -> str:
 def _emit_table_diagram(b: BettiDiagram) -> str:
     if b.is_zero:
         return f"# n={b.n}\n"
-    offsets = [j - i for i, j in b.support()]
+    values = dict(b.items())
+    offsets = [j - i for i, j in values]
     lo, hi = min(offsets), max(offsets)
     cells = []
     for label in range(lo, hi + 1):
-        row = [format_rational(b[(i, label + i)]) if b[(i, label + i)] else "-" for i in range(b.n + 1)]
+        row = [format_rational(values[(i, label + i)]) if (i, label + i) in values else "-" for i in range(b.n + 1)]
         cells.append((label, row))
     label_width = max(len(str(label)) for label, _ in cells)
     col_widths = [

@@ -45,7 +45,7 @@ from itertools import combinations_with_replacement, repeat
 from operator import add, itemgetter, le
 from typing import Iterator
 
-from .core import DegreeSequence, PureDiagram, _is_int, pure_diagram
+from .core import DegreeSequence, PureDiagram, _is_int, _need, pure_diagram
 from .errors import (
     ChainNotMaximal,
     InvalidTableau,
@@ -182,12 +182,6 @@ def _cell(d: tuple, e: tuple, w: Window) -> tuple[int, int] | None:
     if e[i] == di + 1 and di < w.N + i and (i == last or di + 1 < d[i + 1]) and d[i + 1:] == e[i + 1:]:
         return (di - i - w.M, i)
     return None
-
-
-def _need(value, cls, error) -> None:
-    """Raise ``error`` naming the value unless it is a ``cls``."""
-    if not isinstance(value, cls):
-        raise error(f"expected a {cls.__name__}, got {value!r}")
 
 
 def covers(p: PureDiagram, q: PureDiagram, w: Window) -> bool:

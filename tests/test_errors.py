@@ -12,26 +12,37 @@ from bettidecomp import (
     BettiDiagram,
     Chain,
     Decomposition,
+    LaurentPolynomial,
     Tableau,
     Window,
     boundary_facets,
     chain_from_tableau,
+    codimension,
     count_maximal_chains,
     covers,
     derived_window,
     expand_in_chain,
     classify_facet,
     greedy_decompose,
+    hilbert_series,
+    hk_residuals,
     maximal_chains,
     membership_by_inequalities,
+    multiplicity,
+    multiplicity_bounds,
+    normalize,
+    numerator_polynomial,
     pure_diagram,
+    shift_bounds,
     tableau_from_chain,
     verify_decomposition,
     verify_fan_convexity,
+    window_of,
 )
 from bettidecomp.errors import (
     BettiError,
     ChainNotMaximal,
+    ColumnOutOfRange,
     InvalidDiagram,
     InvalidTableau,
     NotAChain,
@@ -172,6 +183,15 @@ class TestWrongArgumentTypes:
             (lambda: verify_decomposition(((1, (0, 1)),), _P.betti), InvalidDiagram, r"Decomposition, got \(\(1, \(0, 1\)\),\)"),
             (lambda: verify_decomposition(_DEC, _ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
             (lambda: chain_from_tableau(((1,),), _W), InvalidTableau, r"Tableau, got \(\(1,\),\)"),
+            (lambda: codimension(_ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: numerator_polynomial(_ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: hk_residuals(_ENTRIES, 1), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: window_of(_ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: hilbert_series(_ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: multiplicity(_ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: shift_bounds(_ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: multiplicity_bounds(_ENTRIES), InvalidDiagram, r"BettiDiagram, got \{\(0, 0\): 1\}"),
+            (lambda: normalize((0, 1, 2)), InvalidDiagram, r"PureDiagram, got \(0, 1, 2\)"),
         ],
         ids=[
             "covers-window", "covers-diagram", "tableau_from_chain", "classify_facet", "expand_in_chain",
@@ -179,6 +199,8 @@ class TestWrongArgumentTypes:
             "verify_fan_convexity", "membership_by_inequalities", "greedy_decompose-diagram",
             "derived_window-diagram", "membership_by_inequalities-diagram", "expand_in_chain-diagram",
             "verify_decomposition-decomposition", "verify_decomposition-diagram", "chain_from_tableau-tableau",
+            "codimension", "numerator_polynomial", "hk_residuals", "window_of", "hilbert_series",
+            "multiplicity", "shift_bounds", "multiplicity_bounds", "normalize",
         ],
     )
     def test_bad_argument_is_named(self, call, error, named):
@@ -188,6 +210,47 @@ class TestWrongArgumentTypes:
     def test_tuple_is_the_chain_of_its_window(self):
         # the stand-in above is a real maximal chain, so only its type fails
         assert Chain(_ELEMENTS, _W).is_maximal()
+
+
+_B = BettiDiagram(2, {(0, 0): 1, (1, 2): "3/2"})
+
+
+class TestIndexReads:
+    """An index read takes an int (pair) and nothing else: 1.0 and True
+    hash like 1, and must not read column or degree 1."""
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: _B[(1.0, 2)], InvalidDiagram),
+            (lambda: _B[(True, 2)], InvalidDiagram),
+            (lambda: _B[(1, 2.0)], InvalidDiagram),
+            (lambda: _B[0], InvalidDiagram),
+            (lambda: _B[(1, 2, 3)], InvalidDiagram),
+            (lambda: _B.column_degrees(1.5), InvalidDiagram),
+            (lambda: _B.column_degrees(True), InvalidDiagram),
+            (lambda: _P.entry(True), InvalidDiagram),
+            (lambda: _P.entry(1.0), InvalidDiagram),
+            (lambda: _P.entry(-1), ColumnOutOfRange),
+            (lambda: _P.entry(5), ColumnOutOfRange),
+            (lambda: LaurentPolynomial({1: 2}).coefficient(1.0), InvalidDiagram),
+            (lambda: LaurentPolynomial({1: 2}).coefficient(True), InvalidDiagram),
+        ],
+        ids=[
+            "getitem-float-column", "getitem-bool-column", "getitem-float-degree", "getitem-int",
+            "getitem-triple", "column_degrees-float", "column_degrees-bool", "entry-bool", "entry-float",
+            "entry-negative", "entry-past-codimension", "coefficient-float", "coefficient-bool",
+        ],
+    )
+    def test_non_int_index_is_refused(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    def test_int_reads_still_read(self):
+        assert _B[(1, 2)] == Fraction(3, 2) and _B[(2, 2)] == 0
+        assert _B.column_degrees(1) == (2,) and _B.column_degrees(2) == ()
+        assert [_P.entry(i) for i in range(3)] == [Fraction(1, 2), Fraction(1), Fraction(1, 2)]
+        assert LaurentPolynomial({1: 2}).coefficient(1) == 2
 
 
 class TestMaximalityRequirements:

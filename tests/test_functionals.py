@@ -164,7 +164,7 @@ class TestCoefficientFunctional:
                         p2 is not None and _below(p2.degrees, d)
                     ):
                         # zero exactly when zero on the lcm-scaled entries
-                        value = sum(f.coefficient(*pos) * v for pos, v in q._integer_entries)
+                        value = sum(f.coefficient(*pos) * v for pos, v in q._integer[1])
                         assert value == 0, (p0, p1, p2, q)
             triples += len(trips)
         assert triples == 5317
@@ -286,7 +286,7 @@ class TestRuleReader:
                                 for _ in range(2):
                                     picked = rng.sample(cells, min(len(cells), 6))
                                     b = BettiDiagram(n, {pos: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for pos in picked})
-                                    scale, entries = b._integer_form()
+                                    scale, entries = b._integer
                                     assert functionals._read(rule, entries, M) == f(b) * scale, (w, p1, b)
         assert len(seen) == 2994
 
@@ -532,7 +532,7 @@ def _fields(packing, acc, size):
 def _pure_packing(facets, diagrams):
     """A packing of these facets wide enough for every pure diagram given."""
     matrix = _matrix_of(facets)
-    return matrix.packing(max(sum(x for _, x in p._integer_entries) for p in diagrams))
+    return matrix.packing(max(sum(x for _, x in p._integer[1]) for p in diagrams))
 
 
 # the windows of the route-agreement sweeps: n <= 4, width <= 2, every s_min,
@@ -569,7 +569,7 @@ class TestPackedMatrix:
             packing = _pure_packing(facets, diagrams)
             for p in diagrams:
                 scale = math.lcm(*(v.denominator for _, v in p.betti.items()))
-                acc = packing.read(p._integer_entries)
+                acc = packing.read(p._integer[1])
                 values = _fields(packing, acc, len(facets))
                 exact = [facet.functional(p.betti) for facet in facets]
                 assert all(type(v) is int for v in values), (w, p)
@@ -585,7 +585,7 @@ class TestPackedMatrix:
         packing = _pure_packing(facets, diagrams)
         flagged = set()
         for p in diagrams:
-            acc = packing.read(p._integer_entries)
+            acc = packing.read(p._integer[1])
             values = _fields(packing, acc, len(facets))
             negative = [k for k, v in enumerate(values) if v < 0]
             assert packing.first_negative(acc) == (negative[0] if negative else None), (w, p)
@@ -622,7 +622,7 @@ class TestPackedMatrix:
                 assert result.violated is facets[k]
                 assert type(result.value) is Fraction and result.value == exact[k]
         # the widened packing is kept apart: small entries still read the narrow one
-        wide = matrix.packing(sum(abs(x) for _, x in member._integer_form()[1]))
+        wide = matrix.packing(sum(abs(x) for _, x in member._integer[1]))
         assert wide.width > narrow == matrix.packing(0).width
 
     def test_wide_membership_leaves_the_fan_packing(self, monkeypatch):
@@ -964,7 +964,7 @@ def subspace_diagrams(rng):
             entries = {(0, j): v, (1, j): v}
         b = BettiDiagram(n, entries)
         out.append(b)
-        out.append(BettiDiagram._of_integer(n, BettiDiagram(n, entries)._integer_form()))
+        out.append(BettiDiagram._reduced(n, *BettiDiagram(n, entries)._integer))
     out.append(BettiDiagram(3, {}))
     return out
 
@@ -989,11 +989,11 @@ class TestIntegerSubspaceCheck:
         seen = set()
         pairs = 0
         for b in subspace_diagrams(rng):
-            n, entries = b.n, b._integer_form()
+            n, entries = b.n, b._integer
             for w in self.windows_for(b, rng):
-                expected = check_outcome(subspace_by_residuals, BettiDiagram._of_integer(n, entries), w)
+                expected = check_outcome(subspace_by_residuals, BettiDiagram._reduced(n, *entries), w)
                 # on a fresh diagram, and on one whose window and peel are kept
-                fresh = BettiDiagram._of_integer(n, entries)
+                fresh = BettiDiagram._reduced(n, *entries)
                 assert check_outcome(functionals._check_in_subspace, fresh, w) == expected, (b, w)
                 assert check_outcome(functionals._check_in_subspace, b, w) == expected, (b, w)
                 seen.add(None if expected is None else expected[0])
@@ -1069,7 +1069,7 @@ class TestInvariantsRaise:
         # (1, 2) is 5, as the normalized diagram's is, is not a unit fraction
         normalized = normalize(p)
         assert normalized.betti[(1, 2)] == 5
-        stand_in = SimpleNamespace(codimension=3, degrees=p.degrees, _integer=normalized.betti._integer_form())
+        stand_in = SimpleNamespace(codimension=3, degrees=p.degrees, _integer=normalized.betti._integer)
         with pytest.raises(InvariantViolated, match="not a unit fraction"):
             functionals._rule(None, stand_in, None, (0, 1), w)
         # a position that is not one of the integer form's entries

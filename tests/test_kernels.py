@@ -215,11 +215,17 @@ class TestSeriesEqualityAgainstCrossMultiplication:
 
 def assert_clean(b: BettiDiagram):
     """No stored zero, Fraction values, and the same diagram (with the same
-    hash) as the validating constructor builds from the same entries."""
+    hash) as the validating constructor builds from the same entries, with
+    the same canonical integer form (L, entry set): L the lcm of the
+    values' reduced denominators."""
     items = b.items()
     assert all(v and type(v) is Fraction for _, v in items)
     rebuilt = BettiDiagram(b.n, dict(items))
     assert b == rebuilt and hash(b) == hash(rebuilt)
+    scale, entries = b._integer
+    assert (scale, set(entries)) == (rebuilt._integer[0], set(rebuilt._integer[1]))
+    assert scale == math.lcm(*(v.denominator for _, v in items))
+    assert len({pos for pos, _ in entries}) == len(entries) and all(x for _, x in entries)
 
 
 class TestTrustedPathDoesNotLeak:
@@ -243,7 +249,8 @@ class TestTrustedPathDoesNotLeak:
     def test_arithmetic_results_are_clean(self):
         a = BettiDiagram(2, {(0, 0): 1, (1, 2): Fraction(3, 2), (2, 3): -1})
         b = BettiDiagram(2, {(1, 2): Fraction(3, 2), (2, 4): Fraction(1, 3)})
-        for result in (a + b, a - b, b - b, a - a.scaled(1), a.scaled(0), a.scaled("2/3"), 3 * b):
+        normalized = core.normalize(pure_diagram((0, 2, 3, 5), 3)).betti
+        for result in (a + b, a - b, b - b, a - a.scaled(1), a.scaled(0), a.scaled("2/3"), 3 * b, normalized):
             assert_clean(result)
         assert (a - b).support() == ((0, 0), (2, 3), (2, 4))
         assert (b - b).is_zero and a.scaled(0).is_zero
@@ -309,7 +316,7 @@ class TestParsersAgainstTheConstructor:
             parsed = parse_diagram(doc, "json")
             expected = BettiDiagram(n, entries)
             assert parsed == expected and parsed.n == n
-            assert parsed._integer_form() == expected._integer_form()
+            assert parsed._integer == expected._integer
             assert parsed == BettiDiagram(n, {pos: Fraction(raw) for pos, raw in entries.items()})
             assert_clean(parsed)
             table = parse_diagram(emit_diagram(parsed, "table"), "table")
@@ -342,7 +349,7 @@ def _read(reader, b):
 
 def _position_readers(n: int, positions) -> list:
     """Readers of a diagram's positions, and of its values at each position
-    given and off the support; none builds the Fraction entries."""
+    given and off the support."""
     absent = [(0, -99), (n, 99), (n, -4)]
     return [
         lambda b: b.is_zero,
@@ -353,13 +360,52 @@ def _position_readers(n: int, positions) -> list:
         lambda b: b.projective_dimension(),
         lambda b: core.window_of(b),
         # stored order is the document's: a table's is row by row
-        lambda b: (b._integer_form()[0], sorted(b._integer_form()[1])),
+        lambda b: (b._integer[0], sorted(b._integer[1])),
     ]
 
 
+def _reference_repr(n: int, reference: dict) -> str:
+    """A diagram's repr, written from its Fraction values."""
+    entries = ", ".join(f"({i},{j}): {v}" for (i, j), v in sorted(reference.items()))
+    return f"BettiDiagram(n={n}, {{{entries}}})"
+
+
+class TestCanonicalForm:
+    """Integer forms with common factors, built through the trusted
+    constructor, read as the Fraction values they stand for."""
+
+    def test_reduced_matches_a_fraction_reference(self):
+        rng = random.Random(28)
+        built = []
+        for _ in range(120):
+            n = rng.randint(0, 2)
+            scale = rng.randint(1, 6)
+            positions = sorted({(rng.randint(0, n), rng.randint(0, 2)) for _ in range(rng.randint(0, 3))})
+            numerators = [(pos, rng.randint(-3, 3)) for pos in positions]
+            reference = {pos: Fraction(x, scale) for pos, x in numerators if x}
+            # the same values twice, over scales with different common factors
+            for _ in range(2):
+                factor = rng.randint(1, 24)
+                values = [(pos, x * factor) for pos, x in numerators]
+                rng.shuffle(values)
+                b = BettiDiagram._reduced(n, scale * factor, values)
+                assert repr(b) == _reference_repr(n, reference)
+                assert dict(b.items()) == reference
+                assert_clean(b)
+                built.append((b, (n, reference)))
+        equal_pairs = 0
+        for b1, r1 in built:
+            for b2, r2 in built:
+                assert (b1 == b2) is (r1 == r2), (b1, b2)
+                if r1 == r2:
+                    assert hash(b1) == hash(b2), (b1, b2)
+                    equal_pairs += 1
+        assert equal_pairs >= 4 * len(built) // 2
+
+
 class TestIntegerFormParse:
-    """The parsers build a diagram's integer form, and its Fraction entries
-    only when first read: it must read as the constructor's diagram does."""
+    """The parsers build the canonical integer form from the literals read
+    as integers: it must read as the constructor's diagram does."""
 
     def test_both_forms_agree(self):
         rng = random.Random(14)
@@ -377,15 +423,11 @@ class TestIntegerFormParse:
                 if fmt == "table" and not BettiDiagram(n, entries).support():
                     continue  # its '# n=' line builds through the constructor
                 for k, reader in enumerate(readers):
-                    # each reader first on a diagram that has built no Fraction
-                    # entry, then again once they are built
+                    # each reader first on fresh diagrams, then again once
+                    # they keep what the first read computed
                     parsed, expected = parse_diagram(text, fmt), BettiDiagram(n, entries)
-                    assert parsed._entries is None
-                    assert _read(reader, parsed) == _read(reader, expected), (text, k)
-                    if k < len(readers) - 3:
-                        assert parsed._entries is None, (text, k)
-                    parsed.items()
-                    assert _read(reader, parsed) == _read(reader, expected), (text, k)
+                    for _ in range(2):
+                        assert _read(reader, parsed) == _read(reader, expected), (text, k)
                 for first, second in ((parse_diagram(text, fmt), BettiDiagram(n, entries)),
                                       (BettiDiagram(n, entries), parse_diagram(text, fmt))):
                     assert first == second and second == first, text
@@ -493,7 +535,7 @@ class TestFunctionalKernelAgainstFractionSums:
         assert verdicts[False] >= 20
         # an integer value of -1, the smallest violation there is
         b, w = pure_diagram((0, 1), 1).betti.scaled(-1), Window(1, 0, 0, 1)
-        assert b._integer_form() == (1, (((0, 0), -1), ((1, 1), -1)))
+        assert b._integer == (1, (((0, 0), -1), ((1, 1), -1)))
         result = membership_by_inequalities(b, w)
         assert (result.member, result.violated, result.value) == membership_reference(b, w)
         assert result.value == -1
@@ -768,10 +810,10 @@ class TestIntegerGreedyAndBoundsAgainstFractions:
                 # second through the constructor, so its form comes first
                 first, second = pure_diagram(d, n), PureDiagram(DegreeSequence(d), n)
                 assert first.betti == reference
-                assert first._integer == reference._integer_form() == first.betti._integer_form()
-                assert second._integer == reference._integer_form()
-                assert second._integer_entries == reference._integer_form()[1]
-                assert all(x > 0 for _, x in second._integer_entries)
+                assert first._integer == reference._integer == first.betti._integer
+                assert second._integer == reference._integer
+                assert second._integer[1] == reference._integer[1]
+                assert all(x > 0 for _, x in second._integer[1])
                 count += 1
         assert count == 917
 
@@ -997,6 +1039,7 @@ class TestIntegerReconstructionCheck:
                     assert rebuilt == expected and rebuilt.n == d.n, (w, d)
                     assert_clean(rebuilt)
         assert Decomposition((), 3).reconstruct() == BettiDiagram(3, {})
+        assert_clean(Decomposition((), 3).reconstruct())
 
 
 def greedy_results(quotient_diagram):
