@@ -217,7 +217,8 @@ _B = BettiDiagram(2, {(0, 0): 1, (1, 2): "3/2"})
 
 class TestIndexReads:
     """An index read takes an int (pair) and nothing else: 1.0 and True
-    hash like 1, and must not read column or degree 1."""
+    hash like 1, and must not read column or degree 1.  A pure diagram's
+    column lies in [0, codimension]."""
 
     @pytest.mark.parametrize(
         "call,error",
@@ -242,7 +243,7 @@ class TestIndexReads:
             "entry-negative", "entry-past-codimension", "coefficient-float", "coefficient-bool",
         ],
     )
-    def test_non_int_index_is_refused(self, call, error):
+    def test_bad_index_is_refused(self, call, error):
         with pytest.raises(error):
             call()
 
