@@ -48,9 +48,9 @@ parser validates every key and value itself (``n`` an ``int >= 0``, each
 index an ``int`` with ``0 <= i <= n``, each value a rational literal read
 as integers with the refusals of :func:`parse_rational`, no position
 twice); the table parser reads its positions off the grid and its values
-the same way.  Both, and the public constructor, build the canonical form
-from reduced values through :func:`_canonical`.  ``PureDiagram.betti``
-builds from the integer form read off the degrees.
+the same way.  Both, and the public constructor, build the diagram from
+reduced values through :func:`_canonical`, which needs no gcd.
+``PureDiagram.betti`` builds from the integer form read off the degrees.
 """
 
 from __future__ import annotations
@@ -90,6 +90,9 @@ def parse_rational(token: str) -> Fraction:
 def _rational_parts(token: str) -> tuple[int, int]:
     """(p, q) in lowest terms, q > 0, of the literal 'p' or 'p/q', with the
     refusals and messages of :func:`parse_rational`."""
+    # plain ASCII digits skip the regex; isdigit alone would pass '²' too
+    if token.isdigit() and token.isascii():
+        return int(token), 1
     if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"{token!r} is not an exact rational literal")
     # the match proved both parts ASCII digits: int reads them once more,
@@ -306,9 +309,7 @@ class BettiDiagram:
             v = as_rational(value)
             if v:
                 acc[(i, j)] = acc.get((i, j), Fraction(0)) + v
-        self._n = n
-        self._integer = _canonical([(pos, v.numerator, v.denominator) for pos, v in acc.items() if v])
-        self._hash = self._window = self._peeled = None
+        _canonical(n, [(pos, v.numerator, v.denominator) for pos, v in acc.items() if v], self)
 
     @classmethod
     def _reduced(cls, n: int, scale: int, values: Iterable[tuple[tuple[int, int], int]]) -> "BettiDiagram":
@@ -429,12 +430,16 @@ class BettiDiagram:
         return f"BettiDiagram(n={self._n}, {{{ent}}})"
 
 
-def _canonical(values: list) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
-    """The canonical integer form (L, ((pos, L * p / q), ...)) of nonzero
-    values given as (pos, p, q) in lowest terms, q > 0, in the given order:
-    L is the lcm of the q."""
+def _canonical(n: int, values: list, b: BettiDiagram | None = None) -> BettiDiagram:
+    """``b``, or a new diagram, set to n and the canonical integer form
+    (L, ((pos, L * p / q), ...)) of nonzero values (pos, p, q) in lowest
+    terms, q > 0, each position once, in order: L is the lcm of the q, so
+    the gcd of L and the entries is already 1."""
+    b = object.__new__(BettiDiagram) if b is None else b
     scale = math.lcm(*(q for _, _, q in values))
-    return scale, tuple((pos, p * (scale // q)) for pos, p, q in values)
+    b._n, b._integer = n, (scale, tuple((pos, p * (scale // q)) for pos, p, q in values))
+    b._hash = b._window = b._peeled = None
+    return b
 
 
 def _need(value, cls, error) -> None:
@@ -492,8 +497,7 @@ class PureDiagram:
     def _of(cls, degrees: DegreeSequence, n: int) -> "PureDiagram":
         """Trusted constructor: an int n >= len(degrees) - 1."""
         p = object.__new__(cls)
-        object.__setattr__(p, "degrees", degrees)
-        object.__setattr__(p, "n", n)
+        p.__dict__.update(degrees=degrees, n=n)
         return p
 
     @property

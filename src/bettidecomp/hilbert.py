@@ -375,7 +375,9 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
         diffs = _series_integers(diff, b.n, depth)
         sides.append((_Series(diffs, scale * size), min(diffs) >= 0, not any(diffs)))
     (lower_slack, lower_ok, lower_equality), (upper_slack, upper_ok, upper_equality) = sides
-    bound = beta0 * Fraction(math.prod(sb.maximal), math.factorial(s))
+    # e against the bound x0 prod(M) / (L s!), cross-multiplied in ints
+    top, low = x0 * math.prod(sb.maximal), scale * math.factorial(s)
+    lhs, rhs = e.numerator * low, top * e.denominator
     return BoundsReport(
         True,
         None,
@@ -389,8 +391,8 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
         lower_equality=lower_equality,
         upper_equality=upper_equality,
         multiplicity_value=e,
-        multiplicity_bound=bound,
-        multiplicity_ok=e <= bound,
-        multiplicity_equality=e == bound,
+        multiplicity_bound=Fraction(top, low),
+        multiplicity_ok=lhs <= rhs,
+        multiplicity_equality=lhs == rhs,
         is_pure=_is_pure(bounds),
     )

@@ -84,7 +84,7 @@ def _parse_json_diagram(text: str) -> BettiDiagram:
         if p:
             values.append((pos, p, q))
     # every key and value checked above: build without a second pass
-    return BettiDiagram._reduced(n, *_canonical(values))
+    return _canonical(n, values)
 
 
 def _parse_table_diagram(text: str) -> BettiDiagram:
@@ -142,7 +142,7 @@ def _parse_table_diagram(text: str) -> BettiDiagram:
             if p:
                 values.append(((i, label + i), p, q))
     # positions off the grid of consecutive labels, values read exactly
-    return BettiDiagram._reduced(n, *_canonical(values))
+    return _canonical(n, values)
 
 
 def parse_diagram(text: str, format: str = "json") -> BettiDiagram:
@@ -157,14 +157,6 @@ def parse_diagram(text: str, format: str = "json") -> BettiDiagram:
 # the one JSON encoder of every report and diagram: the text
 # json.dumps(..., sort_keys=True) writes, without building an encoder per call
 _JSON = json.JSONEncoder(sort_keys=True)
-
-
-def _emit_json_diagram(b: BettiDiagram) -> str:
-    doc = {
-        "n": b.n,
-        "entries": [[i, j, format_rational(v)] for (i, j), v in b.items()],
-    }
-    return _JSON.encode(doc)
 
 
 def _emit_table_diagram(b: BettiDiagram) -> str:
@@ -191,7 +183,7 @@ def _emit_table_diagram(b: BettiDiagram) -> str:
 def emit_diagram(b: BettiDiagram, format: str = "json") -> str:
     """Canonical text for a diagram; ``parse_diagram`` round-trips it."""
     if format == "json":
-        return _emit_json_diagram(b)
+        return _JSON.encode(encode(b))
     if format == "table":
         return _emit_table_diagram(b)
     raise ValueError(f"unknown format {format!r}")
@@ -204,7 +196,8 @@ def emit_decomposition(dec: Decomposition) -> str:
     >>> emit_decomposition(greedy_decompose(BettiDiagram(1, {(0, 0): 2})))
     '[["2", [0]]]'
     """
-    return json.dumps(_decomposition_payload(dec))
+    # a rational's text and a list of ints' repr are their JSON texts already
+    return "[" + ", ".join([f'["{c}", {d!r}]' for c, d in _decomposition_payload(dec)]) + "]"
 
 
 def _decomposition_payload(dec: Decomposition) -> list:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bettidecomp import (
     BettiDiagram,
+    Decomposition,
     Tableau,
     Window,
     boundary_facets,
@@ -28,6 +29,7 @@ from bettidecomp import (
     verify_fan_convexity,
 )
 from bettidecomp import io as dio
+from bettidecomp.cli import run
 from bettidecomp.decompose import VerificationResult
 from bettidecomp.errors import DuplicateEntry, InvalidDiagram, ParseError
 from bettidecomp.functionals import ConvexityReport, derived_window
@@ -196,12 +198,44 @@ class TestFuzzRoundTrip:
         assert parse_diagram(emit_diagram(b, "table"), "table") == b
 
 
+def _chain_members(seed, count):
+    """Positive rational combinations of the pure diagrams of one chain of
+    degree sequences, each raising the tail of the one before by one."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        d = list(range(rng.randint(1, n) + 1))
+        b = BettiDiagram(n, {})
+        for _ in range(rng.randint(1, 6)):
+            b = b + pure_diagram(d, n).betti.scaled(Fraction(rng.randint(1, 60), rng.randint(1, 9)))
+            i = rng.randint(1, len(d) - 1)
+            d[i:] = [x + 1 for x in d[i:]]
+        yield b
+
+
 class TestEmitDecomposition:
     def test_quotient(self, quotient_diagram):
         dec = greedy_decompose(quotient_diagram)
         assert emit_decomposition(dec) == (
             '[["6", [0, 2, 3, 5]], ["12", [0, 2, 4, 5]], ["2", [0, 3, 4]], ["1", [0, 3]]]'
         )
+
+    def test_bytes_are_those_of_json_dumps(self, capsys, tmp_path):
+        # the text written by hand is json.dumps of the one payload, and the
+        # CLI prints it for the same diagram read from a table
+        assert emit_decomposition(Decomposition((), 3)) == json.dumps(dio._decomposition_payload(Decomposition((), 3)))
+        fractional = 0
+        path = tmp_path / "member.table"
+        for k, b in enumerate(_chain_members(44, 200)):
+            dec = greedy_decompose(b)
+            text = emit_decomposition(dec)
+            assert text == json.dumps(dio._decomposition_payload(dec)), b
+            fractional += any(c.denominator > 1 for c in dec.coefficients())
+            if k % 10 == 0:
+                path.write_text(emit_diagram(b, "table"))
+                assert run(["--format", "json", "decompose", "--input-format", "table", str(path)]) == 0
+                assert capsys.readouterr().out == text + "\n", b
+        assert fractional >= 150
 
 
 class TestEmitReport:

@@ -54,6 +54,7 @@ from bettidecomp.errors import (
     NotInCone,
     NotInSubspace,
     NotSingleDegreeGenerated,
+    ParseError,
     UndefinedOnZero,
     WindowMismatch,
 )
@@ -337,6 +338,65 @@ class TestParsersAgainstTheConstructor:
             with pytest.raises(ValueError) as ours:
                 parse_rational(token)
             assert str(ours.value) == str(stdlib.value)
+
+
+# tokens the literal grammar refuses: Unicode digits that str.isdigit
+# accepts, signs, spaces, underscores, empty and bare signs, a zero
+# denominator, and digits over int's conversion limit
+REFUSED_LITERALS = ["\u00b2", "\u0663", "\uff11\uff12", "+5", " 5", "5 ", "5_0", "", "-", "--1", "1/0", "9" * 5000]
+
+
+def refusal_message(token: str) -> str:
+    """The message every reader of a literal refuses ``token`` with."""
+    if len(token) > 4300:
+        with pytest.raises(ValueError) as stdlib:
+            Fraction(token)
+        return str(stdlib.value)
+    if token == "1/0":
+        return "'1/0' has a zero denominator"
+    return f"{token!r} is not an exact rational literal"
+
+
+class TestIntegerLiteralFastPath:
+    """Plain ASCII digits are read without the literal grammar; every other
+    token still goes through it, with its refusals and messages."""
+
+    @pytest.mark.parametrize("token", REFUSED_LITERALS, ids=repr)
+    def test_refusals_keep_class_and_message(self, token):
+        message = refusal_message(token)
+        with pytest.raises(ValueError) as exc:
+            parse_rational(token)
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
+        doc = json.dumps({"n": 1, "entries": [[0, 0, token]]})
+        with pytest.raises(ParseError) as exc:
+            parse_diagram(doc, "json")
+        assert (type(exc.value), str(exc.value)) == (ParseError, message)
+        # a table splits its rows on whitespace and reads '-' as a zero
+        if token.split() == [token] and token != "-":
+            with pytest.raises(ParseError) as exc:
+                parse_diagram(f"0: 1 {token}\n", "table")
+            assert (type(exc.value), str(exc.value)) == (ParseError, f"{message} (line 1, column 6)")
+
+    def test_seeded_ascii_tokens_read_as_their_fractions(self):
+        rng = random.Random(46)
+        tokens = ["-0", "0/7", "0", "000", "-000/0010", "0012/0018"]
+        for _ in range(400):
+            zeros = "0" * rng.randint(0, 3)
+            g = rng.randint(1, 60)
+            p, q = rng.randint(0, 10 ** rng.randint(1, 30)) * g, rng.randint(1, 999) * g
+            sign = rng.choice(("", "-"))
+            tokens.append(rng.choice((f"{sign}{zeros}{p}", f"{sign}{zeros}{p}/{zeros}{q}")))
+        plain = 0
+        for token in tokens:
+            value = Fraction(token)
+            got = parse_rational(token)
+            assert got == value and type(got) is Fraction, token
+            expected = BettiDiagram(1, {(0, 0): value})
+            doc = json.dumps({"n": 1, "entries": [[0, 0, token]]})
+            for parsed in (parse_diagram(doc, "json"), parse_diagram(f"# n=1\n0: {token} -\n", "table")):
+                assert parsed == expected and parsed._integer == expected._integer, token
+            plain += token.isdigit()
+        assert 100 <= plain <= len(tokens) - 100
 
 
 def _read(reader, b):
@@ -953,6 +1013,34 @@ class TestIntegerGreedyAndBoundsAgainstFractions:
             else:
                 verdicts["not applicable"] += 1
         assert min(verdicts.values()) >= 10, verdicts
+
+    def test_multiplicity_bound_and_verdicts(self):
+        # the bound and both verdicts against Fraction arithmetic on integer
+        # tables, fractional members, their near-misses and pure diagrams
+        rng = random.Random(47)
+        pure = [
+            pure_diagram(d, len(d) - 1 + rng.randint(0, 2)).betti.scaled(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+            for d in (random_degrees(rng, 6, 3) for _ in range(60))
+            if d[0] == 0
+        ]
+        seen = []
+        cases = [(b, False) for b in (*table_inputs(rng, 30), *greedy_inputs(rng, 30))] + [(b, True) for b in pure]
+        for b, is_pure in cases:
+            reference = bounds_reference(b)
+            if isinstance(reference, type) or not reference.applicable:
+                continue
+            report = multiplicity_bounds(b)
+            maximal = reference.shifts.maximal
+            bound = b[(0, 0)] * Fraction(math.prod(maximal), math.factorial(len(maximal)))
+            e = reference.multiplicity_value
+            assert report.multiplicity_bound == bound and type(report.multiplicity_bound) is Fraction, b
+            assert report.multiplicity_value == e and type(report.multiplicity_value) is Fraction, b
+            assert (report.multiplicity_ok, report.multiplicity_equality) == (e <= bound, e == bound), b
+            # a pure diagram reaches equality
+            assert report.multiplicity_equality or not is_pure, b
+            seen.append((report.multiplicity_ok, report.multiplicity_equality))
+        assert {(True, True), (True, False), (False, False)} <= set(seen), seen
+        assert seen.count((True, True)) >= 30 and seen.count((True, False)) >= 30, seen
 
     def test_expand_in_chain(self):
         rng = random.Random(24)
