@@ -449,7 +449,8 @@ def _need(value, cls, error) -> None:
 
 
 class DegreeSequence(tuple):
-    """Strictly increasing tuple of integers d_0 < d_1 < ... < d_s."""
+    """Strictly increasing tuple of integers d_0 < d_1 < ... < d_s, kept
+    as plain ints (an ``IntEnum`` member too), whose repr is their JSON."""
 
     def __new__(cls, degrees: Iterable[int]):
         vals = tuple(degrees)
@@ -460,7 +461,7 @@ class DegreeSequence(tuple):
             raise InvalidDegreeSequence("degree sequence must be nonempty")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise InvalidDegreeSequence(f"sequence {vals} is not strictly increasing")
-        return super().__new__(cls, vals)
+        return super().__new__(cls, map(int, vals))
 
     @classmethod
     def _of(cls, degrees: tuple[int, ...]) -> "DegreeSequence":

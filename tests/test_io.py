@@ -3,6 +3,7 @@
 import json
 import random
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from bettidecomp import (
     BettiDiagram,
     Decomposition,
+    DegreeSequence,
+    PureDiagram,
     Tableau,
     Window,
     boundary_facets,
@@ -236,6 +239,13 @@ class TestEmitDecomposition:
                 assert run(["--format", "json", "decompose", "--input-format", "table", str(path)]) == 0
                 assert capsys.readouterr().out == text + "\n", b
         assert fractional >= 150
+
+    def test_int_subclass_degrees_emit_as_ints(self):
+        class Degree(IntEnum):
+            ZERO, TWO = 0, 2
+
+        dec = Decomposition([(Fraction(1, 2), PureDiagram(DegreeSequence([Degree.ZERO, Degree.TWO]), 1))], 1)
+        assert emit_decomposition(dec) == json.dumps(dio._decomposition_payload(dec)) == '[["1/2", [0, 2]]]'
 
 
 class TestEmitReport:
