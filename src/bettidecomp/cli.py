@@ -5,7 +5,7 @@ output and a three-way exit-code contract:
 
     0   success / member / pass
     1   checked negative (not in the cone, bound violated, residual nonzero)
-    2   usage or parse error
+    2   usage or parse error, a refused window, or out of memory
 
 Diagrams are read from a file path or stdin (``-``); the input format is
 sniffed (JSON starts with ``{``) unless ``--input-format`` forces it.
@@ -14,6 +14,8 @@ when stdout is a pipe, table on a terminal.  ``BS_DECOMP_MAX_ENUM`` caps
 only the maximal chains that ``chains`` lists (default 1000000); any value
 other than a positive integer is a usage error.  ``chains --count-only``
 prints the hook-length count, enumerates nothing and reads no cap.
+``facets``, ``verify-fan`` and ``membership`` refuse a window of more
+pure diagrams than the library builds a table for (``poset._MAX_DIAGRAMS``).
 
 Each command's options are declared once, in ``_COMMANDS``.  A well-formed
 command line, each flag given once and exactly, is matched against that
@@ -38,7 +40,7 @@ from .core import BettiDiagram, _parse_int, hk_residuals, pure_diagram, window_o
 from .decompose import greedy_decompose
 from .errors import BettiError, NotInCone, ParseError, WindowTooLarge
 from .functionals import (
-    _boundary_facets_cached,
+    _facet_columns,
     _rows,
     derived_window,
     expand_in_chain,
@@ -231,7 +233,7 @@ def _cmd_facets(args, fmt):
     cols = w.n + 1
     entries = [
         (case.value, _rows(cells, cols), kind.value, list(anchor[1].degrees))
-        for cells, kind, case, anchor in _boundary_facets_cached(w)
+        for cells, kind, case, anchor in _facet_columns(w).records
     ]
     if fmt == "json":
         print("[" + ", ".join([
@@ -486,11 +488,14 @@ def run(argv) -> int:
     handler = _COMMANDS[args.command][0]
     try:
         return handler(args, fmt)
-    except WindowTooLarge as exc:
-        print(f"error: {exc} (raise BS_DECOMP_MAX_ENUM to allow more)", file=sys.stderr)
-        return _USAGE_ERROR
     except (OSError, BettiError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the one cap a caller can raise is the chains listing's
+        chains_cap = isinstance(exc, WindowTooLarge) and args.command == "chains"
+        print(f"error: {exc}" + (" (raise BS_DECOMP_MAX_ENUM to allow more)" if chains_cap else ""), file=sys.stderr)
+        return _USAGE_ERROR
+    except MemoryError:
+        # exit 1 is for checked negatives only
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return _USAGE_ERROR
 
 

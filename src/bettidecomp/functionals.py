@@ -42,7 +42,8 @@ per diagram; a functional sums in ``int`` over it, and its exact value is
 that sum over L.  ``Functional.__call__`` returns that ``Fraction``;
 ``verify_decomposition`` reads the coefficient rule on b's integer entries.
 
-A window's hyperplanes are kept as records, each holding its coefficients
+A window's hyperplanes are built once, as records, and kept in one cache
+per window (:func:`_facet_columns`).  Each record holds its coefficients
 as one flat row-major integer grid of the window, cell
 ``(j - i - M) * (n + 1) + i`` for ``beta[i, j]``.  Every reader reads that
 grid: the CLI ``facets`` listing writes its rows, the packed columns below
@@ -52,7 +53,9 @@ it only when the facet is first handed out.
 :func:`verify_fan_convexity` and :func:`membership_by_inequalities` read
 every hyperplane of the window at once, packed one field per hyperplane
 into one ``int`` per grid cell (:mod:`.packing`), and build one
-``Fraction``, the field they report over L.
+``Fraction``, the field they report over L.  The window keeps one packing,
+the one membership reads, packed again wider when a diagram needs more
+bits; the fan check packs its own on each call and keeps none.
 """
 
 from __future__ import annotations
@@ -432,11 +435,10 @@ def _triple_kind(down, up, w: Window) -> FacetKind:
     return FacetKind.INTERIOR
 
 
-@lru_cache(maxsize=64)
-def _boundary_facets_cached(w: Window) -> tuple[tuple, ...]:
+def _records(w: Window) -> tuple[tuple, ...]:
     """One record (cells, kind, case, anchor) per hyperplane, in
     :func:`boundary_facets` order; cells is the flat grid of
-    :func:`_coefficients`."""
+    :func:`_coefficients`.  Built once per window, by :func:`_facet_columns`."""
     # None stands below min and above max: the extremal triples are
     # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None),
     # kept through keep(); the boundary triples of the main loop insert
@@ -496,39 +498,27 @@ class ConvexityReport:
     counterexample: tuple[BoundaryFacet, PureDiagram, Fraction] | None
 
 
-def _signed_columns(records, w: Window) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """(offsets, flat): hyperplane k's coefficient at pos is ``flat[offsets[pos] + k]``,
-    for every position some hyperplane reads: the transpose of the records'
-    grids, all-zero cells dropped."""
-    cols, M = w.n + 1, w.M
-    offsets, flat = {}, []
-    for cell, column in enumerate(zip(*[record[0] for record in records])):
-        if any(column):
-            r, i = divmod(cell, cols)
-            offsets[i, M + i + r] = len(flat)
-            flat += column
-    return offsets, flat
-
-
 class _FacetMatrix:
-    """A window's hyperplane records, at most two packings of their
-    columns, and each facet built when :meth:`facet` first hands it out.
+    """A window's hyperplane records, the one packing of their columns that
+    :meth:`packing` hands out, and each facet built when :meth:`facet`
+    first hands it out.
 
     A hyperplane's value on integer entries x is at most max|c| * sum |x|
-    in size; W holds that bound's bits plus 2, so no field carries.  The
-    packing read on the window's own pure diagrams is kept apart from the
-    one widened for larger entries, so that one membership call on a large
-    diagram does not slow every later check of the fan.  A reading past
-    both widths packs again, at least twice as wide as the widened one.
+    in size; W holds that bound's bits plus 2, so no field carries.  Only
+    the packing that :meth:`packing` returns is kept; a reading past its
+    width packs again, at least twice as wide.  :func:`verify_fan_convexity`
+    packs the width of the window's pure diagrams on each call and keeps
+    none, so a membership call on a large diagram never slows a check of
+    the fan.
     """
 
-    __slots__ = ("window", "records", "_built", "_top", "_fan", "_wide")
+    __slots__ = ("window", "records", "_built", "_top", "_kept")
 
     def __init__(self, window: Window, records: tuple[tuple, ...]):
         self.window, self.records = window, records
         self._built = {}
         self._top = 0  # max |c|, read off the signed matrix when it is packed
-        self._fan = self._wide = None
+        self._kept = None
 
     def facet(self, k: int) -> BoundaryFacet:
         """The facet of record k, built once."""
@@ -543,28 +533,27 @@ class _FacetMatrix:
     def facets(self) -> tuple[BoundaryFacet, ...]:
         return tuple(map(self.facet, range(len(self.records))))
 
-    def fan(self, total: int) -> Packing:
-        """The packing kept for the pure diagrams, whose entries sum to at
-        most ``total``."""
-        if not self._fits(self._fan, total):
-            self._fan = self._pack(total, 0)
-        return self._fan
-
     def packing(self, total: int) -> Packing:
-        """A packing that reads entries with sum |x| <= total exactly: the
-        pure diagrams' one when it is wide enough, else the widened one."""
-        if self._fits(self._fan, total):
-            return self._fan
-        if not self._fits(self._wide, total):
-            self._wide = self._pack(total, 2 * self._wide.width if self._wide is not None else 0)
-        return self._wide
+        """The kept packing, packed again when it cannot read entries with
+        sum |x| <= total exactly; at least one unit of entry, so that every
+        coefficient fits its field."""
+        kept = self._kept
+        if kept is None or (self._top * max(total, 1)).bit_length() + 2 > kept.width:
+            kept = self._kept = self.pack(total, 2 * kept.width if kept is not None else 0)
+        return kept
 
-    def _fits(self, packing: Packing | None, total: int) -> bool:
-        # at least one unit of entry, so that every coefficient fits its field
-        return packing is not None and (self._top * max(total, 1)).bit_length() + 2 <= packing.width
-
-    def _pack(self, total: int, min_bits: int) -> Packing:
-        offsets, flat = _signed_columns(self.records, self.window)
+    def pack(self, total: int, min_bits: int = 0) -> Packing:
+        """A new packing, at least ``min_bits`` wide, that reads entries with
+        sum |x| <= total exactly.  Hyperplane k's coefficient at pos is
+        ``flat[offsets[pos] + k]``, for every position some hyperplane
+        reads: the transpose of the records' grids, all-zero cells dropped."""
+        cols, M = self.window.n + 1, self.window.M
+        offsets, flat = {}, []
+        for cell, column in enumerate(zip(*[record[0] for record in self.records])):
+            if any(column):
+                r, i = divmod(cell, cols)
+                offsets[i, M + i + r] = len(flat)
+                flat += column
         self._top = top = max(map(abs, flat), default=0)
         bits = max(min_bits, (top * max(total, 1)).bit_length() + 2)
         return Packing(offsets, flat, len(self.records), -(-bits // 8))
@@ -572,8 +561,9 @@ class _FacetMatrix:
 
 @lru_cache(maxsize=64)
 def _facet_columns(w: Window) -> _FacetMatrix:
-    """The window's hyperplane records and their packed columns, kept."""
-    return _FacetMatrix(w, _boundary_facets_cached(w))
+    """The window's hyperplane layer, kept: its records, built once, and
+    the packing membership reads.  The one cache of the layer."""
+    return _FacetMatrix(w, _records(w))
 
 
 def verify_fan_convexity(w: Window) -> ConvexityReport:
@@ -596,7 +586,7 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
     size = len(matrix.records)
     diagrams = list(w.pure_diagrams())
     # a pure diagram's integer entries L / q_i are at most L each
-    packing = matrix.fan((w.n + 1) * max(p._integer[0] for p in diagrams))
+    packing = matrix.pack((w.n + 1) * max(p._integer[0] for p in diagrams))
     bias = packing.bias
     # (hyperplane index, diagram, packed reading) of the first negative pair:
     # the earliest hyperplane that reads negative anywhere, then its earliest

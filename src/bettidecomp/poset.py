@@ -110,8 +110,21 @@ class Window:
         lexicographically ascending.  The diagrams are built once per window
         and shared: every call yields the same frozen objects, whose
         ``betti`` and other cached properties are computed at most once.
+        ``WindowTooLarge`` past ``_MAX_DIAGRAMS`` diagrams (:func:`_diagrams`).
         """
         return iter(_diagrams(self).values())
+
+
+# the most pure diagrams a window's table is built for: (6,0,5,0) has
+# 1,715 and (5,0,12,1) 27,118
+_MAX_DIAGRAMS = 10**5
+
+
+def _diagram_count(w: Window) -> int:
+    """The number of pure diagrams of w, built from none: codimension s
+    places s + 1 degrees on R = N - M + 1 rows, C(R + s, s + 1) ways."""
+    rows = w.N - w.M + 1
+    return sum(math.comb(rows + s, s + 1) for s in range(w.s_min, w.n + 1))
 
 
 @lru_cache(maxsize=64)
@@ -119,8 +132,12 @@ def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
     """Every pure diagram of w by its degree tuple, in ``pure_diagrams`` order.
 
     The one table that the whole-window paths read; callers must not
-    mutate it.
+    mutate it.  A window of more than ``_MAX_DIAGRAMS`` diagrams is
+    refused with ``WindowTooLarge``, counted before any is built.
     """
+    count = _diagram_count(w)
+    if count > _MAX_DIAGRAMS:
+        raise WindowTooLarge(f"window has {count} pure diagrams, more than {_MAX_DIAGRAMS}")
     table = {}
     for s in range(w.n, w.s_min - 1, -1):
         for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):

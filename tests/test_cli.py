@@ -2,9 +2,11 @@
 
 import hashlib
 import importlib
+import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -395,6 +397,40 @@ class TestCheckHk:
         code, out, _ = run_cli(capsys, "check-hk", quotient_path, "--s", "2", "--format", "json")
         assert code == 1
         assert json.loads(out)["satisfied"] is False
+
+
+class TestResourceLimits:
+    # the derived window of this document, (12,-15,9,1), has 5,414,950,270
+    # pure diagrams: it is refused by its count, before any is built
+    HUGE = '{"n": 12, "entries": [[0, -15, "1"], [1, 10, "1"]]}'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("membership", "-"),
+            ("facets", "--n", "12", "--M", "-15", "--N", "9", "--s", "1"),
+            ("verify-fan", "--n", "12", "--M", "-15", "--N", "9", "--s", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_oversized_window_exits_2_quickly(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.HUGE))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--format", "json", *argv)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        # one error line, without the chains cap's hint
+        assert err == "error: window has 5414950270 pure diagrams, more than 100000\n"
+
+    @pytest.mark.parametrize("command", ["hilbert", "membership"])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, quotient_path, command):
+        # exit 1 means a checked negative only
+        def exhausted(args, fmt):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, command, (exhausted, *cli._COMMANDS[command][1:]))
+        code, out, err = run_cli(capsys, command, quotient_path)
+        assert (code, out, err) == (2, "", f"error: out of memory in {command}\n")
 
 
 class TestMembership:

@@ -27,7 +27,7 @@ from bettidecomp import (
     pure_diagram,
     verify_fan_convexity,
 )
-from bettidecomp import cli, core, functionals
+from bettidecomp import cli, core, functionals, poset
 from bettidecomp.core import codimension, window_of
 from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace, UndefinedOnZero, WindowMismatch
 from bettidecomp.hilbert import multiplicity
@@ -425,7 +425,7 @@ class TestBoundaryFacets:
         real = functionals._cover_moves
         monkeypatch.setattr(functionals, "_cover_moves", lambda d, w: calls.append(d) or real(d, w))
         # built past the cache, which other tests' facets live in
-        assert len(functionals._boundary_facets_cached.__wrapped__(w)) == 51
+        assert len(functionals._records(w)) == 51
         assert sorted(calls) == sorted(tuple(p.degrees) for p in w.pure_diagrams())
 
     def test_single_diagram_window_has_one_extremal_facet(self):
@@ -542,6 +542,25 @@ PACKED_SWEEP.append(Window(3, -1, 1, 0))
 INJECTED = (Window(2, 0, 2, 0), Window(3, 0, 2, 1), Window(3, -1, 1, 0))
 
 
+class TestWindowCount:
+    def test_closed_form_is_the_table_size(self):
+        for w in PACKED_SWEEP:
+            assert poset._diagram_count(w) == len(_diagrams(w)), w
+
+    def test_documented_counts(self):
+        # counted without building: the last is the derived window of
+        # {"n": 12, "entries": [[0, -15, "1"], [1, 10, "1"]]}
+        for w, count in (
+            (Window(3, 0, 3, 0), 69),
+            (Window(5, 0, 4, 0), 461),
+            (Window(6, 0, 5, 0), 1_715),
+            (Window(5, 0, 12, 1), 27_118),
+            (Window(12, -15, 9, 1), 5_414_950_270),
+        ):
+            assert poset._diagram_count(w) == count, w
+        assert poset._diagram_count(Window(5, 0, 12, 1)) < poset._MAX_DIAGRAMS
+
+
 class TestPackedMatrix:
     def test_columns_unpack_to_the_coefficients(self):
         # one unit entry at each grid position reads every facet's
@@ -621,9 +640,29 @@ class TestPackedMatrix:
                 k = next(k for k, v in enumerate(exact) if v < 0)
                 assert result.violated is facets[k]
                 assert type(result.value) is Fraction and result.value == exact[k]
-        # the widened packing is kept apart: small entries still read the narrow one
+        # the widened packing is the one kept: small entries read it too
         wide = matrix.packing(sum(abs(x) for _, x in member._integer[1]))
-        assert wide.width > narrow == matrix.packing(0).width
+        assert wide.width > narrow and matrix.packing(0) is wide
+
+    def test_widening_at_least_doubles(self):
+        # a reading one bit past the kept width packs at twice that width,
+        # a reading far past it at the width it needs, and either is kept
+        w = Window(3, 0, 2, 1)
+        matrix = functionals._FacetMatrix(w, functionals._records(w))
+        top = max(abs(c) for cells, *_ in matrix.records for c in cells)
+        # wider than one byte, where twice the width is more than one byte more
+        total = 1 << 20
+        narrow = matrix.packing(total)
+        assert narrow.width > 8
+        while (top * total).bit_length() + 2 <= narrow.width:
+            total *= 2
+        wide = matrix.packing(total)
+        assert wide.width == 2 * narrow.width and matrix.packing(1) is wide
+        far = 10**60
+        needed = -(-((top * far).bit_length() + 2) // 8) * 8
+        assert needed > 2 * wide.width
+        widest = matrix.packing(far)
+        assert widest.width == needed and matrix.packing(total) is widest
 
     def test_wide_membership_leaves_the_fan_packing(self, monkeypatch):
         # verify_fan_convexity reads through a packing as wide as a cold
@@ -670,11 +709,49 @@ def _count_facet_objects(monkeypatch):
 
 
 def _cold():
-    functionals._boundary_facets_cached.cache_clear()
     functionals._facet_columns.cache_clear()
 
 
 class TestFacetRecords:
+    def test_one_build_serves_every_reader(self, monkeypatch, capsys):
+        # the CLI listing, the fan check, membership (a wide diagram too) and
+        # the facet list of one window read one build of its records,
+        # whichever of them comes first
+        calls = []
+        real = functionals._records
+        monkeypatch.setattr(functionals, "_records", lambda w: calls.append(w) or real(w))
+        w = Window(3, 0, 2, 1)
+        chain = next(iter(maximal_chains(w)))
+        small = chain[0].betti + chain[-1].betti
+        big = chain[1].betti.scaled(10**40) + chain[-2].betti
+        readers = [
+            lambda: cli.run(["--format", "json", "facets", "--n", "3", "--M", "0", "--N", "2", "--s", "1"]) == 0,
+            lambda: verify_fan_convexity(w).passed,
+            lambda: membership_by_inequalities(small, w).member and membership_by_inequalities(big, w).member,
+            lambda: len(boundary_facets(w)) == len(functionals._facet_columns(w).records),
+        ]
+        for first in range(len(readers)):
+            _cold()
+            calls.clear()
+            for read in readers[first:] + readers[:first]:
+                assert read(), first
+            assert calls == [w], first
+        capsys.readouterr()
+
+    def test_second_window_keeps_the_first(self, capsys):
+        # another window's build, listing and checks leave the first one's
+        # layer in place: the same matrix, records and kept packing
+        _cold()
+        w, other = Window(3, 0, 2, 1), Window(2, 0, 2, 0)
+        matrix = functionals._facet_columns(w)
+        records, packing = matrix.records, matrix.packing(1)
+        assert boundary_facets(other) and verify_fan_convexity(other).passed
+        assert cli.run(["--format", "json", "facets", "--n", "2", "--M", "0", "--N", "2", "--s", "0"]) == 0
+        assert membership_by_inequalities(other.max_element().betti, other).member
+        capsys.readouterr()
+        assert functionals._facet_columns(w) is matrix
+        assert matrix.records is records and matrix.packing(1) is packing
+
     def test_duplicate_triples_keep_the_first(self, monkeypatch):
         # distinct cover triples that give one coefficient vector: the
         # first in facet order keeps its record
@@ -683,7 +760,7 @@ class TestFacetRecords:
         monkeypatch.setattr(functionals, "_coefficients", lambda *args: calls.append(args) or real(*args))
         for w, triples, kept in ((Window(2, 0, 4, 0), 91, 88), (Window(3, 0, 3, 0), 121, 119)):
             calls.clear()
-            records = functionals._boundary_facets_cached.__wrapped__(w)
+            records = functionals._records(w)
             assert (len(calls), len(records)) == (triples, kept), w
             first = {}
             for p0, p1, down, up, _ in calls:
@@ -740,7 +817,7 @@ class TestFacetRecords:
         w = Window(3, 0, 2, 1)
         records = tuple(
             (tuple(-c for c in cells), kind, case, anchor)
-            for cells, kind, case, anchor in functionals._boundary_facets_cached(w)
+            for cells, kind, case, anchor in functionals._facet_columns(w).records
         )
         matrix = functionals._FacetMatrix(w, records)
         monkeypatch.setattr(functionals, "_facet_columns", lambda v: matrix if v == w else None)
@@ -787,7 +864,7 @@ class TestGridLayout:
         # a record's cells are the window's grid, row = j - i - M, column = i,
         # row-major: read back they are the rule's coefficients, and the
         # facet handed out shows them row by row
-        records = functionals._boundary_facets_cached(w)
+        records = functionals._facet_columns(w).records
         facets = boundary_facets(w)
         cols = w.n + 1
         assert len(facets) == len(records)

@@ -278,6 +278,23 @@ class TestMaximalChains:
         assert count_maximal_chains(Window(4, 0, 3, 0)) == 1_662_804
         assert count_maximal_chains(Window(6, 0, 5, 0)) == 9_490_348_077_234_178_440
 
+    def test_diagram_table_is_counted_before_it_is_built(self, monkeypatch):
+        # a window of exactly _MAX_DIAGRAMS diagrams is built, one more is
+        # refused with its count before any diagram is made, and the refusal
+        # is not cached
+        w = Window(2, 3, 5, 1)
+        count = poset._diagram_count(w)
+        poset._diagrams.cache_clear()
+        monkeypatch.setattr(poset, "_MAX_DIAGRAMS", count - 1)
+        monkeypatch.setattr(poset, "pure_diagram", lambda *a: pytest.fail("built a diagram"))
+        with pytest.raises(WindowTooLarge, match=f"window has {count} pure diagrams, more than {count - 1}"):
+            poset._diagrams(w)
+        with pytest.raises(WindowTooLarge):
+            list(w.pure_diagrams())
+        monkeypatch.undo()
+        monkeypatch.setattr(poset, "_MAX_DIAGRAMS", count)
+        assert len(poset._diagrams(w)) == count
+
     def test_limit_reports_count_before_walking(self, monkeypatch):
         monkeypatch.setattr(poset, "_moves", lambda *a: pytest.fail("walked the poset"))
         with pytest.raises(WindowTooLarge, match="window has 9490348077234178440 maximal chains, more than 10"):
