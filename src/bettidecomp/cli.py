@@ -5,7 +5,7 @@ output and a three-way exit-code contract:
 
     0   success / member / pass
     1   checked negative (not in the cone, bound violated, residual nonzero)
-    2   usage or parse error, a refused window, or out of memory
+    2   usage or parse error, a refused window or series, or out of memory
 
 Diagrams are read from a file path or stdin (``-``); the input format is
 sniffed (JSON starts with ``{``) unless ``--input-format`` forces it.
@@ -15,7 +15,9 @@ only the maximal chains that ``chains`` lists (default 1000000); any value
 other than a positive integer is a usage error.  ``chains --count-only``
 prints the hook-length count, enumerates nothing and reads no cap.
 ``facets``, ``verify-fan`` and ``membership`` refuse a window of more
-pure diagrams than the library builds a table for (``poset._MAX_DIAGRAMS``).
+pure diagrams than the library builds a table for (``poset._MAX_DIAGRAMS``),
+and ``hilbert`` and ``bounds`` a series or numerator of more coefficients
+than ``core._MAX_SERIES_LENGTH``.
 
 Each command's options are declared once, in ``_COMMANDS``.  A well-formed
 command line, each flag given once and exactly, is matched against that

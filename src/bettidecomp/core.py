@@ -69,6 +69,7 @@ from .errors import (
     InvalidDegreeSequence,
     InvalidDiagram,
     NotGeneratedInDegreeZero,
+    SeriesTooLong,
     UndefinedOnZero,
 )
 
@@ -693,17 +694,27 @@ def _peeled(b: BettiDiagram, num: dict[int, int] | None = None) -> tuple[int, in
     return peeled
 
 
+#: Most coefficients a dense integer list holds in the two series kernels:
+#: a numerator's degrees lo..hi in :func:`_peel`, and a truncated series in
+#: ``hilbert._series_integers``.  A longer one raises ``SeriesTooLong``
+#: before it is built.
+_MAX_SERIES_LENGTH = 10**6
+
+
 def _peel(coeffs: dict[int, int], cap: int | None = None) -> tuple[int, int, list[int], int]:
     """(s, lo, Q, Q(1)) with P = (1 - t)^s Q and s maximal, or s = cap if
     smaller, for P as degree -> int (zeros allowed); Q is dense from degree lo.
 
     One synthetic division per factor: the quotient is the prefix sums of
     the coefficients but the last, which is the remainder, the value at 1.
+    ``SeriesTooLong`` when P spans more than ``_MAX_SERIES_LENGTH`` degrees.
     """
     degrees = [j for j, x in coeffs.items() if x]
     if not degrees:
         raise UndefinedOnZero("order undefined for the zero polynomial")
     lo, hi = min(degrees), max(degrees)
+    if hi - lo >= _MAX_SERIES_LENGTH:
+        raise SeriesTooLong(f"numerator spans {hi - lo + 1} degrees, more than {_MAX_SERIES_LENGTH}")
     quotient = [coeffs.get(j, 0) for j in range(lo, hi + 1)]
     s = 0
     while True:

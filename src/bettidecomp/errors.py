@@ -96,6 +96,11 @@ class WindowTooLarge(BettiError):
     """Enumeration guard exceeded."""
 
 
+class SeriesTooLong(BettiError):
+    """A truncated series, or a numerator to peel, would hold more
+    coefficients than ``core._MAX_SERIES_LENGTH``."""
+
+
 class ParseError(BettiError):
     """Malformed diagram text.  Carries 1-based line and column."""
 

@@ -42,13 +42,12 @@ per diagram; a functional sums in ``int`` over it, and its exact value is
 that sum over L.  ``Functional.__call__`` returns that ``Fraction``;
 ``verify_decomposition`` reads the coefficient rule on b's integer entries.
 
-A window's hyperplanes are built once, as records, and kept in one cache
-per window (:func:`_facet_columns`).  Each record holds its coefficients
-as one flat row-major integer grid of the window, cell
-``(j - i - M) * (n + 1) + i`` for ``beta[i, j]``.  Every reader reads that
-grid: the CLI ``facets`` listing writes its rows, the packed columns below
-are its transpose, and a facet's sparse ``coefficients`` are read back from
-it only when the facet is first handed out.
+A functional stores its coefficients as one flat row-major integer grid
+of the window, cell ``(j - i - M) * (n + 1) + i`` for ``beta[i, j]``.  A
+window's hyperplanes are built once, as records holding that grid, and
+kept in one cache per window (:func:`_facet_columns`).  Every reader reads
+it: the CLI ``facets`` listing writes its rows, the packed columns below
+are its transpose, and a facet handed out stores its record's grid.
 
 :func:`verify_fan_convexity` and :func:`membership_by_inequalities` read
 every hyperplane of the window at once, packed one field per hyperplane
@@ -63,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul, neg
 
 from .core import (
@@ -121,57 +120,54 @@ class FunctionalCase(Enum):
 
 @dataclass(frozen=True)
 class Functional:
-    """Integer linear functional beta -> sum c[i, j] * beta[i, j] on a window."""
+    """Integer linear functional beta -> sum c[i, j] * beta[i, j] on a window.
+
+    ``cells`` is its one stored form: the window's flat row-major grid, cell
+    ``(j - i - M) * (n + 1) + i`` holding c[i, j], as a hyperplane record
+    holds it.  A position off the grid reads 0.
+    """
 
     window: Window
-    coefficients: tuple[tuple[tuple[int, int], int], ...]
+    cells: tuple[int, ...]
     case: FunctionalCase
     anchor: tuple[PureDiagram | None, PureDiagram, PureDiagram | None]
 
-    @cached_property
-    def _lookup(self) -> dict[tuple[int, int], int]:
-        return dict(self.coefficients)
+    def __post_init__(self):
+        w, cells = self.window, self.cells
+        if not (isinstance(w, Window) and type(cells) is tuple and len(cells) == w.grid_size
+                and all(type(c) is int for c in cells)):
+            raise WindowMismatch(f"cells must be a tuple of one int per grid cell of {w}")
+
+    @property
+    def coefficients(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """The nonzero cells as ((i, j), c), in (i, j) order."""
+        cols, M, cells = self.window.n + 1, self.window.M, self.cells
+        return tuple(
+            ((i, M + i + r), c)
+            for i in range(cols)
+            for r, c in enumerate(cells[i::cols])
+            if c
+        )
 
     def coefficient(self, i: int, j: int) -> int:
-        return self._lookup.get((i, j), 0)
+        w = self.window
+        r = j - i - w.M
+        return self.cells[r * (w.n + 1) + i] if 0 <= i <= w.n and 0 <= r < w.rows else 0
 
     def grid(self) -> list[list[int]]:
-        """Dense display grid, row = j - i - M, column = i (:func:`_grid`)."""
-        return _grid(self.coefficients, self.window)
+        """Dense display grid, row = j - i - M, column = i."""
+        return _rows(self.cells, self.window.n + 1)
 
     def __call__(self, b: BettiDiagram) -> Fraction:
         scale, entries = b._integer
-        lookup = self._lookup
-        return Fraction(sum(lookup.get(pos, 0) * x for pos, x in entries), scale)
-
-
-def _grid(coefficients, w: Window) -> list[list[int]]:
-    """Coefficients ((i, j), c) on a zero grid, row = j - i - M, column = i;
-    a position off it (only a hand-built functional has one) is not shown."""
-    rows, cols = w.rows, w.n + 1
-    flat = [0] * (rows * cols)
-    for (i, j), c in coefficients:
-        r = j - i - w.M
-        if 0 <= r < rows and 0 <= i < cols:
-            flat[r * cols + i] = c
-    return _rows(flat, cols)
+        coefficient = self.coefficient
+        return Fraction(sum(coefficient(i, j) * x for (i, j), x in entries), scale)
 
 
 def _rows(cells, cols: int) -> list[list[int]]:
     """A flat row-major grid of ``cols`` columns as a list of row lists:
     one iterator zipped ``cols`` times reads it a row at a time."""
     return list(map(list, zip(*[iter(cells)] * cols)))
-
-
-def _sparse(cells, w: Window) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The nonzero cells of a flat grid as ((i, j), c), in (i, j) order."""
-    cols, M = w.n + 1, w.M
-    return tuple(
-        ((i, M + i + r), c)
-        for i in range(cols)
-        for r, c in enumerate(cells[i::cols])
-        if c
-    )
 
 
 def _step(down: PureDiagram, up: PureDiagram, w: Window) -> tuple[int, int]:
@@ -224,7 +220,7 @@ def coefficient_functional(
         raise WindowMismatch(f"{p2!r} is not a valid diagram of {w}")
     down = None if p0 is None else _step(p0, p1, w)
     up = None if p2 is None else _step(p1, p2, w)
-    return _functional(p0, p1, p2, down, up, w)
+    return Functional(w, *_coefficients(p0, p1, down, up, w), (p0, p1, p2))
 
 
 # the shape tag by (down is a raise, up is a raise)
@@ -299,12 +295,6 @@ def _coefficients(p0, p1: PureDiagram, down, up, w: Window):
         column = a[i:i + count]
         cells[i:i + count * cols:cols] = map(neg, column) if i & 1 else column
     return tuple(cells), case
-
-
-def _functional(p0, p1, p2, down, up, w: Window) -> Functional:
-    """Dual functional of p1, built from :func:`_coefficients`."""
-    cells, case = _coefficients(p0, p1, down, up, w)
-    return Functional(w, _sparse(cells, w), case, (p0, p1, p2))
 
 
 def _check_in_subspace(b: BettiDiagram, w: Window) -> None:
@@ -525,7 +515,7 @@ class _FacetMatrix:
         facet = self._built.get(k)
         if facet is None:
             cells, kind, case, anchor = self.records[k]
-            functional = Functional(self.window, _sparse(cells, self.window), case, anchor)
+            functional = Functional(self.window, cells, case, anchor)
             facet = self._built[k] = BoundaryFacet(anchor[1], kind, functional)
         return facet
 

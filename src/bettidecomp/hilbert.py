@@ -34,6 +34,7 @@ from .core import (
     BettiDiagram,
     LaurentPolynomial,
     NormalizedPureDiagram,
+    _MAX_SERIES_LENGTH,
     _ZERO,
     _integer_numerator,
     _is_int,
@@ -48,6 +49,7 @@ from .errors import (
     InvalidDiagram,
     NotAChain,
     NotSingleDegreeGenerated,
+    SeriesTooLong,
     UndefinedOnZero,
 )
 from .poset import leq
@@ -115,9 +117,13 @@ class HilbertSeries:
 def _series_integers(numerator: dict[int, int], n: int, depth: int) -> list[int]:
     """Coefficients of t^0 .. t^depth of numerator / (1 - t)^n, for integer
     coefficients: n prefix sums over the dense numerator from its lowest
-    degree, or from 0 if that is higher."""
+    degree, or from 0 if that is higher.  ``SeriesTooLong`` past
+    ``core._MAX_SERIES_LENGTH`` of them, before any is computed."""
     lo = min([0, *numerator])
-    out = [0] * (depth + 1 - lo)
+    length = depth + 1 - lo
+    if length > _MAX_SERIES_LENGTH:
+        raise SeriesTooLong(f"series to t^{depth} has {length} coefficients, more than {_MAX_SERIES_LENGTH}")
+    out = [0] * length
     for j, x in numerator.items():
         if j <= depth:
             out[j - lo] += x

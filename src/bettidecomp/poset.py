@@ -521,11 +521,15 @@ def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     ``WindowTooLarge`` with the count before any move is walked.
 
     Every step of a walked chain is a legal cover move, so the chains are
-    not re-validated; their elements are the shared diagrams of
-    :meth:`Window.pure_diagrams`, and their vacated cells come from the walk.
+    not re-validated; their vacated cells come from the walk.  Only the
+    chains' own diagrams are built, each once per listing
+    (:func:`pure_diagram`) and shared by its chains, so a window of more
+    pure diagrams than :func:`_diagrams` builds lists its chains too.
     """
     _need(w, Window, WindowMismatch)
-    table = None
+    built = {}
     for seqs, cells, _ in _sorted_walk(w, limit):
-        table = table or _diagrams(w)  # once, and only past the limit check
-        yield Chain._of_moves(tuple(map(table.__getitem__, seqs)), w, cells)
+        for d in seqs:
+            if d not in built:
+                built[d] = pure_diagram(d, w.n)
+        yield Chain._of_moves(tuple(map(built.__getitem__, seqs)), w, cells)

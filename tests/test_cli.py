@@ -322,10 +322,9 @@ class TestVerifyFan:
         # the first diagram this hyperplane reads positive on reads 1/6
         facet = functionals.boundary_facets(w)[3]
         f = facet.functional
-        negated = functionals.Functional(w, tuple((pos, -c) for pos, c in f.coefficients), f.case, f.anchor)
+        negated = functionals.Functional(w, tuple(-c for c in f.cells), f.case, f.anchor)
         bad = functionals.BoundaryFacet(facet.removed, facet.kind, negated)
-        cells = tuple(c for row in negated.grid() for c in row)
-        built = functionals._FacetMatrix(w, ((cells, bad.kind, negated.case, negated.anchor),))
+        built = functionals._FacetMatrix(w, ((negated.cells, bad.kind, negated.case, negated.anchor),))
         built._built[0] = bad  # hand out the injected facet itself
         monkeypatch.setattr(functionals, "_facet_columns", lambda _: built)
         code, out, _ = run_cli(
@@ -421,6 +420,25 @@ class TestResourceLimits:
         assert (code, out) == (2, "")
         # one error line, without the chains cap's hint
         assert err == "error: window has 5414950270 pure diagrams, more than 100000\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("hilbert", "FIXTURE", "--truncate", "2000000000"),
+             "series to t^2000000000 has 2000000001 coefficients, more than 1000000"),
+            (("bounds", "FIXTURE", "--truncate", "2000000000"),
+             "series to t^2000000000 has 2000000001 coefficients, more than 1000000"),
+            # the default depth N + n + 10; the dense peel is refused first
+            (("bounds", "-"), "numerator spans 1000000001 degrees, more than 1000000"),
+        ],
+        ids=["hilbert", "bounds-truncate", "bounds-default"],
+    )
+    def test_long_series_exits_2_quickly(self, capsys, monkeypatch, quotient_path, argv, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 1, "entries": [[0, 0, "1"], [1, 1000000000, "1"]]}'))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *(quotient_path if a == "FIXTURE" else a for a in argv))
+        assert time.perf_counter() - start < 5
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["hilbert", "membership"])
     def test_memory_error_exits_2(self, capsys, monkeypatch, quotient_path, command):

@@ -488,19 +488,14 @@ class TestBoundaryFacets:
 
 def _negated(facet):
     f = facet.functional
-    negated = functionals.Functional(f.window, tuple((pos, -c) for pos, c in f.coefficients), f.case, f.anchor)
+    negated = functionals.Functional(f.window, tuple(-c for c in f.cells), f.case, f.anchor)
     return functionals.BoundaryFacet(facet.removed, facet.kind, negated)
-
-
-def _cells(f):
-    """A functional's flat row-major grid, the layout of a hyperplane record."""
-    return tuple(c for row in f.grid() for c in row)
 
 
 def _matrix_of(facets):
     """A _FacetMatrix of these facets' records that hands out these very facets."""
     facets = tuple(facets)
-    records = tuple((_cells(f.functional), f.kind, f.functional.case, f.functional.anchor) for f in facets)
+    records = tuple((f.functional.cells, f.kind, f.functional.case, f.functional.anchor) for f in facets)
     matrix = functionals._FacetMatrix(facets[0].functional.window, records)
     matrix._built.update(enumerate(facets))
     return matrix
@@ -830,15 +825,15 @@ class TestFacetRecords:
             (k, q)
             for k, (cells, _, case, anchor) in enumerate(records)
             for q in w.pure_diagrams()
-            if functionals.Functional(w, functionals._sparse(cells, w), case, anchor)(q.betti) < 0
+            if functionals.Functional(w, cells, case, anchor)(q.betti) < 0
         )
         facet, p, value = report.counterexample
         assert p is q
         assert facet is boundary_facets(w)[k] is matrix.facet(k)
         cells, kind, case, anchor = records[k]
         assert (facet.removed, facet.kind) == (anchor[1], kind)
-        assert (_cells(facet.functional), facet.functional.case, facet.functional.anchor) == (cells, case, anchor)
-        assert facet.functional.coefficients == functionals._sparse(cells, w)
+        assert facet.functional.cells is cells
+        assert (facet.functional.case, facet.functional.anchor) == (case, anchor)
         assert value == facet.functional(p.betti) < 0
 
 
@@ -862,21 +857,37 @@ class TestGridLayout:
     @pytest.mark.parametrize("w", [*PACKED_SWEEP, Window(3, 0, 3, 0)], ids=str)
     def test_records_are_flat_grids_of_the_rule(self, w):
         # a record's cells are the window's grid, row = j - i - M, column = i,
-        # row-major: read back they are the rule's coefficients, and the
-        # facet handed out shows them row by row
+        # row-major: the facet handed out stores them, reads them back as
+        # the rule's coefficients and shows them row by row
         records = functionals._facet_columns(w).records
         facets = boundary_facets(w)
         cols = w.n + 1
         assert len(facets) == len(records)
         for (cells, kind, case, anchor), facet in zip(records, facets):
-            assert len(cells) == w.rows * cols
+            assert len(cells) == w.rows * cols and facet.functional.cells is cells
             sparse = _sparse_from_rule(*anchor, w)
-            assert functionals._sparse(cells, w) == sparse == facet.functional.coefficients, (w, anchor)
-            rows = [list(cells[r * cols:(r + 1) * cols]) for r in range(w.rows)]
-            assert facet.functional.grid() == rows == functionals._grid(sparse, w), (w, anchor)
+            assert facet.functional.coefficients == sparse, (w, anchor)
+            rows = [[0] * cols for _ in range(w.rows)]
+            for (i, j), c in sparse:
+                rows[j - i - w.M][i] = c
+                assert facet.functional.coefficient(i, j) == c, (w, anchor, i, j)
+            assert facet.functional.grid() == rows == [list(cells[r * cols:(r + 1) * cols]) for r in range(w.rows)]
             built = coefficient_functional(*anchor, w)
             assert built == facet.functional and built.grid() == rows, (w, anchor)
             assert (facet.removed, facet.kind, facet.functional.case) == (anchor[1], kind, case)
+
+    def test_constructor_checks_the_cells(self):
+        # a short or long tuple, or a column index past n, would read the
+        # wrong row of the flat grid; a list or a non-int cell is refused too
+        f = boundary_facets(Window(2, 0, 1, 0))[0].functional
+        assert len(f.cells) == 6 and f.coefficient(3, 3) == 0
+        head = f.cells[:-1]
+        for cells in (head, (*f.cells, 0), (), list(f.cells), (*head, 1.0), (*head, Fraction(1)), (*head, "1")):
+            with pytest.raises(WindowMismatch, match="one int per grid cell"):
+                functionals.Functional(f.window, cells, f.case, f.anchor)
+        with pytest.raises(WindowMismatch):
+            functionals.Functional((2, 0, 1, 0), f.cells, f.case, f.anchor)
+        assert functionals.Functional(f.window, (*head, 7), f.case, f.anchor).coefficient(2, 3) == 7
 
 
 class TestConvexity:
@@ -1159,12 +1170,12 @@ class TestInvariantsRaise:
         down, up = functionals._step(p0, p1, w), functionals._step(p1, p2, w)
         case, values, limits = functionals._rule(p0.degrees, p1, down, up, w)
         assert case is FunctionalCase.FOURTH
-        assert functionals._functional(p0, p1, p2, down, up, w)(p1.betti) == 1
+        assert coefficient_functional(p0, p1, p2, w)(p1.betti) == 1
         # the same rule with prefactor 2 reads 2 on p1
         doubled = (case, [2 * v for v in values], limits)
         monkeypatch.setattr(functionals, "_rule", lambda *args: doubled)
         with pytest.raises(InvariantViolated, match="fourth formula is 2 on"):
-            functionals._functional(p0, p1, p2, down, up, w)
+            coefficient_functional(p0, p1, p2, w)
 
     def test_chain_expansion_residual_must_vanish_in_the_subspace(self, monkeypatch):
         # a maximal chain is a basis, so only a diagram outside the subspace

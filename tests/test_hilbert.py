@@ -22,7 +22,8 @@ from bettidecomp import (
     pure_diagram,
     shift_bounds,
 )
-from bettidecomp.errors import NotAChain, NotSingleDegreeGenerated, UndefinedOnZero
+from bettidecomp import core, hilbert
+from bettidecomp.errors import NotAChain, NotSingleDegreeGenerated, SeriesTooLong, UndefinedOnZero
 from bettidecomp.poset import _moves
 
 
@@ -115,6 +116,38 @@ class TestExpandSeries:
     def test_negative_degree_numerator(self):
         h = HilbertSeries(LaurentPolynomial({-1: 1}), 1)
         assert h.expand(3) == [1, 1, 1, 1]
+
+
+class TestSeriesLength:
+    def test_series_past_the_cap_is_refused(self, monkeypatch, quotient_diagram):
+        # the cap counts t^min(0, lowest degree) .. t^depth; every reader of
+        # a truncated series is refused before any coefficient is computed
+        monkeypatch.setattr(hilbert, "_MAX_SERIES_LENGTH", 10)
+        h = hilbert_series(quotient_diagram)
+        assert len(h.expand(9)) == 10
+        with pytest.raises(SeriesTooLong, match=r"series to t\^10 has 11 coefficients, more than 10"):
+            h.expand(10)
+        with pytest.raises(SeriesTooLong, match="has 11 coefficients"):
+            HilbertSeries(LaurentPolynomial({-2: 1}), 1).expand(8)
+        with pytest.raises(SeriesTooLong):
+            multiplicity_bounds(quotient_diagram, 10)
+        assert multiplicity_bounds(quotient_diagram, 9).applicable
+        chain = [normalize(pure_diagram((0, 1), 1)), normalize(pure_diagram((0, 2), 1))]
+        with pytest.raises(SeriesTooLong):
+            check_monotonicity(chain, 10)
+
+    def test_documented_cap(self, quotient_diagram):
+        cap = core._MAX_SERIES_LENGTH
+        assert cap == hilbert._MAX_SERIES_LENGTH == 10**6
+        with pytest.raises(SeriesTooLong, match=f"has {cap + 1} coefficients, more than {cap}"):
+            hilbert_series(quotient_diagram).expand(cap)
+        # the peel is dense over the numerator's degrees: a span past the cap
+        # is refused before the default depth N + n + 10 is reached
+        wide = BettiDiagram(1, {(0, 0): 1, (1, 10**9): 1})
+        for call in (codimension, multiplicity, multiplicity_bounds):
+            with pytest.raises(SeriesTooLong, match=f"numerator spans 1000000001 degrees, more than {cap}"):
+                call(wide)
+        assert codimension(BettiDiagram(1, {(0, 0): 1, (1, cap - 1): 1})) == 1
 
 
 class TestMultiplicity:

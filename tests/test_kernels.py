@@ -612,11 +612,16 @@ class TestFunctionalKernelAgainstFractionSums:
     @fewer
     @given(
         st.integers(0, 4),
-        st.dictionaries(st.tuples(st.integers(0, 4), degrees), coefficients, max_size=8),
+        st.integers(0, 2),
+        st.dictionaries(st.tuples(st.integers(0, 6), degrees), coefficients, max_size=8),
     )
-    def test_functional_call_off_the_window(self, n, entries):
-        # entries anywhere, in or out of the functional's support
-        b = BettiDiagram(n, {(i, j): v for (i, j), v in entries.items() if i <= n})
+    def test_functional_call_off_the_window(self, n, extra, entries):
+        # entries anywhere, in or out of the functional's support; in each
+        # column past the window's n also a unit at every degree of its rows
+        # and one past each end: those read 0, and an index into the flat
+        # grid must not alias them into a neighbouring row
+        spill = {(i, j): 1 for i in range(n + 1, n + extra + 1) for j in range(i - 2, i + 3)}
+        b = BettiDiagram(n + extra, {**spill, **{(i, j): v for (i, j), v in entries.items() if i <= n + extra}})
         for facet in boundary_facets(Window(n, -1, 1, 0)):
             got = facet.functional(b)
             assert type(got) is Fraction and got == functional_reference(facet.functional, b)

@@ -295,6 +295,24 @@ class TestMaximalChains:
         monkeypatch.setattr(poset, "_MAX_DIAGRAMS", count)
         assert len(poset._diagrams(w)) == count
 
+    def test_chains_of_a_window_past_the_table_cap(self, monkeypatch):
+        # n = 0: one chain through all N - M + 1 diagrams, more than the
+        # table holds; the listing builds only its chains' diagrams, each
+        # once, shared by the chains of one listing
+        w = Window(0, 0, 10, 0)
+        poset._diagrams.cache_clear()
+        monkeypatch.setattr(poset, "_MAX_DIAGRAMS", 5)
+        with pytest.raises(WindowTooLarge, match="window has 11 pure diagrams, more than 5"):
+            poset._diagrams(w)
+        (chain,) = maximal_chains(w)
+        assert [tuple(p.degrees) for p in chain] == [(j,) for j in range(11)]
+        monkeypatch.undo()
+        built = []
+        monkeypatch.setattr(poset, "pure_diagram", lambda d, n: built.append(d) or pure_diagram(d, n))
+        chains = list(maximal_chains(Window(2, 0, 1, 0)))
+        assert len(chains) == 5 and all(c[0] is chains[0][0] and c[-1] is chains[0][-1] for c in chains)
+        assert sorted(built) == sorted({tuple(p.degrees) for c in chains for p in c})
+
     def test_limit_reports_count_before_walking(self, monkeypatch):
         monkeypatch.setattr(poset, "_moves", lambda *a: pytest.fail("walked the poset"))
         with pytest.raises(WindowTooLarge, match="window has 9490348077234178440 maximal chains, more than 10"):
