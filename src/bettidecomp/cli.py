@@ -16,15 +16,16 @@ other than a positive integer is a usage error.  ``chains --count-only``
 prints the hook-length count, enumerates nothing and reads no cap.
 ``facets``, ``verify-fan`` and ``membership`` refuse a window of more
 pure diagrams than the library builds a table for (``poset._MAX_DIAGRAMS``),
-and ``hilbert`` and ``bounds`` a series or numerator of more coefficients
-than ``core._MAX_SERIES_LENGTH``.
+and ``hilbert`` and ``bounds`` a series of more coefficients than
+``core._MAX_SERIES_LENGTH``.
 
 Each command's options are declared once, in ``_COMMANDS``.  A well-formed
 command line, each flag given once and exactly, is matched against that
-table directly.  argparse, whose parser is built from the same table on
-first need, serves only the rest: help, usage errors and the spellings the
-match leaves out (abbreviated flags, ``--flag=value``, ``--``), so help and
-error text stay argparse's own.
+table directly, compiled once per command (``_matcher``).  argparse, whose
+parser is built from the same table on first need, serves only the rest:
+help, usage errors and the spellings the match leaves out (abbreviated
+flags, ``--flag=value``, ``--``), so help and error text stay argparse's
+own.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def _cmd_chains(args, fmt):
     sep = "["
     while batch := [seqs for seqs, _, _ in itertools.islice(chains, _CHAIN_BATCH)]:
         if fmt == "json":
-            sys.stdout.write(sep + ", ".join(["[" + ", ".join(map(texts.__getitem__, seqs)) + "]" for seqs in batch]))
+            # one join per chain and one per batch: "[c1], [c2], ..."
+            sys.stdout.write(sep + "[" + "], [".join([", ".join(map(texts.__getitem__, seqs)) for seqs in batch]) + "]")
             sep = ", "
         else:
             print(_human([list(map(list, seqs)) for seqs in batch]))
@@ -426,55 +428,84 @@ def _joined_degrees(argv: list) -> list:
     return out
 
 
+@functools.cache
+def _matcher(name: str) -> tuple:
+    """A command's options as ``_parse`` matches them, built once per
+    command: (flags, positionals, required, defaults), with each flag's
+    (dest, store_true, converter, choices), the positionals' in order, the
+    dests that must be given, and the values of absent options as
+    argparse sets them (a suppressed default sets none).  Shared by every
+    call: read it, never change it."""
+    flags, positionals, required, defaults = {}, [], set(), {}
+    for flag, kwargs in _options(name):
+        dest, store_true = flag.lstrip("-").replace("-", "_"), kwargs.get("action") == "store_true"
+        spec = (dest, store_true, kwargs.get("type"), kwargs.get("choices"))
+        if not flag.startswith("-"):
+            positionals.append(spec)
+            required.add(dest)
+            continue
+        flags[flag] = spec
+        if kwargs.get("required"):
+            required.add(dest)
+        else:
+            default = kwargs.get("default", False if store_true else None)
+            if default is not argparse.SUPPRESS:
+                defaults[dest] = default
+    return flags, tuple(positionals), frozenset(required), defaults
+
+
 def _parse(argv):
     """The namespace ``_build_parser().parse_args(argv)`` returns, or None
     unless argv is ``[--format F] command`` and the command's own flags,
     each given once and exactly, with a value its converter and choices
     accept, every required one among them.  Help, abbreviations,
     ``--flag=value``, ``--`` and every usage error are argparse's."""
-    values = {"format": None}
+    fmt = None
     if argv[:1] == ["--format"]:
         if len(argv) < 2 or argv[1] not in _FORMAT[1]["choices"]:
             return None
-        values["format"] = argv[1]
+        fmt = argv[1]
         argv = argv[2:]
     if not argv or argv[0] not in _COMMANDS:
         return None
-    values["command"] = argv[0]
-    options = dict(_options(argv[0]))
-    positionals = [flag for flag in options if not flag.startswith("-")]
+    flags, positionals, required, defaults = _matcher(argv[0])
+    given = {}
+    positional = iter(positionals)
     tokens = iter(argv[1:])
     for token in tokens:
-        if token.startswith("-") and token in options:
-            flag, kwargs = token, options.pop(token)
-            if kwargs.get("action") == "store_true":
+        spec = flags.get(token)
+        if spec is not None:
+            dest, store_true, convert, choices = spec
+            if store_true:
                 value = True
             else:
                 value = next(tokens, None)
-                if value is None or not (_is_value(value) or (flag == "--degrees" and _DEGREE_LIST.fullmatch(value))):
+                if value is None or not (_is_value(value) or (dest == "degrees" and _DEGREE_LIST.fullmatch(value))):
                     return None
-        elif positionals and _is_value(token):
-            flag = positionals.pop(0)
-            kwargs, value = options.pop(flag), token
+        elif _is_value(token):
+            spec = next(positional, None)
+            if spec is None:
+                # one positional too many
+                return None
+            dest, _, convert, choices = spec
+            value = token
         else:
-            # an unknown or repeated flag, or one positional too many
+            # an unknown flag
             return None
-        if "type" in kwargs:
+        if dest in given:
+            # a repeated flag
+            return None
+        if convert is not None:
             try:
-                value = kwargs["type"](value)
+                value = convert(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-        if "choices" in kwargs and value not in kwargs["choices"]:
+        if choices is not None and value not in choices:
             return None
-        values[flag.lstrip("-").replace("-", "_")] = value
-    # the options not given
-    for flag, kwargs in options.items():
-        if kwargs.get("required") or not flag.startswith("-"):
-            return None
-        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
-        if default is not argparse.SUPPRESS:
-            values[flag.lstrip("-").replace("-", "_")] = default
-    return argparse.Namespace(**values)
+        given[dest] = value
+    if not required <= given.keys():
+        return None
+    return argparse.Namespace(**{"format": fmt, "command": argv[0], **defaults, **given})
 
 
 def run(argv) -> int:

@@ -38,10 +38,11 @@ a library formula computed.  Anything a caller hands in goes through the
 public constructor, or through a parser.  :func:`pure_diagram` checks an
 all-``int`` sequence itself and builds through ``DegreeSequence._of`` and
 ``PureDiagram._of``; any other input goes through the validating
-constructors.  ``Decomposition._of`` in :mod:`bettidecomp.decompose` skips
-the checks of a decomposition; only ``greedy_decompose`` uses it, whose
-positive ``Fraction`` coefficients and strictly increasing terms of its own
-``n`` hold by construction.
+constructors.  ``_pure_diagram_of`` enters its table with no check, for
+the sequences ``poset._diagrams`` generates.  ``Decomposition._of`` in
+:mod:`bettidecomp.decompose` skips the checks of a decomposition; only
+``greedy_decompose`` uses it, whose positive ``Fraction`` coefficients and
+strictly increasing terms of its own ``n`` hold by construction.
 
 The diagram parsers in :mod:`bettidecomp.io` are doors too.  The JSON
 parser validates every key and value itself (``n`` an ``int >= 0``, each
@@ -61,6 +62,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -112,6 +114,9 @@ def _rational_parts(token: str) -> tuple[int, int]:
 def _parse_int(token: str) -> int:
     """Integer from '-?[0-9]+' in ASCII digits; anything else fails, so
     Unicode digits, underscores and signs like '+' never pass as integers."""
+    # plain ASCII digits skip the regex, as in _rational_parts
+    if token.isdigit() and token.isascii():
+        return int(token)
     if not _INT_RE.fullmatch(token):
         raise ValueError(f"{token!r} is not an integer literal")
     return int(token)
@@ -146,8 +151,10 @@ class LaurentPolynomial:
     Supports exactly what the numerator algebra needs: addition, scalar
     multiplication, multiplication by ``(1 - t)^k``, exact division by
     ``(1 - t)``, and evaluation.  Division scales to ``int`` once, peels in
-    :func:`_peel`, the kernel ``codimension`` and ``multiplicity`` share, and
-    divides back once; ``HilbertSeries.expand`` reads the same integer form.
+    :func:`_peel` and divides back once; the order of ``(1 - t)`` alone is
+    read off the power sums (:func:`_order_at_one`), as ``codimension`` and
+    ``multiplicity`` read it; ``HilbertSeries.expand`` reads the same
+    integer form.
     """
 
     __slots__ = ("_coeffs",)
@@ -238,14 +245,14 @@ class LaurentPolynomial:
         if not self._coeffs:
             return 0, self
         scale, coeffs = self._integer_coefficients()
-        s, lo, q, _ = _peel(coeffs, cap)
+        s, lo, q = _peel(coeffs, cap)
         return s, LaurentPolynomial._of({lo + k: Fraction(x, scale) for k, x in enumerate(q)})
 
     def one_minus_t_order(self) -> int:
         """Largest s with (1 - t)^s dividing the polynomial (zero poly -> error)."""
         if self.is_zero:
             raise UndefinedOnZero("order undefined for the zero polynomial")
-        return self.peel_one_minus_t()[0]
+        return _order_at_one(self._integer_coefficients()[1])[0]
 
     def __call__(self, point) -> Fraction:
         x = as_rational(point)
@@ -589,18 +596,34 @@ def pure_diagram(degrees, n: int) -> PureDiagram:
         # the types are proven; a sequence that fails the rest is refused,
         # with its error, by the validating constructors below
         if len(degs) <= n + 1 and all(a < b for a, b in zip(degs, degs[1:])):
-            p = PureDiagram._of(DegreeSequence._of(degs), n)
-            if len(_pure_diagrams) >= _PURE_DIAGRAM_CAP:
-                # first in, first out: the first key is the oldest, reached
-                # past at most a cap's worth of deleted slots; another
-                # thread may have evicted it, or changed the table, meanwhile
-                try:
-                    del _pure_diagrams[next(iter(_pure_diagrams))]
-                except (KeyError, RuntimeError):
-                    pass
-            _pure_diagrams[key] = p
-            return p
+            return _kept(key)
     return PureDiagram(DegreeSequence(degs), n)
+
+
+def _pure_diagram_of(degrees: tuple[int, ...], n: int) -> PureDiagram:
+    """:func:`pure_diagram`'s shared diagram, for a tuple of int degrees
+    that the library generated strictly increasing, of length <= n + 1 for
+    an int n: the trusted entry into its table, which checks nothing."""
+    key = (degrees, n)
+    p = _pure_diagrams.get(key)
+    return _kept(key) if p is None else p
+
+
+def _kept(key: tuple[tuple[int, ...], int]) -> PureDiagram:
+    """pi(degrees) for a checked key (degrees, n) missing from the table,
+    built and put in it."""
+    degrees, n = key
+    p = PureDiagram._of(DegreeSequence._of(degrees), n)
+    if len(_pure_diagrams) >= _PURE_DIAGRAM_CAP:
+        # first in, first out: the first key is the oldest, reached past at
+        # most a cap's worth of deleted slots; another thread may have
+        # evicted it, or changed the table, meanwhile
+        try:
+            del _pure_diagrams[next(iter(_pure_diagrams))]
+        except (KeyError, RuntimeError):
+            pass
+    _pure_diagrams[key] = p
+    return p
 
 
 def normalize(p: PureDiagram) -> NormalizedPureDiagram:
@@ -670,28 +693,49 @@ def _peeled_numerator(b: BettiDiagram, num: dict[int, int] | None = None) -> tup
 
 
 def _peeled(b: BettiDiagram, num: dict[int, int] | None = None) -> tuple[int, int, int]:
-    """(s, x, L) with S(b, t) = (1 - t)^s Q, s maximal and Q(1) = x / L, from
-    one peel, kept on b.
-
-    The peel runs on S times the lcm L of b's denominators.  ``num`` is that
-    integer numerator, ``_integer_numerator`` of b's integer form, when the
-    caller has it already.
+    """(s, x, L) with S(b, t) = (1 - t)^s Q, s maximal and Q(1) = x / L, read
+    by :func:`_order_at_one` off S times the lcm L of b's denominators, kept
+    on b.  ``num`` is that integer numerator, ``_integer_numerator`` of b's
+    integer form, when the caller has it already.
     """
     peeled = b._peeled
     if peeled is None:
         if b.is_zero:
             raise UndefinedOnZero("codimension undefined for the zero diagram")
         scale, entries = b._integer
-        if num is None:
-            num = _integer_numerator(entries)
         try:
-            s, _, _, value = _peel(num)
+            s, value = _order_at_one(_integer_numerator(entries) if num is None else num)
         except UndefinedOnZero:
             raise UndefinedOnZero(
                 "the Hilbert numerator of the diagram vanishes, so its codimension and multiplicity are undefined"
             ) from None
         peeled = b._peeled = (s, value, scale)
     return peeled
+
+
+def _order_at_one(coeffs: dict[int, int]) -> tuple[int, int]:
+    """(s, Q(1)) with P = (1 - t)^s Q and s maximal, for P as degree -> int
+    (zeros allowed), from the Herzog-Kuhl power sums over its nonzero terms
+    c_j t^j only: s is the first m with sum c_j j^m != 0, and
+    Q(1) = (-1)^s sum c_j j^s / s!, an int.
+
+    Below s every power sum vanishes, so the s-th derivative at 1, the sum
+    of c_j j (j - 1) ... (j - s + 1), is the s-th power sum, and
+    Q(1) = (-1)^s P^(s)(1) / s!.  For k nonzero terms s <= k - 1 (the k
+    sums m < k of distinct degrees cannot all vanish: Vandermonde), so the
+    work is O(k s), and no list spans the degrees.
+    """
+    degrees = [j for j, x in coeffs.items() if x]
+    if not degrees:
+        raise UndefinedOnZero("order undefined for the zero polynomial")
+    # powers[k] = c_k j_k^s
+    powers = [x for x in coeffs.values() if x]
+    s = 0
+    while not (total := sum(powers)):
+        powers = list(map(mul, powers, degrees))
+        s += 1
+    value = total // math.factorial(s)
+    return s, -value if s & 1 else value
 
 
 #: Most coefficients a dense integer list holds in the two series kernels:
@@ -701,9 +745,12 @@ def _peeled(b: BettiDiagram, num: dict[int, int] | None = None) -> tuple[int, in
 _MAX_SERIES_LENGTH = 10**6
 
 
-def _peel(coeffs: dict[int, int], cap: int | None = None) -> tuple[int, int, list[int], int]:
-    """(s, lo, Q, Q(1)) with P = (1 - t)^s Q and s maximal, or s = cap if
-    smaller, for P as degree -> int (zeros allowed); Q is dense from degree lo.
+def _peel(coeffs: dict[int, int], cap: int | None = None) -> tuple[int, int, list[int]]:
+    """(s, lo, Q) with P = (1 - t)^s Q and s maximal, or s = cap if
+    smaller, for P as degree -> int (zeros allowed); Q is dense from degree
+    lo.  The quotient's readers use it: ``LaurentPolynomial.peel_one_minus_t``
+    and, through it, ``HilbertSeries.reduced``; :func:`_peeled` reads s and
+    Q(1) without it.
 
     One synthetic division per factor: the quotient is the prefix sums of
     the coefficients but the last, which is the remainder, the value at 1.
@@ -720,7 +767,7 @@ def _peel(coeffs: dict[int, int], cap: int | None = None) -> tuple[int, int, lis
     while True:
         sums = list(accumulate(quotient))
         if sums[-1] or (cap is not None and s >= cap):
-            return s, lo, quotient, sums[-1]
+            return s, lo, quotient
         quotient = sums[:-1]
         s += 1
 

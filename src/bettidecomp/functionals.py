@@ -432,7 +432,8 @@ def _records(w: Window) -> tuple[tuple, ...]:
     # None stands below min and above max: the extremal triples are
     # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None),
     # kept through keep(); the boundary triples of the main loop insert
-    # directly.  Each diagram's cover moves, with their cells, are derived once
+    # directly.  Each diagram's cover moves, with their cells and their
+    # targets' diagrams, are derived once
     records = {}
 
     def keep(p0, p1, p2, down, up, kind):
@@ -440,24 +441,23 @@ def _records(w: Window) -> tuple[tuple, ...]:
         records.setdefault(cells, (cells, kind, case, (p0, p1, p2)))
 
     table = _diagrams(w)
-    moves = {d: _cover_moves(d, w) for d in table}
+    moves = {d: [(e, cell, table[e]) for e, cell in _cover_moves(d, w)] for d in table}
     # the window minimum and maximum by their degrees
     lo, hi = tuple(range(w.M, w.M + w.n + 1)), tuple(range(w.N, w.N + w.s_min + 1))
     if lo == hi:
         keep(None, table[lo], None, None, None, FacetKind.EXTREMAL)
     for d0, p0 in table.items():
-        for d1, down in moves[d0]:
-            p1 = table[d1]
+        for d1, down, p1 in moves[d0]:
             if d0 == lo:
                 keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
             if d1 == hi:
                 keep(p0, p1, None, down, None, FacetKind.EXTREMAL)
-            for d2, up in moves[d1]:
+            for _, up, p2 in moves[d1]:
                 kind = _triple_kind(down, up, w)
                 if kind is not FacetKind.INTERIOR:
                     cells, case = _coefficients(p0, p1, down, up, w)
                     if cells not in records:
-                        records[cells] = (cells, kind, case, (p0, p1, table[d2]))
+                        records[cells] = (cells, kind, case, (p0, p1, p2))
     return tuple(records.values())
 
 

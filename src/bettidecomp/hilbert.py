@@ -344,7 +344,7 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
         _check_depth(depth)
     _need(b, BettiDiagram, InvalidDiagram)
     bounds = _check_generators(b)
-    # b's numerator in integers: one peel of it gives both the codimension
+    # b's numerator in integers: its power sums give both the codimension
     # and the multiplicity e = Q(1), and it is the b half of both slacks
     scale, entries = b._integer
     num = _integer_numerator(entries)

@@ -45,7 +45,7 @@ from itertools import combinations_with_replacement, repeat
 from operator import add, itemgetter, le
 from typing import Iterator
 
-from .core import DegreeSequence, PureDiagram, _is_int, _need, pure_diagram
+from .core import DegreeSequence, PureDiagram, _is_int, _need, _pure_diagram_of, pure_diagram
 from .errors import (
     ChainNotMaximal,
     InvalidTableau,
@@ -132,7 +132,10 @@ def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
     """Every pure diagram of w by its degree tuple, in ``pure_diagrams`` order.
 
     The one table that the whole-window paths read; callers must not
-    mutate it.  A window of more than ``_MAX_DIAGRAMS`` diagrams is
+    mutate it.  Its diagrams are :func:`pure_diagram`'s shared ones,
+    entered through the trusted ``core._pure_diagram_of``: the sequences
+    generated here are int tuples, strictly increasing and of length at
+    most n + 1.  A window of more than ``_MAX_DIAGRAMS`` diagrams is
     refused with ``WindowTooLarge``, counted before any is built.
     """
     count = _diagram_count(w)
@@ -142,7 +145,7 @@ def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
     for s in range(w.n, w.s_min - 1, -1):
         for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):
             d = tuple(map(add, rows, range(s + 1)))
-            table[d] = pure_diagram(d, w.n)
+            table[d] = _pure_diagram_of(d, w.n)
     return table
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bettidecomp import Window, cli, functionals, greedy_decompose, maximal_chains, pure_diagram
@@ -428,10 +428,13 @@ class TestResourceLimits:
              "series to t^2000000000 has 2000000001 coefficients, more than 1000000"),
             (("bounds", "FIXTURE", "--truncate", "2000000000"),
              "series to t^2000000000 has 2000000001 coefficients, more than 1000000"),
-            # the default depth N + n + 10; the dense peel is refused first
-            (("bounds", "-"), "numerator spans 1000000001 degrees, more than 1000000"),
+            # the default depth N + n + 10: codimension and multiplicity are
+            # read off the numerator's two terms, and the series is refused
+            (("bounds", "-"), "series to t^1000000010 has 1000000011 coefficients, more than 1000000"),
+            # the derived window (1,0,999999999,1), refused by its count
+            (("membership", "-"), "window has 500000000500000000 pure diagrams, more than 100000"),
         ],
-        ids=["hilbert", "bounds-truncate", "bounds-default"],
+        ids=["hilbert", "bounds-truncate", "bounds-default", "membership"],
     )
     def test_long_series_exits_2_quickly(self, capsys, monkeypatch, quotient_path, argv, message):
         monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 1, "entries": [[0, 0, "1"], [1, 1000000000, "1"]]}'))
@@ -725,12 +728,46 @@ class TestFastParse:
     """cli._parse against argparse: whenever it returns a namespace, that is
     the one argparse returns, and well-formed lines always get one."""
 
+    # lines the compiled matcher must read as argparse does, or leave to it:
+    # an option and --count-only given twice, a missing required option,
+    # integers argparse's int would take but _integer refuses
+    REPEATS_AND_REFUSALS = [
+        ["facets", "--n", "2", "--M", "0", "--N", "1", "--n", "3"],
+        ["chains", "--n", "2", "--M", "0", "--N", "1", "--count-only", "--count-only"],
+        ["chains", "--n", "2", "--M", "0", "--count-only"],
+        ["facets", "--n", "\u0663", "--M", "0", "--N", "1"],
+        ["facets", "--n", "+1", "--M", "0", "--N", "1"],
+        ["facets", "--n", "1_0", "--M", "0", "--N", "1"],
+    ]
+    # well-formed: a subcommand --format after the command, a first negative
+    # degree, a positional after the flags
+    WELL_FORMED = [
+        ["chains", "--format", "table", "--n", "2", "--M", "0", "--N", "1", "--count-only"],
+        ["--format", "json", "facets", "--n", "2", "--M", "0", "--N", "1", "--format", "table"],
+        ["pure", "--degrees", "-1,2", "--n", "1"],
+        ["hilbert", "--truncate", "3", "--input-format", "json", "x.json"],
+    ]
+
     @settings(max_examples=400, deadline=None)
     @given(command_lines())
+    @example(REPEATS_AND_REFUSALS[0])
+    @example(REPEATS_AND_REFUSALS[1])
+    @example(REPEATS_AND_REFUSALS[2])
+    @example(REPEATS_AND_REFUSALS[3])
+    @example(REPEATS_AND_REFUSALS[4])
+    @example(REPEATS_AND_REFUSALS[5])
+    @example(WELL_FORMED[0])
+    @example(WELL_FORMED[1])
+    @example(WELL_FORMED[2])
+    @example(WELL_FORMED[3])
     def test_equals_argparse_when_it_matches(self, argv):
         parsed = cli._parse(argv)
         if parsed is not None:
             assert vars(parsed) == _argparse_namespace(argv)
+        if argv in self.REPEATS_AND_REFUSALS:
+            assert parsed is None
+        if argv in self.WELL_FORMED:
+            assert parsed is not None
 
     @settings(max_examples=300, deadline=None)
     @given(well_formed_lines())

@@ -14,6 +14,7 @@ from bettidecomp import (
     DegreeSequence,
     LaurentPolynomial,
     PureDiagram,
+    Window,
     codimension,
     hk_residuals,
     normalize,
@@ -21,7 +22,7 @@ from bettidecomp import (
     pure_diagram,
     window_of,
 )
-from bettidecomp import core, decompose
+from bettidecomp import core, decompose, poset
 from bettidecomp.errors import (
     BettiError,
     CodimensionExceedsAmbient,
@@ -141,6 +142,40 @@ class TestPureDiagramTable:
         # the oldest went first, and a rebuilt diagram is equal
         assert ((0, 1), 1) not in core._pure_diagrams
         assert pure_diagram((0, 1), 1).betti == BettiDiagram(1, {(0, 0): 1, (1, 1): 1})
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    def test_window_tables_enter_through_the_trusted_entry(self, monkeypatch, cap):
+        # every entry of every window with n <= 4 and width <= 3: the
+        # validating constructor accepts what the trusted entry skipped, and
+        # while it is in the table it is the object pure_diagram returns;
+        # under a cap of 5 the table still evicts first in, first out
+        monkeypatch.setattr(core, "_pure_diagrams", {})
+        if cap is not None:
+            monkeypatch.setattr(core, "_PURE_DIAGRAM_CAP", cap)
+        checked = expected = 0
+        for n in range(5):
+            for width in range(4):
+                for s_min in range(n + 1):
+                    w = Window(n, -1 if n & 1 else 0, (-1 if n & 1 else 0) + width, s_min)
+                    # a fresh build into an empty table: the cached one may
+                    # predate it
+                    core._pure_diagrams.clear()
+                    table = poset._diagrams.__wrapped__(w)
+                    assert len(core._pure_diagrams) <= core._PURE_DIAGRAM_CAP
+                    kept = list(core._pure_diagrams)
+                    for d, p in table.items():
+                        assert type(d) is tuple and type(p.degrees) is DegreeSequence
+                        assert p == PureDiagram(DegreeSequence(d), n) and p.n == n
+                        if (d, n) in core._pure_diagrams:
+                            assert core._pure_diagrams[(d, n)] is p
+                            assert pure_diagram(d, n) is p
+                            checked += 1
+                    # the lookups above built nothing and moved nothing
+                    assert list(core._pure_diagrams) == kept
+                    assert kept == [(d, n) for d in list(table)[-core._PURE_DIAGRAM_CAP:]]
+                    expected += min(len(table), core._PURE_DIAGRAM_CAP)
+        # 1,393 entries in 60 windows, all kept under the real cap
+        assert checked == expected == (251 if cap is not None else 1393)
 
 
 class TestNormalize:

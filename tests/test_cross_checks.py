@@ -10,6 +10,9 @@ formulas and must agree bit-for-bit.
 import math
 import random
 from fractions import Fraction
+from itertools import takewhile
+
+import pytest
 
 from bettidecomp import (
     BettiDiagram,
@@ -22,6 +25,7 @@ from bettidecomp import (
     derived_window,
     expand_in_chain,
     greedy_decompose,
+    hk_residuals,
     leq,
     maximal_chains,
     membership_by_inequalities,
@@ -30,7 +34,8 @@ from bettidecomp import (
     pure_diagram,
     tableau_from_chain,
 )
-from bettidecomp.errors import InvalidDiagram, NotInCone
+from bettidecomp import core
+from bettidecomp.errors import InvalidDiagram, NotInCone, UndefinedOnZero
 from bettidecomp.poset import _moves
 
 
@@ -245,3 +250,49 @@ class TestMultiplicityFromDecomposition:
             assert report.multiplicity_ok
             kinds["non_cm" if c < b.projective_dimension() else "cm"] += 1
         assert kinds["cm"] >= 50 and kinds["non_cm"] >= 50  # both cases exercised
+
+
+class TestPeelBySums:
+    def test_power_sums_read_the_dense_peel_on_every_small_window(self):
+        """codimension and multiplicity come from the Herzog-Kuhl power sums
+        of b's integer numerator (core._order_at_one); the dense synthetic
+        division (core._peel) is a second route to the same (s, Q(1)).  On
+        every pure diagram of every window with n <= 4 and width <= 3, and
+        on seeded members and near-misses of each, the two agree, and s is
+        the number of leading zeros of the Herzog-Kuhl residuals."""
+        rng = random.Random(2032)
+        diagrams = 0
+        for n in range(5):
+            for width in range(4):
+                for s_min in range(n + 1):
+                    M = rng.randint(-2, 1)
+                    w = Window(n, M, M + width, s_min)
+                    pool = [p.betti for p in w.pure_diagrams()]
+                    for _ in range(3):
+                        chain = random_maximal_chain(rng, w)
+                        picked = rng.sample(range(len(chain)), rng.randint(1, min(4, len(chain))))
+                        coeffs = {k: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for k in picked}
+                        b = BettiDiagram(n, {})
+                        for k, c in coeffs.items():
+                            b = b + chain[k].betti.scaled(c)
+                        k = rng.randrange(len(chain))
+                        near = b - chain[k].betti.scaled(coeffs.get(k, 0) + Fraction(1, rng.randint(1, 5)))
+                        pool += [b, near]
+                    for b in pool:
+                        if b.is_zero:
+                            continue
+                        scale, entries = b._integer
+                        num = core._integer_numerator(entries)
+                        try:
+                            s, _, quotient = core._peel(num)
+                        except UndefinedOnZero:
+                            with pytest.raises(UndefinedOnZero, match="numerator of the diagram vanishes"):
+                                codimension(b)
+                            continue
+                        assert core._order_at_one(num) == (s, sum(quotient)), b
+                        assert core._peeled_numerator(b) == (s, Fraction(sum(quotient), scale)), b
+                        # s <= terms - 1, so some residual below len(num) is nonzero
+                        residuals = hk_residuals(b, len(num))
+                        assert codimension(b) == len(list(takewhile(lambda r: r == 0, residuals))) == s, b
+                        diagrams += 1
+        assert diagrams > 1500

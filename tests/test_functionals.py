@@ -1115,8 +1115,8 @@ class TestIntegerSubspaceCheck:
 
     def test_one_peel_and_one_window_pass_per_diagram(self, monkeypatch):
         peels, passes = [], []
-        real_peel, real_window = core._peel, core._window
-        monkeypatch.setattr(core, "_peel", lambda *args: peels.append(1) or real_peel(*args))
+        real_peel, real_window = core._order_at_one, core._window
+        monkeypatch.setattr(core, "_order_at_one", lambda *args: peels.append(1) or real_peel(*args))
         monkeypatch.setattr(core, "_window", lambda b: passes.append(1) or real_window(b))
         rng = random.Random(27)
         diagrams = 0

@@ -19,6 +19,7 @@ from bettidecomp import (
     multiplicity,
     multiplicity_bounds,
     normalize,
+    numerator_polynomial,
     pure_diagram,
     shift_bounds,
 )
@@ -141,13 +142,22 @@ class TestSeriesLength:
         assert cap == hilbert._MAX_SERIES_LENGTH == 10**6
         with pytest.raises(SeriesTooLong, match=f"has {cap + 1} coefficients, more than {cap}"):
             hilbert_series(quotient_diagram).expand(cap)
-        # the peel is dense over the numerator's degrees: a span past the cap
-        # is refused before the default depth N + n + 10 is reached
+        # codimension and multiplicity read the numerator's two terms only,
+        # whatever their span; the bounds expand a series to the default
+        # depth N + n + 10, past the cap
         wide = BettiDiagram(1, {(0, 0): 1, (1, 10**9): 1})
-        for call in (codimension, multiplicity, multiplicity_bounds):
+        assert (codimension(wide), multiplicity(wide)) == (1, 10**9)
+        with pytest.raises(SeriesTooLong, match=f"series to t\\^1000000010 has 1000000011 coefficients, more than {cap}"):
+            multiplicity_bounds(wide)
+        # a quotient is dense over the numerator's degrees: a span past the
+        # cap is refused before it is built
+        numerator = numerator_polynomial(wide)
+        assert numerator.one_minus_t_order() == 1
+        for call in (numerator.peel_one_minus_t, HilbertSeries(numerator, 1).reduced):
             with pytest.raises(SeriesTooLong, match=f"numerator spans 1000000001 degrees, more than {cap}"):
-                call(wide)
-        assert codimension(BettiDiagram(1, {(0, 0): 1, (1, cap - 1): 1})) == 1
+                call()
+        below = numerator_polynomial(BettiDiagram(1, {(0, 0): 1, (1, cap - 1): 1}))
+        assert below.peel_one_minus_t()[0] == 1
 
 
 class TestMultiplicity:
