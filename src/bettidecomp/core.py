@@ -82,7 +82,6 @@ _ZERO = Fraction(0)
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_rational(token: str) -> Fraction:
@@ -114,10 +113,8 @@ def _rational_parts(token: str) -> tuple[int, int]:
 def _parse_int(token: str) -> int:
     """Integer from '-?[0-9]+' in ASCII digits; anything else fails, so
     Unicode digits, underscores and signs like '+' never pass as integers."""
-    # plain ASCII digits skip the regex, as in _rational_parts
-    if token.isdigit() and token.isascii():
-        return int(token)
-    if not _INT_RE.fullmatch(token):
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isdigit() and digits.isascii()):
         raise ValueError(f"{token!r} is not an integer literal")
     return int(token)
 

@@ -385,6 +385,16 @@ class TestIntegerFields:
         with pytest.raises(InvalidDiagram, match="is not an integer"):
             LaurentPolynomial({degree: 1})
 
+    @pytest.mark.parametrize("token, value", [("0", 0), ("12", 12), ("-3", -3), ("007", 7), ("-0", 0)])
+    def test_integer_literal(self, token, value):
+        assert core._parse_int(token) == value
+
+    @pytest.mark.parametrize("token", ["", "-", "--1", "+1", "1_0", "٣", "-٣", "²", " 1", "1 ", "1.0"])
+    def test_integer_literal_refused(self, token):
+        # exactly '-?[0-9]+' in ASCII digits: int() alone would take most of these
+        with pytest.raises(ValueError, match="is not an integer literal"):
+            core._parse_int(token)
+
 
 class TestLaurentPolynomial:
     def test_exact_division(self):
