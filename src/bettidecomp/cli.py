@@ -233,10 +233,12 @@ def _cmd_facets(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
     # written from the hyperplane records' grids, building no facet object:
     # the bytes json.dumps(..., sort_keys=True) and _human make of these
-    # entries as dicts, since the repr of a list of ints is its JSON text
+    # entries as dicts, since the repr of a list of ints is its JSON text;
+    # each member's value is read as its plain _value_ attribute, which
+    # the value property reaches only through a Python-level descriptor
     cols = w.n + 1
     entries = [
-        (case.value, _rows(cells, cols), kind.value, list(anchor[1].degrees))
+        (case._value_, _rows(cells, cols), kind._value_, list(anchor[1].degrees))
         for cells, kind, case, anchor in _facet_columns(w).records
     ]
     if fmt == "json":

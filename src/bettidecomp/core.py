@@ -43,6 +43,9 @@ the sequences ``poset._diagrams`` generates.  ``Decomposition._of`` in
 :mod:`bettidecomp.decompose` skips the checks of a decomposition; only
 ``greedy_decompose`` uses it, whose positive ``Fraction`` coefficients and
 strictly increasing terms of its own ``n`` hold by construction.
+``BoundsReport._of`` in :mod:`bettidecomp.hilbert` stores a report's fields
+without the dataclass constructor; only ``multiplicity_bounds`` uses it,
+for the applicable report it computed.
 
 The diagram parsers in :mod:`bettidecomp.io` are doors too.  The JSON
 parser validates every key and value itself (``n`` an ``int >= 0``, each
@@ -60,9 +63,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -382,7 +385,8 @@ class BettiDiagram:
     def projective_dimension(self) -> int:
         if self.is_zero:
             raise UndefinedOnZero("projective dimension undefined for the zero diagram")
-        return max(i for (i, _), _ in self._integer[1])
+        # positions are distinct, so the greatest entry has the greatest i
+        return max(self._integer[1])[0][0]
 
     def _combined(self, other: "BettiDiagram", sign: int) -> "BettiDiagram":
         """self + sign * other, in ``int`` over the lcm of the two scales."""
@@ -441,8 +445,8 @@ def _canonical(n: int, values: list, b: BettiDiagram | None = None) -> BettiDiag
     terms, q > 0, each position once, in order: L is the lcm of the q, so
     the gcd of L and the entries is already 1."""
     b = object.__new__(BettiDiagram) if b is None else b
-    scale = math.lcm(*(q for _, _, q in values))
-    b._n, b._integer = n, (scale, tuple((pos, p * (scale // q)) for pos, p, q in values))
+    scale = math.lcm(*[q for _, _, q in values])
+    b._n, b._integer = n, (scale, tuple([(pos, p * (scale // q)) for pos, p, q in values]))
     b._hash = b._window = b._peeled = None
     return b
 
@@ -516,19 +520,12 @@ class PureDiagram:
         q_i = |prod_{j != i} (d_j - d_i)| and L the lcm of the q_i.
 
         Entry i is 1 / q_i, so this is the canonical form ``betti._integer``;
-        it is read off the degrees alone, and :attr:`betti` is built from it.
-        Every entry is a positive int, so a linear functional reads the same
-        sign on the entries as on :attr:`betti`."""
-        d = self.degrees
-        qs = []
-        for di in d:
-            prod = 1
-            for dj in d:
-                if dj != di:
-                    prod *= dj - di
-            qs.append(abs(prod))
-        scale = math.lcm(*qs)
-        return scale, tuple(((i, d[i]), scale // q) for i, q in enumerate(qs))
+        it depends on the degrees alone, so it is read from the degree-keyed
+        table :func:`_integer_form`, one form shared by every n, and
+        :attr:`betti` is built from it.  Every entry is a positive int, so a
+        linear functional reads the same sign on the entries as on
+        :attr:`betti`."""
+        return _integer_form(self.degrees)
 
     @cached_property
     def betti(self) -> BettiDiagram:
@@ -569,12 +566,33 @@ _PURE_DIAGRAM_CAP = 256
 _pure_diagrams: dict[tuple[tuple[int, ...], int], PureDiagram] = {}
 
 
+@lru_cache(maxsize=_PURE_DIAGRAM_CAP)
+def _integer_form(degrees: tuple[int, ...]) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
+    """``PureDiagram._integer`` of a strictly increasing tuple of int
+    degrees, kept for the last ``_PURE_DIAGRAM_CAP`` sequences read: a
+    diagram's form depends on its degrees only, so it is computed once per
+    sequence, shared across n and across evictions from
+    :func:`pure_diagram`'s ``(degrees, n)`` table."""
+    qs = []
+    for di in degrees:
+        prod = 1
+        for dj in degrees:
+            if dj != di:
+                prod *= dj - di
+        qs.append(abs(prod))
+    scale = math.lcm(*qs)
+    # enumerate hands out the positions (i, d_i) themselves
+    return scale, tuple(zip(enumerate(degrees), map(scale.__floordiv__, qs)))
+
+
 def pure_diagram(degrees, n: int) -> PureDiagram:
     """Build pi(d) for a strictly increasing sequence of length <= n + 1.
 
     Returns one shared diagram per (degrees, n) while it is among the last
-    ``_PURE_DIAGRAM_CAP`` built, with its integer form and ``betti`` cached.
-    Only ``int`` degrees and ``n`` are looked up: ``1.0``, ``True`` and
+    ``_PURE_DIAGRAM_CAP`` built, with ``betti`` cached.  Its integer form
+    comes from the degree-keyed table :func:`_integer_form`, so a sequence
+    read under another n, or again after its diagram left this table,
+    reuses the form already computed.  Only ``int`` degrees and ``n`` are looked up: ``1.0``, ``True`` and
     ``Fraction(1)`` hash like ``1``, and must still be refused.
 
     >>> pure_diagram((0, 2, 3, 5), 3).entry(0)
@@ -592,7 +610,7 @@ def pure_diagram(degrees, n: int) -> PureDiagram:
             return p
         # the types are proven; a sequence that fails the rest is refused,
         # with its error, by the validating constructors below
-        if len(degs) <= n + 1 and all(a < b for a, b in zip(degs, degs[1:])):
+        if len(degs) <= n + 1 and all(map(lt, degs, degs[1:])):
             return _kept(key)
     return PureDiagram(DegreeSequence(degs), n)
 

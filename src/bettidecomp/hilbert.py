@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter, lt
 
 from .core import (
     BettiDiagram,
@@ -196,8 +197,8 @@ def _shift_bounds(bounds: list[tuple[int, int] | None], s: int) -> ShiftBounds:
     if None in bounds[1:]:
         i, r = bounds.index(None, 1), len(bounds) - 1
         raise InvalidDiagram(f"column {i} is empty below the projective dimension {r}")
-    minimal = tuple(low for low, _ in bounds[1:])
-    maximal = tuple(high for _, high in bounds[1 : s + 1])
+    minimal = tuple(map(itemgetter(0), bounds[1:]))
+    maximal = tuple(map(itemgetter(1), bounds[1 : s + 1]))
     return ShiftBounds(minimal, maximal)
 
 
@@ -319,6 +320,14 @@ class BoundsReport:
     multiplicity_equality: bool | None = None
     is_pure: bool | None = None
 
+    @classmethod
+    def _of(cls, **fields) -> "BoundsReport":
+        """Trusted constructor: every field by name, stored unchecked.  A
+        slack may be a ``_Series``, which ``_Slack`` divides when first read."""
+        r = object.__new__(cls)
+        r.__dict__.update(fields)
+        return r
+
     @property
     def passed(self) -> bool:
         return bool(self.applicable and self.lower_ok and self.upper_ok and self.multiplicity_ok)
@@ -355,8 +364,7 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
         depth = N + b.n + 10
     beta0 = b[(0, 0)]
     for name, seq in (("minimal", sb.minimal), ("maximal", sb.maximal)):
-        full = (0,) + seq
-        if any(y <= x for x, y in zip(full, full[1:])):
+        if not all(map(lt, (0,) + seq, seq)):
             return BoundsReport(
                 False,
                 f"{name} shifts {seq} are not strictly increasing above 0",
@@ -384,10 +392,10 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     # e against the bound x0 prod(M) / (L s!), cross-multiplied in ints
     top, low = x0 * math.prod(sb.maximal), scale * math.factorial(s)
     lhs, rhs = e.numerator * low, top * e.denominator
-    return BoundsReport(
-        True,
-        None,
-        depth,
+    return BoundsReport._of(
+        applicable=True,
+        reason=None,
+        depth=depth,
         generator_count=beta0,
         shifts=sb,
         lower_ok=lower_ok,

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import math
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -176,6 +177,61 @@ class TestPureDiagramTable:
                     expected += min(len(table), core._PURE_DIAGRAM_CAP)
         # 1,393 entries in 60 windows, all kept under the real cap
         assert checked == expected == (251 if cap is not None else 1393)
+
+
+def integer_form_reference(d):
+    """Entry i is 1 / prod_{j != i} |d_j - d_i| as a Fraction; the form is
+    (L, ((i, d_i), L * entry i)) with L the lcm of the denominators."""
+    entries = []
+    for di in d:
+        value = Fraction(1)
+        for dj in d:
+            if dj != di:
+                value /= abs(dj - di)
+        entries.append(value)
+    scale = math.lcm(*(v.denominator for v in entries))
+    return scale, tuple(((i, di), int(v * scale)) for i, (di, v) in enumerate(zip(d, entries)))
+
+
+class TestIntegerFormTable:
+    """A pure diagram's integer form depends on its degrees only: one form
+    per degree sequence, shared across n and across evictions from the
+    ``(degrees, n)`` table."""
+
+    def test_shared_across_n(self):
+        for d in [(0,), (0, 1), (0, 2, 3, 5), (-1, 2, 4), (3, 4, 6, 9, 10)]:
+            forms = [pure_diagram(d, n)._integer for n in range(len(d) - 1, len(d) + 3)]
+            assert all(form is forms[0] for form in forms), d
+            assert PureDiagram(DegreeSequence(d), len(d) + 5)._integer is forms[0]
+
+    def test_shared_across_evictions(self, monkeypatch):
+        p = pure_diagram((0, 3, 4, 7), 3)
+        monkeypatch.setattr(core, "_pure_diagrams", {})
+        q = pure_diagram((0, 3, 4, 7), 3)
+        assert q is not p and q._integer is p._integer
+
+    def test_table_is_bounded_by_the_diagram_cap(self):
+        assert core._integer_form.cache_info().maxsize == core._PURE_DIAGRAM_CAP
+
+    def test_matches_fraction_reference_on_windows(self):
+        checked = 0
+        for n in range(5):
+            for M in (-1, 0):
+                for width in range(4):
+                    for p in Window(n, M, M + width, 0).pure_diagrams():
+                        d = tuple(p.degrees)
+                        got = core._integer_form(d)
+                        assert got == integer_form_reference(d), d
+                        assert type(got[0]) is int and all(type(x) is int for _, x in got[1])
+                        checked += 1
+        # every pure diagram of the 40 windows, the same sequence once per n
+        assert checked == 862
+
+    def test_matches_fraction_reference_on_seeded_sequences(self):
+        rng = random.Random(2008)
+        for _ in range(200):
+            d = tuple(sorted(rng.sample(range(-30, 60), rng.randint(1, 13))))
+            assert core._integer_form(d) == integer_form_reference(d), d
 
 
 class TestNormalize:

@@ -1,5 +1,6 @@
 """Hilbert series, multiplicity, shift bounds, monotonicity."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from bettidecomp import (
     shift_bounds,
 )
 from bettidecomp import core, hilbert
+from bettidecomp.hilbert import BoundsReport
 from bettidecomp.errors import NotAChain, NotSingleDegreeGenerated, SeriesTooLong, UndefinedOnZero
 from bettidecomp.poset import _moves
 
@@ -306,6 +308,15 @@ class TestMultiplicityBounds:
         report = multiplicity_bounds(b, 10)
         assert not report.applicable
         assert report.reason
+
+    def test_trusted_report_sets_every_field(self, quotient_diagram):
+        # multiplicity_bounds builds an applicable report through
+        # BoundsReport._of, which stores fields without the constructor
+        names = {f.name for f in dataclasses.fields(BoundsReport)}
+        report = multiplicity_bounds(quotient_diagram, 10)
+        assert report.applicable and set(vars(report)) == names
+        rebuilt = BoundsReport(**{name: getattr(report, name) for name in names})
+        assert rebuilt == report and repr(rebuilt) == repr(report)
 
     def test_default_depth(self, quotient_diagram):
         report = multiplicity_bounds(quotient_diagram)
