@@ -51,7 +51,7 @@ from .functionals import (
     verify_fan_convexity,
 )
 from .hilbert import hilbert_series, multiplicity_bounds
-from .poset import Tableau, Window, _sorted_walk, chain_from_tableau, count_maximal_chains
+from .poset import Tableau, Window, _decimal, _sorted_walk, chain_from_tableau, count_maximal_chains
 
 _USAGE_ERROR = 2
 _NEGATIVE = 1
@@ -207,7 +207,8 @@ class _Texts(dict):
 def _cmd_chains(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
     if args.count_only:
-        print(count_maximal_chains(w))
+        # in pieces: the count may pass the interpreter's int-to-str limit
+        print(_decimal(count_maximal_chains(w)))
         return 0
     chains = _sorted_walk(w, _max_enum())
     # written a batch at a time, so a listing of a million chains is never
@@ -232,21 +233,26 @@ def _cmd_chains(args, fmt):
 def _cmd_facets(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
     # written from the hyperplane records' grids, building no facet object:
-    # the bytes json.dumps(..., sort_keys=True) and _human make of these
-    # entries as dicts, since the repr of a list of ints is its JSON text;
-    # each member's value is read as its plain _value_ attribute, which
-    # the value property reaches only through a Python-level descriptor
-    cols = w.n + 1
-    entries = [
-        (case._value_, _rows(cells, cols), kind._value_, list(anchor[1].degrees))
-        for cells, kind, case, anchor in _facet_columns(w).records
-    ]
+    # the bytes json.dumps(..., sort_keys=True) and _human make of the
+    # entries {case, grid, kind, removed} as dicts, since the repr of a list
+    # of ints is its JSON text; each member's value is read as its plain
+    # _value_ attribute, which the value property reaches only through a
+    # Python-level descriptor
+    cols, records = w.n + 1, _facet_columns(w).records
     if fmt == "json":
+        # a grid's text is one format call on a template of the window's
+        # shape, the text the repr of its rows as lists makes
+        grid = ("[[" + "], [".join([", ".join(["{}"] * cols)] * w.rows) + "]]").format
         print("[" + ", ".join([
-            f'{{"case": "{c}", "grid": {g!r}, "kind": "{k}", "removed": {r!r}}}' for c, g, k, r in entries
+            f'{{"case": "{case._value_}", "grid": {grid(*cells)}, "kind": "{kind._value_}", '
+            f'"removed": {list(anchor[1].degrees)!r}}}'
+            for cells, kind, case, anchor in records
         ]) + "]")
     else:
-        print(_human([dict(zip(("case", "grid", "kind", "removed"), e)) for e in entries]))
+        print(_human([
+            {"case": case._value_, "grid": _rows(cells, cols), "kind": kind._value_, "removed": list(anchor[1].degrees)}
+            for cells, kind, case, anchor in records
+        ]))
     return 0
 
 

@@ -488,6 +488,16 @@ class PureDiagram:
 
     One nonzero entry per column 0..s, at (i, d_i); all entries positive.
     Compare with :func:`bettidecomp.poset.leq` for the partial order.
+
+    ``_integer``, set when the diagram is built, is its integer form
+    (L, ((i, d_i), L // q_i) per column), with q_i = |prod_{j != i}
+    (d_j - d_i)| and L the lcm of the q_i.  Entry i is 1 / q_i, so this is
+    the canonical form ``betti._integer``; it depends on the degrees alone,
+    so it is read from the degree-keyed table :func:`_integer_form`, one
+    form shared by every n, and :attr:`betti` is built from it.  Every
+    entry is a positive int, so a linear functional reads the same sign on
+    the entries as on :attr:`betti`.  It is not a field: copies and pickles
+    carry it, and ``dataclasses.replace`` builds it again.
     """
 
     degrees: DegreeSequence
@@ -502,30 +512,19 @@ class PureDiagram:
             raise CodimensionExceedsAmbient(
                 f"sequence of length {len(self.degrees)} needs n >= {len(self.degrees) - 1}, got n={self.n}"
             )
+        # a frozen dataclass's attributes live in __dict__
+        self.__dict__["_integer"] = _integer_form(self.degrees)
 
     @classmethod
     def _of(cls, degrees: DegreeSequence, n: int) -> "PureDiagram":
         """Trusted constructor: an int n >= len(degrees) - 1."""
         p = object.__new__(cls)
-        p.__dict__.update(degrees=degrees, n=n)
+        p.__dict__.update(degrees=degrees, n=n, _integer=_integer_form(degrees))
         return p
 
     @property
     def codimension(self) -> int:
         return self.degrees.codimension
-
-    @cached_property
-    def _integer(self) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
-        """The integer form (L, ((i, d_i), L // q_i) per column), with
-        q_i = |prod_{j != i} (d_j - d_i)| and L the lcm of the q_i.
-
-        Entry i is 1 / q_i, so this is the canonical form ``betti._integer``;
-        it depends on the degrees alone, so it is read from the degree-keyed
-        table :func:`_integer_form`, one form shared by every n, and
-        :attr:`betti` is built from it.  Every entry is a positive int, so a
-        linear functional reads the same sign on the entries as on
-        :attr:`betti`."""
-        return _integer_form(self.degrees)
 
     @cached_property
     def betti(self) -> BettiDiagram:

@@ -86,8 +86,7 @@ from .errors import (
     WindowMismatch,
 )
 from .packing import Packing
-from .poset import Chain, Window, _cell, _diagrams, chain_length
-from .poset import _moves as _cover_moves
+from .poset import Chain, Window, _cell, _cover_table, _diagrams, chain_length
 
 
 class FacetKind(Enum):
@@ -362,7 +361,7 @@ def _middles(a: PureDiagram, c: PureDiagram, w: Window) -> list[PureDiagram]:
     target = tuple(c.degrees)
     return [
         pure_diagram(nd, w.n)
-        for nd, _ in _cover_moves(tuple(a.degrees), w)
+        for nd, _, _ in _cover_table(w)[tuple(a.degrees)]
         if _cell(nd, target, w) is not None
     ]
 
@@ -428,12 +427,20 @@ def _triple_kind(down, up, w: Window) -> FacetKind:
 def _records(w: Window) -> tuple[tuple, ...]:
     """One record (cells, kind, case, anchor) per hyperplane, in
     :func:`boundary_facets` order; cells is the flat grid of
-    :func:`_coefficients`.  Built once per window, by :func:`_facet_columns`."""
+    :func:`_coefficients`.  Built once per window, by :func:`_facet_columns`.
+
+    A diagram has at most one cover move per column: a raise, or the drop
+    of its last degree.  Let p0 -> p1 vacate (r, c).  A boundary triple's
+    second move vacates a cell edge-adjacent to (r, c) (:func:`_triple_kind`
+    is the rule), and only two are reachable: (r + 1, c), by p1's move in
+    column c, whatever it is (kind ii), and (r, c - 1), by p1's move in
+    column c - 1 from row r (kind iii, kind iv in the bottom row).  Above
+    (r, c) lies a cell already vacated, and (r, c + 1) is vacated before
+    (r, c) in every chain.  So each move into p1 reads p1's moves in columns
+    c - 1 and c, in move order, and no interior triple is visited.
+    """
     # None stands below min and above max: the extremal triples are
-    # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None),
-    # kept through keep(); the boundary triples of the main loop insert
-    # directly.  Each diagram's cover moves, with their cells and their
-    # targets' diagrams, are derived once
+    # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
     records = {}
 
     def keep(p0, p1, p2, down, up, kind):
@@ -441,23 +448,35 @@ def _records(w: Window) -> tuple[tuple, ...]:
         records.setdefault(cells, (cells, kind, case, (p0, p1, p2)))
 
     table = _diagrams(w)
-    moves = {d: [(e, cell, table[e]) for e, cell in _cover_moves(d, w)] for d in table}
+    covers = _cover_table(w)
+    # each diagram's moves at column + 1, None where it has none, so that a
+    # move vacating column c reads columns c - 1 and c at [c : c + 2]; p0's
+    # column is at most n
+    by_column = {}
+    for d in table:
+        slots = [None] * (w.n + 2)
+        for move in covers[d]:
+            slots[move[1][1] + 1] = move
+        by_column[d] = slots
+    bottom = w.N - w.M
     # the window minimum and maximum by their degrees
     lo, hi = tuple(range(w.M, w.M + w.n + 1)), tuple(range(w.N, w.N + w.s_min + 1))
     if lo == hi:
         keep(None, table[lo], None, None, None, FacetKind.EXTREMAL)
     for d0, p0 in table.items():
-        for d1, down, p1 in moves[d0]:
+        for d1, down, _ in covers[d0]:
+            p1 = table[d1]
             if d0 == lo:
                 keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
             if d1 == hi:
                 keep(p0, p1, None, down, None, FacetKind.EXTREMAL)
-            for _, up, p2 in moves[d1]:
-                kind = _triple_kind(down, up, w)
-                if kind is not FacetKind.INTERIOR:
-                    cells, case = _coefficients(p0, p1, down, up, w)
-                    if cells not in records:
-                        records[cells] = (cells, kind, case, (p0, p1, p2))
+            r, c = down
+            left, same = by_column[d1][c:c + 2]
+            if left is not None and left[1][0] == r:
+                kind = FacetKind.CODIMENSION_TWICE if r == bottom else FacetKind.ADJACENT_COLUMNS
+                keep(p0, p1, table[left[0]], down, left[1], kind)
+            if same is not None:
+                keep(p0, p1, table[same[0]], down, same[1], FacetKind.SAME_COLUMN_TWICE)
     return tuple(records.values())
 
 

@@ -37,6 +37,7 @@ from .core import (
     NormalizedPureDiagram,
     _MAX_SERIES_LENGTH,
     _ZERO,
+    _integer_form,
     _integer_numerator,
     _is_int,
     _need,
@@ -381,7 +382,9 @@ def multiplicity_bounds(b: BettiDiagram, depth: int | None = None) -> BoundsRepo
     # (slack, all >= 0, all zero) per side, the slack left undivided
     sides = []
     for seq, sign in ((sb.minimal, 1), (sb.maximal, -1)):
-        size, pure = pure_diagram((0,) + seq, b.n)._integer
+        # (0,) + seq is an int tuple, strictly increasing from 0 (checked
+        # above): its integer form needs no PureDiagram
+        size, pure = _integer_form((0,) + seq)
         weight = sign * x0 * math.prod(seq)
         diff = {j: sign * size * x for j, x in num.items()}
         for j, y in _integer_numerator(pure).items():

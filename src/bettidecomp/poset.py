@@ -140,7 +140,7 @@ def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
     """
     count = _diagram_count(w)
     if count > _MAX_DIAGRAMS:
-        raise WindowTooLarge(f"window has {count} pure diagrams, more than {_MAX_DIAGRAMS}")
+        raise WindowTooLarge(f"window has {_count_of(count)} pure diagrams, more than {_MAX_DIAGRAMS}")
     table = {}
     for s in range(w.n, w.s_min - 1, -1):
         for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):
@@ -172,12 +172,51 @@ def _moves(d: tuple, w: Window):
     """
     out = []
     last = len(d) - 1
+    N, M = w.N, w.M
+    # each raise writes its degree into one list copy of d, and back
+    e = list(d)
     for i, di in enumerate(d):
-        if di < w.N + i and (i == last or di + 1 < d[i + 1]):
-            out.append((d[:i] + (di + 1,) + d[i + 1:], (di - i - w.M, i)))
-    if last > w.s_min and d[last] == w.N + last:
-        out.append((d[:-1], (d[last] - last - w.M, last)))
+        if di < N + i and (i == last or di + 1 < d[i + 1]):
+            e[i] = di + 1
+            out.append((tuple(e), (di - i - M, i)))
+            e[i] = di
+    if last > w.s_min and d[last] == N + last:
+        out.append((d[:-1], (d[last] - last - M, last)))
     return out
+
+
+class _CoverTable(dict):
+    """Degree tuple -> its :func:`_moves` list, each move ``(new_degrees,
+    vacated_cell, index)`` with the cell's row-major index on the display
+    grid; an entry is derived on its first read and kept.  Callers must not
+    mutate it."""
+
+    __slots__ = ("window",)
+
+    def __init__(self, w: Window):
+        self.window = w
+
+    def __missing__(self, d: tuple):
+        w = self.window
+        cols = w.n + 1
+        out = self[d] = [(nd, cell, cell[0] * cols + cell[1]) for nd, cell in _moves(d, w)]
+        return out
+
+
+@lru_cache(maxsize=64)
+def _covers(w: Window) -> _CoverTable:
+    """The cover moves of w's diagrams, one table per window, kept for
+    windows of at most ``_MAX_DIAGRAMS`` diagrams: read it through
+    :func:`_cover_table`."""
+    return _CoverTable(w)
+
+
+def _cover_table(w: Window) -> _CoverTable:
+    """w's cover moves, as the chain walk, the facet build and
+    ``functionals._middles`` read them: the kept :func:`_covers` table, or
+    past ``_MAX_DIAGRAMS`` diagrams, counted without building any, a new
+    table that the caller alone holds."""
+    return _covers(w) if _diagram_count(w) <= _MAX_DIAGRAMS else _CoverTable(w)
 
 
 def _cell(d: tuple, e: tuple, w: Window) -> tuple[int, int] | None:
@@ -406,31 +445,35 @@ def _walk(w: Window):
     survivors are numbered once, and each move, carrying its cell's
     row-major index, stores its step number there.  Every chain vacates
     every other cell, so no number of an earlier chain is left over.  Each
-    diagram's cover moves are derived once per walk, and not kept after it.
+    diagram's cover moves are read from the window's :func:`_cover_table`,
+    kept for the next walk or facet build of a window under the cap.
     """
     length = chain_length(w)
-    cols = w.n + 1
-    seqs, cells = [None] * length, [None] * length
+    lo = tuple(range(w.M, w.M + w.n + 1))
     flat = _survivors(w)
-    pending = [iter(((tuple(range(w.M, w.M + w.n + 1)), None, None),))]
-    moves_of = {}
+    if length == 1:
+        # a window of one diagram: one chain, no move
+        yield (lo,), (), tuple(flat)
+        return
+    seqs, cells = [lo] * length, [None] * (length - 1)
+    moves_of = _cover_table(w)
+    # pending[k - 1] iterates the moves out of element k - 1 of the chain
+    pending = [iter(moves_of[lo])]
+    push, pop = pending.append, pending.pop
     while pending:
-        depth = len(pending) - 1
-        move = next(pending[-1], None)
-        if move is None:
-            pending.pop()
+        depth = len(pending)
+        # the next move at this depth, or back up when there is none
+        for move in pending[-1]:
+            break
+        else:
+            pop()
             continue
-        seqs[depth], cells[depth], at = move
-        if depth:
-            flat[at] = depth
+        seqs[depth], cells[depth - 1], at = move
+        flat[at] = depth
         if depth + 1 < length:
-            d = move[0]
-            out = moves_of.get(d)
-            if out is None:
-                out = moves_of[d] = [(nd, cell, cell[0] * cols + cell[1]) for nd, cell in _moves(d, w)]
-            pending.append(iter(out))
-            continue
-        yield tuple(seqs), tuple(cells[1:]), tuple(flat)
+            push(iter(moves_of[move[0]]))
+        else:
+            yield tuple(seqs), tuple(cells), tuple(flat)
 
 
 def _steps_around(w: Window, targets) -> list[tuple]:
@@ -497,6 +540,32 @@ def count_maximal_chains(w: Window) -> int:
     return math.factorial(sum(shape)) // hooks
 
 
+def _decimal(x: int, width: int = 0) -> str:
+    """The decimal digits of an int x >= 0, zero-padded to ``width``.
+
+    ``str`` refuses an int of more digits than ``sys.get_int_max_str_digits``
+    allows (4,300 by default, never fewer than 640), and that limit is the
+    whole process's to set.  So a long x is split at a power of ten into
+    halves, each written the same way, until a piece has at most 600 digits.
+    """
+    bits = x.bit_length()
+    if bits <= 1993:  # x < 2**1993 < 10**600
+        return str(x).zfill(width)
+    # about half x's digits: a bit is 0.301 digits
+    k = bits * 3 // 20
+    high, low = divmod(x, 10**k)
+    return _decimal(high, width - k) + _decimal(low, k)
+
+
+def _count_of(count: int) -> str:
+    """A count for a message: its digits, or "a D-digit number of" when
+    ``str`` refuses to write it."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"a {len(_decimal(count))}-digit number of"
+
+
 def _sorted_walk(w: Window, limit: int | None = None):
     """Every maximal chain of w as _walk's (seqs, cells, numbering), sorted on
     the numbering: tableau order.
@@ -511,7 +580,7 @@ def _sorted_walk(w: Window, limit: int | None = None):
             raise ValueError(f"limit must be an integer, got {limit!r}")
         count = count_maximal_chains(w)
         if count > limit:
-            raise WindowTooLarge(f"window has {count} maximal chains, more than {limit}")
+            raise WindowTooLarge(f"window has {_count_of(count)} maximal chains, more than {limit}")
     yield from sorted(_walk(w), key=itemgetter(2))
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,16 @@ def five_tableaux() -> dict:
 @pytest.fixture(scope="session")
 def pure_summands() -> dict:
     return json.loads((FIXTURES / "pure_summands.json").read_text())
+
+
+@pytest.fixture()
+def default_int_digits():
+    """Python's default int-to-str digit limit, 4,300, for one test, and
+    whatever limit was set before it afterwards; skipped on an interpreter
+    without the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bettidecomp import Window, cli, functionals, greedy_decompose, maximal_chains, pure_diagram
+from bettidecomp import Window, cli, count_maximal_chains, functionals, greedy_decompose, maximal_chains, pure_diagram
 from bettidecomp import io as dio
 from bettidecomp.cli import run
 
@@ -223,6 +223,27 @@ class TestChains:
         code, out, _ = run_cli(capsys, "chains", "--count-only", "--n", "4", "--M", "0", "--N", "3")
         assert code == 0
         assert out == "1662804\n"
+
+    def test_count_past_the_int_to_str_limit(self, capsys, default_int_digits):
+        # (3,0,10000,0) has a count of 24,055 digits: printed whole, and the
+        # process-wide limit is left as it was
+        code, out, err = run_cli(capsys, "chains", "--count-only", "--n", "3", "--M", "0", "--N", "10000")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == default_int_digits
+        digits, end = out[:-1], out[-1:]
+        assert end == "\n" and len(digits) == 24_055 and digits.isdigit()
+        value = 0
+        for k in range(0, len(digits), 1000):
+            piece = digits[k:k + 1000]
+            value = value * 10**len(piece) + int(piece)
+        assert value == count_maximal_chains(Window(3, 0, 10_000, 0))
+
+    def test_listing_past_the_int_to_str_limit_is_refused(self, capsys, default_int_digits):
+        # the cap's refusal names the count's digits: exit 2, no traceback
+        code, out, err = run_cli(capsys, "chains", "--n", "3", "--M", "0", "--N", "10000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: window has a 24055-digit number of maximal chains, more than 1000000 ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("batch", [1, 2, 4096])

@@ -1,8 +1,11 @@
 """Core types and operations: diagrams, pure diagrams, residuals, windows."""
 
+import copy
+import dataclasses
 import importlib
 import inspect
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -212,6 +215,28 @@ class TestIntegerFormTable:
 
     def test_table_is_bounded_by_the_diagram_cap(self):
         assert core._integer_form.cache_info().maxsize == core._PURE_DIAGRAM_CAP
+
+    def test_every_diagram_is_built_with_its_form(self):
+        # the form is stored when the diagram is made, whichever way it is
+        # made, and equals the table's form of its degrees
+        d = (0, 2, 3, 5)
+        p = pure_diagram(d, 3)
+        built = [
+            p,
+            core._pure_diagram_of((-1, 2, 4), 2),
+            PureDiagram(DegreeSequence((1, 4, 6)), 4),
+            PureDiagram([0, 1], 1),
+            dataclasses.replace(p, n=5),
+            dataclasses.replace(p, degrees=DegreeSequence((0, 2, 4))),
+            copy.copy(p),
+            copy.deepcopy(p),
+            pickle.loads(pickle.dumps(p)),
+        ]
+        for q in built:
+            assert "_integer" in vars(q), q
+            assert q._integer == core._integer_form(tuple(q.degrees)), q
+        assert built[4].n == 5 and built[4]._integer == p._integer
+        assert built[5]._integer == core._integer_form((0, 2, 4))
 
     def test_matches_fraction_reference_on_windows(self):
         checked = 0

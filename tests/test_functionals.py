@@ -419,14 +419,29 @@ class TestBoundaryFacets:
             assert grid in grids, f"matrix {key} missing from boundary facets"
 
     def test_build_derives_each_diagrams_moves_once(self, monkeypatch):
-        # every cover triple through a diagram reads its one move list
+        # a chain listing and a facet build of one window read its one kept
+        # cover table: each diagram's moves are derived once in all
         w = Window(3, 0, 2, 0)
+        poset._covers.cache_clear()
         calls = []
-        real = functionals._cover_moves
-        monkeypatch.setattr(functionals, "_cover_moves", lambda d, w: calls.append(d) or real(d, w))
+        real = poset._moves
+        monkeypatch.setattr(poset, "_moves", lambda d, w: calls.append(d) or real(d, w))
+        assert len(list(maximal_chains(w))) == 462
         # built past the cache, which other tests' facets live in
         assert len(functionals._records(w)) == 51
         assert sorted(calls) == sorted(tuple(p.degrees) for p in w.pure_diagrams())
+
+    def test_window_past_the_cap_keeps_no_cover_table(self, monkeypatch):
+        # n = 0: one chain through 11 diagrams, past a cap of 5; its listing
+        # and the classification of a gap in it read a table of their own
+        w = Window(0, 0, 10, 0)
+        poset._covers.cache_clear()
+        monkeypatch.setattr(poset, "_MAX_DIAGRAMS", 5)
+        (chain,) = maximal_chains(w)
+        assert [tuple(p.degrees) for p in chain] == [(j,) for j in range(11)]
+        partial = Chain(chain.elements[:5] + chain.elements[6:], w)
+        assert classify_facet(partial) is FacetKind.SAME_COLUMN_TWICE
+        assert poset._covers.cache_info().currsize == 0
 
     def test_single_diagram_window_has_one_extremal_facet(self):
         # the empty chain spans the zero cone, the facet of a one-ray fan
@@ -478,12 +493,48 @@ class TestBoundaryFacets:
             for f in facets:
                 assert (f.removed, f.kind) in swept[f.functional.coefficients], w
 
+    def test_column_search_matches_the_scan_of_every_cover_pair(self):
+        """Oracle: the records built the old way, every cover move of p1
+        classified by its two cells, the first triple of each grid kept,
+        are the records of the column search, in content and in order."""
+        windows = [Window(n, 0, width, s) for n in range(5) for width in range(4) for s in range(n + 1)]
+        windows += [Window(3, -1, 1, 0), Window(4, 0, 3, 2), Window(5, 0, 4, 0)]
+        for w in windows:
+            assert functionals._records(w) == _records_by_scan(w), w
+
     def test_window_with_24024_chains(self):
         # the chain sweep took about 40 s here
         assert len(boundary_facets(Window(3, 0, 3, 0))) == 119
 
     def test_window_with_1056_hyperplanes(self):
         assert len(boundary_facets(Window(5, 0, 4, 0))) == 1056
+
+
+def _records_by_scan(w):
+    """:func:`functionals._records` by a scan of every cover pair (p0 -> p1,
+    p1 -> p2), each classified by ``_triple_kind``."""
+    records = {}
+
+    def keep(p0, p1, p2, down, up, kind):
+        cells, case = functionals._coefficients(p0, p1, down, up, w)
+        records.setdefault(cells, (cells, kind, case, (p0, p1, p2)))
+
+    table = _diagrams(w)
+    lo, hi = tuple(range(w.M, w.M + w.n + 1)), tuple(range(w.N, w.N + w.s_min + 1))
+    if lo == hi:
+        keep(None, table[lo], None, None, None, FacetKind.EXTREMAL)
+    for d0, p0 in table.items():
+        for d1, down in _moves(d0, w):
+            p1 = table[d1]
+            if d0 == lo:
+                keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
+            if d1 == hi:
+                keep(p0, p1, None, down, None, FacetKind.EXTREMAL)
+            for d2, up in _moves(d1, w):
+                kind = functionals._triple_kind(down, up, w)
+                if kind is not FacetKind.INTERIOR:
+                    keep(p0, p1, table[d2], down, up, kind)
+    return tuple(records.values())
 
 
 def _negated(facet):

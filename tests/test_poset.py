@@ -1,6 +1,7 @@
 """Partial order, covers, maximal chains, tableau bijection."""
 
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -312,6 +313,27 @@ class TestMaximalChains:
         chains = list(maximal_chains(Window(2, 0, 1, 0)))
         assert len(chains) == 5 and all(c[0] is chains[0][0] and c[-1] is chains[0][-1] for c in chains)
         assert sorted(built) == sorted({tuple(p.degrees) for c in chains for p in c})
+
+    def test_limit_refuses_a_count_too_long_to_print(self, default_int_digits):
+        # (3,0,10000,0) has a count of 24,055 digits, past the limit: the
+        # refusal still raises WindowTooLarge, naming the digit count
+        w = Window(3, 0, 10_000, 0)
+        with pytest.raises(WindowTooLarge, match=r"^window has a 24055-digit number of maximal chains, more than 10$"):
+            next(maximal_chains(w, limit=10))
+        assert sys.get_int_max_str_digits() == default_int_digits
+
+    def test_decimal_writes_any_count(self, default_int_digits):
+        # pieces of at most 600 digits, the lower ones zero-padded; read back
+        # in pieces too, under the limit
+        for x in (0, 7, 10**599, 2**1993 - 1, 2**1993, 10**600, 10**4300 - 1, 10**24_054 + 10**300, 3**50_000):
+            text = poset._decimal(x)
+            assert text.isdigit() and (text == "0" or text[0] != "0")
+            value = 0
+            for k in range(0, len(text), 600):
+                piece = text[k:k + 600]
+                value = value * 10**len(piece) + int(piece)
+            assert value == x
+        assert poset._decimal(12345, 8) == "00012345"
 
     def test_limit_reports_count_before_walking(self, monkeypatch):
         monkeypatch.setattr(poset, "_moves", lambda *a: pytest.fail("walked the poset"))
