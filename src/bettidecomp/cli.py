@@ -11,9 +11,10 @@ Diagrams are read from a file path or stdin (``-``); the input format is
 sniffed (JSON starts with ``{``) unless ``--input-format`` forces it.
 ``--format json|table`` selects the output flavour and defaults to json
 when stdout is a pipe, table on a terminal.  ``BS_DECOMP_MAX_ENUM`` caps
-only the maximal chains that ``chains`` lists (default 1000000); any value
-other than a positive integer is a usage error.  ``chains --count-only``
-prints the hook-length count, enumerates nothing and reads no cap.
+only the maximal chains that ``chains`` lists (default 1000000): a
+positive integer of any number of digits, any other value a usage error.
+``chains --count-only`` prints the hook-length count, enumerates nothing
+and reads no cap.
 ``facets``, ``verify-fan`` and ``membership`` refuse a window of more
 pure diagrams than the library builds a table for (``poset._MAX_DIAGRAMS``),
 and ``hilbert`` and ``bounds`` a series of more coefficients than
@@ -51,20 +52,25 @@ from .functionals import (
     verify_fan_convexity,
 )
 from .hilbert import hilbert_series, multiplicity_bounds
-from .poset import Tableau, Window, _decimal, _sorted_walk, chain_from_tableau, count_maximal_chains
+from .poset import Tableau, Window, _count_of, _decimal, _sorted_walk, chain_from_tableau, count_maximal_chains
 
 _USAGE_ERROR = 2
 _NEGATIVE = 1
 _CHAIN_BATCH = 4096
 
 
-def _max_enum() -> int:
+def _max_enum() -> str:
+    """The cap on the chains ``chains`` lists: its decimal digits, no
+    leading zero.  Compared as text with the count's digits, never made an
+    int, so a cap of any length is read, whatever the interpreter's
+    int-to-str limit."""
     raw = os.environ.get("BS_DECOMP_MAX_ENUM", "")
     if not raw:
-        return 1_000_000
-    if not raw.isascii() or not raw.isdigit() or int(raw) < 1:
+        return "1000000"
+    digits = raw.lstrip("0")
+    if not raw.isascii() or not raw.isdigit() or not digits:
         raise BettiError(f"BS_DECOMP_MAX_ENUM must be a positive integer, got {raw!r}")
-    return int(raw)
+    return digits
 
 
 def _read_text(path: str) -> str:
@@ -210,12 +216,18 @@ def _cmd_chains(args, fmt):
         # in pieces: the count may pass the interpreter's int-to-str limit
         print(_decimal(count_maximal_chains(w)))
         return 0
-    chains = _sorted_walk(w, _max_enum())
+    # the cap and the count compared as digits, since either may pass the
+    # int-to-str limit: the longer text, or the later of two as long, is
+    # the larger; refused before any chain is walked
+    cap, count = _max_enum(), count_maximal_chains(w)
+    digits = _decimal(count)
+    if (len(digits), digits) > (len(cap), cap):
+        raise WindowTooLarge(f"window has {_count_of(count)} maximal chains, more than {cap}")
+    chains = _sorted_walk(w)
     # written a batch at a time, so a listing of a million chains is never
     # held encoded; the bytes are those _print_struct prints for the list of
-    # maximal_chains, and the first batch raises WindowTooLarge before any
-    # is written.  Each degree sequence is encoded once per listing, into a
-    # dict local to it (_Texts) and read by plain lookups.
+    # maximal_chains.  Each degree sequence is encoded once per listing,
+    # into a dict local to it (_Texts) and read by plain lookups.
     texts = _Texts()
     sep = "["
     while batch := [seqs for seqs, _, _ in itertools.islice(chains, _CHAIN_BATCH)]:
@@ -259,7 +271,19 @@ def _cmd_facets(args, fmt):
 def _cmd_verify_fan(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
     report = verify_fan_convexity(w)
-    _print_struct(report, fmt)
+    if fmt == "json":
+        # the text emit_report makes of the report, written from its fields
+        # in sorted key order: an int's and a bool's JSON text written
+        # directly, and only a counterexample through the generic encoder
+        counterexample = report.counterexample
+        print(
+            f'{{"counterexample": {"null" if counterexample is None else dio.emit_report(counterexample)}, '
+            f'"diagrams_checked": {report.diagrams_checked}, "facets_checked": {report.facets_checked}, '
+            f'"passed": {"true" if report.passed else "false"}, '
+            f'"window": {{"M": {w.M}, "N": {w.N}, "n": {w.n}, "s_min": {w.s_min}}}}}'
+        )
+    else:
+        _print_struct(report, fmt)
     return 0 if report.passed else _NEGATIVE
 
 

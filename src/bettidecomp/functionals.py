@@ -45,9 +45,11 @@ that sum over L.  ``Functional.__call__`` returns that ``Fraction``;
 A functional stores its coefficients as one flat row-major integer grid
 of the window, cell ``(j - i - M) * (n + 1) + i`` for ``beta[i, j]``.  A
 window's hyperplanes are built once, as records holding that grid, and
-kept in one cache per window (:func:`_facet_columns`).  Every reader reads
-it: the CLI ``facets`` listing writes its rows, the packed columns below
-are its transpose, and a facet handed out stores its record's grid.
+kept in one cache per window (:func:`_facet_columns`); a build takes the
+grid of a triple that a live window differing only in s_min already holds
+from that window's records.  Every reader reads the cache: the CLI
+``facets`` listing writes its rows, the packed columns below are its
+transpose, and a facet handed out stores its record's grid.
 
 :func:`verify_fan_convexity` and :func:`membership_by_inequalities` read
 every hyperplane of the window at once, packed one field per hyperplane
@@ -59,6 +61,7 @@ bits; the fan check packs its own on each call and keeps none.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -438,16 +441,31 @@ def _records(w: Window) -> tuple[tuple, ...]:
     (r, c) lies a cell already vacated, and (r, c + 1) is vacated before
     (r, c) in every chain.  So each move into p1 reads p1's moves in columns
     c - 1 and c, in move order, and no interior triple is visited.
+
+    A triple's (cells, case) reads only n, M, N and the triple's degrees,
+    so it is taken from the records of a live sibling, a window of
+    :func:`_facet_columns` that differs from w only in s_min, when one
+    holds the triple, and computed otherwise.
     """
+    # (cells, case) by the degrees of (p0, p1, p2), None at a sentinel, as
+    # the live siblings' records hold them
+    known = {}
+    for s in range(w.n + 1):
+        sibling = _live_layers.get((w.n, w.M, w.N, s))
+        if sibling is not None:
+            for cells, _, case, (p0, p1, p2) in sibling.records:
+                key = None if p0 is None else p0.degrees, p1.degrees, None if p2 is None else p2.degrees
+                known[key] = cells, case
+    records = {}
+    table = _diagrams(w)
+
     # None stands below min and above max: the extremal triples are
     # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
-    records = {}
+    def keep(p0, p1, d2, down, up, kind):
+        found = known.get((None if p0 is None else p0.degrees, p1.degrees, d2)) if known else None
+        cells, case = _coefficients(p0, p1, down, up, w) if found is None else found
+        records.setdefault(cells, (cells, kind, case, (p0, p1, None if d2 is None else table[d2])))
 
-    def keep(p0, p1, p2, down, up, kind):
-        cells, case = _coefficients(p0, p1, down, up, w)
-        records.setdefault(cells, (cells, kind, case, (p0, p1, p2)))
-
-    table = _diagrams(w)
     covers = _cover_table(w)
     # each diagram's moves at column + 1, None where it has none, so that a
     # move vacating column c reads columns c - 1 and c at [c : c + 2]; p0's
@@ -467,16 +485,16 @@ def _records(w: Window) -> tuple[tuple, ...]:
         for d1, down, _ in covers[d0]:
             p1 = table[d1]
             if d0 == lo:
-                keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
+                keep(None, p0, d1, None, down, FacetKind.EXTREMAL)
             if d1 == hi:
                 keep(p0, p1, None, down, None, FacetKind.EXTREMAL)
             r, c = down
             left, same = by_column[d1][c:c + 2]
             if left is not None and left[1][0] == r:
                 kind = FacetKind.CODIMENSION_TWICE if r == bottom else FacetKind.ADJACENT_COLUMNS
-                keep(p0, p1, table[left[0]], down, left[1], kind)
+                keep(p0, p1, left[0], down, left[1], kind)
             if same is not None:
-                keep(p0, p1, table[same[0]], down, same[1], FacetKind.SAME_COLUMN_TWICE)
+                keep(p0, p1, same[0], down, same[1], FacetKind.SAME_COLUMN_TWICE)
     return tuple(records.values())
 
 
@@ -521,7 +539,7 @@ class _FacetMatrix:
     the fan.
     """
 
-    __slots__ = ("window", "records", "_built", "_top", "_kept")
+    __slots__ = ("window", "records", "_built", "_top", "_kept", "__weakref__")
 
     def __init__(self, window: Window, records: tuple[tuple, ...]):
         self.window, self.records = window, records
@@ -568,11 +586,18 @@ class _FacetMatrix:
         return Packing(offsets, flat, len(self.records), -(-bits // 8))
 
 
+# every layer :func:`_facet_columns` has built and something still holds,
+# by (n, M, N, s_min), held weakly: a build reads its live siblings'
+# records and keeps none of them alive
+_live_layers = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=64)
 def _facet_columns(w: Window) -> _FacetMatrix:
     """The window's hyperplane layer, kept: its records, built once, and
     the packing membership reads.  The one cache of the layer."""
-    return _FacetMatrix(w, _records(w))
+    matrix = _live_layers[w.n, w.M, w.N, w.s_min] = _FacetMatrix(w, _records(w))
+    return matrix
 
 
 def verify_fan_convexity(w: Window) -> ConvexityReport:

@@ -446,7 +446,10 @@ def _walk(w: Window):
     row-major index, stores its step number there.  Every chain vacates
     every other cell, so no number of an earlier chain is left over.  Each
     diagram's cover moves are read from the window's :func:`_cover_table`,
-    kept for the next walk or facet build of a window under the cap.
+    kept for the next walk or facet build of a window under the cap.  A
+    diagram with a single move is left by it within the same step; only
+    a diagram with a choice of moves gets a stack entry, which carries its
+    depth.
     """
     length = chain_length(w)
     lo = tuple(range(w.M, w.M + w.n + 1))
@@ -457,23 +460,30 @@ def _walk(w: Window):
         return
     seqs, cells = [lo] * length, [None] * (length - 1)
     moves_of = _cover_table(w)
-    # pending[k - 1] iterates the moves out of element k - 1 of the chain
-    pending = [iter(moves_of[lo])]
+    # (k, the moves out of element k - 1 not yet taken) per diagram of the
+    # current chain that has a choice
+    pending = [(1, iter(moves_of[lo]))]
     push, pop = pending.append, pending.pop
     while pending:
-        depth = len(pending)
+        depth, moves = pending[-1]
         # the next move at this depth, or back up when there is none
-        for move in pending[-1]:
+        for move in moves:
             break
         else:
             pop()
             continue
-        seqs[depth], cells[depth - 1], at = move
-        flat[at] = depth
-        if depth + 1 < length:
-            push(iter(moves_of[move[0]]))
-        else:
-            yield tuple(seqs), tuple(cells), tuple(flat)
+        while True:
+            seqs[depth], cells[depth - 1], at = move
+            flat[at] = depth
+            depth += 1
+            if depth == length:
+                yield tuple(seqs), tuple(cells), tuple(flat)
+                break
+            moves = moves_of[move[0]]
+            if len(moves) > 1:
+                push((depth, iter(moves)))
+                break
+            move = moves[0]
 
 
 def _steps_around(w: Window, targets) -> list[tuple]:

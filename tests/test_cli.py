@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bettidecomp import Window, cli, count_maximal_chains, functionals, greedy_decompose, maximal_chains, pure_diagram
+from bettidecomp import Window, cli, count_maximal_chains, functionals, greedy_decompose, maximal_chains, poset, pure_diagram
 from bettidecomp import io as dio
 from bettidecomp.cli import run
 
@@ -245,6 +245,36 @@ class TestChains:
         assert err.startswith("error: window has a 24055-digit number of maximal chains, more than 1000000 ")
         assert err.count("\n") == 1
 
+    def test_cap_past_the_int_to_str_limit(self, capsys, monkeypatch, default_int_digits):
+        # a cap of 5,000 digits is read as digits, never made an int: the
+        # listing is written
+        monkeypatch.setenv("BS_DECOMP_MAX_ENUM", "1" * 5000)
+        code, out, err = run_cli(capsys, "--format", "json", "chains", "--n", "1", "--M", "0", "--N", "1")
+        assert (code, out, err) == (0, "[[[0, 1], [0, 2], [1, 2], [1]], [[0, 1], [0, 2], [0], [1]]]\n", "")
+        # one less than a count of 24,055 digits is refused, naming both
+        count = count_maximal_chains(Window(3, 0, 10_000, 0))
+        monkeypatch.setenv("BS_DECOMP_MAX_ENUM", poset._decimal(count - 1))
+        code, out, err = run_cli(capsys, "chains", "--n", "3", "--M", "0", "--N", "10000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: window has a 24055-digit number of maximal chains, more than ")
+        assert poset._decimal(count - 1) in err and err.count("\n") == 1
+        # the 42 chains of (2,0,2,0) against caps of one, two and three
+        # digits, leading zeros ignored: the longer digits are the larger
+        for cap, listed in (("9", False), ("41", False), ("42", True), ("0042", True), ("43", True), ("100", True)):
+            monkeypatch.setenv("BS_DECOMP_MAX_ENUM", cap)
+            code, out, err = run_cli(capsys, "--format", "json", "chains", "--n", "2", "--M", "0", "--N", "2")
+            if listed:
+                assert code == 0 and len(json.loads(out)) == 42, cap
+            else:
+                refusal = f"error: window has 42 maximal chains, more than {cap} (raise BS_DECOMP_MAX_ENUM to allow more)\n"
+                assert (code, out, err) == (2, "", refusal), cap
+        # a value that is not a positive integer is a usage error still
+        for bad in ("0", "x", "-1", "000"):
+            monkeypatch.setenv("BS_DECOMP_MAX_ENUM", bad)
+            code, out, err = run_cli(capsys, "chains", "--n", "1", "--M", "0", "--N", "1")
+            assert (code, out) == (2, ""), bad
+            assert err == f"error: BS_DECOMP_MAX_ENUM must be a positive integer, got {bad!r}\n", bad
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("batch", [1, 2, 4096])
     def test_streamed_listing_is_the_whole_document(self, capsys, monkeypatch, fmt, batch):
@@ -328,6 +358,31 @@ class TestFacetsFromRecords:
 
 
 class TestVerifyFan:
+    @pytest.mark.parametrize("n", range(5))
+    def test_json_report_is_the_encoded_report(self, capsys, n):
+        # written from the report's fields: the bytes of the generic
+        # encoder, on every window with n <= 4, width <= 3
+        for width in range(4):
+            for s in range(n + 1):
+                w = Window(n, 0, width, s)
+                code, out, _ = run_cli(capsys, "--format", "json", "verify-fan", "--n", str(n), "--M", "0", "--N", str(width), "--s", str(s))
+                assert (code, out) == (0, dio.emit_report(functionals.verify_fan_convexity(w)) + "\n"), w
+
+    def test_failing_json_report_is_the_encoded_report(self, capsys, monkeypatch):
+        # a matrix of the window's records with the fourth negated: the
+        # counterexample goes through the generic encoder, inside the
+        # report's own text
+        w = Window(3, 0, 2, 0)
+        records = list(functionals._facet_columns(w).records)
+        cells, kind, case, anchor = records[3]
+        records[3] = (tuple(-c for c in cells), kind, case, anchor)
+        built = functionals._FacetMatrix(w, tuple(records))
+        monkeypatch.setattr(functionals, "_facet_columns", lambda _: built)
+        report = functionals.verify_fan_convexity(w)
+        assert not report.passed and report.counterexample[0] is built.facet(3)
+        code, out, _ = run_cli(capsys, "--format", "json", "verify-fan", "--n", "3", "--M", "0", "--N", "2")
+        assert (code, out) == (1, dio.emit_report(report) + "\n")
+
     def test_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-fan", "--n", "3", "--M", "0", "--N", "2", "--s", "0", "--format", "json"

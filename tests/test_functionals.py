@@ -755,7 +755,10 @@ def _count_facet_objects(monkeypatch):
 
 
 def _cold():
+    """Drop every kept layer, and every live one from the registry a build
+    reads its siblings from, so that the next build computes each grid."""
     functionals._facet_columns.cache_clear()
+    functionals._live_layers.clear()
 
 
 class TestFacetRecords:
@@ -805,6 +808,7 @@ class TestFacetRecords:
         real = functionals._coefficients
         monkeypatch.setattr(functionals, "_coefficients", lambda *args: calls.append(args) or real(*args))
         for w, triples, kept in ((Window(2, 0, 4, 0), 91, 88), (Window(3, 0, 3, 0), 121, 119)):
+            _cold()
             calls.clear()
             records = functionals._records(w)
             assert (len(calls), len(records)) == (triples, kept), w
@@ -886,6 +890,97 @@ class TestFacetRecords:
         assert facet.functional.cells is cells
         assert (facet.functional.case, facet.functional.anchor) == (case, anchor)
         assert value == facet.functional(p.betti) < 0
+
+
+# the windows of the perfbench ``windows`` workload: 26 windows in 10 groups
+# that differ only in s_min
+WORKLOAD_WINDOWS = [
+    Window(n, 0, width, s) for n, width in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)) for s in range(n + 1)
+]
+WORKLOAD_WINDOWS += [Window(2, 0, 3, 2), Window(3, 0, 2, 1), Window(3, 0, 2, 2), Window(3, 0, 2, 3), Window(4, 0, 2, 4)]
+
+
+def _degrees(anchor):
+    return tuple(None if p is None else tuple(p.degrees) for p in anchor)
+
+
+def _content(records):
+    """Records as plain data, in order: cells, kind, case, anchor degrees."""
+    return [(cells, kind, case, _degrees(anchor)) for cells, kind, case, anchor in records]
+
+
+def _spy_coefficients(monkeypatch):
+    """Record the triple of every _coefficients call: the degrees of p0 and
+    p1 and the cell p1 -> p2 vacates."""
+    calls = []
+    real = functionals._coefficients
+
+    def spy(p0, p1, down, up, w):
+        calls.append((None if p0 is None else tuple(p0.degrees), tuple(p1.degrees), up))
+        return real(p0, p1, down, up, w)
+
+    monkeypatch.setattr(functionals, "_coefficients", spy)
+    return calls
+
+
+class TestSiblingGrids:
+    @pytest.mark.parametrize("n", range(5))
+    def test_records_equal_a_cold_build_in_either_order(self, monkeypatch, n):
+        # every window with this n, width <= 3 and every s_min, built with
+        # its siblings cached in ascending and in descending s_min order:
+        # its records are a cold build's, and a grid is computed exactly
+        # for the triples no sibling built before it keeps
+        calls = _spy_coefficients(monkeypatch)
+        for width in range(4):
+            group = [Window(n, 0, width, s) for s in range(n + 1)]
+            cold, triples, kept = {}, {}, {}
+            for w in group:
+                _cold()
+                calls.clear()
+                records = functionals._records(w)
+                cold[w], triples[w] = _content(records), set(calls)
+                kept[w] = {
+                    (d0, d1, None if d2 is None else poset._cell(d1, d2, w))
+                    for d0, d1, d2 in (_degrees(anchor) for _, _, _, anchor in records)
+                }
+            for order in (group, group[::-1]):
+                _cold()
+                calls.clear()
+                for w in order:
+                    assert _content(functionals._facet_columns(w).records) == cold[w], (w, order)
+                expected = [t for k, w in enumerate(order) for t in triples[w] if not any(t in kept[v] for v in order[:k])]
+                assert sorted(calls, key=repr) == sorted(expected, key=repr), (n, width, order)
+            if n and width:
+                assert len(calls) < sum(map(len, triples.values())), (n, width)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
+    def test_workload_windows_compute_232_of_405_grids(self, monkeypatch, reverse):
+        # 405 hyperplanes, 173 of them another s_min's grid of the same triple
+        calls = _spy_coefficients(monkeypatch)
+        _cold()
+        windows = WORKLOAD_WINDOWS[::-1] if reverse else WORKLOAD_WINDOWS
+        hyperplanes = sum(len(functionals._facet_columns(w).records) for w in windows)
+        assert (len(calls), hyperplanes) == (232, 405)
+
+    def test_cleared_layers_are_not_read(self, monkeypatch):
+        # the registry holds layers weakly: once the cache drops a sibling,
+        # a build computes every grid again
+        calls = _spy_coefficients(monkeypatch)
+        w, sibling = Window(3, 0, 2, 1), Window(3, 0, 2, 0)
+        _cold()
+        functionals._records(w)
+        cold = len(calls)
+        functionals._facet_columns(sibling)
+        assert set(functionals._live_layers) == {(3, 0, 2, 0)}
+        calls.clear()
+        functionals._records(w)
+        assert len(calls) < cold
+        functionals._facet_columns.cache_clear()
+        assert not functionals._live_layers
+        calls.clear()
+        functionals._facet_columns(w)
+        assert len(calls) == cold
+        assert set(functionals._live_layers) == {(3, 0, 2, 1)}
 
 
 def _sparse_from_rule(p0, p1, p2, w):
