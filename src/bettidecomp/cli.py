@@ -201,15 +201,6 @@ def _cmd_expand(args, fmt):
     return 0
 
 
-class _Texts(dict):
-    """Degree sequence -> its JSON text, the repr of its list of ints,
-    stored on the first lookup."""
-
-    def __missing__(self, seq):
-        text = self[seq] = repr(list(seq))
-        return text
-
-
 def _cmd_chains(args, fmt):
     w = Window(args.n, args.M, args.N, args.s)
     if args.count_only:
@@ -223,20 +214,21 @@ def _cmd_chains(args, fmt):
     digits = _decimal(count)
     if (len(digits), digits) > (len(cap), cap):
         raise WindowTooLarge(f"window has {_count_of(count)} maximal chains, more than {cap}")
-    chains = _sorted_walk(w)
+    layer, chains = _sorted_walk(w)
+    chains, seqs = iter(chains), layer.seqs
     # written a batch at a time, so a listing of a million chains is never
     # held encoded; the bytes are those _print_struct prints for the list of
     # maximal_chains.  Each degree sequence is encoded once per listing,
-    # into a dict local to it (_Texts) and read by plain lookups.
-    texts = _Texts()
+    # into a list indexed by its rank in the window's layer.
+    texts = [repr(list(d)) for d in seqs] if fmt == "json" else None
     sep = "["
-    while batch := [seqs for seqs, _, _ in itertools.islice(chains, _CHAIN_BATCH)]:
+    while batch := [ranks for ranks, _ in itertools.islice(chains, _CHAIN_BATCH)]:
         if fmt == "json":
             # one join per chain and one per batch: "[c1], [c2], ..."
-            sys.stdout.write(sep + "[" + "], [".join([", ".join(map(texts.__getitem__, seqs)) for seqs in batch]) + "]")
+            sys.stdout.write(sep + "[" + "], [".join([", ".join(map(texts.__getitem__, ranks)) for ranks in batch]) + "]")
             sep = ", "
         else:
-            print(_human([list(map(list, seqs)) for seqs in batch]))
+            print(_human([[list(seqs[k]) for k in ranks] for ranks in batch]))
     if fmt == "json":
         print("]")
     return 0

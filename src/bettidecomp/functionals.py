@@ -89,7 +89,7 @@ from .errors import (
     WindowMismatch,
 )
 from .packing import Packing
-from .poset import Chain, Window, _cell, _cover_table, _diagrams, chain_length
+from .poset import Chain, Window, _cell, _diagrams, _layer, chain_length
 
 
 class FacetKind(Enum):
@@ -360,13 +360,14 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
 
 
 def _middles(a: PureDiagram, c: PureDiagram, w: Window) -> list[PureDiagram]:
-    """Elements x with a covered-by x covered-by c."""
-    target = tuple(c.degrees)
-    return [
-        pure_diagram(nd, w.n)
-        for nd, _, _ in _cover_table(w)[tuple(a.degrees)]
-        if _cell(nd, target, w) is not None
-    ]
+    """Elements x with a covered-by x covered-by c, read off a's moves in
+    w's :func:`_layer`."""
+    d, target = tuple(a.degrees), tuple(c.degrees)
+    layer = _layer(w, d)
+    k = layer.rank[d]
+    layer.fill(k)
+    seqs, ranks = layer.seqs, layer.target[layer.start[k]:layer.start[k + 1]]
+    return [pure_diagram(seqs[t], w.n) for t in ranks if _cell(seqs[t], target, w) is not None]
 
 
 def classify_facet(c: Chain) -> FacetKind:
@@ -457,44 +458,48 @@ def _records(w: Window) -> tuple[tuple, ...]:
                 key = None if p0 is None else p0.degrees, p1.degrees, None if p2 is None else p2.degrees
                 known[key] = cells, case
     records = {}
-    table = _diagrams(w)
+    # the diagrams by rank, in the order of w's layer
+    diagrams = list(_diagrams(w).values())
+    layer = _layer(w).fill()
+    # read as lists, which index faster than arrays
+    start, target, at = layer.start.tolist(), layer.target.tolist(), layer.at.tolist()
+    cell_of = layer.cells
+    cols = w.n + 1
 
     # None stands below min and above max: the extremal triples are
     # (None, min, p1), (p0, max, None) and, when min == max, (None, min, None)
-    def keep(p0, p1, d2, down, up, kind):
-        found = known.get((None if p0 is None else p0.degrees, p1.degrees, d2)) if known else None
+    def keep(p0, p1, p2, down, up, kind):
+        if known:
+            found = known.get((None if p0 is None else p0.degrees, p1.degrees, None if p2 is None else p2.degrees))
+        else:
+            found = None
         cells, case = _coefficients(p0, p1, down, up, w) if found is None else found
-        records.setdefault(cells, (cells, kind, case, (p0, p1, None if d2 is None else table[d2])))
+        records.setdefault(cells, (cells, kind, case, (p0, p1, p2)))
 
-    covers = _cover_table(w)
-    # each diagram's moves at column + 1, None where it has none, so that a
-    # move vacating column c reads columns c - 1 and c at [c : c + 2]; p0's
-    # column is at most n
-    by_column = {}
-    for d in table:
-        slots = [None] * (w.n + 2)
-        for move in covers[d]:
-            slots[move[1][1] + 1] = move
-        by_column[d] = slots
     bottom = w.N - w.M
-    # the window minimum and maximum by their degrees
-    lo, hi = tuple(range(w.M, w.M + w.n + 1)), tuple(range(w.N, w.N + w.s_min + 1))
-    if lo == hi:
-        keep(None, table[lo], None, None, None, FacetKind.EXTREMAL)
-    for d0, p0 in table.items():
-        for d1, down, _ in covers[d0]:
-            p1 = table[d1]
-            if d0 == lo:
-                keep(None, p0, d1, None, down, FacetKind.EXTREMAL)
-            if d1 == hi:
+    # the window minimum and maximum are the first and the last rank
+    hi = len(diagrams) - 1
+    if hi == 0:
+        keep(None, diagrams[0], None, None, None, FacetKind.EXTREMAL)
+    for k0, p0 in enumerate(diagrams):
+        for j in range(start[k0], start[k0 + 1]):
+            k1, a = target[j], at[j]
+            p1, down = diagrams[k1], cell_of[a]
+            if k0 == 0:
+                keep(None, p0, p1, None, down, FacetKind.EXTREMAL)
+            if k1 == hi:
                 keep(p0, p1, None, down, None, FacetKind.EXTREMAL)
+            # p1's moves come in column order, so the one into column
+            # c - 1 from row r, at index a - 1, before the one in column c
+            # from row r + 1, at index a + cols
             r, c = down
-            left, same = by_column[d1][c:c + 2]
-            if left is not None and left[1][0] == r:
-                kind = FacetKind.CODIMENSION_TWICE if r == bottom else FacetKind.ADJACENT_COLUMNS
-                keep(p0, p1, left[0], down, left[1], kind)
-            if same is not None:
-                keep(p0, p1, same[0], down, same[1], FacetKind.SAME_COLUMN_TWICE)
+            for i in range(start[k1], start[k1 + 1]):
+                b = at[i]
+                if b == a - 1 and c:
+                    kind = FacetKind.CODIMENSION_TWICE if r == bottom else FacetKind.ADJACENT_COLUMNS
+                    keep(p0, p1, diagrams[target[i]], down, cell_of[b], kind)
+                elif b == a + cols:
+                    keep(p0, p1, diagrams[target[i]], down, cell_of[b], FacetKind.SAME_COLUMN_TWICE)
     return tuple(records.values())
 
 

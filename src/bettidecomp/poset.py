@@ -34,11 +34,18 @@ that increases to the left along rows and downwards along columns, and this
 is a bijection between maximal chains and such numberings.  Counting the
 chains therefore needs no walk; listing them does.  Refining a chain to a
 maximal one takes a single greedy climb.
+
+The chain walk, the facet build and the CLI listing read a window through
+one integer-indexed layer (:class:`_Layer`): its diagrams numbered 0 ... D-1
+in ``pure_diagrams`` order, and each one's cover moves as target ranks and
+vacated-cell indices in ``array``s, derived once per window by
+:func:`_moves`.  No whole-window path hashes a degree tuple per move.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, repeat
@@ -131,22 +138,19 @@ def _diagram_count(w: Window) -> int:
 def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
     """Every pure diagram of w by its degree tuple, in ``pure_diagrams`` order.
 
-    The one table that the whole-window paths read; callers must not
-    mutate it.  Its diagrams are :func:`pure_diagram`'s shared ones,
-    entered through the trusted ``core._pure_diagram_of``: the sequences
-    generated here are int tuples, strictly increasing and of length at
-    most n + 1.  A window of more than ``_MAX_DIAGRAMS`` diagrams is
-    refused with ``WindowTooLarge``, counted before any is built.
+    Callers must not mutate it.  Its keys are the degree tuples of w's
+    :func:`_window_layer`, in rank order.  Its diagrams are
+    :func:`pure_diagram`'s shared ones, entered through the trusted
+    ``core._pure_diagram_of``: the layer's sequences are int tuples,
+    strictly increasing and of length at most n + 1.  A window of more
+    than ``_MAX_DIAGRAMS`` diagrams is refused with ``WindowTooLarge``,
+    counted before any is built.
     """
     count = _diagram_count(w)
     if count > _MAX_DIAGRAMS:
         raise WindowTooLarge(f"window has {_count_of(count)} pure diagrams, more than {_MAX_DIAGRAMS}")
-    table = {}
-    for s in range(w.n, w.s_min - 1, -1):
-        for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):
-            d = tuple(map(add, rows, range(s + 1)))
-            table[d] = _pure_diagram_of(d, w.n)
-    return table
+    n = w.n
+    return {d: _pure_diagram_of(d, n) for d in _window_layer(w).seqs}
 
 
 def _below(d: tuple, e: tuple) -> bool:
@@ -185,38 +189,75 @@ def _moves(d: tuple, w: Window):
     return out
 
 
-class _CoverTable(dict):
-    """Degree tuple -> its :func:`_moves` list, each move ``(new_degrees,
-    vacated_cell, index)`` with the cell's row-major index on the display
-    grid; an entry is derived on its first read and kept.  Callers must not
-    mutate it."""
+class _Layer:
+    """A window's pure diagrams by rank and their cover moves in arrays.
 
-    __slots__ = ("window",)
+    ``seqs`` maps rank to degree tuple and ``rank`` the other way.  The
+    moves of rank k are ``start[k]`` up to ``start[k + 1]``: move j goes to
+    rank ``target[j]`` and vacates the display-grid cell of row-major index
+    ``at[j]``, in :func:`_moves` order; ``cells`` reads an index as its
+    (row, column).  The three are ``array``s of C ints, so the layer holds
+    no Python object per move.  :meth:`fill` derives the moves, in rank
+    order; a target not yet ranked takes the next rank.  Callers must not
+    mutate the layer.
+    """
 
-    def __init__(self, w: Window):
-        self.window = w
+    __slots__ = ("window", "seqs", "rank", "start", "target", "at", "cells")
 
-    def __missing__(self, d: tuple):
-        w = self.window
+    def __init__(self, w: Window, seqs: list[tuple[int, ...]]):
+        self.window, self.seqs = w, seqs
+        self.rank = {d: k for k, d in enumerate(seqs)}
+        self.start, self.target, self.at = array("i", [0]), array("i"), array("i")
+        self.cells = [divmod(a, w.n + 1) for a in range(w.grid_size)]
+
+    def fill(self, upto: int | None = None) -> "_Layer":
+        """Derive the moves of every rank up to ``upto``, or of every rank
+        when None, new ranks included, through :func:`_moves`."""
+        w, seqs, rank = self.window, self.seqs, self.rank
         cols = w.n + 1
-        out = self[d] = [(nd, cell, cell[0] * cols + cell[1]) for nd, cell in _moves(d, w)]
-        return out
+        k = len(self.start) - 1
+        # gathered in lists, which append faster than arrays
+        ends, targets, cells = [], [], []
+        total = len(self.target)
+        while k < len(seqs) and (upto is None or k <= upto):
+            for nd, (r, c) in _moves(seqs[k], w):
+                t = rank.get(nd)
+                if t is None:
+                    t = rank[nd] = len(seqs)
+                    seqs.append(nd)
+                targets.append(t)
+                cells.append(r * cols + c)
+            ends.append(total + len(targets))
+            k += 1
+        self.start.extend(ends)
+        self.target.extend(targets)
+        self.at.extend(cells)
+        return self
 
 
 @lru_cache(maxsize=64)
-def _covers(w: Window) -> _CoverTable:
-    """The cover moves of w's diagrams, one table per window, kept for
-    windows of at most ``_MAX_DIAGRAMS`` diagrams: read it through
-    :func:`_cover_table`."""
-    return _CoverTable(w)
+def _window_layer(w: Window) -> _Layer:
+    """The kept layer of a window of at most ``_MAX_DIAGRAMS`` diagrams:
+    every diagram ranked in ``pure_diagrams`` order, so the minimum is rank
+    0 and the maximum the last, its moves filled on first read.  Read it
+    through :func:`_layer`."""
+    seqs = []
+    for s in range(w.n, w.s_min - 1, -1):
+        for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):
+            seqs.append(tuple(map(add, rows, range(s + 1))))
+    return _Layer(w, seqs)
 
 
-def _cover_table(w: Window) -> _CoverTable:
-    """w's cover moves, as the chain walk, the facet build and
-    ``functionals._middles`` read them: the kept :func:`_covers` table, or
+def _layer(w: Window, seed: tuple[int, ...] | None = None) -> _Layer:
+    """w's layer, as the chain walk, the facet build and
+    ``functionals._middles`` read it: the kept :func:`_window_layer`, or
     past ``_MAX_DIAGRAMS`` diagrams, counted without building any, a new
-    table that the caller alone holds."""
-    return _covers(w) if _diagram_count(w) <= _MAX_DIAGRAMS else _CoverTable(w)
+    layer that the caller alone holds and fills, ranked in the order its
+    fill reaches the diagrams from ``seed`` (rank 0, the window minimum by
+    default)."""
+    if _diagram_count(w) <= _MAX_DIAGRAMS:
+        return _window_layer(w)
+    return _Layer(w, [tuple(range(w.M, w.M + w.n + 1)) if seed is None else seed])
 
 
 def _cell(d: tuple, e: tuple, w: Window) -> tuple[int, int] | None:
@@ -436,54 +477,73 @@ def tableau_from_chain(c: Chain) -> Tableau:
     return Tableau(tuple(flat[r * cols:(r + 1) * cols] for r in range(w.rows)))
 
 
-def _walk(w: Window):
-    """Lazily walk every maximal chain of w, depth first over :func:`_moves`.
+def _walk_ranks(layer: _Layer):
+    """Lazily walk every maximal chain of the layer's window, depth first
+    over its moves.
 
-    Yields the degree sequences and the vacated cells of each chain, in
-    move order, and its row-major tableau numbering, the key by which
-    :func:`_sorted_walk` sorts them.  The numbering is kept in place: the
-    survivors are numbered once, and each move, carrying its cell's
-    row-major index, stores its step number there.  Every chain vacates
-    every other cell, so no number of an earlier chain is left over.  Each
-    diagram's cover moves are read from the window's :func:`_cover_table`,
-    kept for the next walk or facet build of a window under the cap.  A
-    diagram with a single move is left by it within the same step; only
-    a diagram with a choice of moves gets a stack entry, which carries its
+    Yields the ranks of each chain, in move order, and its row-major
+    tableau numbering, the key by which :func:`_sorted_walk` sorts them and
+    from which :func:`_vacated` reads its cells.  The walk reads ranks and
+    the layer's moves only, starting from rank 0, the window minimum in
+    either order of :func:`_layer`, which it fills first.  The numbering is
+    kept in place: the survivors are numbered once, and each move stores
+    its step number at its cell's row-major index.  Every chain vacates
+    every other cell, so no number of an earlier chain is left over.  A
+    rank with a single move is left by it within the same step; only a
+    rank with a choice of moves gets a stack entry, which carries its
     depth.
     """
+    w = layer.window
     length = chain_length(w)
-    lo = tuple(range(w.M, w.M + w.n + 1))
     flat = _survivors(w)
     if length == 1:
         # a window of one diagram: one chain, no move
-        yield (lo,), (), tuple(flat)
+        yield (0,), tuple(flat)
         return
-    seqs, cells = [lo] * length, [None] * (length - 1)
-    moves_of = _cover_table(w)
-    # (k, the moves out of element k - 1 not yet taken) per diagram of the
+    layer.fill()
+    # read as lists, which index faster than arrays
+    start, target, at = layer.start.tolist(), layer.target.tolist(), layer.at.tolist()
+    ranks = [0] * length
+    # (k, the moves out of element k - 1 not yet taken) per rank of the
     # current chain that has a choice
-    pending = [(1, iter(moves_of[lo]))]
+    pending = [(1, iter(range(start[0], start[1])))]
     push, pop = pending.append, pending.pop
     while pending:
         depth, moves = pending[-1]
         # the next move at this depth, or back up when there is none
-        for move in moves:
+        for j in moves:
             break
         else:
             pop()
             continue
         while True:
-            seqs[depth], cells[depth - 1], at = move
-            flat[at] = depth
+            ranks[depth] = t = target[j]
+            flat[at[j]] = depth
             depth += 1
             if depth == length:
-                yield tuple(seqs), tuple(cells), tuple(flat)
+                yield tuple(ranks), tuple(flat)
                 break
-            moves = moves_of[move[0]]
-            if len(moves) > 1:
-                push((depth, iter(moves)))
+            j, end = start[t], start[t + 1]
+            if end - j > 1:
+                push((depth, iter(range(j, end))))
                 break
-            move = moves[0]
+
+
+def _vacated(numbering: tuple[int, ...], layer: _Layer) -> tuple[tuple[int, int], ...]:
+    """The cells that the steps of a walked chain vacate, in step order:
+    its numbering's cells sorted by number, the survivors left out."""
+    order = sorted(range(len(numbering)), key=numbering.__getitem__)
+    return tuple(map(layer.cells.__getitem__, order[:chain_length(layer.window) - 1]))
+
+
+def _walk(w: Window):
+    """Every maximal chain of w as :func:`_walk_ranks` walks it on
+    :func:`_layer`, each rank read as its degree tuple: the degree
+    sequences and the vacated cells, in move order, and the numbering."""
+    layer = _layer(w)
+    seqs = layer.seqs
+    for ranks, numbering in _walk_ranks(layer):
+        yield tuple(map(seqs.__getitem__, ranks)), _vacated(numbering, layer), numbering
 
 
 def _steps_around(w: Window, targets) -> list[tuple]:
@@ -551,13 +611,16 @@ def count_maximal_chains(w: Window) -> int:
 
 
 def _decimal(x: int, width: int = 0) -> str:
-    """The decimal digits of an int x >= 0, zero-padded to ``width``.
+    """The decimal digits of an int x, zero-padded to ``width``, after a
+    minus sign when x < 0.
 
     ``str`` refuses an int of more digits than ``sys.get_int_max_str_digits``
     allows (4,300 by default, never fewer than 640), and that limit is the
     whole process's to set.  So a long x is split at a power of ten into
     halves, each written the same way, until a piece has at most 600 digits.
     """
+    if x < 0:
+        return "-" + _decimal(-x, width - 1)
     bits = x.bit_length()
     if bits <= 1993:  # x < 2**1993 < 10**600
         return str(x).zfill(width)
@@ -576,22 +639,23 @@ def _count_of(count: int) -> str:
         return f"a {len(_decimal(count))}-digit number of"
 
 
-def _sorted_walk(w: Window, limit: int | None = None):
-    """Every maximal chain of w as _walk's (seqs, cells, numbering), sorted on
-    the numbering: tableau order.
+def _sorted_walk(w: Window, limit: int | None = None) -> tuple[_Layer, list[tuple]]:
+    """w's :func:`_layer` and every maximal chain of w as :func:`_walk_ranks`
+    yields it, (ranks, numbering), sorted on the numbering: tableau order.
 
-    A generator: when the window has more than ``limit`` chains, the first
-    ``next()`` raises ``WindowTooLarge`` with the count before any move is
-    walked.  :func:`maximal_chains` wraps it; callers that need only the
-    degree sequences read it directly and build no ``Chain``.
+    When the window has more than ``limit`` chains, ``WindowTooLarge``
+    with the count, before any move is walked.  :func:`maximal_chains`
+    wraps it; the CLI listing reads the ranks directly and builds no
+    ``Chain``.
     """
     if limit is not None:
         if not _is_int(limit):
             raise ValueError(f"limit must be an integer, got {limit!r}")
         count = count_maximal_chains(w)
         if count > limit:
-            raise WindowTooLarge(f"window has {_count_of(count)} maximal chains, more than {limit}")
-    yield from sorted(_walk(w), key=itemgetter(2))
+            raise WindowTooLarge(f"window has {_count_of(count)} maximal chains, more than {_decimal(limit)}")
+    layer = _layer(w)
+    return layer, sorted(_walk_ranks(layer), key=itemgetter(1))
 
 
 def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
@@ -603,15 +667,15 @@ def maximal_chains(w: Window, limit: int | None = None) -> Iterator[Chain]:
     ``WindowTooLarge`` with the count before any move is walked.
 
     Every step of a walked chain is a legal cover move, so the chains are
-    not re-validated; their vacated cells come from the walk.  Only the
-    chains' own diagrams are built, each once per listing
-    (:func:`pure_diagram`) and shared by its chains, so a window of more
-    pure diagrams than :func:`_diagrams` builds lists its chains too.
+    not re-validated; their vacated cells are read off the numbering the
+    walk hands out (:func:`_vacated`).  Each rank of
+    the window's layer, every one of which some chain passes, is built
+    once per listing (:func:`pure_diagram`) and shared by its chains, so a
+    window of more pure diagrams than :func:`_diagrams` builds lists its
+    chains too.
     """
     _need(w, Window, WindowMismatch)
-    built = {}
-    for seqs, cells, _ in _sorted_walk(w, limit):
-        for d in seqs:
-            if d not in built:
-                built[d] = pure_diagram(d, w.n)
-        yield Chain._of_moves(tuple(map(built.__getitem__, seqs)), w, cells)
+    layer, walked = _sorted_walk(w, limit)
+    diagrams = list(map(pure_diagram, layer.seqs, repeat(w.n)))
+    for ranks, numbering in walked:
+        yield Chain._of_moves(tuple(map(diagrams.__getitem__, ranks)), w, _vacated(numbering, layer))

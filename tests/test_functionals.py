@@ -420,9 +420,9 @@ class TestBoundaryFacets:
 
     def test_build_derives_each_diagrams_moves_once(self, monkeypatch):
         # a chain listing and a facet build of one window read its one kept
-        # cover table: each diagram's moves are derived once in all
+        # layer: each diagram's moves are derived once in all
         w = Window(3, 0, 2, 0)
-        poset._covers.cache_clear()
+        poset._window_layer.cache_clear()
         calls = []
         real = poset._moves
         monkeypatch.setattr(poset, "_moves", lambda d, w: calls.append(d) or real(d, w))
@@ -431,17 +431,17 @@ class TestBoundaryFacets:
         assert len(functionals._records(w)) == 51
         assert sorted(calls) == sorted(tuple(p.degrees) for p in w.pure_diagrams())
 
-    def test_window_past_the_cap_keeps_no_cover_table(self, monkeypatch):
+    def test_window_past_the_cap_keeps_no_layer(self, monkeypatch):
         # n = 0: one chain through 11 diagrams, past a cap of 5; its listing
-        # and the classification of a gap in it read a table of their own
+        # and the classification of a gap in it read a layer of their own
         w = Window(0, 0, 10, 0)
-        poset._covers.cache_clear()
+        poset._window_layer.cache_clear()
         monkeypatch.setattr(poset, "_MAX_DIAGRAMS", 5)
         (chain,) = maximal_chains(w)
         assert [tuple(p.degrees) for p in chain] == [(j,) for j in range(11)]
         partial = Chain(chain.elements[:5] + chain.elements[6:], w)
         assert classify_facet(partial) is FacetKind.SAME_COLUMN_TWICE
-        assert poset._covers.cache_info().currsize == 0
+        assert poset._window_layer.cache_info().currsize == 0
 
     def test_single_diagram_window_has_one_extremal_facet(self):
         # the empty chain spans the zero cone, the facet of a one-ray fan

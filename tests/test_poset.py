@@ -1,7 +1,9 @@
 """Partial order, covers, maximal chains, tableau bijection."""
 
+import gc
 import random
 import sys
+from array import array
 from itertools import combinations, islice, permutations, zip_longest
 
 import pytest
@@ -356,6 +358,15 @@ class TestMaximalChains:
             next(maximal_chains(w, limit=10))
         assert sys.get_int_max_str_digits() == default_int_digits
 
+    def test_limit_too_long_to_print_is_written_in_digits(self, default_int_digits):
+        # a limit of 5,001 digits, past the int-to-str limit, under a count
+        # of 24,055: the refusal writes the limit's digits, as it writes
+        # the count's digit count
+        w = Window(3, 0, 10_000, 0)
+        with pytest.raises(WindowTooLarge, match=r"^window has a 24055-digit number of maximal chains, more than 10{5000}$"):
+            next(maximal_chains(w, limit=10**5000))
+        assert sys.get_int_max_str_digits() == default_int_digits
+
     def test_decimal_writes_any_count(self, default_int_digits):
         # pieces of at most 600 digits, the lower ones zero-padded; read back
         # in pieces too, under the limit
@@ -373,6 +384,47 @@ class TestMaximalChains:
         monkeypatch.setattr(poset, "_moves", lambda *a: pytest.fail("walked the poset"))
         with pytest.raises(WindowTooLarge, match="window has 9490348077234178440 maximal chains, more than 10"):
             next(maximal_chains(Window(6, 0, 5, 0), limit=10))
+
+
+class TestLayer:
+    def test_ranks_and_moves_read_back_as_moves(self):
+        # the oracle: rank order is pure_diagrams order, and the moves of
+        # rank k read back as _moves(seqs[k], w), in order, on every window
+        # with n <= 3, width <= 2, and on (4,0,3,2); a layer ranked in visit
+        # order, as one past the cap is, holds the same moves
+        windows = [Window(n, 0, width, s) for n in range(4) for width in range(3) for s in range(n + 1)]
+        windows += [Window(3, -1, 1, 0), Window(4, 0, 3, 2)]
+        for w in windows:
+            kept = poset._layer(w).fill()
+            assert kept.seqs == [tuple(p.degrees) for p in w.pure_diagrams()], w
+            visited = poset._Layer(w, [kept.seqs[0]]).fill()
+            assert sorted(visited.seqs) == sorted(kept.seqs), w
+            for layer in (kept, visited):
+                seqs, start, target, at = layer.seqs, layer.start, layer.target, layer.at
+                assert len(start) == len(seqs) + 1 and start[-1] == len(target) == len(at), w
+                for k, d in enumerate(seqs):
+                    assert layer.rank[d] == k, (w, d)
+                    moves = [(seqs[target[j]], divmod(at[j], w.n + 1)) for j in range(start[k], start[k + 1])]
+                    assert moves == poset._moves(d, w), (w, d)
+
+    def test_layer_keeps_no_object_per_move(self):
+        # the moves live in arrays of C ints: each array is one object, which
+        # refers to no other but, where the collector tracks arrays (CPython
+        # 3.11 on), its type; what the layer holds is one object per diagram
+        # or per grid cell, never one per move
+        w = Window(5, 0, 4, 1)
+        layer = poset._layer(w).fill()
+        for moves in (layer.start, layer.target, layer.at):
+            assert type(moves) is array and gc.get_referents(moves) in ([], [array])
+        seen, todo = set(), [getattr(layer, slot) for slot in poset._Layer.__slots__ if slot != "window"]
+        while todo:
+            obj = todo.pop()
+            if gc.is_tracked(obj) and not isinstance(obj, type) and id(obj) not in seen:
+                seen.add(id(obj))
+                todo += gc.get_referents(obj)
+        # the three arrays, seqs and its tuples, rank, cells and its tuples
+        bound = 3 + 1 + len(layer.seqs) + 1 + 1 + w.grid_size
+        assert len(seen) <= bound < len(layer.target), (len(seen), bound, len(layer.target))
 
 
 class TestTableauBijection:
