@@ -89,7 +89,7 @@ from .errors import (
     WindowMismatch,
 )
 from .packing import Packing
-from .poset import Chain, Window, _cell, _diagrams, _layer, chain_length
+from .poset import Chain, Window, _cell, _diagrams, _layer, _moves, chain_length
 
 
 class FacetKind(Enum):
@@ -360,14 +360,9 @@ def expand_in_chain(b: BettiDiagram, c: Chain) -> list[Fraction]:
 
 
 def _middles(a: PureDiagram, c: PureDiagram, w: Window) -> list[PureDiagram]:
-    """Elements x with a covered-by x covered-by c, read off a's moves in
-    w's :func:`_layer`."""
-    d, target = tuple(a.degrees), tuple(c.degrees)
-    layer = _layer(w, d)
-    k = layer.rank[d]
-    layer.fill(k)
-    seqs, ranks = layer.seqs, layer.target[layer.start[k]:layer.start[k + 1]]
-    return [pure_diagram(seqs[t], w.n) for t in ranks if _cell(seqs[t], target, w) is not None]
+    """Elements x with a covered-by x covered-by c, read off a's moves."""
+    target = tuple(c.degrees)
+    return [pure_diagram(nd, w.n) for nd, _ in _moves(tuple(a.degrees), w) if _cell(nd, target, w) is not None]
 
 
 def classify_facet(c: Chain) -> FacetKind:
@@ -460,7 +455,7 @@ def _records(w: Window) -> tuple[tuple, ...]:
     records = {}
     # the diagrams by rank, in the order of w's layer
     diagrams = list(_diagrams(w).values())
-    layer = _layer(w).fill()
+    layer = _layer(w)
     # read as lists, which index faster than arrays
     start, target, at = layer.start.tolist(), layer.target.tolist(), layer.at.tolist()
     cell_of = layer.cells

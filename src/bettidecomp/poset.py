@@ -135,22 +135,35 @@ def _diagram_count(w: Window) -> int:
 
 
 @lru_cache(maxsize=64)
+def _window_seqs(w: Window) -> tuple[tuple[int, ...], ...]:
+    """Every degree tuple of w in ``pure_diagrams`` order: codimension
+    descending, then lexicographically ascending.  Kept per window, so the
+    keys of :func:`_diagrams` and the ranks of :func:`_window_layer` are
+    the same tuples; callers count the window first."""
+    seqs = []
+    for s in range(w.n, w.s_min - 1, -1):
+        for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):
+            seqs.append(tuple(map(add, rows, range(s + 1))))
+    return tuple(seqs)
+
+
+@lru_cache(maxsize=64)
 def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
     """Every pure diagram of w by its degree tuple, in ``pure_diagrams`` order.
 
-    Callers must not mutate it.  Its keys are the degree tuples of w's
-    :func:`_window_layer`, in rank order.  Its diagrams are
+    Callers must not mutate it.  Its keys are :func:`_window_seqs`, the
+    degree tuples that w's :func:`_window_layer` ranks.  Its diagrams are
     :func:`pure_diagram`'s shared ones, entered through the trusted
-    ``core._pure_diagram_of``: the layer's sequences are int tuples,
-    strictly increasing and of length at most n + 1.  A window of more
-    than ``_MAX_DIAGRAMS`` diagrams is refused with ``WindowTooLarge``,
-    counted before any is built.
+    ``core._pure_diagram_of``: the sequences are int tuples, strictly
+    increasing and of length at most n + 1.  A window of more than
+    ``_MAX_DIAGRAMS`` diagrams is refused with ``WindowTooLarge``, counted
+    before any is built.
     """
     count = _diagram_count(w)
     if count > _MAX_DIAGRAMS:
         raise WindowTooLarge(f"window has {_count_of(count)} pure diagrams, more than {_MAX_DIAGRAMS}")
     n = w.n
-    return {d: _pure_diagram_of(d, n) for d in _window_layer(w).seqs}
+    return {d: _pure_diagram_of(d, n) for d in _window_seqs(w)}
 
 
 def _below(d: tuple, e: tuple) -> bool:
@@ -192,72 +205,49 @@ def _moves(d: tuple, w: Window):
 class _Layer:
     """A window's pure diagrams by rank and their cover moves in arrays.
 
-    ``seqs`` maps rank to degree tuple and ``rank`` the other way.  The
-    moves of rank k are ``start[k]`` up to ``start[k + 1]``: move j goes to
-    rank ``target[j]`` and vacates the display-grid cell of row-major index
+    ``seqs`` maps rank to degree tuple, in ``pure_diagrams`` order, so the
+    window minimum is rank 0 and the maximum the last.  The moves of rank k
+    are ``start[k]`` up to ``start[k + 1]``: move j goes to rank
+    ``target[j]`` and vacates the display-grid cell of row-major index
     ``at[j]``, in :func:`_moves` order; ``cells`` reads an index as its
     (row, column).  The three are ``array``s of C ints, so the layer holds
-    no Python object per move.  :meth:`fill` derives the moves, in rank
-    order; a target not yet ranked takes the next rank.  Callers must not
-    mutate the layer.
+    no Python object per move.  Every move is derived when the layer is
+    built, and the layer is never changed after, so threads may share it.
+    Callers must not mutate it.
     """
 
-    __slots__ = ("window", "seqs", "rank", "start", "target", "at", "cells")
+    __slots__ = ("window", "seqs", "start", "target", "at", "cells")
 
-    def __init__(self, w: Window, seqs: list[tuple[int, ...]]):
-        self.window, self.seqs = w, seqs
-        self.rank = {d: k for k, d in enumerate(seqs)}
-        self.start, self.target, self.at = array("i", [0]), array("i"), array("i")
-        self.cells = [divmod(a, w.n + 1) for a in range(w.grid_size)]
-
-    def fill(self, upto: int | None = None) -> "_Layer":
-        """Derive the moves of every rank up to ``upto``, or of every rank
-        when None, new ranks included, through :func:`_moves`."""
-        w, seqs, rank = self.window, self.seqs, self.rank
+    def __init__(self, w: Window, seqs: tuple[tuple[int, ...], ...]):
+        rank = {d: k for k, d in enumerate(seqs)}
         cols = w.n + 1
-        k = len(self.start) - 1
         # gathered in lists, which append faster than arrays
-        ends, targets, cells = [], [], []
-        total = len(self.target)
-        while k < len(seqs) and (upto is None or k <= upto):
-            for nd, (r, c) in _moves(seqs[k], w):
-                t = rank.get(nd)
-                if t is None:
-                    t = rank[nd] = len(seqs)
-                    seqs.append(nd)
-                targets.append(t)
+        ends, targets, cells = [0], [], []
+        for d in seqs:
+            for nd, (r, c) in _moves(d, w):
+                targets.append(rank[nd])
                 cells.append(r * cols + c)
-            ends.append(total + len(targets))
-            k += 1
-        self.start.extend(ends)
-        self.target.extend(targets)
-        self.at.extend(cells)
-        return self
+            ends.append(len(targets))
+        self.window, self.seqs = w, seqs
+        self.start, self.target, self.at = array("i", ends), array("i", targets), array("i", cells)
+        self.cells = [divmod(a, cols) for a in range(w.grid_size)]
 
 
 @lru_cache(maxsize=64)
 def _window_layer(w: Window) -> _Layer:
-    """The kept layer of a window of at most ``_MAX_DIAGRAMS`` diagrams:
-    every diagram ranked in ``pure_diagrams`` order, so the minimum is rank
-    0 and the maximum the last, its moves filled on first read.  Read it
-    through :func:`_layer`."""
-    seqs = []
-    for s in range(w.n, w.s_min - 1, -1):
-        for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):
-            seqs.append(tuple(map(add, rows, range(s + 1))))
-    return _Layer(w, seqs)
+    """The kept layer of a window of at most ``_MAX_DIAGRAMS`` diagrams,
+    built complete.  Read it through :func:`_layer`."""
+    return _Layer(w, _window_seqs(w))
 
 
-def _layer(w: Window, seed: tuple[int, ...] | None = None) -> _Layer:
-    """w's layer, as the chain walk, the facet build and
-    ``functionals._middles`` read it: the kept :func:`_window_layer`, or
-    past ``_MAX_DIAGRAMS`` diagrams, counted without building any, a new
-    layer that the caller alone holds and fills, ranked in the order its
-    fill reaches the diagrams from ``seed`` (rank 0, the window minimum by
-    default)."""
+def _layer(w: Window) -> _Layer:
+    """w's layer, as the chain walk and the facet build read it: the kept
+    :func:`_window_layer`, or past ``_MAX_DIAGRAMS`` diagrams, counted
+    without building any, a new layer over the same order that the caller
+    alone holds."""
     if _diagram_count(w) <= _MAX_DIAGRAMS:
         return _window_layer(w)
-    return _Layer(w, [tuple(range(w.M, w.M + w.n + 1)) if seed is None else seed])
+    return _Layer(w, _window_seqs.__wrapped__(w))
 
 
 def _cell(d: tuple, e: tuple, w: Window) -> tuple[int, int] | None:
@@ -484,14 +474,13 @@ def _walk_ranks(layer: _Layer):
     Yields the ranks of each chain, in move order, and its row-major
     tableau numbering, the key by which :func:`_sorted_walk` sorts them and
     from which :func:`_vacated` reads its cells.  The walk reads ranks and
-    the layer's moves only, starting from rank 0, the window minimum in
-    either order of :func:`_layer`, which it fills first.  The numbering is
-    kept in place: the survivors are numbered once, and each move stores
-    its step number at its cell's row-major index.  Every chain vacates
-    every other cell, so no number of an earlier chain is left over.  A
-    rank with a single move is left by it within the same step; only a
-    rank with a choice of moves gets a stack entry, which carries its
-    depth.
+    the layer's moves only, starting from rank 0, the window minimum.  The
+    numbering is kept in place: the survivors are numbered once, and each
+    move stores its step number at its cell's row-major index.  Every chain
+    vacates every other cell, so no number of an earlier chain is left
+    over.  A rank with a single move is left by it within the same step;
+    only a rank with a choice of moves gets a stack entry, which carries
+    its depth.
     """
     w = layer.window
     length = chain_length(w)
@@ -500,7 +489,6 @@ def _walk_ranks(layer: _Layer):
         # a window of one diagram: one chain, no move
         yield (0,), tuple(flat)
         return
-    layer.fill()
     # read as lists, which index faster than arrays
     start, target, at = layer.start.tolist(), layer.target.tolist(), layer.at.tolist()
     ranks = [0] * length
@@ -530,20 +518,15 @@ def _walk_ranks(layer: _Layer):
 
 
 def _vacated(numbering: tuple[int, ...], layer: _Layer) -> tuple[tuple[int, int], ...]:
-    """The cells that the steps of a walked chain vacate, in step order:
-    its numbering's cells sorted by number, the survivors left out."""
-    order = sorted(range(len(numbering)), key=numbering.__getitem__)
-    return tuple(map(layer.cells.__getitem__, order[:chain_length(layer.window) - 1]))
-
-
-def _walk(w: Window):
-    """Every maximal chain of w as :func:`_walk_ranks` walks it on
-    :func:`_layer`, each rank read as its degree tuple: the degree
-    sequences and the vacated cells, in move order, and the numbering."""
-    layer = _layer(w)
-    seqs = layer.seqs
-    for ranks, numbering in _walk_ranks(layer):
-        yield tuple(map(seqs.__getitem__, ranks)), _vacated(numbering, layer), numbering
+    """The cells that the steps of a walked chain vacate, in step order,
+    read off its numbering in one pass: step k vacates the cell numbered
+    k, and the survivors are numbered past the last step."""
+    length = chain_length(layer.window)
+    cells = [None] * (length - 1)
+    for cell, k in zip(layer.cells, numbering):
+        if k < length:
+            cells[k - 1] = cell
+    return tuple(cells)
 
 
 def _steps_around(w: Window, targets) -> list[tuple]:

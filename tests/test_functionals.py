@@ -33,7 +33,7 @@ from bettidecomp.errors import InvariantViolated, NotACoverTriple, NotInSubspace
 from bettidecomp.hilbert import multiplicity
 from bettidecomp.functionals import derived_window
 from bettidecomp.packing import Packing
-from bettidecomp.poset import _below, _diagrams, _moves, _walk
+from bettidecomp.poset import _below, _diagrams, _moves
 
 
 def cover_triple_sweep():
@@ -267,7 +267,10 @@ class TestRuleReader:
                         # the window's rows and one more on either side
                         cells = [(i, j) for i in range(n + 1) for j in range(M - 1 + i, M + width + 2 + i)]
                         table = _diagrams(w)
-                        for chain, vacated, _ in _walk(w):
+                        layer = poset._layer(w)
+                        for ranks, numbering in poset._walk_ranks(layer):
+                            chain = [layer.seqs[k] for k in ranks]
+                            vacated = poset._vacated(numbering, layer)
                             last = len(chain) - 1
                             for k, d1 in enumerate(chain):
                                 d0 = chain[k - 1] if k else None
@@ -433,15 +436,17 @@ class TestBoundaryFacets:
 
     def test_window_past_the_cap_keeps_no_layer(self, monkeypatch):
         # n = 0: one chain through 11 diagrams, past a cap of 5; its listing
-        # and the classification of a gap in it read a layer of their own
+        # reads a layer of its own, the classification of a gap in it reads
+        # the moves of the diagram below the gap, and neither is kept
         w = Window(0, 0, 10, 0)
         poset._window_layer.cache_clear()
+        poset._window_seqs.cache_clear()
         monkeypatch.setattr(poset, "_MAX_DIAGRAMS", 5)
         (chain,) = maximal_chains(w)
         assert [tuple(p.degrees) for p in chain] == [(j,) for j in range(11)]
         partial = Chain(chain.elements[:5] + chain.elements[6:], w)
         assert classify_facet(partial) is FacetKind.SAME_COLUMN_TWICE
-        assert poset._window_layer.cache_info().currsize == 0
+        assert poset._window_layer.cache_info().currsize == poset._window_seqs.cache_info().currsize == 0
 
     def test_single_diagram_window_has_one_extremal_facet(self):
         # the empty chain spans the zero cone, the facet of a one-ray fan

@@ -3,6 +3,7 @@
 import gc
 import random
 import sys
+import threading
 from array import array
 from itertools import combinations, islice, permutations, zip_longest
 
@@ -11,10 +12,12 @@ import pytest
 from bettidecomp import poset
 from bettidecomp import (
     Chain,
+    FacetKind,
     Tableau,
     Window,
     chain_from_tableau,
     chain_length,
+    classify_facet,
     count_maximal_chains,
     covers,
     leq,
@@ -191,8 +194,16 @@ def hook_length_rectangle(rows: int, cols: int) -> int:
     return math.factorial(rows * cols) // product
 
 
+def walk(w):
+    """Every maximal chain of w as poset._walk_ranks walks it on w's layer,
+    as (degree sequences, vacated cells, numbering), in move order."""
+    layer = poset._layer(w)
+    for ranks, numbering in poset._walk_ranks(layer):
+        yield tuple(map(layer.seqs.__getitem__, ranks)), poset._vacated(numbering, layer), numbering
+
+
 def _walk_by_frames(w):
-    """Every maximal chain of w as _walk's (seqs, cells, numbering), depth
+    """Every maximal chain of w as walk's (seqs, cells, numbering), depth
     first over _moves, one generator frame per move, forced or not."""
     length, cols = chain_length(w), w.n + 1
 
@@ -239,7 +250,7 @@ class TestMaximalChains:
         # the walk keeps each chain's numbering in place; _row_major, which
         # tableau_from_chain reads, is the oracle for it and for the order
         for w in small_windows():
-            walked = list(poset._walk(w))
+            walked = list(walk(w))
             for seqs, cells, numbering in walked:
                 assert numbering == poset._row_major(cells, w), (w, seqs)
             tabs = [tableau_from_chain(c).row_major() for c in maximal_chains(w)]
@@ -256,7 +267,7 @@ class TestMaximalChains:
         windows = [Window(n, 0, width, s) for n in range(5) for width in range(4) for s in range(n + 1)]
         windows.append(Window(3, -1, 1, 0))
         for w in windows:
-            walked = islice(zip_longest(poset._walk(w), _walk_by_frames(w)), 100_000)
+            walked = islice(zip_longest(walk(w), _walk_by_frames(w)), 100_000)
             assert all(a == b for a, b in walked), w
 
     def test_consecutive_pairs_are_covers(self):
@@ -305,12 +316,12 @@ class TestMaximalChains:
             for width in range(3):
                 for s_min in range(n + 1):
                     w = Window(n, 0, width, s_min)
-                    assert count_maximal_chains(w) == sum(1 for _ in poset._walk(w)), w
+                    assert count_maximal_chains(w) == sum(1 for _ in walk(w)), w
         for w, count in ((Window(3, 0, 3, 0), 24_024), (Window(4, 0, 3, 3), 60_060)):
-            assert count_maximal_chains(w) == sum(1 for _ in poset._walk(w)) == count
+            assert count_maximal_chains(w) == sum(1 for _ in walk(w)) == count
 
     def test_closed_form_walks_no_chain(self, monkeypatch):
-        monkeypatch.setattr(poset, "_walk", lambda *a, **k: pytest.fail("walked the poset"))
+        monkeypatch.setattr(poset, "_walk_ranks", lambda *a, **k: pytest.fail("walked the poset"))
         monkeypatch.setattr(poset, "_moves", lambda *a: pytest.fail("walked the poset"))
         assert count_maximal_chains(Window(4, 0, 3, 0)) == 1_662_804
         assert count_maximal_chains(Window(6, 0, 5, 0)) == 9_490_348_077_234_178_440
@@ -390,22 +401,73 @@ class TestLayer:
     def test_ranks_and_moves_read_back_as_moves(self):
         # the oracle: rank order is pure_diagrams order, and the moves of
         # rank k read back as _moves(seqs[k], w), in order, on every window
-        # with n <= 3, width <= 2, and on (4,0,3,2); a layer ranked in visit
-        # order, as one past the cap is, holds the same moves
+        # with n <= 3, width <= 2, and on (3,-1,1,0) and (4,0,3,2)
         windows = [Window(n, 0, width, s) for n in range(4) for width in range(3) for s in range(n + 1)]
         windows += [Window(3, -1, 1, 0), Window(4, 0, 3, 2)]
         for w in windows:
-            kept = poset._layer(w).fill()
-            assert kept.seqs == [tuple(p.degrees) for p in w.pure_diagrams()], w
-            visited = poset._Layer(w, [kept.seqs[0]]).fill()
-            assert sorted(visited.seqs) == sorted(kept.seqs), w
-            for layer in (kept, visited):
-                seqs, start, target, at = layer.seqs, layer.start, layer.target, layer.at
-                assert len(start) == len(seqs) + 1 and start[-1] == len(target) == len(at), w
-                for k, d in enumerate(seqs):
-                    assert layer.rank[d] == k, (w, d)
-                    moves = [(seqs[target[j]], divmod(at[j], w.n + 1)) for j in range(start[k], start[k + 1])]
-                    assert moves == poset._moves(d, w), (w, d)
+            layer = poset._layer(w)
+            seqs, start, target, at = layer.seqs, layer.start, layer.target, layer.at
+            assert list(seqs) == [tuple(p.degrees) for p in w.pure_diagrams()], w
+            assert len(start) == len(seqs) + 1 and start[-1] == len(target) == len(at), w
+            for k, d in enumerate(seqs):
+                moves = [(seqs[target[j]], divmod(at[j], w.n + 1)) for j in range(start[k], start[k + 1])]
+                assert moves == poset._moves(d, w), (w, d)
+
+    def test_kept_layer_is_built_complete(self, monkeypatch):
+        # a kept layer is shared, so every move is in it when it is handed
+        # out and reading it derives none; past the cap the layer is built
+        # over the same order
+        w = Window(3, 0, 2, 1)
+        poset._window_layer.cache_clear()
+        layer = poset._layer(w)
+        assert len(layer.start) == len(layer.seqs) + 1 == poset._diagram_count(w) + 1
+        monkeypatch.setattr(poset, "_moves", lambda *a: pytest.fail("derived a move"))
+        assert sum(1 for _ in poset._walk_ranks(layer)) == count_maximal_chains(w)
+        monkeypatch.undo()
+        monkeypatch.setattr(poset, "_MAX_DIAGRAMS", 5)
+        past = poset._layer(w)
+        assert past is not layer
+        assert (past.seqs, past.start, past.target, past.at) == (layer.seqs, layer.start, layer.target, layer.at)
+
+    def test_threads_read_complete_layers(self):
+        # threads walk the one chain of (0,0,4000,0) and classify a gap in
+        # it at once, switching every microsecond, on a layer built afresh
+        # each round: whichever layer each is handed, it holds every move,
+        # so every walk and every later one reads the whole chain
+        w = Window(0, 0, 4000, 0)
+        chain = [pure_diagram((j,), 0) for j in range(4001)]
+        gap = Chain(chain[:2000] + chain[2001:], w)
+        walked, kinds, errors = [], [], []
+
+        def walk_once():
+            try:
+                walked.append([ranks for ranks, _ in poset._walk_ranks(poset._layer(w))])
+            except Exception as e:
+                errors.append(e)
+
+        def classify_once():
+            try:
+                kinds.append(classify_facet(gap))
+            except Exception as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                poset._window_layer.cache_clear()
+                threads = [threading.Thread(target=f) for f in (walk_once, classify_once) * 2]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                walked.append([ranks for ranks, _ in poset._walk_ranks(poset._layer(w))])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert walked == [[tuple(range(4001))]] * 30
+        assert kinds == [FacetKind.SAME_COLUMN_TWICE] * 20
 
     def test_layer_keeps_no_object_per_move(self):
         # the moves live in arrays of C ints: each array is one object, which
@@ -413,7 +475,7 @@ class TestLayer:
         # 3.11 on), its type; what the layer holds is one object per diagram
         # or per grid cell, never one per move
         w = Window(5, 0, 4, 1)
-        layer = poset._layer(w).fill()
+        layer = poset._layer(w)
         for moves in (layer.start, layer.target, layer.at):
             assert type(moves) is array and gc.get_referents(moves) in ([], [array])
         seen, todo = set(), [getattr(layer, slot) for slot in poset._Layer.__slots__ if slot != "window"]
@@ -422,8 +484,8 @@ class TestLayer:
             if gc.is_tracked(obj) and not isinstance(obj, type) and id(obj) not in seen:
                 seen.add(id(obj))
                 todo += gc.get_referents(obj)
-        # the three arrays, seqs and its tuples, rank, cells and its tuples
-        bound = 3 + 1 + len(layer.seqs) + 1 + 1 + w.grid_size
+        # the three arrays, seqs and its tuples, cells and its tuples
+        bound = 3 + 1 + len(layer.seqs) + 1 + w.grid_size
         assert len(seen) <= bound < len(layer.target), (len(seen), bound, len(layer.target))
 
 
