@@ -35,11 +35,10 @@ every value exact, because both came out of library arithmetic on
 validated objects: sums, differences and shifts of existing tables,
 products with a scalar that went through :func:`as_rational`, and entries
 a library formula computed.  Anything a caller hands in goes through the
-public constructor, or through a parser.  :func:`pure_diagram` checks an
-all-``int`` sequence itself and builds through ``DegreeSequence._of`` and
-``PureDiagram._of``; any other input goes through the validating
-constructors.  ``_pure_diagram_of`` enters its table with no check, for
-the sequences ``poset._diagrams`` generates.  ``Decomposition._of`` in
+public constructor, or through a parser.  :func:`pure_diagram` looks up
+an all-``int`` sequence in its table, which checks the rest on a miss and
+builds through ``DegreeSequence._of`` and ``PureDiagram._of``; any other
+input goes through the validating constructors.  ``Decomposition._of`` in
 :mod:`bettidecomp.decompose` skips the checks of a decomposition; only
 ``greedy_decompose`` uses it, whose positive ``Fraction`` coefficients and
 strictly increasing terms of its own ``n`` hold by construction.
@@ -559,10 +558,9 @@ class NormalizedPureDiagram:
         return f"normalized_pi{tuple(self.degrees)}"
 
 
-#: Most pure diagrams :func:`pure_diagram` keeps; the oldest goes first.
+#: Most pure diagrams :func:`pure_diagram` keeps; the least recently read
+#: goes first.
 _PURE_DIAGRAM_CAP = 256
-
-_pure_diagrams: dict[tuple[tuple[int, ...], int], PureDiagram] = {}
 
 
 @lru_cache(maxsize=_PURE_DIAGRAM_CAP)
@@ -588,7 +586,7 @@ def pure_diagram(degrees, n: int) -> PureDiagram:
     """Build pi(d) for a strictly increasing sequence of length <= n + 1.
 
     Returns one shared diagram per (degrees, n) while it is among the last
-    ``_PURE_DIAGRAM_CAP`` built, with ``betti`` cached.  Its integer form
+    ``_PURE_DIAGRAM_CAP`` read, with ``betti`` cached.  Its integer form
     comes from the degree-keyed table :func:`_integer_form`, so a sequence
     read under another n, or again after its diagram left this table,
     reuses the form already computed.  Only ``int`` degrees and ``n`` are looked up: ``1.0``, ``True`` and
@@ -603,41 +601,20 @@ def pure_diagram(degrees, n: int) -> PureDiagram:
     """
     degs = tuple(degrees)
     if type(n) is int and set(map(type, degs)) == {int}:
-        key = (degs, n)
-        p = _pure_diagrams.get(key)
-        if p is not None:
-            return p
-        # the types are proven; a sequence that fails the rest is refused,
-        # with its error, by the validating constructors below
-        if len(degs) <= n + 1 and all(map(lt, degs, degs[1:])):
-            return _kept(key)
+        return _pure_diagram_of(degs, n)
     return PureDiagram(DegreeSequence(degs), n)
 
 
+@lru_cache(maxsize=_PURE_DIAGRAM_CAP)
 def _pure_diagram_of(degrees: tuple[int, ...], n: int) -> PureDiagram:
-    """:func:`pure_diagram`'s shared diagram, for a tuple of int degrees
-    that the library generated strictly increasing, of length <= n + 1 for
-    an int n: the trusted entry into its table, which checks nothing."""
-    key = (degrees, n)
-    p = _pure_diagrams.get(key)
-    return _kept(key) if p is None else p
-
-
-def _kept(key: tuple[tuple[int, ...], int]) -> PureDiagram:
-    """pi(degrees) for a checked key (degrees, n) missing from the table,
-    built and put in it."""
-    degrees, n = key
-    p = PureDiagram._of(DegreeSequence._of(degrees), n)
-    if len(_pure_diagrams) >= _PURE_DIAGRAM_CAP:
-        # first in, first out: the first key is the oldest, reached past at
-        # most a cap's worth of deleted slots; another thread may have
-        # evicted it, or changed the table, meanwhile
-        try:
-            del _pure_diagrams[next(iter(_pure_diagrams))]
-        except (KeyError, RuntimeError):
-            pass
-    _pure_diagrams[key] = p
-    return p
+    """:func:`pure_diagram`'s table: the shared diagram of a nonempty
+    tuple of int degrees and an int n, kept for the last
+    ``_PURE_DIAGRAM_CAP`` pairs read.  A pair is checked only when it is
+    missing; one that fails is refused, with its error, by the validating
+    constructors, and nothing is kept."""
+    if len(degrees) <= n + 1 and all(map(lt, degrees, degrees[1:])):
+        return PureDiagram._of(DegreeSequence._of(degrees), n)
+    return PureDiagram(DegreeSequence(degrees), n)
 
 
 def normalize(p: PureDiagram) -> NormalizedPureDiagram:

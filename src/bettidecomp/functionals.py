@@ -454,7 +454,7 @@ def _records(w: Window) -> tuple[tuple, ...]:
                 known[key] = cells, case
     records = {}
     # the diagrams by rank, in the order of w's layer
-    diagrams = list(_diagrams(w).values())
+    diagrams = _diagrams(w)
     layer = _layer(w)
     # read as lists, which index faster than arrays
     start, target, at = layer.start.tolist(), layer.target.tolist(), layer.at.tolist()
@@ -618,7 +618,7 @@ def verify_fan_convexity(w: Window) -> ConvexityReport:
     _need(w, Window, WindowMismatch)
     matrix = _facet_columns(w)
     size = len(matrix.records)
-    diagrams = list(w.pure_diagrams())
+    diagrams = _diagrams(w)
     # a pure diagram's integer entries L / q_i are at most L each
     packing = matrix.pack((w.n + 1) * max(p._integer[0] for p in diagrams))
     bias = packing.bias

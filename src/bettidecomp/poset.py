@@ -119,7 +119,7 @@ class Window:
         ``betti`` and other cached properties are computed at most once.
         ``WindowTooLarge`` past ``_MAX_DIAGRAMS`` diagrams (:func:`_diagrams`).
         """
-        return iter(_diagrams(self).values())
+        return iter(_diagrams(self))
 
 
 # the most pure diagrams a window's table is built for: (6,0,5,0) has
@@ -138,8 +138,8 @@ def _diagram_count(w: Window) -> int:
 def _window_seqs(w: Window) -> tuple[tuple[int, ...], ...]:
     """Every degree tuple of w in ``pure_diagrams`` order: codimension
     descending, then lexicographically ascending.  Kept per window, so the
-    keys of :func:`_diagrams` and the ranks of :func:`_window_layer` are
-    the same tuples; callers count the window first."""
+    diagrams of :func:`_diagrams` and the ranks of :func:`_window_layer`
+    are read off the same tuples; callers count the window first."""
     seqs = []
     for s in range(w.n, w.s_min - 1, -1):
         for rows in combinations_with_replacement(range(w.M, w.N + 1), s + 1):
@@ -148,22 +148,18 @@ def _window_seqs(w: Window) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def _diagrams(w: Window) -> dict[tuple[int, ...], PureDiagram]:
-    """Every pure diagram of w by its degree tuple, in ``pure_diagrams`` order.
-
-    Callers must not mutate it.  Its keys are :func:`_window_seqs`, the
-    degree tuples that w's :func:`_window_layer` ranks.  Its diagrams are
-    :func:`pure_diagram`'s shared ones, entered through the trusted
-    ``core._pure_diagram_of``: the sequences are int tuples, strictly
-    increasing and of length at most n + 1.  A window of more than
-    ``_MAX_DIAGRAMS`` diagrams is refused with ``WindowTooLarge``, counted
-    before any is built.
+def _diagrams(w: Window) -> tuple[PureDiagram, ...]:
+    """Every pure diagram of w by rank, in ``pure_diagrams`` order: entry
+    k is pi of :func:`_window_seqs` tuple k, which w's :func:`_window_layer`
+    ranks k.  They are :func:`pure_diagram`'s shared diagrams, read from
+    its table ``core._pure_diagram_of``, since the sequences are int tuples.
+    A window of more than ``_MAX_DIAGRAMS`` diagrams is refused with
+    ``WindowTooLarge``, counted before any is built.
     """
     count = _diagram_count(w)
     if count > _MAX_DIAGRAMS:
         raise WindowTooLarge(f"window has {_count_of(count)} pure diagrams, more than {_MAX_DIAGRAMS}")
-    n = w.n
-    return {d: _pure_diagram_of(d, n) for d in _window_seqs(w)}
+    return tuple(map(_pure_diagram_of, _window_seqs(w), repeat(w.n)))
 
 
 def _below(d: tuple, e: tuple) -> bool:

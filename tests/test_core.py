@@ -7,8 +7,10 @@ import inspect
 import math
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import pytest
@@ -138,24 +140,70 @@ class TestPureDiagramTable:
             pure_diagram((0, 2, 2), 3)
 
     def test_table_is_bounded(self):
+        table = core._pure_diagram_of
         for k in range(10_000):
             p = pure_diagram((0, k + 1), 1)
-            assert len(core._pure_diagrams) <= core._PURE_DIAGRAM_CAP
+            assert table.cache_info().currsize <= core._PURE_DIAGRAM_CAP
+        assert table.cache_info().maxsize == core._PURE_DIAGRAM_CAP
+        misses = table.cache_info().misses
         assert pure_diagram((0, 10_000), 1) is p
-        assert len(core._pure_diagrams) == core._PURE_DIAGRAM_CAP
-        # the oldest went first, and a rebuilt diagram is equal
-        assert ((0, 1), 1) not in core._pure_diagrams
+        assert table.cache_info().currsize == core._PURE_DIAGRAM_CAP
+        # the least recently read went first, and a rebuilt diagram is equal
         assert pure_diagram((0, 1), 1).betti == BettiDiagram(1, {(0, 0): 1, (1, 1): 1})
+        assert table.cache_info().misses == misses + 1
+
+    def test_refused_pairs_are_not_kept(self):
+        table = core._pure_diagram_of
+        table.cache_clear()
+        for degrees, n in [((0, 1, 2), 1), ((0, 2, 2), 3), ((2, 1), 3), ((0,), -1)]:
+            with pytest.raises(BettiError):
+                pure_diagram(degrees, n)
+        assert table.cache_info().currsize == 0
+
+    def test_threads_share_one_bounded_table(self):
+        # eight threads read overlapping keys, more keys than the cap, each
+        # in its own order; every diagram is the one the validating
+        # constructor builds, and the table never grows past its cap
+        keys = [((0, k + 1, k + 3), n) for k in range(3 * core._PURE_DIAGRAM_CAP // 2) for n in (2, 3)]
+        start = threading.Barrier(8)
+        wrong, sizes = [], []
+
+        def read(seed):
+            order = keys[:]
+            random.Random(seed).shuffle(order)
+            start.wait()
+            for _ in range(3):
+                for d, n in order:
+                    p = pure_diagram(d, n)
+                    if p != PureDiagram(DegreeSequence(d), n) or p._integer != core._integer_form(d):
+                        wrong.append((d, n))
+                sizes.append(core._pure_diagram_of.cache_info().currsize)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert len(sizes) == 24 and max(sizes) <= core._PURE_DIAGRAM_CAP
+        assert core._pure_diagram_of.cache_info().currsize <= core._PURE_DIAGRAM_CAP
 
     @pytest.mark.parametrize("cap", [None, 5])
     def test_window_tables_enter_through_the_trusted_entry(self, monkeypatch, cap):
         # every entry of every window with n <= 4 and width <= 3: the
-        # validating constructor accepts what the trusted entry skipped, and
-        # while it is in the table it is the object pure_diagram returns;
-        # under a cap of 5 the table still evicts first in, first out
-        monkeypatch.setattr(core, "_pure_diagrams", {})
-        if cap is not None:
-            monkeypatch.setattr(core, "_PURE_DIAGRAM_CAP", cap)
+        # validating constructor accepts what the table built unchecked,
+        # and while it is in the table it is the object pure_diagram
+        # returns; under a cap of 5 the table still keeps the last read
+        if cap is None:
+            cap = core._PURE_DIAGRAM_CAP
+        table = lru_cache(maxsize=cap)(core._pure_diagram_of.__wrapped__)
+        monkeypatch.setattr(core, "_pure_diagram_of", table)
+        monkeypatch.setattr(poset, "_pure_diagram_of", table)
         checked = expected = 0
         for n in range(5):
             for width in range(4):
@@ -163,23 +211,27 @@ class TestPureDiagramTable:
                     w = Window(n, -1 if n & 1 else 0, (-1 if n & 1 else 0) + width, s_min)
                     # a fresh build into an empty table: the cached one may
                     # predate it
-                    core._pure_diagrams.clear()
-                    table = poset._diagrams.__wrapped__(w)
-                    assert len(core._pure_diagrams) <= core._PURE_DIAGRAM_CAP
-                    kept = list(core._pure_diagrams)
-                    for d, p in table.items():
+                    table.cache_clear()
+                    diagrams = poset._diagrams.__wrapped__(w)
+                    seqs = poset._window_seqs(w)
+                    assert type(diagrams) is tuple and len(diagrams) == len(seqs)
+                    assert table.cache_info().currsize == min(len(seqs), cap)
+                    for d, p in zip(seqs, diagrams):
                         assert type(d) is tuple and type(p.degrees) is DegreeSequence
-                        assert p == PureDiagram(DegreeSequence(d), n) and p.n == n
-                        if (d, n) in core._pure_diagrams:
-                            assert core._pure_diagrams[(d, n)] is p
-                            assert pure_diagram(d, n) is p
-                            checked += 1
-                    # the lookups above built nothing and moved nothing
-                    assert list(core._pure_diagrams) == kept
-                    assert kept == [(d, n) for d in list(table)[-core._PURE_DIAGRAM_CAP:]]
-                    expected += min(len(table), core._PURE_DIAGRAM_CAP)
+                        assert p == PureDiagram(DegreeSequence(d), n) and p.n == n and p.degrees == d
+                    # the last cap read are kept: looking them up builds
+                    # nothing, and the one read before them is gone
+                    kept = len(seqs) - table.cache_info().currsize
+                    misses = table.cache_info().misses
+                    for d, p in zip(seqs[kept:], diagrams[kept:]):
+                        assert pure_diagram(d, n) is p
+                        checked += 1
+                    assert table.cache_info().misses == misses
+                    if kept:
+                        assert pure_diagram(seqs[kept - 1], n) is not diagrams[kept - 1]
+                    expected += min(len(seqs), cap)
         # 1,393 entries in 60 windows, all kept under the real cap
-        assert checked == expected == (251 if cap is not None else 1393)
+        assert checked == expected == (251 if cap == 5 else 1393)
 
 
 def integer_form_reference(d):
@@ -207,9 +259,9 @@ class TestIntegerFormTable:
             assert all(form is forms[0] for form in forms), d
             assert PureDiagram(DegreeSequence(d), len(d) + 5)._integer is forms[0]
 
-    def test_shared_across_evictions(self, monkeypatch):
+    def test_shared_across_evictions(self):
         p = pure_diagram((0, 3, 4, 7), 3)
-        monkeypatch.setattr(core, "_pure_diagrams", {})
+        core._pure_diagram_of.cache_clear()
         q = pure_diagram((0, 3, 4, 7), 3)
         assert q is not p and q._integer is p._integer
 
@@ -407,6 +459,14 @@ class TestBettiDiagram:
         with pytest.raises(InvalidDiagram):
             BettiDiagram(2, {(0, 0): 0.5})
 
+    def test_sum_and_difference_need_one_n(self):
+        a, b = BettiDiagram(1, {(0, 0): 1}), BettiDiagram(2, {(0, 0): 1})
+        with pytest.raises(InvalidDiagram, match="cannot add diagrams with different ambient n"):
+            a + b
+        with pytest.raises(InvalidDiagram, match="cannot subtract diagrams with different ambient n"):
+            b - a
+        assert a + BettiDiagram(1, {(1, 1): 1}) == BettiDiagram(1, {(0, 0): 1, (1, 1): 1})
+
     @pytest.mark.parametrize("value", ["1.5", "1e3", True, False])
     @pytest.mark.parametrize(
         "make",
@@ -495,6 +555,20 @@ class TestLaurentPolynomial:
     def test_order(self):
         p = LaurentPolynomial({0: 1}).times_one_minus_t(3)
         assert p.one_minus_t_order() == 3
+
+    def test_support_and_repr(self):
+        p = LaurentPolynomial({-1: 2, 0: 1, 3: Fraction(-1, 2)})
+        assert p.support() == (-1, 3)
+        assert repr(p) == "2*t^-1 + 1 - 1/2*t^3"
+        assert repr(LaurentPolynomial({1: 1, 2: -1})) == "t^1 - 1*t^2"
+
+    def test_zero_has_no_support_and_no_order(self):
+        zero = LaurentPolynomial({0: 1, 1: -1}) - LaurentPolynomial({0: 1, 1: -1})
+        assert zero.is_zero and repr(zero) == "0"
+        with pytest.raises(UndefinedOnZero, match="no support"):
+            zero.support()
+        with pytest.raises(UndefinedOnZero, match="order undefined"):
+            zero.one_minus_t_order()
 
     def test_evaluation(self):
         p = LaurentPolynomial({-1: 2, 0: 1, 2: Fraction(1, 2)})

@@ -142,6 +142,23 @@ class TestCoefficientFunctional:
         with pytest.raises(NotACoverTriple):
             coefficient_functional(None, pure_diagram((0, 1, 2, 4), 3), None, w)
 
+    def test_rejects_a_missing_middle_outside_elements_and_a_low_top_sentinel(self):
+        w = Window(3, 0, 2, 0)
+        lo, p1 = w.min_element(), pure_diagram((0, 1, 2, 4), 3)
+        with pytest.raises(NotACoverTriple, match="middle element of the triple must be a pure diagram"):
+            coefficient_functional(lo, None, None, w)
+        outside = pure_diagram((0, 1, 2, 6), 3)  # degree 6 past row 2 in column 3
+        with pytest.raises(WindowMismatch, match="is not a valid diagram of"):
+            coefficient_functional(None, outside, None, w)
+        with pytest.raises(WindowMismatch, match="is not a valid diagram of"):
+            coefficient_functional(outside, p1, None, w)
+        with pytest.raises(WindowMismatch, match="is not a valid diagram of"):
+            coefficient_functional(lo, p1, pure_diagram((0, 1, 2, 3), 4), w)
+        # the top sentinel stands only above the maximum
+        with pytest.raises(NotACoverTriple, match="top sentinel is only valid above the window maximum"):
+            coefficient_functional(None, lo, None, w)
+        assert coefficient_functional(None, lo, p1, w)(lo.betti) == 1
+
     def test_rejects_upper_neighbour_outside_window(self):
         w = Window(1, 0, 0, 0)
         with pytest.raises(WindowMismatch):
@@ -224,10 +241,15 @@ def _reference_rule(d0, p1, down, up, w):
     return FunctionalCase.ENTRY, pos, scale // x
 
 
+def diagram_table(w):
+    """w's pure diagrams by their degree tuples, in rank order."""
+    return dict(zip(poset._window_seqs(w), _diagrams(w)))
+
+
 def _rule_arguments(w):
     """_rule's (d0, p1, down, up) for every cover triple of w, the
     sentinel triples at the window minimum and maximum included."""
-    table = _diagrams(w)
+    table = diagram_table(w)
     lo, hi = w.min_element(), w.max_element()
     if lo == hi:
         yield None, lo, None, None
@@ -266,7 +288,7 @@ class TestRuleReader:
                         w = Window(n, M, M + width, s_min)
                         # the window's rows and one more on either side
                         cells = [(i, j) for i in range(n + 1) for j in range(M - 1 + i, M + width + 2 + i)]
-                        table = _diagrams(w)
+                        table = diagram_table(w)
                         layer = poset._layer(w)
                         for ranks, numbering in poset._walk_ranks(layer):
                             chain = [layer.seqs[k] for k in ranks]
@@ -354,6 +376,11 @@ class TestExpandInChain:
         b = chain[0].betti.scaled(-3) + chain[5].betti
         coords = expand_in_chain(b, chain)
         assert coords[0] == -3 and coords[5] == 1
+
+    def test_requires_the_chains_n(self, dual_functionals):
+        chain, w = chain12(dual_functionals)
+        with pytest.raises(WindowMismatch, match="diagram has n=2, window has n=3"):
+            expand_in_chain(BettiDiagram(2, {(0, 0): 1}), chain)
 
     def test_requires_window_support(self, dual_functionals):
         chain, w = chain12(dual_functionals)
@@ -524,7 +551,7 @@ def _records_by_scan(w):
         cells, case = functionals._coefficients(p0, p1, down, up, w)
         records.setdefault(cells, (cells, kind, case, (p0, p1, p2)))
 
-    table = _diagrams(w)
+    table = diagram_table(w)
     lo, hi = tuple(range(w.M, w.M + w.n + 1)), tuple(range(w.N, w.N + w.s_min + 1))
     if lo == hi:
         keep(None, table[lo], None, None, None, FacetKind.EXTREMAL)
@@ -1089,6 +1116,55 @@ class TestConvexity:
         assert report.facets_checked == 242
 
 
+def integer_rank(rows):
+    """Rank over Q of a list of int rows, by fraction-free elimination
+    with each updated row divided by its gcd."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for k in range(rank + 1, len(rows)):
+            x = rows[k][c]
+            if x:
+                r = [p[c] * a - x * b for a, b in zip(rows[k], p)]
+                g = math.gcd(*r)
+                rows[k] = [v // g for v in r] if g > 1 else r
+        rank += 1
+    return rank
+
+
+FACETNESS_WINDOWS = [Window(n, 0, width, s) for n in range(1, 5) for width in range(4) for s in range(n + 1)]
+FACETNESS_WINDOWS.append(Window(3, -1, 1, 0))
+
+
+class TestFacetness:
+    def test_every_listed_hyperplane_is_a_facet_of_the_cone(self):
+        # a second route to the facet build: each hyperplane is >= 0 on every
+        # pure diagram of the window, and the diagrams it vanishes on span a
+        # hyperplane of the cone's span, whose rank is the chain length
+        hyperplanes = 0
+        for w in FACETNESS_WINDOWS:
+            cols = w.n + 1
+            vectors = []
+            for p in _diagrams(w):
+                v = [0] * w.grid_size
+                for (i, d), x in p._integer[1]:
+                    v[(d - i - w.M) * cols + i] = x
+                vectors.append(v)
+            dim = poset.chain_length(w)
+            assert integer_rank(vectors) == dim, w
+            for cells, *_ in functionals._facet_columns(w).records:
+                values = [sum(map(mul, cells, v)) for v in vectors]
+                assert min(values) >= 0, (w, cells)
+                assert integer_rank(v for v, x in zip(vectors, values) if x == 0) == dim - 1, (w, cells)
+                hyperplanes += 1
+        assert (len(FACETNESS_WINDOWS), hyperplanes) == (57, 2228)
+
+
 class TestMembership:
     def test_quotient_is_member(self, quotient_diagram):
         w = derived_window(quotient_diagram)
@@ -1181,7 +1257,7 @@ def subspace_diagrams(rng):
         entries = {}
         if kind < 2:
             s = rng.randint(0, n)
-            seqs = list(_diagrams(Window(n, M, M + width, s)))
+            seqs = list(poset._window_seqs(Window(n, M, M + width, s)))
             for d in rng.sample(seqs, min(len(seqs), rng.randint(1, 3))):
                 if len(d) - 1 != s and rng.random() < 0.5:
                     continue

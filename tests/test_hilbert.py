@@ -91,6 +91,17 @@ class TestHilbertSeries:
             a = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
             assert hilbert_series(x.scaled(a) + y) == hilbert_series(x).scaled(a) + hilbert_series(y)
 
+    def test_sum_across_n_expands_to_the_sum(self):
+        # the smaller n's numerator is brought over the larger denominator
+        rng = random.Random(37)
+        for _ in range(40):
+            a = HilbertSeries(LaurentPolynomial({rng.randint(0, 4): rng.randint(-3, 3) or 1 for _ in range(3)}), rng.randint(0, 4))
+            b = HilbertSeries(LaurentPolynomial({rng.randint(0, 4): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}), rng.randint(0, 4))
+            total = a + b
+            assert total.n == max(a.n, b.n)
+            assert total.expand(12) == [x + y for x, y in zip(a.expand(12), b.expand(12))], (a, b)
+            assert total == b + a
+
 
 class TestExpandSeries:
     def test_quotient_against_monomial_oracle(self, quotient_diagram):
@@ -250,6 +261,14 @@ class TestMonotonicity:
         # incomparable instead: (0,5) vs (0,1,2) reversed order
         with pytest.raises(NotAChain):
             check_monotonicity([b, a], 10)
+
+    def test_refuses_what_is_not_a_chain_of_normalized_diagrams(self):
+        with pytest.raises(NotAChain, match="empty chain"):
+            check_monotonicity([], 5)
+        with pytest.raises(NotAChain, match="is not a normalized pure diagram"):
+            check_monotonicity([normalize(pure_diagram((0, 1), 2)), pure_diagram((0, 2), 2)], 5)
+        with pytest.raises(NotAChain, match="different ambient dimensions"):
+            check_monotonicity([normalize(pure_diagram((0, 1), 2)), normalize(pure_diagram((0, 2), 3))], 5)
 
     @pytest.mark.parametrize("depth", [-1, "x", 1.5, True, None])
     def test_depth_checked_whatever_the_length(self, depth):

@@ -97,6 +97,15 @@ class TestParseTable:
         with pytest.raises(ParseError):
             parse_diagram("0: 1 -\n1: 1", "table")
 
+    def test_declared_n_must_match_the_columns(self):
+        assert parse_diagram("# n=1\n0: 1 -\n1: - 1", "table") == BettiDiagram(1, {(0, 0): 1, (1, 2): 1})
+        with pytest.raises(ParseError, match="declared n=2 but table has 2 columns"):
+            parse_diagram("# n=2\n0: 1 -\n1: - 1", "table")
+
+    def test_duplicate_row_label(self):
+        with pytest.raises(ParseError, match="duplicate row label"):
+            parse_diagram("0: 1 -\n0: - 1", "table")
+
 
 class TestParseJson:
     def test_quotient(self, fixtures_dir, quotient_diagram):

@@ -127,7 +127,7 @@ class TestCell:
         # codimension 0: pairs of every length, and e (or d) outside w
         pairs = 0
         for w in small_windows():
-            pool = list(poset._diagrams(Window(w.n, w.M - 1, w.N + 1, 0)))
+            pool = poset._window_seqs(Window(w.n, w.M - 1, w.N + 1, 0))
             for d in pool:
                 scanned = dict(poset._moves(d, w))
                 for e in pool:
@@ -390,6 +390,15 @@ class TestMaximalChains:
                 value = value * 10**len(piece) + int(piece)
             assert value == x
         assert poset._decimal(12345, 8) == "00012345"
+
+    def test_decimal_writes_negative_ints_as_str_does(self):
+        # a minus sign, then the digits, zero-padded within the width as
+        # str.zfill pads
+        for x in (-1, -7, -10, -12345, -(2**64)):
+            for width in range(0, 25):
+                assert poset._decimal(x, width) == str(x).zfill(width), (x, width)
+        text = poset._decimal(-(10**5000 + 7))
+        assert text == "-1" + "0" * 4997 + "007"
 
     def test_limit_reports_count_before_walking(self, monkeypatch):
         monkeypatch.setattr(poset, "_moves", lambda *a: pytest.fail("walked the poset"))
